@@ -98,9 +98,12 @@ class IrrepCache:
         path = self._path(kind, n, lam)
         if not path or not path.exists():
             return None
-        record = json.loads(path.read_text())
-        g = liealg.build_algebra(record["kind"], record["n"])
-        dpi = np.stack([decode_matrix(m) for m in record["dpi"]])
+        try:
+            record = json.loads(path.read_text())
+            g = liealg.build_algebra(record["kind"], record["n"])
+            dpi = np.stack([decode_matrix(m) for m in record["dpi"]])
+        except (ValueError, KeyError, TypeError, GsrepError):
+            return None  # an unreadable record is a miss; the rebuild replaces it
         return irreps.Representation(g, dpi, label=tuple(record["lam"]))
 
     def store(self, rep: irreps.Representation) -> None:
@@ -161,8 +164,8 @@ def run(job: dict) -> dict:
     """Dispatch a validated job dict; returns the report dict."""
     command = _require(job, "command")
     tol = float(job.get("tol", 1e-8))
-    if tol <= 0:
-        raise SchemaError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise SchemaError("tolerance must be positive and finite")
     seed = int(job.get("seed", 0))
     report = {
         "job": job,
@@ -188,6 +191,16 @@ def run(job: dict) -> dict:
     return report
 
 
+def _finite(values, key: str) -> np.ndarray:
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key} must be a list of numbers") from exc
+    if not np.all(np.isfinite(out)):
+        raise SchemaError(f"{key} must be finite")
+    return out
+
+
 def _algebra_and_d(job: dict):
     kind = job.get("group", "u")
     if kind not in ("u", "su"):
@@ -195,12 +208,17 @@ def _algebra_and_d(job: dict):
     n = int(_require(job, "n"))
     g = liealg.build_algebra(kind, n)
     if job.get("d_coeffs") is not None:
-        d = np.asarray(job["d_coeffs"], dtype=float)
+        d = _finite(job["d_coeffs"], "d_coeffs")
         if d.shape != (g.dim,):
             raise SchemaError(f"d_coeffs must have length {g.dim}")
     else:
-        entries = _require(job, "d")
-        d = liealg.diagonal_element(g, entries)
+        entries = _finite(_require(job, "d"), "d")
+        if entries.shape != (g.n,):
+            raise SchemaError(f"d must have {g.n} entries")
+        try:
+            d = liealg.diagonal_element(g, entries)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     return g, d
 
 
@@ -209,7 +227,8 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
     lam = tuple(_require(job, "weight"))
     cache = IrrepCache(job.get("cache_dir"))
     rep = cache.get_or_build(g.kind, g.n, lam)
-    out = groundstate.analyze(rep, d, tol=min(tol, 1e-9))
+    tol = min(tol, 1e-9)
+    out = groundstate.analyze(rep, d, tol=tol)
     h0_weights = sorted(
         irreps.weights_of(irreps.restrict(rep, out.h0_basis))
     )
@@ -235,6 +254,8 @@ def _run_classify(job: dict, report: dict, tol: float) -> None:
     if g.kind != "u":
         raise SchemaError("classification sweep targets u(n)")
     box = int(job.get("box", 3))
+    if box < 0:
+        raise SchemaError("box must be non-negative")
     dvec = np.diag(-1j * g.matrix(d)).real
     if len(set(np.round(dvec, 9))) != g.n:
         raise SchemaError("classification requires a regular diagonal element")
@@ -302,6 +323,8 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
     for cutoff in sorted(int(c) for c in cutoffs):
         ft = heisenfock.FockTruncation(modes, cutoff)
         sector = int(job.get("sector", cutoff // 2))
+        if not 0 <= sector <= cutoff:
+            raise SchemaError(f"sector {sector} is outside [0, {cutoff}]")
         worst = 0.0
         for v, w in pairs:
             worst = max(worst, heisenfock.weyl_relation_residual(ft, v, w, sector))
@@ -336,7 +359,7 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
 
 def _run_dirlim(job: dict, report: dict, tol: float) -> None:
     lam = [int(x) for x in _require(job, "lam")]
-    d = [float(x) for x in _require(job, "d")]
+    d = [float(x) for x in _finite(_require(job, "d"), "d")]
     spec = dirlim.DirectLimitSpec(tuple(d))
     member = dirlim.weight_cone_member(lam, spec)
     cone = dirlim.level_cone_generators(spec)
@@ -515,12 +538,9 @@ def main(argv=None) -> int:
     try:
         job = _job_from_args(args)
         report = run(job)
-    except SchemaError as exc:
-        sys.stderr.write(f"schema error: {exc}\n")
-        return 2
     except GsrepError as exc:
         sys.stderr.write(json.dumps({"error": {"code": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 1
+        return 2 if isinstance(exc, SchemaError) else 1
     text = render_report(report)
     if args.output:
         Path(args.output).write_text(text)

@@ -36,11 +36,14 @@ from .liealg import (
 from .matcore import (
     CLUSTER_TOL,
     DEFAULT_TOL,
+    OperatorSubspace,
     algebra_closure,
+    center_basis,
     cluster_values,
     commutant_basis,
     compress,
     eig_hermitian,
+    numerical_rank,
 )
 
 
@@ -70,18 +73,20 @@ class GroundStateReport:
         return self.h0_basis.shape[1]
 
 
-def _central_projections(dpi_ops: list[np.ndarray], dim: int, tol: float,
+def _central_projections(comm: OperatorSubspace, tol: float,
                          seed: int = 7) -> list[np.ndarray]:
     """Minimal central projections of the algebra generated by the operators.
 
-    The center is the commutant of (operators + their commutant); a random
-    Hermitian element of it has the minimal central projections as its
-    spectral projections (generically, so a couple of retries suffice).
+    ``comm`` is the commutant of the operators.  The center of their
+    generated algebra is the center of ``comm``, comm intersected with
+    comm', so it is one null space over the commutant basis; a
+    random Hermitian element of it has the minimal central projections as
+    its spectral projections (generically, so a couple of retries suffice).
     """
-    comm = commutant_basis(dpi_ops, dim=dim, tol=tol)
+    dim = comm.dim
     if comm.rank == 1:
         return [np.eye(dim, dtype=complex)]
-    center = commutant_basis(list(comm.basis) + list(dpi_ops), dim=dim, tol=tol)
+    center = center_basis(comm, tol)
     if center.rank == 1:
         return [np.eye(dim, dtype=complex)]
     rng = np.random.default_rng(seed)
@@ -128,15 +133,14 @@ def _krylov_cyclic(dpi_ops: list[np.ndarray], start: np.ndarray, dim: int,
             break
         cands = cands - S @ (S.conj().T @ cands)
         u, s, _ = np.linalg.svd(cands, full_matrices=False)
-        keep = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
+        keep = numerical_rank(s, tol)
         if keep == 0:
             break
         S = np.hstack([S, u[:, :keep]])
     return S.shape[1] == dim
 
 
-def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL,
-            strict_method: str = "commutant") -> GroundStateReport:
+def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> GroundStateReport:
     """Full minimal-energy analysis of (pi, d).
 
     Parameters
@@ -144,10 +148,12 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL,
     pi : representation of a matrix Lie algebra.
     d : real coefficient vector of the generating element.
     tol : rank threshold shared by all subspace decisions.
-    strict_method : 'commutant' (default) decides strictness by comparing
-        the commutant of the compressed fixed-point action with the
-        compressed commutant of the whole action, which is equivalent and
-        cheap; 'algebra' runs :func:`is_strict` literally.
+
+    Strictness is decided by comparing the commutant of the compressed
+    fixed-point action with the compressed commutant of the whole action,
+    which is equivalent to the literal algebra comparison of
+    :func:`is_strict` and cheap.  The commutant of the whole action is
+    built once and also yields the central blocks.
 
     The ground-state verdict is cyclicity of the blockwise minimal-energy
     space under the operator algebra of g (at finite dimension the required
@@ -159,7 +165,8 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL,
     w, _ = eig_hermitian(H, 1e-8)
     m_global = float(w[0])
     dpi_ops = list(pi.dpi)
-    projections = _central_projections(dpi_ops, pi.dim, tol)
+    comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol)
+    projections = _central_projections(comm_full, tol)
     m, h0, shifts = _ground_space(H, projections, tol)
 
     g0_rows = centralizer_basis(g, d, tol)
@@ -171,13 +178,12 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL,
     cyclic = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
     ground_state = cyclic
 
-    comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol)
     comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol)
     compressed_comm = compress(h0, comm_full, tol)
     # P0 pi(G)'' P0 is a von Neumann algebra on H0, so it is the commutant
     # of the compressed commutant; no large algebra closure is needed.
     corner = commutant_basis(list(compressed_comm.basis), dim=pi0.dim, tol=tol)
-    report = GroundStateReport(
+    return GroundStateReport(
         m=m_global,
         h0_basis=h0,
         pi0=pi0,
@@ -190,9 +196,6 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL,
         fixed_algebra=g0,
         tol=tol,
     )
-    if strict_method == "algebra":
-        report.strict = bool(ground_state and is_strict(pi, report, tol))
-    return report
 
 
 def is_strict(pi: Representation, report: GroundStateReport,
@@ -202,8 +205,8 @@ def is_strict(pi: Representation, report: GroundStateReport,
     Builds the unital algebra generated by the dpi images, compresses it to
     the ground space, and compares its span with the unital algebra
     generated there by the compressed fixed-point action.  Quadratic in the
-    full operator-space dimension; :func:`analyze` defaults to the
-    equivalent commutant-dimension comparison instead.
+    full operator-space dimension; :func:`analyze` uses the equivalent
+    commutant-dimension comparison instead, and this is its test oracle.
     """
     A = algebra_closure(list(pi.dpi), include_identity=True, tol=tol)
     B = compress(report.h0_basis, A, tol)
@@ -227,8 +230,7 @@ def check_elliptic_implication(pi: Representation, d: np.ndarray,
         raise NotIrreducible(f"commutant has dimension {comm.rank}")
     flat = pi.dpi.reshape(g.dim, -1)
     _, s, _ = np.linalg.svd(flat)
-    rank = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
-    if rank != g.dim:
+    if numerical_rank(s, tol) != g.dim:
         raise NonInjective("dpi has a kernel on the algebra")
     eigenvector_exists = True  # finite dimension
     elliptic = is_elliptic(g, d)

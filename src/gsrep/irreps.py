@@ -33,6 +33,7 @@ from .matcore import (
     DEFAULT_TOL,
     cluster_values,
     commutant_basis,
+    numerical_rank,
 )
 
 Weight = tuple[int, ...]
@@ -211,8 +212,7 @@ def _highest_weight_vector(n: int, k: int, mu: np.ndarray, tol: float) -> np.nda
     if blocks:
         stacked = np.vstack(blocks)
         _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-        rank = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
-        if rank >= support.size:
+        if numerical_rank(s, tol) >= support.size:
             raise DimensionOracleMismatch("no highest-weight vector found in the tensor power")
         coeffs = vh[-1].conj()
     else:
@@ -243,7 +243,7 @@ def _generate_invariant_subspace(n: int, k: int, seed: np.ndarray, tol: float) -
         C = np.stack(cands, axis=1)
         C = C - P @ (P.conj().T @ C)
         u, s, _ = np.linalg.svd(C, full_matrices=False)
-        keep = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
+        keep = numerical_rank(s, tol)
         if keep == 0:
             break
         new = u[:, :keep]
@@ -372,8 +372,7 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
     if rows:
         stacked = np.vstack(rows)
         _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-        rank = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
-        kernel = vh[rank:].conj().T
+        kernel = vh[numerical_rank(s, tol):].conj().T
     else:
         kernel = np.eye(rep.dim, dtype=complex)
     if kernel.shape[1] != 1:
@@ -405,8 +404,7 @@ def _equivalent(a: Representation, b: Representation, tol: float) -> bool:
     eye = np.eye(d, dtype=complex)
     rows = [np.kron(a.dpi[i], eye) - np.kron(eye, b.dpi[i].T) for i in range(a.algebra.dim)]
     _, s, _ = np.linalg.svd(np.vstack(rows))
-    rank = int(np.sum(s > tol * max(s[0] if s.size else 0.0, 1.0)))
-    return rank < d * d
+    return numerical_rank(s, tol) < d * d
 
 
 def decompose(rep: Representation, tol: float = DEFAULT_TOL, seed: int = 0,

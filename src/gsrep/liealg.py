@@ -371,10 +371,6 @@ class RootDatum:
     delta_zero: tuple[int, ...]
     delta_plus: tuple[int, ...]
 
-    def root_value_on_d(self, idx: int) -> float:
-        i, j = self.pairs[idx]
-        return float(self.dvec[i] - self.dvec[j])
-
 
 def _root_vector_coeffs(g: MatrixLieAlgebra, i: int, j: int) -> np.ndarray:
     """E_ij (i != j) as a complex coefficient vector over the u/su basis."""

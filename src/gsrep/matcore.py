@@ -8,14 +8,25 @@ carry an orthonormal basis under the trace inner product
 ``<A, B> = tr(A^* B)`` (no ``1/d`` normalization, so Gram matrices stay
 integer-valued on weight bases).
 
-Rank decisions (null spaces, independence) use a relative singular-value
-threshold, ``DEFAULT_TOL = 1e-9`` unless overridden per call.  All
-downstream verdicts reduce to these rank decisions and share this knob.
+Rank decisions (null spaces, independence) go through
+:func:`numerical_rank`: a relative singular-value threshold,
+``DEFAULT_TOL = 1e-9`` unless overridden per call.  All downstream
+verdicts reduce to these rank decisions and share this knob.
+
+Commutants are seeded with the commutant of one generic element
+``X = sum_i c_i A_i`` of the span of the inputs, with real coefficients
+drawn from the fixed seed ``GENERIC_SEED`` (Murota, Kanno, Kojima and
+Kojima, "A numerical algorithm for block-diagonal decomposition of matrix
+*-algebras", Japan J. Indust. Appl. Math. 27, 2010).  Every input is then
+imposed on the seed, so the result is exact, not probabilistic: genericity
+only keeps the seed small.  Star-closure of a commutant or generated
+algebra is verified lazily, on the first read of ``is_star_closed``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +35,11 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-8
+GENERIC_SEED = 2010
+# Relative eigenvalue window of the commutant seed.  Merging distinct
+# eigenvalues only enlarges the seed; splitting a true cluster would lose
+# commutant elements, so the window is wide next to eigenvector roundoff.
+SEED_CLUSTER_TOL = 1e-6
 
 
 def _as_ops(ops) -> list[np.ndarray]:
@@ -48,6 +64,13 @@ def vec(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat, dtype=complex).reshape(-1)
 
 
+def numerical_rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values ``s`` (descending) above ``tol * max(s[0], 1)``."""
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > tol * max(s[0], 1.0)))
+
+
 def span_basis(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (r, d, d) of the span of ``mats`` under the trace form."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
@@ -56,9 +79,7 @@ def span_basis(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarr
     d = _check_square_same_dim(mats)
     stacked = np.stack([vec(m) for m in mats])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((0, d, d), dtype=complex)
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    rank = numerical_rank(s, tol)
     return vh[:rank].reshape(rank, d, d)
 
 
@@ -67,13 +88,14 @@ class OperatorSubspace:
     """A subspace of d x d operators with a trace-orthonormal basis.
 
     ``is_algebra`` / ``is_star_closed`` are three-valued: ``True``/``False``
-    when verified, ``None`` when not asserted.
+    when verified, ``None`` when not asserted.  ``is_star_closed`` is
+    verified on first read, at tolerance ``star_tol``, when that is set.
     """
 
     dim: int
     basis: np.ndarray  # (r, dim, dim), rows orthonormal under tr(A^* B)
     is_algebra: Optional[bool] = None
-    is_star_closed: Optional[bool] = None
+    star_tol: Optional[float] = None
 
     @property
     def rank(self) -> int:
@@ -81,6 +103,16 @@ class OperatorSubspace:
 
     def _rows(self) -> np.ndarray:
         return self.basis.reshape(self.rank, -1)
+
+    @cached_property
+    def is_star_closed(self) -> Optional[bool]:
+        """Does every basis adjoint lie in the span, within ``star_tol``?"""
+        if self.star_tol is None:
+            return None
+        q = self._rows()
+        adj = self.basis.conj().transpose(0, 2, 1).reshape(self.rank, -1)
+        resid = adj - (adj @ q.conj().T) @ q
+        return bool(np.all(np.linalg.norm(resid, axis=1) <= self.star_tol))
 
     def contains(self, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         v = vec(mat)
@@ -96,28 +128,13 @@ class OperatorSubspace:
         resid = p - (p @ q.conj().T) @ q
         return bool(np.linalg.norm(resid) <= tol * max(1.0, self.rank))
 
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``mat`` onto the subspace."""
-        q = self._rows()
-        return ((q.conj() @ vec(mat)) @ q).reshape(self.dim, self.dim)
-
-    def verify_flags(self, tol: float = DEFAULT_TOL) -> "OperatorSubspace":
-        """Set ``is_algebra`` / ``is_star_closed`` by direct verification."""
-        star = all(self.contains(b.conj().T, tol) for b in self.basis)
-        alg = all(
-            self.contains(a @ b, tol) for a in self.basis for b in self.basis
-        )
-        self.is_star_closed = bool(star)
-        self.is_algebra = bool(alg)
-        return self
-
 
 def full_operator_space(dim: int) -> OperatorSubspace:
     basis = np.zeros((dim * dim, dim, dim), dtype=complex)
     for a in range(dim):
         for b in range(dim):
             basis[a * dim + b, a, b] = 1.0
-    return OperatorSubspace(dim, basis, is_algebra=True, is_star_closed=True)
+    return OperatorSubspace(dim, basis, is_algebra=True, star_tol=DEFAULT_TOL)
 
 
 def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
@@ -169,43 +186,48 @@ def cluster_values(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndar
 
 
 def _null_rows(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal rows spanning the (right) null space of ``mat``."""
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    thr = tol * max(s[0] if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > thr))
-    return vh[rank:].conj()
+    """Orthonormal rows spanning the (right) null space of ``mat``.
 
-
-def _commutant_seed(A: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal rows spanning {X : [X, A] = 0}, vectorized row-major.
-
-    Uses the eigen-shortcut for (anti-)Hermitian ``A``: X commutes with a
-    normal A iff X preserves its eigenspaces, so the null space is spanned by
-    u_a u_b^* over eigenvector pairs with equal eigenvalue.
+    A thin SVD suffices when ``mat`` has at least as many rows as columns;
+    only a wide matrix needs the full right factor.
     """
-    d = A.shape[0]
-    herm_dev = np.linalg.norm(A - A.conj().T)
-    anti_dev = np.linalg.norm(A + A.conj().T)
-    scale = max(np.linalg.norm(A), 1.0)
+    m, n = mat.shape
+    if m == 0:
+        return np.eye(n, dtype=complex)
+    _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
+    return vh[numerical_rank(s, tol):].conj()
+
+
+def _commutant_seed(mats: list[np.ndarray], tol: float) -> np.ndarray:
+    """Orthonormal rows spanning {X}' for a generic X in the span of ``mats``.
+
+    X is a real combination with coefficients from ``GENERIC_SEED``, so the
+    rows contain the commutant of every input.  Uses the eigen-shortcut for
+    (anti-)Hermitian X: Y commutes with a normal X iff Y preserves its
+    eigenspaces, so the null space is spanned by u_a u_b^* over eigenvector
+    pairs in one eigenvalue cluster.  Otherwise it falls back to the dense
+    null space of Y -> YX - XY.
+    """
+    coeffs = np.random.default_rng(GENERIC_SEED).normal(size=len(mats))
+    X = np.einsum("k,kij->ij", coeffs.astype(complex), np.stack(mats))
+    d = X.shape[0]
+    scale = max(np.linalg.norm(X), 1.0)
     H = None
-    if herm_dev <= tol * scale:
-        H = (A + A.conj().T) / 2.0
-    elif anti_dev <= tol * scale:
-        H = (-1j * A + (-1j * A).conj().T) / 2.0
+    if np.linalg.norm(X - X.conj().T) <= tol * scale:
+        H = (X + X.conj().T) / 2.0
+    elif np.linalg.norm(X + X.conj().T) <= tol * scale:
+        H = (-1j * X + (-1j * X).conj().T) / 2.0
     if H is not None:
         w, u = np.linalg.eigh(H)
+        window = SEED_CLUSTER_TOL * max(1.0, float(np.abs(w).max()))
         rows = []
-        for grp in cluster_values(w):
+        for grp in cluster_values(w, window):
             cols = u[:, grp]
-            for a in range(len(grp)):
-                for b in range(len(grp)):
-                    rows.append(vec(np.outer(cols[:, a], cols[:, b].conj())))
-        return np.stack(rows)
-    # general (non-normal) fallback: dense null space of X -> XA - AX
+            k = len(grp)
+            rows.append(np.einsum("ia,jb->abij", cols, cols.conj()).reshape(k * k, d * d))
+        return np.concatenate(rows)
     eye = np.eye(d, dtype=complex)
-    L = np.kron(eye, A.T) - np.kron(A, eye)
+    L = np.kron(eye, X.T) - np.kron(X, eye)
     return _null_rows(L, tol)
 
 
@@ -218,8 +240,12 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL) ->
     dim : ambient dimension, required when ``ops`` is empty.
     tol : relative singular-value threshold for the null-space rank decision.
 
-    The result is always an algebra; star-closure is verified and recorded
-    in the flag (it holds whenever the input set is star-closed up to sign).
+    The seed is the commutant of a generic real combination of the inputs
+    (see the module docstring); each input is then imposed in turn as a
+    thin null space over the current basis, skipped when it already
+    commutes with every basis element.  The result is always an algebra;
+    star-closure is verified lazily, on first read of ``is_star_closed`` (it
+    holds whenever the input set is star-closed up to sign).
     """
     mats = _as_ops(ops)
     if not mats:
@@ -229,20 +255,32 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL) ->
     d = _check_square_same_dim(mats)
     if dim is not None and dim != d:
         raise DimensionMismatch(f"operators have dim {d}, expected {dim}")
-    q = _commutant_seed(mats[0], tol)
-    for A in mats[1:]:
+    q = _commutant_seed(mats, tol)
+    for A in mats:
         if q.shape[0] == 0:
             break
         basis = q.reshape(-1, d, d)
-        comms = basis @ A - A @ basis  # (r, d, d)
-        rows = comms.reshape(q.shape[0], -1)
+        comms = (basis @ A - A @ basis).reshape(q.shape[0], -1)  # (r, d^2)
+        if np.linalg.norm(comms) <= tol:
+            continue  # every singular value is below the rank threshold
         # coefficient combinations of the current basis that commute with A
-        combos = _null_rows(rows.T, tol)
-        q = combos @ q
-    sub = OperatorSubspace(d, q.reshape(-1, d, d))
-    sub.is_algebra = True
-    sub.is_star_closed = all(sub.contains(b.conj().T, max(tol, 1e-8)) for b in sub.basis)
-    return sub
+        q = _null_rows(comms.T, tol) @ q
+    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True,
+                            star_tol=max(tol, 1e-8))
+
+
+def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+    """Center of an algebra: the elements of ``alg`` commuting with all of it.
+
+    One null space of the (r d^2, r) matrix of brackets [B_j, B_k] of the
+    basis elements, so it costs no d^2 x d^2 decomposition.
+    """
+    B, r, d = alg.basis, alg.rank, alg.dim
+    prod = np.einsum("jab,kbc->jkac", B, B)
+    brackets = prod - prod.transpose(1, 0, 2, 3)  # [B_j, B_k]
+    cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
+    q = _null_rows(cols, tol) @ alg._rows()
+    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True)
 
 
 def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> OperatorSubspace:
@@ -270,15 +308,13 @@ def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL
         cand = np.concatenate([left, right]).reshape(-1, d * d)
         cand = cand - (cand @ q.conj().T) @ q
         _, s, vh = np.linalg.svd(cand, full_matrices=False)
-        thr = tol * max(s[0] if s.size else 0.0, 1.0)
-        new = vh[: int(np.sum(s > thr))]
+        new = vh[: numerical_rank(s, tol)]
         if new.shape[0] == 0:
             break
         q = np.vstack([q, new])
         frontier = new.reshape(-1, d, d)
-    sub = OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True)
-    sub.is_star_closed = all(sub.contains(b.conj().T, max(tol, 1e-8)) for b in sub.basis)
-    return sub
+    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True,
+                            star_tol=max(tol, 1e-8))
 
 
 def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:

@@ -177,3 +177,59 @@ def test_sweep_classification(capsys):
     report = json.loads(out)
     assert code == 0
     assert report["verdicts"]["failures"] == 0
+
+
+def assert_schema_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == "SchemaError"
+
+
+def test_schema_error_is_one_line_json(capsys):
+    assert_schema_error(capsys, ["cone-check", "--weight", "1,0"])
+
+
+def test_analyze_records_decision_tolerance(capsys):
+    code, out = run_main(capsys, ["--tol", "1e-6", "analyze", "--n", "2",
+                                  "--d", "1,0", "--weight", "1,0"])
+    assert code == 0
+    assert [c["tol"] for c in json.loads(out)["checks"]] == [1e-9, 1e-9]
+
+
+def test_su_generator_with_trace_is_schema_error(capsys):
+    assert_schema_error(capsys, ["analyze", "--group", "su", "--n", "3",
+                                 "--d", "1,0,0", "--weight", "1,0,0"])
+
+
+def test_non_finite_tolerance_is_schema_error(capsys):
+    assert_schema_error(capsys, ["--tol", "nan", "dirlim", "--lam", "0,1", "--d", "2,1"])
+
+
+def test_non_finite_generator_is_schema_error(capsys):
+    assert_schema_error(capsys, ["analyze", "--n", "2", "--d", "nan,0", "--weight", "1,0"])
+
+
+def test_wrong_length_generator_is_schema_error(capsys):
+    assert_schema_error(capsys, ["analyze", "--n", "2", "--d", "1,0,0", "--weight", "1,0"])
+
+
+def test_empty_classification_box_is_schema_error(capsys):
+    assert_schema_error(capsys, ["classify", "--n", "2", "--d", "2,1", "--box", "-1"])
+
+
+def test_fock_sector_beyond_cutoff_is_schema_error(capsys):
+    assert_schema_error(capsys, ["fock", "--sector", "50", "--cutoffs", "10"])
+
+
+def test_corrupt_cache_record_is_rebuilt(tmp_path, capsys):
+    record = tmp_path / "u2_lam_1_0.json"
+    record.write_text('{"kind": "u", "n"')
+    code, out = run_main(capsys, ["--cache-dir", str(tmp_path), "analyze", "--n", "2",
+                                  "--d", "1,0", "--weight", "1,0"])
+    assert code == 0
+    assert json.loads(out)["verdicts"]["strict"] is True
+    assert json.loads(record.read_text())["lam"] == [1, 0]

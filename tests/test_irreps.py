@@ -212,3 +212,17 @@ def test_centralizer_irrep_matches_compression():
     x = liealg.diagonal_element(g, [0.0, 1.0, -1.0])
     op = pi0.operator(x)
     assert np.allclose(sorted(np.linalg.eigvalsh(-1j * op)), [-1, 1])
+
+
+def test_commutant_rank_is_sum_of_squared_multiplicities():
+    # (2,1,0) twice, (1,0,0) three times, (1,1,0) once: 4 + 9 + 1
+    from gsrep import matcore
+
+    rep = irreps.direct_sum([cached_irrep("u", 3, (2, 1, 0))] * 2
+                            + [cached_irrep("u", 3, (1, 0, 0))] * 3
+                            + [cached_irrep("u", 3, (1, 1, 0))])
+    parts = irreps.decompose(rep)
+    assert sorted(m for _, m in parts) == [1, 2, 3]
+    comm = matcore.commutant_basis(list(rep.dpi))
+    assert comm.rank == sum(m * m for _, m in parts) == 14
+    assert comm.is_star_closed is True

@@ -4,7 +4,7 @@ import pytest
 from gsrep import matcore
 from gsrep.errors import DimensionMismatch, NotHermitian
 
-from conftest import algebra, random_hermitian, rng
+from conftest import algebra, random_hermitian, random_unitary, rng
 
 
 def test_eig_diagonal_input():
@@ -161,3 +161,57 @@ def test_compress_rejects_bad_subspace_basis():
         matcore.compress(2.0 * np.eye(2, dtype=complex), sub)
     with pytest.raises(DimensionMismatch):
         matcore.compress(np.eye(3, dtype=complex), sub)
+
+
+def _reducible_u3_ops():
+    # (1,0,0) twice plus (1,1,0): commutant M_2 + C, dimension 4 + 1
+    from conftest import cached_irrep
+    from gsrep import irreps
+
+    rep = irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0))] * 2
+                            + [cached_irrep("u", 3, (1, 1, 0))])
+    return list(rep.dpi)
+
+
+def test_commutant_rank_invariant_under_generator_permutation():
+    ops = _reducible_u3_ops()
+    ranks = {matcore.commutant_basis([ops[k] for k in perm]).rank
+             for perm in (range(len(ops)), [8, 3, 0, 5, 1, 7, 2, 6, 4],
+                          list(reversed(range(len(ops)))))}
+    assert ranks == {5}
+
+
+def test_commutant_rank_invariant_under_unitary_basis_change():
+    ops = _reducible_u3_ops()
+    U = random_unitary(ops[0].shape[0], rng(11))
+    moved = [U @ op @ U.conj().T for op in ops]
+    direct = matcore.commutant_basis(ops)
+    conjugated = matcore.commutant_basis(moved)
+    assert conjugated.rank == direct.rank == 5
+    back = matcore.OperatorSubspace(direct.dim, U.conj().T @ conjugated.basis @ U)
+    assert back.same_span(direct, 1e-8)
+
+
+def test_center_of_commutant_counts_isotypic_blocks():
+    comm = matcore.commutant_basis(_reducible_u3_ops())
+    center = matcore.center_basis(comm)
+    assert center.rank == 2
+    for Z in center.basis:
+        for B in comm.basis:
+            assert np.linalg.norm(Z @ B - B @ Z) < 1e-10
+
+
+def test_commutant_of_jordan_block_is_not_star_closed():
+    # [X, N] = 0 for the 4 x 4 shift forces X = p(N): upper triangular Toeplitz
+    N = np.diag(np.ones(3), 1).astype(complex)
+    sub = matcore.commutant_basis([N, 2.0 * N @ N])
+    assert sub.rank == 4
+    assert sub.is_algebra
+    assert sub.is_star_closed is False
+    assert matcore.compress(np.eye(4, dtype=complex), sub).is_star_closed is None
+
+
+def test_numerical_rank_threshold_is_relative_above_one():
+    assert matcore.numerical_rank(np.array([]), 1e-9) == 0
+    assert matcore.numerical_rank(np.array([1e3, 2e-6, 5e-7]), 1e-9) == 2
+    assert matcore.numerical_rank(np.array([0.5, 2e-9, 5e-10]), 1e-9) == 2
