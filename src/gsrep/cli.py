@@ -6,9 +6,8 @@ was decided under, and is byte-stable for a fixed (job, seed) pair: keys
 are sorted, sampling is seeded, and no timestamps are embedded.
 
 Matrix encoding: row-major lists of [re, im] pairs with explicit shape.
-Interval encoding: [lo, hi] pairs where the strings "inf" / "-inf" stand
-for the infinities.  Constructed irreducibles can be cached on disk, one
-JSON record per weight, under --cache-dir or $GSREP_CACHE_DIR.
+Constructed irreducibles can be cached on disk, one JSON record per weight,
+under --cache-dir or $GSREP_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .errors import GsrepError, SchemaError
 from . import cones, dirlim, groundstate, heisenfock, irreps, liealg
 
 CACHE_ENV = "GSREP_CACHE_DIR"
+CACHE_BASIS = "gelfand-tsetlin"
 
 
 # ---------------------------------------------------------------------------
@@ -50,26 +50,6 @@ def decode_matrix(obj: dict) -> np.ndarray:
     if flat.size != rows * cols:
         raise SchemaError("matrix data length does not match the declared shape")
     return flat.reshape(rows, cols)
-
-
-def encode_intervals(intervals) -> list:
-    def enc(x):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return float(x)
-
-    return [[enc(lo), enc(hi)] for lo, hi in intervals]
-
-
-def decode_intervals(obj) -> list[tuple[float, float]]:
-    def dec(x):
-        if x == "inf":
-            return math.inf
-        if x == "-inf":
-            return -math.inf
-        return float(x)
-
-    return [(dec(lo), dec(hi)) for lo, hi in obj]
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +75,31 @@ class IrrepCache:
         return self.directory / f"{kind}{n}_lam_{tag}.json"
 
     def load(self, kind: str, n: int, lam) -> Optional[irreps.Representation]:
+        """The cached irreducible, or None for a missing or unusable record.
+
+        A record is used only if it is tagged with the basis ``irrep`` builds
+        in, has the Weyl dimension of ``lam``, and holds anti-Hermitian
+        generator images of the right shape; anything else is a miss, which
+        the rebuild replaces.
+        """
         path = self._path(kind, n, lam)
         if not path or not path.exists():
             return None
         try:
             record = json.loads(path.read_text())
-            g = liealg.build_algebra(record["kind"], record["n"])
+            if record.get("basis") != CACHE_BASIS:
+                return None
+            dim = irreps.weyl_dim(lam)
+            g = liealg.build_algebra(kind, n)
             dpi = np.stack([decode_matrix(m) for m in record["dpi"]])
-        except (ValueError, KeyError, TypeError, GsrepError):
-            return None  # an unreadable record is a miss; the rebuild replaces it
-        return irreps.Representation(g, dpi, label=tuple(record["lam"]))
+        except (ValueError, KeyError, TypeError, AttributeError, GsrepError):
+            return None
+        if record.get("dim") != dim or dpi.shape != (g.dim, dim, dim):
+            return None
+        rep = irreps.Representation(g, dpi, label=tuple(int(x) for x in lam))
+        if rep.anti_hermitian_residual() > 1e-9:
+            return None
+        return rep
 
     def store(self, rep: irreps.Representation) -> None:
         g = rep.algebra
@@ -112,6 +107,7 @@ class IrrepCache:
         if not path:
             return
         record = {
+            "basis": CACHE_BASIS,
             "kind": g.kind,
             "n": g.n,
             "lam": [int(x) for x in rep.label],
@@ -444,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
     parser.add_argument("--output", default=None, help="report path (default: stdout)")
-    parser.add_argument("--format", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="minimal-energy analysis of an irreducible")

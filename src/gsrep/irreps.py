@@ -1,14 +1,11 @@
 """Finite-dimensional unitary representations of u(n)/su(n).
 
-Irreducibles are built from a dominant integral weight by realizing the
-highest-weight vector inside a tensor power of the defining space and
-generating the irreducible subspace with lowering operators; dimensions are
-cross-checked against the Weyl dimension formula.  Negative weight entries
-are handled exactly by a determinant-character shift.
-
-The construction cost is exponential in the shifted weight sum, which is
-fine at the scales this package targets (tensor spaces up to a few
-thousand dimensions).
+Irreducibles are built from a dominant integral weight in the orthonormal
+Gelfand-Tsetlin basis, one vector per GT pattern, where the generators
+E_kk, E_{k,k+1} and E_{k+1,k} of gl(n) have closed-form matrices (Molev,
+arXiv:math/0211289, Thm 2.3).  Negative weight entries enter the formulas
+directly.  The pattern count is cross-checked against the Weyl dimension
+formula.  Construction cost is polynomial in the irreducible's dimension.
 """
 
 from __future__ import annotations
@@ -153,116 +150,92 @@ def weyl_dim(lam: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tensor-power machinery
+# Gelfand-Tsetlin construction
 
 
-def _one_body_action(X: np.ndarray, k: int):
-    """Return w -> sum_t (1 x .. X .. x 1) w on the k-fold tensor power."""
-    n = X.shape[0]
+def _gt_patterns(lam: Sequence[int]) -> list[tuple[Weight, ...]]:
+    """Gelfand-Tsetlin patterns with top row ``lam``, in a fixed order.
 
-    def act(w: np.ndarray) -> np.ndarray:
-        if k == 0:
-            return np.zeros_like(w)
-        w = w.reshape((n,) * k)
-        out = np.zeros_like(w)
-        for t in range(k):
-            out += np.moveaxis(np.tensordot(X, w, axes=([1], [t])), 0, t)
-        return out.reshape(-1)
-
-    return act
-
-
-def _tuple_contents(n: int, k: int) -> np.ndarray:
-    """(n^k, n) occupation content of each basis tuple of the tensor power."""
-    if k == 0:
-        return np.zeros((1, n), dtype=int)
-    tuples = np.array(list(itertools.product(range(n), repeat=k)), dtype=int)
-    content = np.zeros((tuples.shape[0], n), dtype=int)
-    for col in range(k):
-        np.add.at(content, (np.arange(tuples.shape[0]), tuples[:, col]), 1)
-    return content
+    A pattern is the tuple of its rows, shortest first: ``rows[k - 1]`` has
+    length k and interlaces the row above it,
+    ``rows[k][i] >= rows[k - 1][i] >= rows[k][i + 1]``.  Patterns come in
+    decreasing lexicographic order of their rows read from the top down, so
+    the highest-weight pattern is first.
+    """
+    patterns: list[tuple[Weight, ...]] = [(tuple(lam),)]
+    for _ in range(len(lam) - 1):
+        patterns = [
+            (sub,) + p
+            for p in patterns
+            for sub in itertools.product(
+                *[range(p[0][i], p[0][i + 1] - 1, -1) for i in range(len(p[0]) - 1)]
+            )
+        ]
+    return patterns
 
 
-def _highest_weight_vector(n: int, k: int, mu: np.ndarray, tol: float) -> np.ndarray:
-    """A unit vector of content mu annihilated by all raising operators E_ij, i<j."""
-    content = _tuple_contents(n, k)
-    support = np.where((content == mu).all(axis=1))[0]
-    if support.size == 0:
-        raise DimensionOracleMismatch("weight space of the target content is empty")
-    if k == 0:
-        return np.ones(1, dtype=complex)
-    blocks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            act = _one_body_action(E, k)
-            target_content = mu.copy()
-            target_content[i] += 1
-            target_content[j] -= 1
-            if (target_content < 0).any():
-                continue
-            rows = np.where((content == target_content).all(axis=1))[0]
-            block = np.zeros((rows.size, support.size), dtype=complex)
-            for c, idx in enumerate(support):
-                e = np.zeros(n ** k, dtype=complex)
-                e[idx] = 1.0
-                block[:, c] = act(e)[rows]
-            blocks.append(block)
-    if blocks:
-        stacked = np.vstack(blocks)
-        _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-        if numerical_rank(s, tol) >= support.size:
-            raise DimensionOracleMismatch("no highest-weight vector found in the tensor power")
-        coeffs = vh[-1].conj()
-    else:
-        coeffs = np.zeros(support.size)
-        coeffs[0] = 1.0
-    v = np.zeros(n ** k, dtype=complex)
-    v[support] = coeffs
-    return v / np.linalg.norm(v)
+def _gt_ratio(x: int, lower: Sequence[int], same: Sequence[int]) -> tuple[int, int]:
+    """(prod_j (x - lower_j), prod_j (x - same_j)) as exact integers."""
+    return math.prod(x - y for y in lower), math.prod(x - y for y in same)
 
 
-def _generate_invariant_subspace(n: int, k: int, seed: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the module generated from ``seed`` by lowering ops."""
-    lower = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[j, i] = 1.0
-            lower.append(_one_body_action(E, k))
-    P = seed.reshape(-1, 1)
-    frontier = P
-    while True:
-        cands = []
-        for act in lower:
-            for col in range(frontier.shape[1]):
-                cands.append(act(frontier[:, col]))
-        if not cands:
-            break
-        C = np.stack(cands, axis=1)
-        C = C - P @ (P.conj().T @ C)
-        u, s, _ = np.linalg.svd(C, full_matrices=False)
-        keep = numerical_rank(s, tol)
-        if keep == 0:
-            break
-        new = u[:, :keep]
-        P = np.hstack([P, new])
-        frontier = new
-    return P
+def _gt_generators(lam: Weight) -> np.ndarray:
+    """rho(E_ij) for the gl(n) irreducible lam in the orthonormal GT basis.
+
+    Returns a real (n, n, d, d) array.  With l_ki = rows[k-1][i] - i (0-based
+    i), the raising coefficient A of E_{k,k+1} at a pattern and the lowering
+    coefficient B of E_{k+1,k} at the raised pattern are Molev's closed forms
+    (arXiv:math/0211289, Thm 2.3) for the unnormalized basis; their product
+    is positive, and sqrt(A B) is the matrix entry in the orthonormal basis.
+    Non-adjacent E_ij are brackets of adjacent ones.
+    """
+    n = len(lam)
+    patterns = _gt_patterns(lam)
+    index = {p: c for c, p in enumerate(patterns)}
+    d = len(patterns)
+    rho = np.zeros((n, n, d, d))
+    for c, rows in enumerate(patterns):
+        sums = [0] + [sum(r) for r in rows]
+        for k in range(n):
+            rho[k, k, c, c] = sums[k + 1] - sums[k]
+        ls = [[x - i for i, x in enumerate(r)] for r in rows]
+        for k in range(1, n):  # E_{k,k+1}: raise an entry of row k
+            row, above = ls[k - 1], ls[k]
+            below = ls[k - 2] if k > 1 else []
+            for i in range(k):
+                raised = list(rows[k - 1])
+                raised[i] += 1
+                target = index.get(rows[: k - 1] + (tuple(raised),) + rows[k:])
+                if target is None:
+                    continue
+                others = row[:i] + row[i + 1:]
+                a_num, a_den = _gt_ratio(row[i], above, others)
+                b_num, b_den = _gt_ratio(row[i] + 1, below, others)
+                rho[k - 1, k, target, c] = math.sqrt(-a_num * b_num / (a_den * b_den))
+    for gap in range(1, n):
+        for i in range(n - gap):
+            j = i + gap
+            if gap > 1:
+                rho[i, j] = rho[i, i + 1] @ rho[i + 1, j] - rho[i + 1, j] @ rho[i, i + 1]
+            rho[j, i] = rho[i, j].T
+    return rho
 
 
-def irrep(g: MatrixLieAlgebra, lam: Sequence[int], tol: float = DEFAULT_TOL) -> Representation:
+def irrep(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
     """Irreducible unitary representation of u(n) or su(n) with highest weight lam.
 
-    ``lam`` is a length-n weakly decreasing integer vector.  For su(n) the
-    weight only matters modulo multiples of (1, ..., 1).
+    ``lam`` is a length-n weakly decreasing integer vector; negative entries
+    are allowed.  For su(n) the weight only matters modulo multiples of
+    (1, ..., 1).  The representation is realized in the orthonormal
+    Gelfand-Tsetlin basis, highest-weight pattern first; Cartan elements
+    act diagonally with exactly integral eigenvalues.
 
     Raises
     ------
     NotDominant : if the weight entries are not weakly decreasing integers.
-    DimensionOracleMismatch : if the constructed dimension disagrees with
-        the Weyl dimension formula (a construction-bug guard).
+    DimensionOracleMismatch : if the pattern count disagrees with the Weyl
+        dimension formula, or the generators are not anti-Hermitian (guards
+        against construction bugs).
     """
     if g.kind not in ("u", "su"):
         raise DimensionMismatch("irreducible construction implemented for u(n)/su(n)")
@@ -271,35 +244,17 @@ def irrep(g: MatrixLieAlgebra, lam: Sequence[int], tol: float = DEFAULT_TOL) -> 
         raise DimensionMismatch(f"weight must have length {g.n}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise NotDominant(f"{lam} is not weakly decreasing")
-    n = g.n
-    shift = lam[-1]
-    mu = np.array(lam, dtype=int) - shift
-    k = int(mu.sum())
+    rho = _gt_generators(lam)
     target_dim = weyl_dim(lam)
-    if k == 0:
-        dpi = np.array([[[shift * np.trace(b)]] for b in g.basis], dtype=complex)
-        return Representation(g, dpi, label=lam)
-    hwv = _highest_weight_vector(n, k, mu, tol)
-    P = _generate_invariant_subspace(n, k, hwv, tol)
-    if P.shape[1] != target_dim:
+    if rho.shape[-1] != target_dim:
         raise DimensionOracleMismatch(
-            f"constructed dimension {P.shape[1]} != Weyl formula {target_dim} for {lam}"
+            f"pattern count {rho.shape[-1]} != Weyl formula {target_dim} for {lam}"
         )
-    dpi = np.zeros((g.dim, target_dim, target_dim), dtype=complex)
-    for b_idx in range(g.dim):
-        act = _one_body_action(g.basis[b_idx], k)
-        image = np.stack([act(P[:, c]) for c in range(target_dim)], axis=1)
-        dpi[b_idx] = P.conj().T @ image
-        dpi[b_idx] += shift * np.trace(g.basis[b_idx]) * np.eye(target_dim)
+    dpi = np.einsum("bij,ijkl->bkl", g.basis, rho, optimize=True)
     rep = Representation(g, dpi, label=lam)
-    if rep.anti_hermitian_residual() > 1e-9 * max(1, abs(shift) + k):
+    if rep.anti_hermitian_residual() > 1e-9 * max(1, sum(abs(x) for x in lam)):
         raise DimensionOracleMismatch("constructed generators are not anti-Hermitian")
     return rep
-
-
-def irrep_un(n: int, lam: Sequence[int], tol: float = DEFAULT_TOL) -> Representation:
-    """Convenience wrapper: irreducible representation of u(n)."""
-    return irrep(build_algebra("u", n), lam, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +445,7 @@ def centralizer_blocks(dvec: Sequence[float], tol: float = CLUSTER_TOL) -> list[
 
 
 def centralizer_irrep(g: MatrixLieAlgebra, dvec: Sequence[float],
-                      block_weights: Sequence[Sequence[int]],
-                      tol: float = DEFAULT_TOL) -> Representation:
+                      block_weights: Sequence[Sequence[int]]) -> Representation:
     """Irreducible representation of the block centralizer of a diagonal element.
 
     The centralizer of ``i diag(dvec)`` in u(n) is the direct sum of u(n_b)
@@ -510,7 +464,7 @@ def centralizer_irrep(g: MatrixLieAlgebra, dvec: Sequence[float],
     for block, bw in zip(blocks, block_weights):
         nb = len(block)
         gb = build_algebra("u", nb)
-        block_reps.append(irrep(gb, bw, tol))
+        block_reps.append(irrep(gb, bw))
         # embed each u(nb) basis element into g's coefficient coordinates
         for local in np.eye(gb.dim):
             mat_local = gb.matrix(local)

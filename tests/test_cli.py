@@ -97,12 +97,6 @@ def test_matrix_encoding_round_trip():
     assert np.array_equal(mat, again)
 
 
-def test_interval_encoding_round_trip():
-    intervals = [(-np.inf, 0.5), (1.0, np.inf), (2.0, 3.0)]
-    again = cli.decode_intervals(json.loads(json.dumps(cli.encode_intervals(intervals))))
-    assert again == [(-np.inf, 0.5), (1.0, np.inf), (2.0, 3.0)]
-
-
 def test_irrep_cache_round_trip(tmp_path):
     cache = cli.IrrepCache(str(tmp_path))
     rep = cache.get_or_build("u", 2, (2, 0))
@@ -233,3 +227,32 @@ def test_corrupt_cache_record_is_rebuilt(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["verdicts"]["strict"] is True
     assert json.loads(record.read_text())["lam"] == [1, 0]
+
+
+def _untagged(record):
+    del record["basis"]
+
+
+def _wrong_dim(record):
+    # the (1, 0) record, dim 2, filed under the weight (2, 0) of dim 3
+    rep = cli.irreps.irrep(cli.liealg.build_algebra("u", 2), (1, 0))
+    record.update(dim=rep.dim, dpi=[cli.encode_matrix(m) for m in rep.dpi])
+
+
+def _not_anti_hermitian(record):
+    record["dpi"][0]["data"][0] = [1.0, 0.0]
+
+
+@pytest.mark.parametrize("spoil", [_untagged, _wrong_dim, _not_anti_hermitian])
+def test_unusable_cache_record_is_a_miss(tmp_path, spoil):
+    cache = cli.IrrepCache(str(tmp_path))
+    fresh = cache.get_or_build("u", 2, (2, 0))
+    path = tmp_path / "u2_lam_2_0.json"
+    record = json.loads(path.read_text())
+    assert record["basis"] == cli.CACHE_BASIS
+    spoil(record)
+    path.write_text(json.dumps(record))
+    assert cache.load("u", 2, (2, 0)) is None
+    rebuilt = cache.get_or_build("u", 2, (2, 0))
+    assert np.array_equal(rebuilt.dpi, fresh.dpi)
+    assert json.loads(path.read_text())["basis"] == cli.CACHE_BASIS

@@ -284,3 +284,14 @@ def test_cartan_weyl_recovery_u2():
     for lam in dominant_box(2, -3, 3):
         lowest.add(irreps.extremal_weight(cached_irrep("u", 2, lam), rd, "lowest"))
     assert antidominant == lowest
+
+
+@pytest.mark.parametrize("kind,lam,entries,m", [
+    ("su", (2, 1, 0), (1, 0, -1), -2.0),
+    ("u", (3, 1, 0, 0), (1, 0, 0, 0), 0.0),
+    ("u", (2, 0, -2), (2, 1, 0), -4.0),
+])
+def test_ground_energy_is_exact_in_gelfand_tsetlin_basis(kind, lam, entries, m):
+    g = algebra(kind, len(lam))
+    out = groundstate.analyze(irreps.irrep(g, lam), liealg.diagonal_element(g, entries))
+    assert out.m == m

@@ -6,7 +6,7 @@ import pytest
 from gsrep import irreps, liealg
 from gsrep.errors import NotDominant, NotIrreducible
 
-from conftest import algebra, cached_irrep, dominant_box
+from conftest import algebra, cached_irrep, dominant_box, su_dominant_box
 
 
 def ssyt_count(shape, n):
@@ -75,7 +75,7 @@ def test_negative_weights_via_central_shift():
 
 def test_rejects_non_dominant():
     with pytest.raises(NotDominant):
-        irreps.irrep_un(2, (0, 1))
+        irreps.irrep(algebra("u", 2), (0, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -226,3 +226,56 @@ def test_commutant_rank_is_sum_of_squared_multiplicities():
     comm = matcore.commutant_basis(list(rep.dpi))
     assert comm.rank == sum(m * m for _, m in parts) == 14
     assert comm.is_star_closed is True
+
+
+def pattern_weights(lam):
+    """Independent weight oracle: mu_k = |row k| - |row k-1| over all
+    interlacing patterns with top row lam, enumerated by brute force."""
+    if len(lam) == 1:
+        return [tuple(lam)]
+    out = []
+    ranges = [range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1)]
+    for sub in itertools.product(*ranges):
+        out.extend(mu + (sum(lam) - sum(sub),) for mu in pattern_weights(sub))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("kind,n,weights", [
+    ("u", 4, dominant_box(4, 0, 2)),
+    ("su", 3, su_dominant_box(3, 0, 3)),
+    ("su", 4, su_dominant_box(4, 0, 2)),
+])
+def test_gelfand_tsetlin_dimension_and_residuals(kind, n, weights):
+    for lam in weights:
+        rep = irreps.irrep(algebra(kind, n), lam)
+        assert rep.dim == irreps.weyl_dim(lam) == ssyt_count(lam, n)
+        assert rep.homomorphism_residual() <= 1e-9
+        assert rep.anti_hermitian_residual() <= 1e-9
+
+
+def test_gelfand_tsetlin_reaches_dimension_125():
+    from gsrep import matcore
+
+    g = algebra("u", 3)
+    rep = irreps.irrep(g, (8, 4, 0))
+    assert rep.dim == 125
+    rd = liealg.root_datum(g, liealg.diagonal_element(g, [2, 1, 0]))
+    assert irreps.extremal_weight(rep, rd, "highest") == (8, 4, 0)
+    assert matcore.commutant_basis(list(rep.dpi), dim=rep.dim).rank == 1
+
+
+@pytest.mark.parametrize("kind,lam", [("u", (2, 0, -2)), ("u", (3, 1, 0, 0)), ("su", (2, 1, 0))])
+def test_cartan_acts_by_exact_integers(kind, lam):
+    g = algebra(kind, len(lam))
+    rep = irreps.irrep(g, lam)
+    for idx in g.cartan_indices:
+        op = -1j * rep.dpi[idx]
+        diag = np.diag(op)
+        assert np.count_nonzero(op - np.diag(diag)) == 0
+        assert np.array_equal(diag, np.round(diag.real))
+
+
+def test_weights_of_negative_weight_match_patterns():
+    rep = irreps.irrep(algebra("u", 3), (2, 0, -2))
+    assert rep.dim == 27
+    assert irreps.weights_of(rep) == pattern_weights((2, 0, -2))
