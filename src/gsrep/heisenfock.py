@@ -3,9 +3,11 @@
 The truncation keeps all occupation states of k modes with total particle
 number <= N, so one-particle rotations stay block diagonal across number
 sectors.  Weyl operators are exponentials of the truncated generator
-``a^+(x) - a(x)``; they are exactly unitary but satisfy the Weyl relations
-only up to a truncation error, which is quantified on a low sector (the
-projection onto total number <= M, default M = floor(N/2)).
+``a^+(x) - a(x)``.  It is anti-Hermitian, so the exponential comes from one
+Hermitian eigendecomposition of i times it and is unitary up to roundoff.
+The operators satisfy the Weyl relations only up to a truncation error,
+which is quantified on a low sector (the states of total number <= M,
+default M = floor(N/2)).
 
 Conventions: the symplectic form on R^(2k) ~ C^k is 2 Im <.,.>, mode j
 occupying coordinates (2j, 2j+1); the one-mode rotation generator of
@@ -19,11 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, NotPSD, SplitInvalid
 from .irreps import Representation
-from .matcore import CLUSTER_TOL
+from .matcore import CLUSTER_TOL, eig_hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -50,28 +51,14 @@ class FockTruncation:
     def total_number(self) -> np.ndarray:
         return np.diag(self.occupations.sum(axis=1).astype(float)).astype(complex)
 
-    def sector_projector(self, max_total: int) -> np.ndarray:
-        keep = self.occupations.sum(axis=1) <= max_total
-        return np.diag(keep.astype(float)).astype(complex)
-
     def annihilation(self, mode: int) -> np.ndarray:
         a = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, occ in enumerate(self.occupations):
-            n = occ[mode]
-            if n == 0:
-                continue
-            lowered = tuple(occ - _unit(self.modes, mode))
-            a[self.index[lowered], i] = math.sqrt(n)
+        src = np.flatnonzero(self.occupations[:, mode])
+        lowered = self.occupations[src]
+        lowered[:, mode] -= 1
+        dst = [self.index[row] for row in map(tuple, lowered.tolist())]
+        a[dst, src] = np.sqrt(self.occupations[src, mode])
         return a
-
-    def creation(self, mode: int) -> np.ndarray:
-        return self.annihilation(mode).conj().T
-
-
-def _unit(k: int, j: int) -> np.ndarray:
-    e = np.zeros(k, dtype=int)
-    e[j] = 1
-    return e
 
 
 def _occupation_table(k: int, n: int) -> np.ndarray:
@@ -95,16 +82,24 @@ def _occupation_table(k: int, n: int) -> np.ndarray:
 # displacement / Weyl operators
 
 
+def _exp_anti_hermitian(A: np.ndarray) -> np.ndarray:
+    """exp(A) for anti-Hermitian A from the eigendecomposition of iA.
+
+    Raises NotHermitian when A is not anti-Hermitian.
+    """
+    w, v = eig_hermitian(1j * A)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def displacement_op(ft: FockTruncation, x: Sequence[complex]) -> np.ndarray:
-    """exp(a^+(x) - a(x)) on the truncation; exactly unitary."""
+    """exp(a^+(x) - a(x)) on the truncation; unitary up to roundoff."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (ft.modes,):
         raise DimensionMismatch(f"expected {ft.modes} mode amplitudes")
-    gen = np.zeros((ft.dim, ft.dim), dtype=complex)
+    lower = np.zeros((ft.dim, ft.dim), dtype=complex)
     for j in range(ft.modes):
-        adag = ft.creation(j)
-        gen += x[j] * adag - np.conj(x[j]) * adag.conj().T
-    return expm(gen)
+        lower += np.conj(x[j]) * ft.annihilation(j)
+    return _exp_anti_hermitian(lower.conj().T - lower)
 
 
 def weyl_op(ft: FockTruncation, v: Sequence[complex]) -> np.ndarray:
@@ -117,16 +112,17 @@ def weyl_relation_residual(ft: FockTruncation, v, w, sector: Optional[int] = Non
     """Operator norm of (W(v) W(w) - phase * W(v+w)) between low-sector states.
 
     The phase is exp(-i Im<v, w> / 2); the relation is exact only without
-    truncation, so the defect is measured restricted to the subspace of
-    total particle number <= sector (default floor(N/2)) on both sides.
+    truncation, so the defect is measured on the rows and columns of total
+    particle number <= sector (default floor(N/2)).
     """
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if sector is None:
         sector = ft.cutoff // 2
     phase = np.exp(-0.5j * np.imag(np.vdot(v, w)))
-    proj = ft.sector_projector(sector)
-    resid = proj @ (weyl_op(ft, v) @ weyl_op(ft, w) - phase * weyl_op(ft, v + w)) @ proj
+    idx = np.flatnonzero(ft.occupations.sum(axis=1) <= sector)
+    product = weyl_op(ft, v)[idx] @ weyl_op(ft, w)[:, idx]
+    resid = product - phase * weyl_op(ft, v + w)[np.ix_(idx, idx)]
     return float(np.linalg.norm(resid, 2))
 
 
@@ -284,14 +280,16 @@ def heisenberg_weyl(rep0: Representation, x: np.ndarray) -> np.ndarray:
 
     ``x`` is the translation part in interleaved per-mode coordinates
     (x_1, y_1, x_2, y_2, ...); the central coordinate is set to zero and the
-    vector is reordered into the blocked basis [Z, X_1.., Y_1..].
+    vector is reordered into the blocked basis [Z, X_1.., Y_1..].  Raises
+    NotHermitian when drho(0, x) is not anti-Hermitian, that is when ``rep0``
+    is not unitary.
     """
     x = np.asarray(x, dtype=float)
     k = x.size // 2
     coeffs = np.zeros(rep0.algebra.dim)
     coeffs[1 : 1 + k] = x[0::2]
     coeffs[1 + k :] = x[1::2]
-    return expm(rep0.operator(coeffs, ambient=False))
+    return _exp_anti_hermitian(rep0.operator(coeffs, ambient=False))
 
 
 def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],

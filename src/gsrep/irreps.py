@@ -24,10 +24,11 @@ from .errors import (
     NotDominant,
     NotIrreducible,
 )
-from .liealg import MatrixLieAlgebra, RootDatum, build_algebra, subalgebra
+from .liealg import MatrixLieAlgebra, RootDatum, _root_vector_coeffs, build_algebra, subalgebra
 from .matcore import (
     CLUSTER_TOL,
     DEFAULT_TOL,
+    _null_rows,
     cluster_values,
     commutant_basis,
     numerical_rank,
@@ -317,19 +318,12 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
     if direction not in ("lowest", "highest"):
         raise ValueError("direction must be 'lowest' or 'highest'")
     g = rep.algebra
-    rows = []
+    rows = [np.zeros((0, rep.dim), dtype=complex)]
     for idx in rd.delta_plus:
         i, j = rd.pairs[idx]
         pair = (j, i) if direction == "lowest" else (i, j)
-        from .liealg import _root_vector_coeffs
-
         rows.append(rep.operator(_root_vector_coeffs(g, *pair), ambient=False))
-    if rows:
-        stacked = np.vstack(rows)
-        _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-        kernel = vh[numerical_rank(s, tol):].conj().T
-    else:
-        kernel = np.eye(rep.dim, dtype=complex)
+    kernel = _null_rows(np.vstack(rows), tol).T
     if kernel.shape[1] != 1:
         raise NotIrreducible(
             f"extremal filter left a {kernel.shape[1]}-dimensional space; expected a line"

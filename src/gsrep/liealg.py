@@ -77,9 +77,6 @@ class MatrixLieAlgebra:
         out = np.einsum("i,ijk->kj", d.astype(complex), self.structure)
         return out.real if np.isrealobj(d) or np.allclose(out.imag, 0) else out
 
-    def is_compact_basis(self, tol: float = 1e-10) -> bool:
-        return all(np.linalg.norm(b + b.conj().T) <= tol * max(1, np.linalg.norm(b)) for b in self.basis)
-
 
 def structure_constants(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Structure tensor from a matrix basis; raises if brackets leave the span."""
@@ -241,12 +238,6 @@ class DerivationData:
 
     def positive(self, tol: float = CLUSTER_TOL):
         return self.spaces(lambda lam: lam.real > tol)
-
-    def zero_space(self, tol: float = CLUSTER_TOL) -> np.ndarray:
-        spaces = [sp for lam, sp in self.spaces(lambda lam: abs(lam) <= tol)]
-        if not spaces:
-            return np.zeros((self.algebra.dim, 0), dtype=complex)
-        return np.hstack(spaces)
 
 
 def _derivation_matrix(g: MatrixLieAlgebra, d) -> tuple[np.ndarray, Optional[np.ndarray]]:

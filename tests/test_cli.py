@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsrep
 from gsrep import cli
 from gsrep.errors import SchemaError
 
@@ -256,3 +261,13 @@ def test_unusable_cache_record_is_a_miss(tmp_path, spoil):
     rebuilt = cache.get_or_build("u", 2, (2, 0))
     assert np.array_equal(rebuilt.dpi, fresh.dpi)
     assert json.loads(path.read_text())["basis"] == cli.CACHE_BASIS
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; a fresh interpreter shows what the CLI pulls in
+    src = str(Path(gsrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, gsrep.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

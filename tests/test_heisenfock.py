@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from gsrep import heisenfock as hf
 from gsrep import irreps
-from gsrep.errors import NotPSD, SplitInvalid
+from gsrep.errors import NotHermitian, NotPSD, SplitInvalid
 
 from conftest import algebra, rng
 
@@ -32,6 +32,46 @@ def test_zero_mode_truncation():
     ft = hf.FockTruncation(0, 0)
     assert ft.dim == 1
     assert np.allclose(ft.vacuum(), [1.0])
+
+
+def annihilation_reference(ft, mode):
+    """a_mode filled entry by entry from the occupation table."""
+    a = np.zeros((ft.dim, ft.dim), dtype=complex)
+    for i, occ in enumerate(ft.occupations):
+        if occ[mode]:
+            lowered = list(occ)
+            lowered[mode] -= 1
+            a[ft.index[tuple(lowered)], i] = math.sqrt(occ[mode])
+    return a
+
+
+def displacement_reference(ft, x):
+    """scipy's Pade exponential of a^+(x) - a(x)."""
+    gen = sum(xj * annihilation_reference(ft, j).T - np.conj(xj) * annihilation_reference(ft, j)
+              for j, xj in enumerate(x))
+    return expm(gen)
+
+
+TRUNCATIONS = [(1, 40), (2, 8), (3, 5)]
+
+
+@pytest.mark.parametrize("modes,cutoff", TRUNCATIONS)
+def test_annihilation_matches_reference(modes, cutoff):
+    ft = hf.FockTruncation(modes, cutoff)
+    for j in range(modes):
+        assert np.array_equal(ft.annihilation(j), annihilation_reference(ft, j))
+
+
+@pytest.mark.parametrize("modes,cutoff", TRUNCATIONS)
+def test_exponentials_match_pade(modes, cutoff):
+    ft = hf.FockTruncation(modes, cutoff)
+    generator = rng(modes)
+    x = generator.normal(size=modes) + 1j * generator.normal(size=modes)
+    x /= np.linalg.norm(x)
+    assert np.abs(hf.displacement_op(ft, x) - displacement_reference(ft, x)).max() <= 1e-12
+    v = 2.0 * x
+    want = displacement_reference(ft, 1j * v / math.sqrt(2.0))
+    assert np.abs(hf.weyl_op(ft, v) - want).max() <= 1e-12
 
 
 def test_weyl_at_zero_is_identity():
@@ -75,6 +115,19 @@ def test_weyl_relation_residual_reference_point():
 def test_weyl_relation_residual_collinear():
     ft = hf.FockTruncation(1, 40)
     assert hf.weyl_relation_residual(ft, [1.0], [0.5], 20) <= 1e-6
+
+
+def test_weyl_relation_residual_matches_projected_form():
+    ft = hf.FockTruncation(2, 10)
+    v = np.array([0.6 - 0.3j, 0.2 + 0.5j])
+    w = np.array([-0.4 + 0.1j, 0.7j])
+    sector = 4
+    proj = np.diag((ft.occupations.sum(axis=1) <= sector).astype(complex))
+    phase = np.exp(-0.5j * np.imag(np.vdot(v, w)))
+    dense = proj @ (hf.weyl_op(ft, v) @ hf.weyl_op(ft, w) - phase * hf.weyl_op(ft, v + w)) @ proj
+    got = hf.weyl_relation_residual(ft, v, w, sector)
+    assert got > 1e-6
+    assert got == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
 
 
 def test_weyl_relation_monotone_in_cutoff():
@@ -214,6 +267,15 @@ def test_heisenberg_weyl_reorders_interleaved_coordinates():
     # interleaved (x1, y1, x2, y2) = (1, 0, 0, 1): picks X1 and Y2
     got = hf.heisenberg_weyl(rep0, np.array([1.0, 0.0, 0.0, 1.0]))
     assert np.allclose(got, np.exp(1j * 3.0))
+
+
+def test_heisenberg_weyl_rejects_non_unitary_rep():
+    h = algebra("heis", 2)
+    dpi = np.zeros((3, 2, 2), dtype=complex)
+    dpi[1] = np.diag([0.3, -0.5])  # Hermitian, so exp is not unitary
+    rep0 = irreps.Representation(h, dpi)
+    with pytest.raises(NotHermitian):
+        hf.heisenberg_weyl(rep0, np.array([1.0, 0.0]))
 
 
 def test_factorization_degenerate_no_effective_part():
