@@ -231,7 +231,7 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
     report["verdicts"] = {
         "m": out.m,
         "h0_dim": out.h0_dim,
-        "cyclic": out.cyclic,
+        "cyclic": out.ground_state,
         "ground_state": out.ground_state,
         "strict": out.strict,
     }

@@ -12,6 +12,10 @@ When a positive eigenspace has dimension > 1 the honest generator set is
 the full quadratic family {i[z^*, z]}; membership is then decided on the
 basis generators plus seeded random samples and the verdict is flagged as
 sampled rather than exhaustive.
+
+PSD decisions are batched: one ``eigvalsh`` over the stack of operators
+``-i dpi0(x)`` decides each at ``-PSD_TOL * (1 + ||op||)``, and the stack is
+scanned in generator order, so the first failure is the one a loop finds.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotDiagonalizable
+from .errors import ConvergenceFailure, DimensionMismatch, NotDiagonalizable, NotHermitian
 from .irreps import Representation
 from .liealg import DerivationData, MatrixLieAlgebra, RootDatum
-from .matcore import eig_hermitian
 
 PSD_TOL = 1e-8
 
@@ -60,12 +63,45 @@ class ConeTestResult:
         return self.verdict
 
 
-def _bracket_generator(g: MatrixLieAlgebra, z: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """i [z^*, z] as a real element (imaginary parts must cancel)."""
-    gen = 1j * g.bracket(g.star(z), z)
-    if np.linalg.norm(gen.imag) > tol * max(1.0, np.linalg.norm(gen)):
+def _bracket_generators(g: MatrixLieAlgebra, zs: list, tol: float = 1e-9) -> np.ndarray:
+    """i [z^*, z] for every z in ``zs``, as real rows (imaginary parts must cancel)."""
+    zs = np.array(zs, dtype=complex).reshape(len(zs), g.dim)
+    gens = 1j * np.einsum("ai,aj,ijk->ak", -zs.conj(), zs, g.structure)
+    if np.any(np.linalg.norm(gens.imag, axis=1) > tol * np.maximum(1.0, np.linalg.norm(gens, axis=1))):
         raise ValueError("cone generator is not a real element; inconsistent eigendata")
-    return gen.real
+    return gens.real
+
+
+def _first_outside_psd(rep0: Representation, xs: np.ndarray, tol: float) -> Optional[int]:
+    """Index of the first row x of ``xs`` with ``-i dpi0(x)`` not PSD, or None.
+
+    Rows are ambient coordinates when rep0 is embedded.  In row order, the
+    first row outside the subalgebra raises ValueError and the first
+    non-Hermitian operator NotHermitian.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    outside = np.zeros(len(xs), dtype=bool)
+    if rep0.ambient_coeffs is not None:
+        xs, outside = rep0.local_coeffs(xs)
+    if xs.shape[1:] != (rep0.algebra.dim,):
+        raise DimensionMismatch(f"expected {rep0.algebra.dim} coefficients")
+    ops = -1j * np.einsum("gi,ijk->gjk", xs, rep0.dpi)
+    adj = ops.conj().transpose(0, 2, 1)
+    norms = np.linalg.norm(ops, axis=(1, 2))
+    try:
+        lowest = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(str(exc)) from exc
+    nonherm = np.linalg.norm(ops - adj, axis=(1, 2)) > 1e-7 * np.maximum(norms, 1.0)
+    failing = np.flatnonzero(outside | nonherm | (lowest < -tol * (1.0 + norms)))
+    if failing.size == 0:
+        return None
+    k = int(failing[0])
+    if outside[k]:
+        raise ValueError("element does not lie in the represented subalgebra")
+    if nonherm[k]:
+        raise NotHermitian(f"deviation {np.linalg.norm(ops[k] - adj[k]):.3e} exceeds tolerance")
+    return k
 
 
 def action_cone_generators(g: MatrixLieAlgebra, dd: DerivationData,
@@ -79,29 +115,23 @@ def action_cone_generators(g: MatrixLieAlgebra, dd: DerivationData,
     """
     if not dd.diagonalizable:
         raise NotDiagonalizable("the action cone requires a diagonalizable derivation")
-    gens: list[np.ndarray] = []
+    zs: list[np.ndarray] = []
     prov: list[tuple] = []
     for lam, space in dd.positive():
         r = space.shape[1]
-        for a in range(r):
-            gens.append(_bracket_generator(g, space[:, a], tol))
-            prov.append(("basis", float(lam.real), a))
+        zs += list(space.T)
+        prov += [("basis", float(lam.real), a) for a in range(r)]
         for a in range(r):
             for b in range(a + 1, r):
                 for phase in (1.0, 1.0j):
-                    z = (space[:, a] + phase * space[:, b]) / np.sqrt(2.0)
-                    gens.append(_bracket_generator(g, z, tol))
+                    zs.append((space[:, a] + phase * space[:, b]) / np.sqrt(2.0))
                     prov.append(("mixed", float(lam.real), a, b, "i" if phase == 1.0j else "1"))
-    arr = np.stack(gens) if gens else np.zeros((0, g.dim))
-    return ConeDescription(g, arr, prov)
+    return ConeDescription(g, _bracket_generators(g, zs, tol), prov)
 
 
-def in_positive_cone(rep0: Representation, x: np.ndarray, tol: float = PSD_TOL,
-                     ambient: Optional[bool] = None) -> bool:
+def in_positive_cone(rep0: Representation, x: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff ``-i dpi0(x)`` is positive semidefinite within tolerance."""
-    op = -1j * rep0.operator(np.asarray(x, dtype=complex), ambient=ambient)
-    w, _ = eig_hermitian(op, 1e-7)
-    return bool(w[0] >= -tol * (1.0 + float(np.linalg.norm(op))))
+    return _first_outside_psd(rep0, np.asarray(x)[None], tol) is None
 
 
 def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Representation,
@@ -111,14 +141,14 @@ def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Represe
 
     Checks every stored generator, plus ``samples`` random unit vectors per
     positive eigenspace of dimension > 1 (quadratic-form robustness).  On
-    failure the violating generator is returned as a witness.
+    failure the first violating generator is returned as a witness.
     """
     cone = action_cone_generators(g, dd)
-    checked = 0
-    for gen, tag in zip(cone.generators, cone.provenance):
-        checked += 1
-        if not in_positive_cone(rep0, gen, tol):
-            return ConeTestResult(False, gen, tag, sampled=False, checked=checked)
+    k = _first_outside_psd(rep0, cone.generators, tol)
+    if k is not None:
+        return ConeTestResult(False, cone.generators[k], cone.provenance[k],
+                              sampled=False, checked=k + 1)
+    checked = cone.size
     sampled = False
     rng = np.random.default_rng(seed)
     for lam, space in dd.positive():
@@ -126,14 +156,15 @@ def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Represe
         if r <= 1:
             continue
         sampled = True
-        for s in range(samples):
-            raw = rng.normal(size=r) + 1j * rng.normal(size=r)
-            z = space @ (raw / np.linalg.norm(raw))
-            gen = _bracket_generator(g, z)
-            checked += 1
-            if not in_positive_cone(rep0, gen, tol):
-                return ConeTestResult(False, gen, ("sample", float(lam.real), s),
-                                      sampled=True, checked=checked)
+        # the stream of one real and one imaginary draw per sample
+        raw = rng.normal(size=(samples, 2, r))
+        raw = raw[:, 0] + 1j * raw[:, 1]
+        gens = _bracket_generators(g, [space @ (u / np.linalg.norm(u)) for u in raw])
+        k = _first_outside_psd(rep0, gens, tol)
+        if k is not None:
+            return ConeTestResult(False, gens[k], ("sample", float(lam.real), k),
+                                  sampled=True, checked=checked + k + 1)
+        checked += samples
     return ConeTestResult(True, sampled=sampled, checked=checked)
 
 
@@ -144,12 +175,7 @@ def coroot_condition(rep0: Representation, rd: RootDatum, tol: float = PSD_TOL) 
     operator is ``-i dpi0`` of it; its maximal eigenvalue must not exceed
     the tolerance for any root with positive value on -i d.
     """
-    for idx in rd.delta_plus_plus:
-        op = -1j * rep0.operator(rd.coroots[idx].astype(complex))
-        w, _ = eig_hermitian(op, 1e-7)
-        if w[-1] > tol * (1.0 + float(np.linalg.norm(op))):
-            return False
-    return True
+    return _first_outside_psd(rep0, -rd.coroots[list(rd.delta_plus_plus)], tol) is None
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class NotIrreducible(GsrepError):
     pass
 
 
-class NonInjective(GsrepError):
-    pass
-
-
 class NotPSD(GsrepError):
     pass
 
@@ -59,6 +55,10 @@ class SplitInvalid(GsrepError):
 
 class LengthMismatch(GsrepError):
     pass
+
+
+class SectorOutOfRange(GsrepError):
+    """A Fock particle-number sector outside [0, cutoff]."""
 
 
 class SchemaError(GsrepError):

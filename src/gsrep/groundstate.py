@@ -21,14 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonInjective, NotIrreducible
+from .errors import NotIrreducible
 from .irreps import Representation, direct_sum
 from .liealg import (
     MatrixLieAlgebra,
     centralizer_basis,
     intervals_contain,
     intervals_sum,
-    is_elliptic,
     normalize_intervals,
     spectral_split,
     subalgebra,
@@ -59,7 +58,6 @@ class GroundStateReport:
     m: float
     h0_basis: np.ndarray  # (dim, r) orthonormal columns
     pi0: Representation
-    cyclic: bool
     ground_state: bool
     strict: bool
     minimal_shift: float
@@ -175,8 +173,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     pi0 = Representation(g0, np.einsum("ds,rde,et->rst", h0.conj(), dpi0, h0),
                          ambient_coeffs=g0_rows)
 
-    cyclic = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
-    ground_state = cyclic
+    ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
 
     comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol)
     compressed_comm = compress(h0, comm_full, tol)
@@ -187,7 +184,6 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         m=m_global,
         h0_basis=h0,
         pi0=pi0,
-        cyclic=cyclic,
         ground_state=ground_state,
         strict=bool(ground_state and comm_pi0.rank == compressed_comm.rank),
         minimal_shift=m,
@@ -213,32 +209,6 @@ def is_strict(pi: Representation, report: GroundStateReport,
     ops0 = list(report.pi0.dpi) + [np.eye(report.h0_dim, dtype=complex)]
     C = algebra_closure(ops0, include_identity=True, tol=tol)
     return B.same_span(C, max(tol, 1e-8))
-
-
-def check_elliptic_implication(pi: Representation, d: np.ndarray,
-                               tol: float = DEFAULT_TOL) -> dict:
-    """Eigenvector-existence forces ellipticity, for irreducible faithful pi.
-
-    Preconditions: the commutant of the dpi image is scalar (irreducible)
-    and dpi is injective on the algebra (discrete-kernel surrogate).  At
-    finite dimension eigenvectors always exist, so the implication reduces
-    to asserting that the derivation is elliptic.
-    """
-    g = pi.algebra
-    comm = commutant_basis(list(pi.dpi), dim=pi.dim, tol=tol)
-    if comm.rank != 1:
-        raise NotIrreducible(f"commutant has dimension {comm.rank}")
-    flat = pi.dpi.reshape(g.dim, -1)
-    _, s, _ = np.linalg.svd(flat)
-    if numerical_rank(s, tol) != g.dim:
-        raise NonInjective("dpi has a kernel on the algebra")
-    eigenvector_exists = True  # finite dimension
-    elliptic = is_elliptic(g, d)
-    return {
-        "eigenvector_exists": eigenvector_exists,
-        "elliptic": elliptic,
-        "implication_holds": (not eigenvector_exists) or elliptic,
-    }
 
 
 def direct_sum_law(reps: Sequence[Representation], d: np.ndarray,

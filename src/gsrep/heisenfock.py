@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, SplitInvalid
+from .errors import DimensionMismatch, NotPSD, SectorOutOfRange, SplitInvalid
 from .irreps import Representation
 from .matcore import CLUSTER_TOL, eig_hermitian
 
@@ -113,29 +113,19 @@ def weyl_relation_residual(ft: FockTruncation, v, w, sector: Optional[int] = Non
 
     The phase is exp(-i Im<v, w> / 2); the relation is exact only without
     truncation, so the defect is measured on the rows and columns of total
-    particle number <= sector (default floor(N/2)).
+    particle number <= sector, in [0, N] (default floor(N/2)).
     """
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if sector is None:
         sector = ft.cutoff // 2
+    if not 0 <= sector <= ft.cutoff:
+        raise SectorOutOfRange(f"sector {sector} outside [0, {ft.cutoff}]")
     phase = np.exp(-0.5j * np.imag(np.vdot(v, w)))
     idx = np.flatnonzero(ft.occupations.sum(axis=1) <= sector)
     product = weyl_op(ft, v)[idx] @ weyl_op(ft, w)[:, idx]
     resid = product - phase * weyl_op(ft, v + w)[np.ix_(idx, idx)]
     return float(np.linalg.norm(resid, 2))
-
-
-def exp_vector(ft: FockTruncation, v: Sequence[complex]) -> np.ndarray:
-    """Truncated exponential vector: <n|Exp(v)> = prod v_j^{n_j} / sqrt(n_j!)."""
-    v = np.asarray(v, dtype=complex)
-    out = np.ones(ft.dim, dtype=complex)
-    for i, occ in enumerate(ft.occupations):
-        amp = 1.0 + 0j
-        for n, vj in zip(occ, v):
-            amp *= vj ** n / math.sqrt(math.factorial(int(n)))
-        out[i] = amp
-    return out
 
 
 def second_quantize(ft: FockTruncation, one_body: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,11 +57,23 @@ class Representation:
     dpi: np.ndarray  # (dim_g, d, d) complex
     label: Optional[tuple] = None
     ambient_coeffs: Optional[np.ndarray] = None  # (dim_g, dim_ambient)
-    _ambient_pinv: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.dpi.shape[1]
+
+    @cached_property
+    def _ambient_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self.ambient_coeffs.T)
+
+    def local_coeffs(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Local coordinates of ambient coefficient rows, and which rows lie outside the subalgebra."""
+        if self.ambient_coeffs is None:
+            raise ValueError("representation has no ambient embedding")
+        coeffs = np.asarray(coeffs, dtype=complex)
+        local = coeffs @ self._ambient_pinv.T
+        resid = np.linalg.norm(local @ self.ambient_coeffs - coeffs, axis=-1)
+        return local, resid > 1e-8 * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1))
 
     def operator(self, coeffs: np.ndarray, ambient: Optional[bool] = None) -> np.ndarray:
         """dpi of an element; complex coefficients extend complex-linearly.
@@ -72,15 +85,9 @@ class Representation:
         if ambient is None:
             ambient = self.ambient_coeffs is not None
         if ambient:
-            if self.ambient_coeffs is None:
-                raise ValueError("representation has no ambient embedding")
-            if self._ambient_pinv is None:
-                self._ambient_pinv = np.linalg.pinv(self.ambient_coeffs.T)
-            local = self._ambient_pinv @ coeffs
-            resid = np.linalg.norm(self.ambient_coeffs.T @ local - coeffs)
-            if resid > 1e-8 * max(1.0, np.linalg.norm(coeffs)):
+            coeffs, outside = self.local_coeffs(coeffs)
+            if outside:
                 raise ValueError("element does not lie in the represented subalgebra")
-            coeffs = local
         if coeffs.shape != (self.algebra.dim,):
             raise DimensionMismatch(f"expected {self.algebra.dim} coefficients")
         return np.einsum("i,ijk->jk", coeffs, self.dpi)

@@ -185,10 +185,17 @@ def build_algebra(kind: str, n: int, tol: float = 1e-10) -> MatrixLieAlgebra:
 
 
 def subalgebra(g: MatrixLieAlgebra, coeff_rows: np.ndarray, name: str = "sub") -> MatrixLieAlgebra:
-    """Subalgebra spanned by rows of real coefficient vectors over g's basis."""
-    coeff_rows = np.asarray(coeff_rows, dtype=float)
-    mats = np.einsum("ri,ijk->rjk", coeff_rows.astype(complex), g.basis)
-    return MatrixLieAlgebra(name, "custom", g.n, mats, structure_constants(mats), None)
+    """Subalgebra spanned by real coefficient rows over g's basis, with g's tensor restricted."""
+    rows = np.asarray(coeff_rows, dtype=float)
+    mats = np.einsum("ri,ijk->rjk", rows.astype(complex), g.basis)
+    brackets = np.einsum("ai,bik->abk", rows, np.einsum("bj,ijk->bik", rows, g.structure))
+    c = brackets @ np.linalg.pinv(rows)
+    resid = np.linalg.norm(c @ rows - brackets, axis=2)
+    leaving = np.argwhere(resid > 1e-10 * np.maximum(1.0, np.linalg.norm(brackets, axis=2)))
+    if leaving.size:
+        i, j = leaving[0]
+        raise ValueError(f"bracket [x_{i}, x_{j}] leaves the span (residual {resid[i, j]:.2e})")
+    return MatrixLieAlgebra(name, "custom", g.n, mats, c, None)
 
 
 def diagonal_element(g: MatrixLieAlgebra, entries: Sequence[float]) -> np.ndarray:

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gsrep import cones, irreps, liealg
-from gsrep.errors import NotDiagonalizable
+from gsrep import cones, groundstate, irreps, liealg, matcore
+from gsrep.errors import NotDiagonalizable, NotHermitian
 
 from conftest import algebra, cached_irrep, dominant_box, rng
 
@@ -182,6 +182,172 @@ def test_scale_invariance_of_verdicts():
             dd = liealg.spectral_split(g, d)
             verdicts.append(cones.check_cone_positivity(g, dd, chi).verdict)
         assert len(set(verdicts)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the batched PSD decision against the per-generator loop it replaced
+
+
+def loop_bracket(g, z, tol=1e-9):
+    gen = 1j * g.bracket(g.star(z), z)
+    if np.linalg.norm(gen.imag) > tol * max(1.0, np.linalg.norm(gen)):
+        raise ValueError("cone generator is not a real element")
+    return gen.real
+
+
+def loop_in_positive_cone(rep0, x, tol=cones.PSD_TOL):
+    op = -1j * rep0.operator(np.asarray(x, dtype=complex))
+    w, _ = matcore.eig_hermitian(op, 1e-7)
+    return bool(w[0] >= -tol * (1.0 + float(np.linalg.norm(op))))
+
+
+def loop_coroot_condition(rep0, rd, tol=cones.PSD_TOL):
+    for idx in rd.delta_plus_plus:
+        op = -1j * rep0.operator(rd.coroots[idx].astype(complex))
+        w, _ = matcore.eig_hermitian(op, 1e-7)
+        if w[-1] > tol * (1.0 + float(np.linalg.norm(op))):
+            return False
+    return True
+
+
+def loop_cone_positivity(g, dd, rep0, tol=cones.PSD_TOL, samples=32, seed=0):
+    """One generator and one eigendecomposition at a time, in generator order."""
+    gens, prov = [], []
+    for lam, space in dd.positive():
+        r = space.shape[1]
+        for a in range(r):
+            gens.append(loop_bracket(g, space[:, a]))
+            prov.append(("basis", float(lam.real), a))
+        for a in range(r):
+            for b in range(a + 1, r):
+                for phase in (1.0, 1.0j):
+                    z = (space[:, a] + phase * space[:, b]) / np.sqrt(2.0)
+                    gens.append(loop_bracket(g, z))
+                    prov.append(("mixed", float(lam.real), a, b, "i" if phase == 1.0j else "1"))
+    checked = 0
+    for gen, tag in zip(gens, prov):
+        checked += 1
+        if not loop_in_positive_cone(rep0, gen, tol):
+            return cones.ConeTestResult(False, gen, tag, sampled=False, checked=checked)
+    sampled = False
+    generator = np.random.default_rng(seed)
+    for lam, space in dd.positive():
+        r = space.shape[1]
+        if r <= 1:
+            continue
+        sampled = True
+        for s in range(samples):
+            raw = generator.normal(size=r) + 1j * generator.normal(size=r)
+            gen = loop_bracket(g, space @ (raw / np.linalg.norm(raw)))
+            checked += 1
+            if not loop_in_positive_cone(rep0, gen, tol):
+                return cones.ConeTestResult(False, gen, ("sample", float(lam.real), s),
+                                            sampled=True, checked=checked)
+    return cones.ConeTestResult(True, sampled=sampled, checked=checked)
+
+
+def assert_same_result(got, want):
+    assert got.verdict == want.verdict
+    assert got.checked == want.checked
+    assert got.sampled == want.sampled
+    assert got.witness_provenance == want.witness_provenance
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.dtype == want.witness.dtype
+        assert got.witness.tobytes() == want.witness.tobytes()
+
+
+@pytest.mark.parametrize("entries", [(2, 1), (3, 1), (2, 1, 0), (3, 1, 0)])
+def test_batched_cone_matches_loop_on_torus_characters(entries):
+    n = len(entries)
+    g, d, dd = split("u", n, entries)
+    rd = liealg.root_datum(g, d)
+    verdicts = set()
+    for lam in itertools.product(range(-2, 3), repeat=n):
+        chi = irreps.torus_character(g, lam)
+        want = loop_cone_positivity(g, dd, chi)
+        assert_same_result(cones.check_cone_positivity(g, dd, chi), want)
+        assert cones.coroot_condition(chi, rd) == loop_coroot_condition(chi, rd)
+        verdicts.add(want.verdict)
+    assert verdicts == {True, False}  # witnesses were compared too
+
+
+def test_batched_cone_matches_loop_on_failing_centralizer_irrep():
+    g, d, dd = split("u", 3, [1, 0, 0])
+    chi = irreps.centralizer_irrep(g, [1, 0, 0], [(1,), (0, 0)])
+    want = loop_cone_positivity(g, dd, chi)
+    assert not want.verdict
+    assert_same_result(cones.check_cone_positivity(g, dd, chi), want)
+
+
+def sample_first_fixture():
+    """A one-dimensional rep0 of u(1) + u(2) in u(3), at d = (1, 0, 0), whose
+    Hermitian form on the two-dimensional eigenspace takes the values 1, 1
+    on the basis generators and 1.9, 1.9 on the mixed ones.  Its
+    off-diagonal entry then has modulus 0.9 * sqrt(2) > 1, so the form is
+    indefinite and only a sample can fail."""
+    g, d, dd = split("u", 3, [1, 0, 0])
+    rows = liealg.centralizer_basis(g, d)
+    gens = cones.action_cone_generators(g, dd).generators
+    assert gens.shape[0] == 4  # two basis and two mixed generators
+    phi, *_ = np.linalg.lstsq(gens @ rows.T, [1.0, 1.0, 1.9, 1.9], rcond=None)
+    sub = liealg.subalgebra(g, rows)
+    rep0 = irreps.Representation(sub, (1j * phi).reshape(-1, 1, 1), ambient_coeffs=rows)
+    return g, dd, rep0
+
+
+def test_batched_cone_matches_loop_when_a_sample_fails_first():
+    g, dd, rep0 = sample_first_fixture()
+    want = loop_cone_positivity(g, dd, rep0)
+    assert not want.verdict
+    assert want.witness_provenance[0] == "sample"
+    assert_same_result(cones.check_cone_positivity(g, dd, rep0), want)
+
+
+def test_batched_cone_rejects_non_anti_hermitian_rep0():
+    g, d, dd = split("u", 3, [2, 1, 0])
+    chi = irreps.torus_character(g, (0, 1, 2))
+    bad = irreps.Representation(chi.algebra, chi.dpi.imag.astype(complex),
+                                ambient_coeffs=chi.ambient_coeffs)
+    for check in (loop_cone_positivity, cones.check_cone_positivity):
+        with pytest.raises(NotHermitian):
+            check(g, dd, bad)
+    with pytest.raises(NotHermitian):
+        cones.coroot_condition(bad, liealg.root_datum(g, d))
+    with pytest.raises(NotHermitian):
+        cones.in_positive_cone(bad, liealg.diagonal_element(g, [0, 0, 1]))
+
+
+def test_batched_cone_rejects_elements_outside_the_subalgebra():
+    g = algebra("u", 3)
+    chi = irreps.torus_character(g, (0, 0, 0))
+    off_diagonal = np.eye(g.dim)[3]
+    with pytest.raises(ValueError, match="represented subalgebra"):
+        cones.in_positive_cone(chi, off_diagonal)
+    # at d = (1, 0, 0) the mixed generators leave the torus
+    _, _, dd = split("u", 3, [1, 0, 0])
+    for check in (loop_cone_positivity, cones.check_cone_positivity):
+        with pytest.raises(ValueError, match="represented subalgebra"):
+            check(g, dd, chi)
+
+
+def test_cone_positivity_runs_one_eigvalsh_per_stack(monkeypatch):
+    # a per-generator eigensolver must not come back: one eigvalsh for the
+    # stored generators, one per sampled eigenspace, and no eigh
+    g, d, dd = split("u", 3, [2, 1, 0])
+    pi0 = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), d).pi0
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    res = cones.check_cone_positivity(g, dd, pi0)
+    assert res.verdict and res.sampled
+    sampled_spaces = sum(space.shape[1] > 1 for _, space in dd.positive())
+    assert sampled_spaces == 1
+    assert calls == {"eigh": 0, "eigvalsh": 1 + sampled_spaces}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gsrep import cones, groundstate, irreps, liealg
-from gsrep.errors import NonInjective, NotIrreducible
 
 from conftest import D_LISTS, algebra, cached_irrep, dominant_box, su_dominant_box
 
@@ -27,7 +26,7 @@ def test_analyze_u3_defining_top_block():
     assert out.h0_dim == 2
     proj = out.h0_basis @ out.h0_basis.conj().T
     assert np.allclose(proj, np.diag([0, 1, 1]), atol=1e-10)
-    assert out.cyclic and out.ground_state and out.strict
+    assert out.ground_state and out.strict
     assert out.commutant_dims == (1, 1, 4)
     # the fixed-point action on the ground space is irreducible
     assert out.commutant_dims[1] == 1
@@ -47,7 +46,7 @@ def test_analyze_block_sum_with_trivial():
     out = groundstate.analyze(rep, liealg.diagonal_element(g, [1, 0]))
     assert abs(out.m) <= 1e-10
     assert out.h0_dim == 2
-    assert out.cyclic
+    assert out.ground_state
     assert sorted(out.central_shifts) == [0.0, 0.0]
 
 
@@ -94,35 +93,6 @@ def test_non_strict_commuting_family():
     assert groundstate.is_strict(rep, out) is False
     # and the representation fails the splitting condition, as expected
     assert liealg.splitting_condition(rep.algebra, d) is False
-
-
-def test_elliptic_implication_compact():
-    g = algebra("u", 2)
-    rep = cached_irrep("u", 2, (2, 1))
-    for entries in [(1.0, 0.0), (3.0, -2.0), (0.0, 0.0)]:
-        res = groundstate.check_elliptic_implication(rep, liealg.diagonal_element(g, entries))
-        assert res["implication_holds"]
-        assert res["elliptic"]
-
-
-def test_elliptic_implication_su2_adjoint():
-    su2 = algebra("su", 2)
-    rep = irreps.irrep(su2, (2, 0))
-    res = groundstate.check_elliptic_implication(rep, liealg.diagonal_element(su2, [1, -1]))
-    assert res["implication_holds"]
-
-
-def test_elliptic_implication_preconditions():
-    # a one-dimensional character of the nilpotent algebra kills the center
-    h = algebra("heis", 2)
-    dpi = np.zeros((3, 1, 1), dtype=complex)
-    dpi[2] = 1j
-    char = irreps.Representation(h, dpi)
-    with pytest.raises(NonInjective):
-        groundstate.check_elliptic_implication(char, np.array([0.0, 1.0, 0.0]))
-    double = irreps.direct_sum([cached_irrep("u", 2, (1, 0))] * 2)
-    with pytest.raises(NotIrreducible):
-        groundstate.check_elliptic_implication(double, np.zeros(4))
 
 
 def test_direct_sum_law():

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from gsrep import heisenfock as hf
 from gsrep import irreps
-from gsrep.errors import NotHermitian, NotPSD, SplitInvalid
+from gsrep.errors import NotHermitian, NotPSD, SectorOutOfRange, SplitInvalid
 
 from conftest import algebra, rng
 
@@ -145,16 +145,11 @@ def test_weyl_relation_monotone_in_cutoff():
         assert residuals[2] <= residuals[1] + 1e-12
 
 
-def test_exp_vector_overlaps():
-    ft = hf.FockTruncation(1, 40)
-    generator = rng(5)
-    for _ in range(4):
-        v = generator.normal(size=1) + 1j * generator.normal(size=1)
-        w = generator.normal(size=1) + 1j * generator.normal(size=1)
-        v /= max(1.0, np.linalg.norm(v))
-        w /= max(1.0, np.linalg.norm(w))
-        got = hf.exp_vector(ft, v).conj() @ hf.exp_vector(ft, w)
-        assert abs(got - np.exp(np.vdot(v, w))) <= 1e-8
+@pytest.mark.parametrize("sector", [-1, 7])
+def test_weyl_relation_residual_rejects_sector_outside_cutoff(sector):
+    # an empty sector would make the residual vacuously zero
+    with pytest.raises(SectorOutOfRange):
+        hf.weyl_relation_residual(hf.FockTruncation(1, 6), [0.3], [0.2j], sector)
 
 
 def test_second_quantize_number_operator():

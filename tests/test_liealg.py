@@ -6,7 +6,7 @@ import pytest
 from gsrep import liealg
 from gsrep.errors import NotDiagonal, UnsupportedKind
 
-from conftest import algebra, rng
+from conftest import D_LISTS, algebra, rng
 
 
 NILPOTENT_2D = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -257,3 +257,23 @@ def test_centralizer_basis_u3():
     assert rows.shape[0] == 5  # u(1) + u(2)
     sub = liealg.subalgebra(g, rows)
     assert liealg.bracket_closure_residual(sub) <= 1e-9
+
+
+@pytest.mark.parametrize("kind,n", sorted(D_LISTS))
+def test_subalgebra_structure_matches_matrix_brackets(kind, n):
+    # the tensor taken from the parent's equals the one computed from the
+    # bracket matrices, on every centralizer of the sweep generators
+    g = algebra(kind, n)
+    for entries in D_LISTS[(kind, n)]:
+        rows = liealg.centralizer_basis(g, liealg.diagonal_element(g, entries))
+        sub = liealg.subalgebra(g, rows)
+        want = liealg.structure_constants(sub.basis)
+        assert np.abs(sub.structure - want).max() <= 1e-12
+
+
+def test_subalgebra_rejects_rows_not_closed_under_bracket():
+    # two off-diagonal basis rows of u(3): their bracket is diagonal
+    g = algebra("u", 3)
+    rows = np.eye(g.dim)[[3, 4]]
+    with pytest.raises(ValueError, match="leaves the span"):
+        liealg.subalgebra(g, rows)
