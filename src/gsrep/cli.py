@@ -325,20 +325,19 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
         for v, w in pairs:
             worst = max(worst, heisenfock.weyl_relation_residual(ft, v, w, sector))
         residuals[str(cutoff)] = {"sector": sector, "residual": worst}
-        vac = ft.vacuum()
         verr = 0.0
         for v, _ in pairs:
-            got = vac.conj() @ heisenfock.weyl_op(ft, v) @ vac
+            got = heisenfock.weyl_vacuum_overlap(ft, v)
             verr = max(verr, abs(got - math.exp(-float(np.linalg.norm(v)) ** 2 / 4)))
         vacuum_err[str(cutoff)] = verr
     zero_modes = int(job.get("zero_modes", 0))
     kernel_ok = True
     if zero_modes:
-        top = sorted(int(c) for c in cutoffs)[-1]
-        ft = heisenfock.FockTruncation(modes, top)
+        # the loop ends on the truncation at the largest cutoff
         diag = [0.0] * zero_modes + [1.0] * (modes - zero_modes)
         op = heisenfock.second_quantize(ft, np.diag(diag).astype(complex))
-        kernel_ok = heisenfock.kernel_dimension(op) == heisenfock.truncated_kernel_count(top, zero_modes)
+        kernel_ok = (heisenfock.kernel_dimension(op)
+                     == heisenfock.truncated_kernel_count(ft.cutoff, zero_modes))
     vals = [residuals[k]["residual"] for k in sorted(residuals, key=int)]
     monotone = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
     report["verdicts"] = {

@@ -3,11 +3,19 @@
 The truncation keeps all occupation states of k modes with total particle
 number <= N, so one-particle rotations stay block diagonal across number
 sectors.  Weyl operators are exponentials of the truncated generator
-``a^+(x) - a(x)``.  It is anti-Hermitian, so the exponential comes from one
-Hermitian eigendecomposition of i times it and is unitary up to roundoff.
-The operators satisfy the Weyl relations only up to a truncation error,
-which is quantified on a low sector (the states of total number <= M,
-default M = floor(N/2)).
+``a^+(x) - a(x)``, assembled by mode rotation: for a unitary U on C^k with
+U e_1 = x/|x|,
+
+    exp(a^+(x) - a(x)) = Gamma(U) (+)_rest D_1(|x|; N - |rest|) Gamma(U)^*,
+
+where ``rest`` runs over the occupations of modes 2..k and D_1(r; M) is the
+one-mode displacement exp(r (a^+ - a)) cut at M particles.  Gamma(U)
+preserves particle number, so the identity holds exactly inside the
+truncation.  Every factor comes from a Hermitian eigendecomposition of at
+most one number sector (Gamma(U)) or one mode (D_1), never of the whole
+space, and the result is unitary up to roundoff.  The operators satisfy
+the Weyl relations only up to a truncation error, which is quantified on a
+low sector (the states of total number <= M, default M = floor(N/2)).
 
 Conventions: the symplectic form on R^(2k) ~ C^k is 2 Im <.,.>, mode j
 occupying coordinates (2j, 2j+1); the one-mode rotation generator of
@@ -18,11 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, SectorOutOfRange, SplitInvalid
+from .errors import (ConvergenceFailure, DimensionMismatch, NotPSD, SectorOutOfRange,
+                     SplitInvalid)
 from .irreps import Representation
 from .matcore import CLUSTER_TOL, eig_hermitian
 
@@ -32,7 +42,11 @@ from .matcore import CLUSTER_TOL, eig_hermitian
 
 
 class FockTruncation:
-    """Occupation basis of k modes with total particle number <= N."""
+    """Occupation basis of k modes with total particle number <= N.
+
+    States are ordered by total number, then lexicographically, so the
+    sector of total number n is the index range ``offsets[n]:offsets[n+1]``.
+    """
 
     def __init__(self, modes: int, cutoff: int):
         if modes < 0 or cutoff < 0:
@@ -42,6 +56,7 @@ class FockTruncation:
         self.occupations = _occupation_table(modes, cutoff)
         self.index = {tuple(row): i for i, row in enumerate(self.occupations)}
         self.dim = len(self.occupations)
+        self.offsets = np.searchsorted(self.occupations.sum(axis=1), np.arange(cutoff + 2))
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -53,12 +68,66 @@ class FockTruncation:
 
     def annihilation(self, mode: int) -> np.ndarray:
         a = np.zeros((self.dim, self.dim), dtype=complex)
+        src, dst = self._lowered(mode)
+        a[dst, src] = np.sqrt(self.occupations[src, mode])
+        return a
+
+    def _lowered(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
+        """States with a particle in ``mode`` and the states with it removed."""
         src = np.flatnonzero(self.occupations[:, mode])
         lowered = self.occupations[src]
         lowered[:, mode] -= 1
-        dst = [self.index[row] for row in map(tuple, lowered.tolist())]
-        a[dst, src] = np.sqrt(self.occupations[src, mode])
-        return a
+        return src, np.array([self.index[row] for row in map(tuple, lowered.tolist())], dtype=int)
+
+    @cached_property
+    def sector_runs(self) -> list[tuple[int, np.ndarray]]:
+        """Runs of consecutive number sectors of equal size, with creation blocks.
+
+        Entry (n0, C): C[j, g] is the matrix of a_j^+ from sector n0+g-1 into
+        sector n0+g, zero-padded to the widest source sector of the run.
+        Sector sizes C(n+k-1, k-1) do not decrease, so for k >= 2 every run
+        is one sector and for k = 1 one run holds them all.
+        """
+        sizes = np.diff(self.offsets)
+        totals = self.occupations.sum(axis=1)
+        hops = [self._lowered(j) for j in range(self.modes)]
+        bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), self.cutoff + 1]
+        runs = []
+        for n0, n1 in zip(bounds, bounds[1:]):  # sectors n0..n1-1
+            widest = sizes[n1 - 2] if n1 > 1 else 0  # the source of sector n1-1
+            blocks = np.zeros((self.modes, n1 - n0, sizes[n0], widest))
+            for j, (src, dst) in enumerate(hops):
+                n = totals[src]
+                keep = (n >= n0) & (n < n1)
+                src, dst, n = src[keep], dst[keep], n[keep]
+                blocks[j, n - n0, src - self.offsets[n], dst - self.offsets[n - 1]] = (
+                    np.sqrt(self.occupations[src, j]))
+            runs.append((n0, blocks))
+        return runs
+
+    @cached_property
+    def rest_groups(self) -> list[np.ndarray]:
+        """Entry m: state indices, one row per occupation of modes 2..k with
+        m particles, along n_1 = 0..N-m."""
+        occ = self.occupations
+        rest = occ[:, 1:].sum(axis=1)
+        order = np.lexsort((occ[:, 0],) + tuple(occ[:, 1:].T))
+        return [order[rest[order] == m].reshape(-1, self.cutoff - m + 1)
+                for m in range(self.cutoff + 1)]
+
+    @cached_property
+    def one_mode_spectra(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Entry M: (w, S V) for a + a^+ = V diag(w) V^T on one mode cut at M.
+
+        With S = diag(i^n), S^* (a^+ - a) S = -i (a + a^+), so
+        exp(r (a^+ - a)) = (S V) diag(exp(-i r w)) (S V)^*.
+        """
+        out = []
+        for M in range(self.cutoff + 1):
+            off = np.sqrt(np.arange(1.0, M + 1))
+            w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+            out.append((w, (1j ** np.arange(M + 1))[:, None] * v))
+        return out
 
 
 def _occupation_table(k: int, n: int) -> np.ndarray:
@@ -78,6 +147,13 @@ def _occupation_table(k: int, n: int) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+def _check_sector(ft: FockTruncation, sector: int) -> None:
+    # a negative sector is empty and one past the cutoff is the whole space;
+    # either would make a truncation check vacuous
+    if not 0 <= sector <= ft.cutoff:
+        raise SectorOutOfRange(f"sector {sector} outside [0, {ft.cutoff}]")
+
+
 # ---------------------------------------------------------------------------
 # displacement / Weyl operators
 
@@ -91,21 +167,94 @@ def _exp_anti_hermitian(A: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def displacement_op(ft: FockTruncation, x: Sequence[complex]) -> np.ndarray:
-    """exp(a^+(x) - a(x)) on the truncation; unitary up to roundoff."""
+def _amplitudes(ft: FockTruncation, x: Sequence[complex]) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (ft.modes,):
         raise DimensionMismatch(f"expected {ft.modes} mode amplitudes")
-    lower = np.zeros((ft.dim, ft.dim), dtype=complex)
-    for j in range(ft.modes):
-        lower += np.conj(x[j]) * ft.annihilation(j)
-    return _exp_anti_hermitian(lower.conj().T - lower)
+    if not np.isfinite(x).all():
+        raise ConvergenceFailure("mode amplitudes must be finite")
+    return x
+
+
+def _sector_rotations(ft: FockTruncation, xhat: np.ndarray, top: int):
+    """Gamma(U) on the sectors 0..top, for a unitary U with U e_1 = xhat.
+
+    U = t (1 - 2 u u^*) with u along e_1 + c xhat and t = -conj(c), the
+    phase c making c xhat_1 >= 0 so that |e_1 + c xhat| >= sqrt(2).  So
+    U = exp(iK) with K = psi + pi u u^* and t = exp(i psi), and on sector n
+    dGamma(K) = psi n + pi a^+(u) a(u), where a^+(u) a(u) has the integer
+    eigenvalues j = 0..n: Gamma(U) = V diag(t^n (-1)^j) V^* on the sector.
+    Yields (n0, G), G the stack of sector unitaries of one run of
+    ``ft.sector_runs``, from one batched eigendecomposition.
+    """
+    c = np.conj(xhat[0]) / abs(xhat[0]) if abs(xhat[0]) > 0 else 1.0
+    u = c * xhat
+    u[0] += 1.0
+    u /= np.linalg.norm(u)
+    turn = -np.conj(c)
+    for n0, blocks in ft.sector_runs:
+        if n0 > top:
+            break
+        create = np.tensordot(u, blocks[:, : top - n0 + 1], 1)  # a^+(u), sector n-1 -> n
+        lam, v = np.linalg.eigh(create @ create.conj().swapaxes(1, 2))
+        n = np.arange(n0, n0 + len(create))[:, None]
+        # integer powers, not exp(i psi n), keep the phase accurate at large n
+        power = turn ** n
+        phase = power / np.abs(power) * (1 - 2 * (np.rint(lam) % 2))
+        yield n0, (v * phase[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+def _displacement_block(ft: FockTruncation, x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows of the sectors <= rows and the columns of the sectors <= cols
+    of exp(a^+(x) - a(x)), for amplitudes checked by `_amplitudes`."""
+    nr, nc = ft.offsets[rows + 1], ft.offsets[cols + 1]
+    if not ft.modes:
+        return np.ones((nr, nc), dtype=complex)
+    r = float(np.linalg.norm(x))
+    xhat = x / r if r > 0 else np.eye(ft.modes, dtype=complex)[0]
+    out = np.zeros((nr, nc), dtype=complex)
+    # (+)_rest D_1: one block per m = |rest|, shared by its rest occupations
+    for m, group in enumerate(ft.rest_groups[: min(rows, cols) + 1]):
+        if not len(group):
+            continue
+        w, sv = ft.one_mode_spectra[ft.cutoff - m]
+        i, j = rows - m + 1, cols - m + 1
+        block = (sv[:i] * np.exp(-1j * r * w)) @ sv[:j].conj().T
+        out[group[:, :i, None], group[:, None, :j]] = block
+    for n0, gamma in _sector_rotations(ft, xhat, max(rows, cols)):
+        size = gamma.shape[1]
+        count = min(len(gamma), cols - n0 + 1)
+        if count > 0:
+            lo, hi = ft.offsets[n0], ft.offsets[n0 + count]
+            cols_in = out[:, lo:hi].reshape(nr, count, size).swapaxes(0, 1)
+            cols_out = cols_in @ gamma[:count].conj().swapaxes(1, 2)
+            out[:, lo:hi] = cols_out.swapaxes(0, 1).reshape(nr, -1)
+        count = min(len(gamma), rows - n0 + 1)
+        if count > 0:
+            lo, hi = ft.offsets[n0], ft.offsets[n0 + count]
+            out[lo:hi] = (gamma[:count] @ out[lo:hi].reshape(count, size, nc)).reshape(-1, nc)
+    return out
+
+
+def displacement_op(ft: FockTruncation, x: Sequence[complex]) -> np.ndarray:
+    """exp(a^+(x) - a(x)) on the truncation; unitary up to roundoff."""
+    return _displacement_block(ft, _amplitudes(ft, x), ft.cutoff, ft.cutoff)
 
 
 def weyl_op(ft: FockTruncation, v: Sequence[complex]) -> np.ndarray:
     """W(v) = displacement at i v / sqrt(2)."""
-    v = np.asarray(v, dtype=complex)
+    v = _amplitudes(ft, v)
     return displacement_op(ft, 1j * v / math.sqrt(2.0))
+
+
+def weyl_vacuum_overlap(ft: FockTruncation, v: Sequence[complex]) -> complex:
+    """<0|W(v)|0> on the truncation.
+
+    The vacuum is sector 0, which Gamma(U) fixes, so only the vacuum entry
+    of the one-mode block D_1(|v|/sqrt(2); N) is formed.
+    """
+    v = _amplitudes(ft, v)
+    return complex(_displacement_block(ft, 1j * v / math.sqrt(2.0), 0, 0)[0, 0])
 
 
 def weyl_relation_residual(ft: FockTruncation, v, w, sector: Optional[int] = None) -> float:
@@ -113,18 +262,18 @@ def weyl_relation_residual(ft: FockTruncation, v, w, sector: Optional[int] = Non
 
     The phase is exp(-i Im<v, w> / 2); the relation is exact only without
     truncation, so the defect is measured on the rows and columns of total
-    particle number <= sector, in [0, N] (default floor(N/2)).
+    particle number <= sector, in [0, N] (default floor(N/2)).  Only the
+    sector rows of W(v), the sector columns of W(w) and the sector block of
+    W(v+w) are formed.
     """
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    v, w = _amplitudes(ft, v), _amplitudes(ft, w)
     if sector is None:
         sector = ft.cutoff // 2
-    if not 0 <= sector <= ft.cutoff:
-        raise SectorOutOfRange(f"sector {sector} outside [0, {ft.cutoff}]")
+    _check_sector(ft, sector)
     phase = np.exp(-0.5j * np.imag(np.vdot(v, w)))
-    idx = np.flatnonzero(ft.occupations.sum(axis=1) <= sector)
-    product = weyl_op(ft, v)[idx] @ weyl_op(ft, w)[:, idx]
-    resid = product - phase * weyl_op(ft, v + w)[np.ix_(idx, idx)]
+    x, y, top = 1j * v / math.sqrt(2.0), 1j * w / math.sqrt(2.0), ft.cutoff
+    product = _displacement_block(ft, x, sector, top) @ _displacement_block(ft, y, top, sector)
+    resid = product - phase * _displacement_block(ft, x + y, sector, sector)
     return float(np.linalg.norm(resid, 2))
 
 
@@ -133,7 +282,9 @@ def second_quantize(ft: FockTruncation, one_body: np.ndarray, tol: float = 1e-10
 
     Acts as sum_{jl} D_{jl} a^+_j a_l; block diagonal across number sectors,
     with spectrum in [0, inf) and kernel equal to the truncated Fock space
-    over ker D.
+    over ker D.  Entries are D_{jl} sqrt(n_l (n_j + 1)) read off the
+    occupation table (D_{jj} n_j on the diagonal), so they are exact for
+    integer D.
     """
     D = np.asarray(one_body, dtype=complex)
     if D.shape != (ft.modes, ft.modes):
@@ -142,12 +293,18 @@ def second_quantize(ft: FockTruncation, one_body: np.ndarray, tol: float = 1e-10
         raise NotPSD("one-particle operator is not Hermitian")
     if ft.modes and np.linalg.eigvalsh((D + D.conj().T) / 2).min() < -tol * max(1.0, np.linalg.norm(D)):
         raise NotPSD("one-particle operator has a negative eigenvalue")
+    occ = ft.occupations
     out = np.zeros((ft.dim, ft.dim), dtype=complex)
-    ann = [ft.annihilation(j) for j in range(ft.modes)]
-    for j in range(ft.modes):
-        for l in range(ft.modes):
-            if D[j, l] != 0:
-                out += D[j, l] * (ann[j].conj().T @ ann[l])
+    out[np.diag_indices(ft.dim)] = occ @ np.diag(D)
+    for j, l in zip(*np.nonzero(D)):
+        if j == l:
+            continue
+        src = np.flatnonzero(occ[:, l])
+        hopped = occ[src]
+        hopped[:, l] -= 1
+        hopped[:, j] += 1
+        dst = [ft.index[row] for row in map(tuple, hopped.tolist())]
+        out[dst, src] = D[j, l] * np.sqrt(occ[src, l] * (occ[src, j] + 1))
     return out
 
 
@@ -298,8 +455,11 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
         vacuum line (requires strictly positive effective frequencies);
     (c) vacuum expectation values of effective Weyl operators match
         exp(-|x|^2 / 4) within tol.
+
+    Raises SectorOutOfRange for a sector outside [0, cutoff].
     """
     setup.validate()
+    _check_sector(ft, sector)
     if ft.modes != setup.effective_modes:
         raise SplitInvalid("Fock truncation does not match the effective mode count")
     if setup.fixed_modes:
@@ -309,7 +469,7 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
     else:
         dk = 1
     dfock = ft.dim
-    sector_idx = np.where(ft.occupations.sum(axis=1) <= sector)[0]
+    sector_idx = np.arange(ft.offsets[sector + 1])
 
     def total_weyl(v: np.ndarray) -> np.ndarray:
         fixed, amps = setup.complex_coords(v)
@@ -343,11 +503,10 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
     # (c) vacuum expectations of effective Weyl operators
     if ft.modes:
         rng = np.random.default_rng(seed)
-        vac = ft.vacuum()
         for _ in range(grid):
             amps = rng.normal(size=ft.modes) + 1j * rng.normal(size=ft.modes)
             amps *= rng.uniform(0.1, 1.0) / np.linalg.norm(amps)
-            got = vac.conj() @ weyl_op(ft, amps) @ vac
+            got = weyl_vacuum_overlap(ft, amps)
             want = math.exp(-float(np.linalg.norm(amps)) ** 2 / 4.0)
             if abs(got - want) > tol:
                 return False

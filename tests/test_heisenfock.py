@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from gsrep import heisenfock as hf
 from gsrep import irreps
-from gsrep.errors import NotHermitian, NotPSD, SectorOutOfRange, SplitInvalid
+from gsrep.errors import ConvergenceFailure, NotHermitian, NotPSD, SectorOutOfRange, SplitInvalid
 
 from conftest import algebra, rng
 
@@ -52,7 +52,7 @@ def displacement_reference(ft, x):
     return expm(gen)
 
 
-TRUNCATIONS = [(1, 40), (2, 8), (3, 5)]
+TRUNCATIONS = [(1, 40), (2, 8), (3, 5), (2, 24), (3, 10)]
 
 
 @pytest.mark.parametrize("modes,cutoff", TRUNCATIONS)
@@ -72,6 +72,70 @@ def test_exponentials_match_pade(modes, cutoff):
     v = 2.0 * x
     want = displacement_reference(ft, 1j * v / math.sqrt(2.0))
     assert np.abs(hf.weyl_op(ft, v) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("modes,cutoff,x", [
+    (2, 8, [0.0, 0.0]),
+    (2, 8, [0.0, 0.7 - 0.2j]),
+    (3, 5, [0.3j, -0.5j, 0.2j]),
+    (2, 8, [6e-13 + 2e-13j, -7e-13j]),
+    (1, 12, [-0.9 + 0.4j]),
+])
+def test_displacement_edge_amplitudes_match_pade(modes, cutoff, x):
+    ft = hf.FockTruncation(modes, cutoff)
+    assert np.abs(hf.displacement_op(ft, x) - displacement_reference(ft, x)).max() <= 1e-12
+
+
+def test_weyl_on_zero_modes_is_scalar_one():
+    ft = hf.FockTruncation(0, 3)
+    assert np.array_equal(hf.weyl_op(ft, []), np.ones((1, 1)))
+    assert hf.weyl_vacuum_overlap(ft, []) == pytest.approx(1.0, abs=1e-15)
+    assert hf.weyl_relation_residual(ft, [], [], 0) <= 1e-15
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 24), (3, 16)])
+def test_weyl_operators_are_unitary_across_modes(modes, cutoff):
+    ft = hf.FockTruncation(modes, cutoff)
+    x = rng(cutoff).normal(size=modes) + 1j * rng(cutoff + 1).normal(size=modes)
+    W = hf.weyl_op(ft, 1.5 * x / np.linalg.norm(x))
+    assert np.abs(W @ W.conj().T - np.eye(ft.dim)).max() <= 1e-12
+
+
+def test_weyl_op_runs_no_dimension_sized_eigh(monkeypatch):
+    # the dense path diagonalised the whole d x d generator; the rotation
+    # path diagonalises at most one number sector or one mode at a time
+    ft = hf.FockTruncation(2, 24)
+    sizes = []
+
+    def recording(a, *args, _real=np.linalg.eigh, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    hf.weyl_op(ft, [0.4 - 0.3j, 0.2 + 0.6j])
+    assert sizes and max(sizes) <= ft.cutoff + 1 < ft.dim
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 8), (3, 5)])
+def test_vacuum_overlap_matches_weyl_operator(modes, cutoff):
+    ft = hf.FockTruncation(modes, cutoff)
+    vac = ft.vacuum()
+    generator = rng(modes + cutoff)
+    for scale in (0.0, 0.4, 1.3):
+        v = generator.normal(size=modes) + 1j * generator.normal(size=modes)
+        v *= scale / np.linalg.norm(v)
+        want = vac.conj() @ hf.weyl_op(ft, v) @ vac
+        assert abs(hf.weyl_vacuum_overlap(ft, v) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 0.0], [0.0, complex(0.0, -np.inf)]])
+def test_non_finite_amplitudes_raise_convergence_failure(amps):
+    ft = hf.FockTruncation(2, 3)
+    for call in (hf.weyl_op, hf.displacement_op, hf.weyl_vacuum_overlap):
+        with pytest.raises(ConvergenceFailure):
+            call(ft, amps)
+    with pytest.raises(ConvergenceFailure):
+        hf.weyl_relation_residual(ft, amps, [0.1, 0.2j], 1)
 
 
 def test_weyl_at_zero_is_identity():
@@ -130,6 +194,22 @@ def test_weyl_relation_residual_matches_projected_form():
     assert got == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("modes,cutoff,sector", [(1, 12, 5), (3, 6, 2)])
+def test_weyl_relation_residual_matches_projected_form_per_mode_count(modes, cutoff, sector):
+    # the residual forms only sector rows and columns; compare with the
+    # projection of the full operators
+    ft = hf.FockTruncation(modes, cutoff)
+    generator = rng(modes * cutoff)
+    v = generator.normal(size=modes) + 1j * generator.normal(size=modes)
+    w = generator.normal(size=modes) + 1j * generator.normal(size=modes)
+    idx = np.flatnonzero(ft.occupations.sum(axis=1) <= sector)
+    phase = np.exp(-0.5j * np.imag(np.vdot(v, w)))
+    dense = (hf.weyl_op(ft, v) @ hf.weyl_op(ft, w) - phase * hf.weyl_op(ft, v + w))[np.ix_(idx, idx)]
+    got = hf.weyl_relation_residual(ft, v, w, sector)
+    assert got > 1e-6
+    assert got == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
+
 def test_weyl_relation_monotone_in_cutoff():
     generator = rng(17)
     for _ in range(3):
@@ -156,6 +236,22 @@ def test_second_quantize_number_operator():
     ft = hf.FockTruncation(1, 3)
     op = hf.second_quantize(ft, np.array([[1.0]], dtype=complex))
     assert np.allclose(op, np.diag([0.0, 1.0, 2.0, 3.0]))
+
+
+def test_second_quantize_is_exact_for_integer_operators():
+    ft = hf.FockTruncation(3, 5)
+    got = hf.second_quantize(ft, np.diag([2.0, 0.0, 3.0]))
+    assert np.array_equal(got, np.diag(ft.occupations @ [2.0, 0.0, 3.0]))
+
+
+def test_second_quantize_matches_operator_products():
+    ft = hf.FockTruncation(3, 4)
+    generator = rng(31)
+    z = generator.normal(size=(3, 3)) + 1j * generator.normal(size=(3, 3))
+    D = z @ z.conj().T
+    ann = [annihilation_reference(ft, j) for j in range(3)]
+    want = sum(D[j, l] * ann[j].T @ ann[l] for j in range(3) for l in range(3))
+    assert np.abs(hf.second_quantize(ft, D) - want).max() <= 1e-12
 
 
 def test_second_quantize_zero_operator():
@@ -227,6 +323,15 @@ def test_factorization_clean_fixture():
     setup = hf.SymplecticSetup((0.0, 1.0))
     ft = hf.FockTruncation(1, 30)
     assert hf.factorization_check(setup, character_pair_rep(), ft, sector=10, tol=1e-5)
+
+
+@pytest.mark.parametrize("sector", [-1, 9, 50])
+def test_factorization_rejects_sector_outside_cutoff(sector):
+    # an empty sector cannot be indexed and one past the cutoff is vacuous
+    setup = hf.SymplecticSetup((0.0, 1.0))
+    with pytest.raises(SectorOutOfRange):
+        hf.factorization_check(setup, character_pair_rep(), hf.FockTruncation(1, 8),
+                               sector=sector, tol=1e-5)
 
 
 def test_factorization_rejects_entangled():
