@@ -336,7 +336,7 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
         # the loop ends on the truncation at the largest cutoff
         diag = [0.0] * zero_modes + [1.0] * (modes - zero_modes)
         op = heisenfock.second_quantize(ft, np.diag(diag).astype(complex))
-        kernel_ok = (heisenfock.kernel_dimension(op)
+        kernel_ok = (heisenfock.kernel_dimension(ft, op)
                      == heisenfock.truncated_kernel_count(ft.cutoff, zero_modes))
     vals = [residuals[k]["residual"] for k in sorted(residuals, key=int)]
     monotone = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))

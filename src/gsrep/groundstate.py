@@ -170,8 +170,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     g0_rows = centralizer_basis(g, d, tol)
     g0 = subalgebra(g, g0_rows, name=f"fix({g.name})")
     dpi0 = np.einsum("ri,ids->rds", g0_rows.astype(complex), pi.dpi)
-    pi0 = Representation(g0, np.einsum("ds,rde,et->rst", h0.conj(), dpi0, h0),
-                         ambient_coeffs=g0_rows)
+    pi0 = Representation(g0, h0.conj().T @ dpi0 @ h0, ambient_coeffs=g0_rows)
 
     ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
 

@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DimensionMismatch, NotPSD, SectorOutOfRange,
-                     SplitInvalid)
+from .errors import (ConvergenceFailure, DimensionMismatch, NotDiagonal, NotPSD,
+                     SectorOutOfRange, SplitInvalid)
 from .irreps import Representation
 from .matcore import CLUSTER_TOL, eig_hermitian
 
@@ -308,9 +308,24 @@ def second_quantize(ft: FockTruncation, one_body: np.ndarray, tol: float = 1e-10
     return out
 
 
-def kernel_dimension(op: np.ndarray, tol: float = CLUSTER_TOL) -> int:
-    w = np.linalg.eigvalsh((op + op.conj().T) / 2)
-    scale = 1.0 + float(np.abs(w).max()) if w.size else 1.0
+def kernel_dimension(ft: FockTruncation, op: np.ndarray, tol: float = CLUSTER_TOL) -> int:
+    """Dimension of the numerical kernel of a number-preserving operator on ``ft``.
+
+    ``op`` must be block diagonal over the number sectors, as dGamma from
+    ``second_quantize`` is.  The Hermitian part is diagonalized one sector
+    at a time, and an eigenvalue counts when |w| <= tol * (1 + max |w|).
+    """
+    if op.shape != (ft.dim, ft.dim):
+        raise DimensionMismatch(f"operator must be {ft.dim} x {ft.dim}")
+    w, leak = [], 0.0
+    for a, b in zip(ft.offsets[:-1], ft.offsets[1:]):
+        block = op[a:b, a:b]
+        w.append(np.linalg.eigvalsh((block + block.conj().T) / 2))
+        leak = max(leak, np.abs(op[a:b, b:]).max(initial=0.0), np.abs(op[b:, a:b]).max(initial=0.0))
+    w = np.concatenate(w)
+    scale = 1.0 + float(np.abs(w).max())
+    if leak > tol * scale:
+        raise NotDiagonal("operator couples different number sectors")
     return int(np.sum(np.abs(w) <= tol * scale))
 
 
@@ -497,7 +512,7 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
         if min(setup.effective_frequencies) <= 0:
             return False
         number_gen = second_quantize(ft, np.diag(setup.effective_frequencies).astype(complex))
-        if kernel_dimension(number_gen) != 1:
+        if kernel_dimension(ft, number_gen) != 1:
             return False
 
     # (c) vacuum expectations of effective Weyl operators

@@ -10,7 +10,6 @@ formula.  Construction cost is polynomial in the irreducible's dimension.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,7 +102,26 @@ class Representation:
         return worst
 
     def anti_hermitian_residual(self) -> float:
-        return float(max(np.linalg.norm(m + m.conj().T) for m in self.dpi)) if len(self.dpi) else 0.0
+        """Largest Frobenius norm of dpi[i] + dpi[i]^*.
+
+        Summed over pairs of square tiles for a few matrices at a time, so
+        temporaries stay small and the transposed tile is read from cache.
+        """
+        tile = 128
+        corners = range(0, self.dim, tile)
+        step = max(1, 2**16 // min(self.dim, tile) ** 2)
+        worst = 0.0
+        for lo in range(0, len(self.dpi), step):
+            block = self.dpi[lo:lo + step]
+            sq = np.zeros(len(block))
+            for r in corners:
+                for c in corners[r // tile:]:
+                    gap = block[:, r:r + tile, c:c + tile].conj()  # conj of dpi + dpi^*
+                    gap += block[:, c:c + tile, r:r + tile].swapaxes(1, 2)
+                    flat = gap.view(float).reshape(len(gap), -1)
+                    sq += (1 if r == c else 2) * np.add.reduce(flat * flat, axis=1)
+            worst = max(worst, float(sq.max()))
+        return math.sqrt(worst)
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
@@ -134,7 +152,7 @@ def tensor_product(a: Representation, b: Representation) -> Representation:
 def restrict(rep: Representation, columns: np.ndarray) -> Representation:
     """Compress onto an invariant subspace with orthonormal column basis."""
     P = np.asarray(columns, dtype=complex)
-    dpi = np.einsum("ds,kde,et->kst", P.conj(), rep.dpi, P)
+    dpi = P.conj().T @ rep.dpi @ P
     return Representation(rep.algebra, dpi, label=rep.label, ambient_coeffs=rep.ambient_coeffs)
 
 
@@ -161,72 +179,161 @@ def weyl_dim(lam: Sequence[int]) -> int:
 # Gelfand-Tsetlin construction
 
 
-def _gt_patterns(lam: Sequence[int]) -> list[tuple[Weight, ...]]:
-    """Gelfand-Tsetlin patterns with top row ``lam``, in a fixed order.
+def _gt_patterns(lam: Weight) -> np.ndarray:
+    """Gelfand-Tsetlin patterns with top row ``lam``, as a (d, n, n) integer array.
 
-    A pattern is the tuple of its rows, shortest first: ``rows[k - 1]`` has
-    length k and interlaces the row above it,
-    ``rows[k][i] >= rows[k - 1][i] >= rows[k][i + 1]``.  Patterns come in
-    decreasing lexicographic order of their rows read from the top down, so
-    the highest-weight pattern is first.
+    Row r of pattern c is ``patterns[c, r, :r + 1]`` (zero beyond) and
+    interlaces the row above it, ``rows[r + 1][i] >= rows[r][i] >=
+    rows[r + 1][i + 1]``.  Patterns come in decreasing lexicographic order
+    of their rows read from the top down, so the highest-weight pattern is
+    first.
     """
-    patterns: list[tuple[Weight, ...]] = [(tuple(lam),)]
-    for _ in range(len(lam) - 1):
-        patterns = [
-            (sub,) + p
-            for p in patterns
-            for sub in itertools.product(
-                *[range(p[0][i], p[0][i + 1] - 1, -1) for i in range(len(p[0]) - 1)]
-            )
-        ]
+    n = len(lam)
+    patterns = np.zeros((1, n, n), dtype=np.int64)
+    patterns[0, n - 1] = lam
+    for r in range(n - 2, -1, -1):
+        for i in range(r + 1):  # entry i of row r takes rows[r+1][i], ..., rows[r+1][i+1]
+            top = patterns[:, r + 1, i]
+            count = top - patterns[:, r + 1, i + 1] + 1
+            owner = np.arange(len(count)).repeat(count)
+            rank = np.arange(len(owner)) - (np.add.accumulate(count) - count)[owner]
+            patterns = patterns[owner]
+            patterns[:, r, i] = top[owner] - rank
     return patterns
 
 
-def _gt_ratio(x: int, lower: Sequence[int], same: Sequence[int]) -> tuple[int, int]:
-    """(prod_j (x - lower_j), prod_j (x - same_j)) as exact integers."""
-    return math.prod(x - y for y in lower), math.prod(x - y for y in same)
+def _pattern_keys(lam: Weight, patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-radix keys of the patterns and the (n, n) key step of each entry.
+
+    Entry i of row r ranges over [lam[i + n - 1 - r], lam[i]]; the digits
+    are read from the top row down and left to right, as the pattern order
+    is, so keys strictly decrease along it.  The top row is fixed and takes
+    no digit.
+    """
+    n = len(lam)
+    lo = np.zeros((n, n), dtype=np.int64)
+    step = np.zeros((n, n), dtype=np.int64)
+    scale = 1
+    for r in range(n - 1):
+        for i in range(r, -1, -1):
+            lo[r, i] = lam[i + n - 1 - r]
+            step[r, i] = scale
+            scale *= lam[i] - lam[i + n - 1 - r] + 1  # a Python int: it must not wrap
+            if scale >= 2**63:
+                raise DimensionOracleMismatch(f"pattern keys of {lam} do not fit in int64")
+    return (patterns - lo).reshape(len(patterns), -1) @ step.ravel(), step
 
 
-def _gt_generators(lam: Weight) -> np.ndarray:
-    """rho(E_ij) for the gl(n) irreducible lam in the orthonormal GT basis.
+def _exact_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Row products num / den of integer factors, rounded once as Python divides integers.
 
-    Returns a real (n, n, d, d) array.  With l_ki = rows[k-1][i] - i (0-based
-    i), the raising coefficient A of E_{k,k+1} at a pattern and the lowering
-    coefficient B of E_{k+1,k} at the raised pattern are Molev's closed forms
+    Products of integers are exact in float64 below 2^53 and no smaller
+    beyond it, so rows that reach 2^53 (the defining representation of
+    u(13) already does) are multiplied again as Python integers.
+    """
+    top = np.multiply.reduce(num, axis=1, dtype=float)
+    bottom = np.multiply.reduce(den, axis=1, dtype=float)
+    ratio = top / bottom
+    big = np.abs(top) >= 2.0**53
+    big |= np.abs(bottom) >= 2.0**53
+    if big.any():
+        ratio[big] = num[big].astype(object).prod(axis=1) / den[big].astype(object).prod(axis=1)
+    return ratio
+
+
+def _gt_raising(lam: Weight) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Diagonal of E_kk and the entries of the raising operators E_{k,k+1}.
+
+    Returns the (n, d) integer eigenvalues of E_kk and, one element per
+    pattern c whose entry i of row k can be raised, the arrays (k, i,
+    target, c, value), ordered by k: E_{k,k+1} maps c to ``target`` with
+    matrix entry ``value``.  With l_ki = rows[k][i] - i, the raising
+    coefficient A of E_{k,k+1} at a pattern and the lowering coefficient B
+    of E_{k+1,k} at the raised pattern are Molev's closed forms
     (arXiv:math/0211289, Thm 2.3) for the unnormalized basis; their product
-    is positive, and sqrt(A B) is the matrix entry in the orthonormal basis.
-    Non-adjacent E_ij are brackets of adjacent ones.
+    is positive, and sqrt(A B) is the entry in the orthonormal basis.
     """
     n = len(lam)
     patterns = _gt_patterns(lam)
-    index = {p: c for c, p in enumerate(patterns)}
-    d = len(patterns)
-    rho = np.zeros((n, n, d, d))
-    for c, rows in enumerate(patterns):
-        sums = [0] + [sum(r) for r in rows]
-        for k in range(n):
-            rho[k, k, c, c] = sums[k + 1] - sums[k]
-        ls = [[x - i for i, x in enumerate(r)] for r in rows]
-        for k in range(1, n):  # E_{k,k+1}: raise an entry of row k
-            row, above = ls[k - 1], ls[k]
-            below = ls[k - 2] if k > 1 else []
-            for i in range(k):
-                raised = list(rows[k - 1])
-                raised[i] += 1
-                target = index.get(rows[: k - 1] + (tuple(raised),) + rows[k:])
-                if target is None:
-                    continue
-                others = row[:i] + row[i + 1:]
-                a_num, a_den = _gt_ratio(row[i], above, others)
-                b_num, b_den = _gt_ratio(row[i] + 1, below, others)
-                rho[k - 1, k, target, c] = math.sqrt(-a_num * b_num / (a_den * b_den))
-    for gap in range(1, n):
-        for i in range(n - gap):
-            j = i + gap
-            if gap > 1:
-                rho[i, j] = rho[i, i + 1] @ rho[i + 1, j] - rho[i + 1, j] @ rho[i, i + 1]
-            rho[j, i] = rho[i, j].T
-    return rho
+    sums = np.add.reduce(patterns, axis=2).T
+    diag = sums.copy()
+    diag[1:] -= sums[:-1]
+    keys, step = _pattern_keys(lam, patterns)
+    # raising entry i of row k gives a pattern iff the entry stays below
+    # entry i of row k+1 and, for i > 0, below entry i-1 of row k-1
+    row, j = patterns[:, :-1], np.arange(n)
+    ok = row < patterns[:, 1:]
+    ok[:, 1:, 1:] &= row[:, 1:, 1:] < patterns[:, :-2, :-1]
+    ok &= j <= j[:-1, None]
+    k, i, src = ok.transpose(1, 2, 0).nonzero()
+    # A B = -prod_j (x - l_{k+1,j}) prod_j (x + 1 - l_{k-1,j})
+    #       / prod_{j != i} (x - l_kj) (x + 1 - l_kj)   at x = l_ki,
+    # as four factor rows over rows k+1, k-1, k, k of l; entries past the
+    # end of a row, and j = i in the last two, are factors of 1
+    ls = patterns[src] - j
+    at = np.arange(len(src))
+    near = k[:, None] + np.array([1, -1, 0, 0])
+    x = ls[at, k, i][:, None, None] + np.array([[0], [1], [0], [1]])
+    factor = np.where(j <= near[:, :, None], x - ls[at[:, None], near], 1)
+    factor[at[:, None], [2, 3], i[:, None]] = 1
+    ratio = _exact_ratio(factor[:, :2].reshape(-1, 2 * n), factor[:, 2:].reshape(-1, 2 * n))
+    target = (-keys).searchsorted(-(keys[src] + step[k, i]))
+    return diag, (k, i, target, src, np.sqrt(-ratio))
+
+
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # (target, source, value)
+
+
+def _bracket(up: np.ndarray, down: np.ndarray, by_source: np.ndarray, by_target: np.ndarray,
+             op: Entries) -> Entries:
+    """[E_{k,k+1}, X] as (target, source, value) entries, X = E_{k+1,j} the same way.
+
+    E_{k,k+1} is given as (n, d) maps, one row per entry of row k that is
+    raised: ``up`` sends a pattern to the raised one (-1 for none), ``down``
+    back, and its matrix entries are indexed by the source or by the target.
+    Each E_ij (i < j) raises one entry in each of the rows i..j-1, so its
+    entry at (t, s) fixes which entries moved, and each entry of either
+    product in the bracket has at most one nonzero term: the values are the
+    ones a dense matrix product rounds to.
+    """
+    tgt, src, val = op
+    d = up.shape[1]
+    value = np.zeros(d * d)
+    after = up[:, tgt]  # E_{k,k+1} X: move along X, then raise
+    keep = after >= 0
+    value[(after * d + src)[keep]] = (by_source[:, tgt] * val)[keep]
+    before = down[:, src]  # X E_{k,k+1}: raise, then move along X
+    keep = before >= 0
+    value[(tgt * d + before)[keep]] -= (val * by_target[:, src])[keep]
+    cells = value.nonzero()[0]
+    return cells // d, cells % d, value[cells]
+
+
+def _gt_generators(lam: Weight) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """rho(E_ij) for the gl(n) irreducible lam in the orthonormal GT basis.
+
+    Returns the (n, d) diagonal of the E_kk and the nonzero entries of the
+    E_ij with i < j as arrays (i * n + j, target, source, value); E_ji is
+    the transpose of E_ij.  Non-adjacent E_ij are brackets of adjacent ones.
+    """
+    n = len(lam)
+    diag, (k, i, tgt, src, val) = _gt_raising(lam)
+    entries = [(k * (n + 1) + 1, tgt, src, val)]  # E_{k,k+1} is entry k * n + k + 1
+    if n > 2:  # brackets
+        d = diag.shape[1]
+        up, down = np.full((2, n - 1, n, d), -1)
+        by_source, by_target = np.zeros((2, n - 1, n, d))
+        up[k, i, src], down[k, i, tgt] = tgt, src
+        by_source[k, i, src], by_target[k, i, tgt] = val, val
+        bounds = k.searchsorted(np.arange(n))
+        ops = {(r, r + 1): (tgt[a:b], src[a:b], val[a:b])
+               for r, (a, b) in enumerate(zip(bounds, bounds[1:]))}
+        for gap in range(2, n):
+            for r in range(n - gap):
+                op = ops[r, r + gap] = _bracket(up[r], down[r], by_source[r], by_target[r],
+                                                ops[r + 1, r + gap])
+                entries.append((np.full(len(op[0]), r * n + r + gap), *op))
+    return diag, tuple(np.concatenate(x) for x in zip(*entries))
 
 
 def irrep(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
@@ -252,13 +359,29 @@ def irrep(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
         raise DimensionMismatch(f"weight must have length {g.n}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise NotDominant(f"{lam} is not weakly decreasing")
-    rho = _gt_generators(lam)
+    diag, (pair, tgt, src, val) = _gt_generators(lam)
+    d = diag.shape[1]
     target_dim = weyl_dim(lam)
-    if rho.shape[-1] != target_dim:
-        raise DimensionOracleMismatch(
-            f"pattern count {rho.shape[-1]} != Weyl formula {target_dim} for {lam}"
-        )
-    dpi = np.einsum("bij,ijkl->bkl", g.basis, rho, optimize=True)
+    if d != target_dim:
+        raise DimensionOracleMismatch(f"pattern count {d} != Weyl formula {target_dim} for {lam}")
+    # dpi[b] = sum_ij basis[b, i, j] rho(E_ij), written into the real and
+    # imaginary parts separately.  The E_ij with i != j have disjoint
+    # supports off the diagonal, so each of those entries takes one term.
+    n = len(lam)
+    coef = g.basis.reshape(g.dim, n * n).view(float).reshape(g.dim, n * n, 2)
+    dpi = np.zeros((g.dim, d * d, 2))
+    dpi[:, ::d + 1] = (coef[:, ::n + 1].transpose(0, 2, 1) @ diag).transpose(0, 2, 1)
+    pair = np.concatenate([pair, pair % n * n + pair // n])
+    cell = np.concatenate([tgt * d + src, src * d + tgt])
+    value = np.concatenate([val, val])
+    # expand each entry over the nonzero basis coefficients of its E_ij
+    entry, b, part = coef.transpose(1, 0, 2).nonzero()
+    count = np.bincount(entry, minlength=n * n)[pair]
+    owner = np.arange(len(pair)).repeat(count)
+    first = entry.searchsorted(pair) - np.add.accumulate(count) + count
+    at = np.arange(len(owner)) + first.repeat(count)
+    dpi[b[at], cell[owner], part[at]] = coef[b[at], entry[at], part[at]] * value[owner]
+    dpi = dpi.view(complex).reshape(g.dim, d, d)
     rep = Representation(g, dpi, label=lam)
     if rep.anti_hermitian_residual() > 1e-9 * max(1, sum(abs(x) for x in lam)):
         raise DimensionOracleMismatch("constructed generators are not anti-Hermitian")

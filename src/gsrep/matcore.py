@@ -334,6 +334,6 @@ def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> Op
         raise ValueError("subspace basis columns are not orthonormal")
     if S.rank == 0:
         return OperatorSubspace(r, np.zeros((0, r, r), dtype=complex))
-    comp = np.einsum("ds,kde,et->kst", P.conj(), S.basis, P)
+    comp = P.conj().T @ S.basis @ P
     basis = span_basis(list(comp), tol) if comp.shape[0] else np.zeros((0, r, r), complex)
     return OperatorSubspace(r, basis)

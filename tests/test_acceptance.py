@@ -139,7 +139,7 @@ def test_criterion_06_fock_weyl_suite():
     monotone = residuals[0] >= residuals[1] >= residuals[2]
     ft2 = heisenfock.FockTruncation(2, 6)
     op = heisenfock.second_quantize(ft2, np.diag([0.0, 1.0]).astype(complex))
-    kernel_ok = heisenfock.kernel_dimension(op) == heisenfock.truncated_kernel_count(6, 1)
+    kernel_ok = heisenfock.kernel_dimension(ft2, op) == heisenfock.truncated_kernel_count(6, 1)
     ok = overlap_ok and resid_40 <= 1e-6 and monotone and kernel_ok
     assert _emit(6, "vacuum overlaps, Weyl residual <= 1e-6 and monotone, kernel count", ok), (
         resid_40,
@@ -161,7 +161,7 @@ def test_criterion_07_factorization():
         setup, rep0, ft, sector=10, tol=1e-5, entangler=coupler
     )
     op = heisenfock.second_quantize(ft, np.array([[1.0]], dtype=complex))
-    ground_line = heisenfock.kernel_dimension(op) == 1
+    ground_line = heisenfock.kernel_dimension(ft, op) == 1
     ok = clean and rejected and ground_line
     assert _emit(7, "tensor factorization verified; coupled fixture rejected", ok)
 

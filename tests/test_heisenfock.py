@@ -6,7 +6,8 @@ from scipy.linalg import expm
 
 from gsrep import heisenfock as hf
 from gsrep import irreps
-from gsrep.errors import ConvergenceFailure, NotHermitian, NotPSD, SectorOutOfRange, SplitInvalid
+from gsrep.errors import (ConvergenceFailure, DimensionMismatch, NotDiagonal, NotHermitian, NotPSD,
+                          SectorOutOfRange, SplitInvalid)
 
 from conftest import algebra, rng
 
@@ -262,7 +263,7 @@ def test_second_quantize_zero_operator():
 def test_second_quantize_kernel_is_zero_mode_fock_space():
     ft = hf.FockTruncation(2, 6)
     op = hf.second_quantize(ft, np.diag([0.0, 1.0]).astype(complex))
-    assert hf.kernel_dimension(op) == hf.truncated_kernel_count(6, 1)
+    assert hf.kernel_dimension(ft, op) == hf.truncated_kernel_count(6, 1)
     # kernel states occupy only the zero mode
     w, v = np.linalg.eigh(op)
     kernel = v[:, np.abs(w) <= 1e-10]
@@ -294,7 +295,38 @@ def test_second_quantize_kernel_count_is_basis_independent():
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
     D = u @ np.diag([0.0, 1.0]) @ u.conj().T
     op = hf.second_quantize(ft, D)
-    assert hf.kernel_dimension(op) == hf.truncated_kernel_count(5, 1)
+    assert hf.kernel_dimension(ft, op) == hf.truncated_kernel_count(5, 1)
+
+
+def dense_kernel_dimension(op, tol=1e-9):
+    """The kernel count from one eigvalsh of the whole Hermitian part."""
+    w = np.linalg.eigvalsh((op + op.conj().T) / 2)
+    return int(np.sum(np.abs(w) <= tol * (1.0 + np.abs(w).max())))
+
+
+@pytest.mark.parametrize("modes,cutoff,zero_modes", [(2, 8, 1), (3, 5, 1), (3, 10, 2)])
+def test_kernel_dimension_per_sector_matches_dense_count(modes, cutoff, zero_modes):
+    # a random PSD one-particle operator with zero_modes zero modes, in a random basis
+    gen = rng(modes * 100 + cutoff)
+    z = gen.normal(size=(modes, modes)) + 1j * gen.normal(size=(modes, modes))
+    u, _ = np.linalg.qr(z)
+    freqs = np.concatenate([np.zeros(zero_modes), gen.uniform(0.5, 2.0, modes - zero_modes)])
+    D = u @ np.diag(freqs) @ u.conj().T
+    ft = hf.FockTruncation(modes, cutoff)
+    op = hf.second_quantize(ft, (D + D.conj().T) / 2)
+    count = hf.kernel_dimension(ft, op)
+    assert count == dense_kernel_dimension(op, hf.CLUSTER_TOL)
+    assert count == hf.truncated_kernel_count(cutoff, zero_modes)
+
+
+def test_kernel_dimension_rejects_sector_coupling_and_wrong_shape():
+    ft = hf.FockTruncation(2, 3)
+    op = hf.second_quantize(ft, np.diag([0.0, 1.0]).astype(complex))
+    op[0, 1] = op[1, 0] = 0.5  # vacuum to a one-particle state
+    with pytest.raises(NotDiagonal):
+        hf.kernel_dimension(ft, op)
+    with pytest.raises(DimensionMismatch):
+        hf.kernel_dimension(ft, op[1:, 1:])
 
 
 def test_symplectic_setup_positivity():
@@ -389,4 +421,4 @@ def test_factorization_effective_ground_line():
     # minimal-energy ray, the vacuum
     ft = hf.FockTruncation(1, 20)
     op = hf.second_quantize(ft, np.array([[1.0]], dtype=complex))
-    assert hf.kernel_dimension(op) == 1
+    assert hf.kernel_dimension(ft, op) == 1

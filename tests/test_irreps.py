@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gsrep import irreps, liealg
-from gsrep.errors import NotDominant, NotIrreducible
+from gsrep.errors import DimensionOracleMismatch, NotDominant, NotIrreducible
 
-from conftest import algebra, cached_irrep, dominant_box, su_dominant_box
+from conftest import algebra, cached_irrep, dominant_box, rng, su_dominant_box
 
 
 def ssyt_count(shape, n):
@@ -279,3 +280,168 @@ def test_weights_of_negative_weight_match_patterns():
     rep = irreps.irrep(algebra("u", 3), (2, 0, -2))
     assert rep.dim == 27
     assert irreps.weights_of(rep) == pattern_weights((2, 0, -2))
+
+
+# ---------------------------------------------------------------------------
+# the array construction against the per-pattern loop it replaced
+
+
+def reference_patterns(lam):
+    patterns = [(tuple(lam),)]
+    for _ in range(len(lam) - 1):
+        patterns = [
+            (sub,) + p
+            for p in patterns
+            for sub in itertools.product(
+                *[range(p[0][i], p[0][i + 1] - 1, -1) for i in range(len(p[0]) - 1)]
+            )
+        ]
+    return patterns
+
+
+def reference_ratio(x, lower, same):
+    return math.prod(x - y for y in lower), math.prod(x - y for y in same)
+
+
+def reference_generators(lam):
+    """rho(E_ij) as a dense (n, n, d, d) array, built one pattern at a time."""
+    n = len(lam)
+    patterns = reference_patterns(lam)
+    index = {p: c for c, p in enumerate(patterns)}
+    d = len(patterns)
+    rho = np.zeros((n, n, d, d))
+    for c, rows in enumerate(patterns):
+        sums = [0] + [sum(r) for r in rows]
+        for k in range(n):
+            rho[k, k, c, c] = sums[k + 1] - sums[k]
+        ls = [[x - i for i, x in enumerate(r)] for r in rows]
+        for k in range(1, n):  # E_{k,k+1}: raise an entry of row k
+            row, above = ls[k - 1], ls[k]
+            below = ls[k - 2] if k > 1 else []
+            for i in range(k):
+                raised = list(rows[k - 1])
+                raised[i] += 1
+                target = index.get(rows[: k - 1] + (tuple(raised),) + rows[k:])
+                if target is None:
+                    continue
+                others = row[:i] + row[i + 1:]
+                a_num, a_den = reference_ratio(row[i], above, others)
+                b_num, b_den = reference_ratio(row[i] + 1, below, others)
+                rho[k - 1, k, target, c] = math.sqrt(-a_num * b_num / (a_den * b_den))
+    for gap in range(1, n):
+        for i in range(n - gap):
+            j = i + gap
+            if gap > 1:
+                rho[i, j] = rho[i, i + 1] @ rho[i + 1, j] - rho[i + 1, j] @ rho[i, i + 1]
+            rho[j, i] = rho[i, j].T
+    return rho
+
+
+def reference_dpi(g, lam):
+    return np.einsum("bij,ijkl->bkl", g.basis, reference_generators(lam), optimize=True)
+
+
+def dense_generators(lam):
+    diag, (pair, tgt, src, val) = irreps._gt_generators(lam)
+    n, d = diag.shape
+    rho = np.zeros((n, n, d, d))
+    rho[np.arange(n), np.arange(n)] = np.einsum("kc,cl->kcl", diag, np.eye(d))
+    i, j = pair // n, pair % n
+    rho[i, j, tgt, src] = val
+    rho[j, i, src, tgt] = val
+    return rho
+
+
+IRREP_BUILD_WEIGHTS = [(5, 2, 0), (5, 3, 0), (6, 2, 0), (6, 3, 0), (3, 1, 0, 0), (3, 2, 1, 0),
+                       (2, 1, 1, 0, 0)]
+REFERENCE_CASES = (
+    [("u", lam) for lam in dominant_box(2, -2, 2) + dominant_box(3, -2, 2) + dominant_box(4, 0, 2)]
+    + [("su", lam) for lam in su_dominant_box(3, 0, 3) + su_dominant_box(4, 0, 2)]
+    + [("u", lam) for lam in IRREP_BUILD_WEIGHTS]
+    + [("u", (1, 1, 1)), ("su", (0, 0)), ("u", (3,)), ("u", (-2,))]
+)
+
+
+def test_gelfand_tsetlin_dpi_equals_per_pattern_reference():
+    for kind, lam in REFERENCE_CASES:
+        g = algebra(kind, len(lam))
+        assert np.array_equal(irreps.irrep(g, lam).dpi, reference_dpi(g, lam)), (kind, lam)
+
+
+def test_gelfand_tsetlin_patterns_keep_their_order():
+    for lam in [(2, 0, -2), (3, 2, 1, 0), (2, 1, 1, 0, 0), (4,)]:
+        n = len(lam)
+        flat = [sum(p, ()) for p in reference_patterns(lam)]
+        assert irreps._gt_patterns(lam)[:, *np.tril_indices(n)].tolist() == [list(p) for p in flat]
+
+
+def test_gelfand_tsetlin_raises_land_on_the_raised_pattern():
+    for lam in [(2, 1, 0), (2, 0, -2), (3, 1, 0, 0), (3, 2, 1, 0), (2, 1, 1, 0, 0)]:
+        patterns = irreps._gt_patterns(lam)
+        _, (k, i, tgt, src, val) = irreps._gt_raising(lam)
+        unit = np.zeros_like(patterns[src])
+        unit[np.arange(len(src)), k, i] = 1
+        assert np.array_equal(patterns[tgt] - patterns[src], unit)
+        assert (val > 0).all()
+        # every raise that stays a pattern is there, as in the old loop
+        ref = reference_generators(lam)
+        assert len(src) == sum(np.count_nonzero(ref[r, r + 1]) for r in range(len(lam) - 1))
+
+
+def test_gelfand_tsetlin_generators_past_exact_float_products():
+    # on u(13) and u(14) the Molev numerators reach 1.9e16 and 3.0e18, past 2^53
+    for lam in [(1,) + (0,) * 12, (1,) + (0,) * 13]:
+        assert np.array_equal(dense_generators(lam), reference_generators(lam))
+
+
+def test_exact_ratio_rounds_like_python_integer_division():
+    gen = rng(5)
+    num = gen.integers(2**20, 2**22, size=(200, 4)) * gen.choice([-1, 1], size=(200, 4))
+    den = gen.integers(2**20, 2**22, size=(200, 3))
+    want = [math.prod(a.tolist()) / math.prod(b.tolist()) for a, b in zip(num, den)]
+    assert irreps._exact_ratio(num, den).tolist() == want
+    # the float64 products alone round differently on some of these rows
+    assert (num.prod(axis=1, dtype=float) / den.prod(axis=1, dtype=float)).tolist() != want
+    small = gen.integers(-50, 50, size=(50, 6))
+    assert irreps._exact_ratio(small, np.ones((50, 1), int)).tolist() == [
+        float(math.prod(r.tolist())) for r in small]
+
+
+@pytest.mark.parametrize("lam", [(10**7, 0, -10**7), (10**7, 0, 0, -10**7)])
+def test_pattern_keys_refuse_int64_overflow(lam):
+    n = len(lam)
+    with pytest.raises(DimensionOracleMismatch, match="int64"):
+        irreps._pattern_keys(lam, np.zeros((0, n, n), dtype=np.int64))
+
+
+def reference_anti_hermitian_residual(dpi):
+    return float(max(np.linalg.norm(m + m.conj().T) for m in dpi)) if len(dpi) else 0.0
+
+
+@pytest.mark.parametrize("count,dim", [(9, 5), (40, 20), (3, 130), (2, 300)])
+def test_anti_hermitian_residual_equals_per_matrix_maximum(count, dim):
+    gen = rng(count + dim)
+    a = gen.normal(size=(count, dim, dim)) + 1j * gen.normal(size=(count, dim, dim))
+    for dpi in (a, a - a.conj().swapaxes(1, 2) + 1e-6 * a):
+        rep = irreps.Representation(algebra("u", 1), dpi)
+        want = reference_anti_hermitian_residual(dpi)
+        assert rep.anti_hermitian_residual() == pytest.approx(want, rel=1e-13)
+
+
+def test_anti_hermitian_residual_is_zero_on_gelfand_tsetlin_irreps():
+    for lam in [(10, 5, 0), (2, 1, 0, -1)]:
+        assert irreps.irrep(algebra("u", len(lam)), lam).anti_hermitian_residual() == 0.0
+
+
+def test_irrep_guards_raise_on_corrupted_construction(monkeypatch):
+    g = algebra("u", 3)
+    with monkeypatch.context() as m:
+        m.setattr(irreps, "weyl_dim", lambda lam: 9)
+        with pytest.raises(DimensionOracleMismatch, match="pattern count"):
+            irreps.irrep(g, (2, 1, 0))
+    # an image that is not anti-Hermitian: E_12 + E_21 in place of i(E_12 + E_21)
+    basis = g.basis.copy()
+    basis[4] = -1j * basis[4]
+    bad = liealg.MatrixLieAlgebra(g.name, g.kind, g.n, basis, g.structure, g.cartan_indices)
+    with pytest.raises(DimensionOracleMismatch, match="anti-Hermitian"):
+        irreps.irrep(bad, (2, 1, 0))
