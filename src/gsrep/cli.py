@@ -215,7 +215,15 @@ def _algebra_and_d(job: dict):
             d = liealg.diagonal_element(g, entries)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
+    _bounded_norm(d, "d")
     return g, d
+
+
+def _bounded_norm(x: np.ndarray, what: str) -> None:
+    """Tolerance scales are norms of d or of its images, so they must be finite."""
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.linalg.norm(x)):
+            raise SchemaError(f"{what} is too large: its norm overflows a double")
 
 
 def _run_analyze(job: dict, report: dict, tol: float) -> None:
@@ -223,6 +231,7 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
     lam = tuple(_require(job, "weight"))
     cache = IrrepCache(job.get("cache_dir"))
     rep = cache.get_or_build(g.kind, g.n, lam)
+    _bounded_norm(rep.operator(d, ambient=False), "dpi(d)")
     tol = min(tol, 1e-9)
     out = groundstate.analyze(rep, d, tol=tol)
     h0_weights = sorted(
@@ -288,6 +297,8 @@ def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
         return
     g, d = _algebra_and_d(job)
     lam = tuple(_require(job, "weight"))
+    if len(lam) != len(g.cartan_indices):
+        raise SchemaError(f"a torus character of {g.name} takes {len(g.cartan_indices)} weight entries")
     dvec = np.diag(-1j * g.matrix(d)).real
     if len(set(np.round(dvec, 9))) != g.n:
         raise SchemaError("torus character cone test requires a regular diagonal element")

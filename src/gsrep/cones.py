@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotDiagonalizable, NotHermitian
 from .irreps import Representation
-from .liealg import DerivationData, MatrixLieAlgebra, RootDatum
+from .liealg import DerivationData, MatrixLieAlgebra, RootDatum, _memoized
 
 PSD_TOL = 1e-8
 
@@ -129,6 +129,23 @@ def action_cone_generators(g: MatrixLieAlgebra, dd: DerivationData,
     return ConeDescription(g, _bracket_generators(g, zs, tol), prov)
 
 
+def _action_cone(g: MatrixLieAlgebra, dd: DerivationData) -> ConeDescription:
+    """The action cone of an inner derivation, memoized on ``g`` with read-only generators.
+
+    The entry is keyed by the DerivationData itself, which it holds, since
+    :func:`liealg.spectral_split` returns one per (g, d, tolerances).
+    """
+    if dd.element is None:
+        return action_cone_generators(g, dd)
+
+    def build():
+        cone = action_cone_generators(g, dd)
+        cone.generators.setflags(write=False)
+        return dd, ConeDescription(g, cone.generators, tuple(cone.provenance))
+
+    return _memoized(g, "action cone", dd.element, (id(dd),), build)[1]
+
+
 def in_positive_cone(rep0: Representation, x: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff ``-i dpi0(x)`` is positive semidefinite within tolerance."""
     return _first_outside_psd(rep0, np.asarray(x)[None], tol) is None
@@ -143,10 +160,10 @@ def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Represe
     positive eigenspace of dimension > 1 (quadratic-form robustness).  On
     failure the first violating generator is returned as a witness.
     """
-    cone = action_cone_generators(g, dd)
+    cone = _action_cone(g, dd)
     k = _first_outside_psd(rep0, cone.generators, tol)
     if k is not None:
-        return ConeTestResult(False, cone.generators[k], cone.provenance[k],
+        return ConeTestResult(False, cone.generators[k].copy(), cone.provenance[k],
                               sampled=False, checked=k + 1)
     checked = cone.size
     sampled = False

@@ -25,12 +25,11 @@ from .errors import NotIrreducible
 from .irreps import Representation, direct_sum
 from .liealg import (
     MatrixLieAlgebra,
-    centralizer_basis,
+    fixed_point_data,
     intervals_contain,
     intervals_sum,
     normalize_intervals,
     spectral_split,
-    subalgebra,
 )
 from .matcore import (
     CLUSTER_TOL,
@@ -156,6 +155,10 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     The ground-state verdict is cyclicity of the blockwise minimal-energy
     space under the operator algebra of g (at finite dimension the required
     positive shift always exists, blockwise).
+
+    Both commutants of the strictness test are seeded from the torus: the
+    Cartan images for pi, and the Cartan rows projected on g^0 for pi0.
+    The fixed-point data of (g, d) is memoized on g.
     """
     g = pi.algebra
     d = np.asarray(d, dtype=float)
@@ -163,18 +166,18 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     w, _ = eig_hermitian(H, 1e-8)
     m_global = float(w[0])
     dpi_ops = list(pi.dpi)
-    comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol)
+    torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
+    comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol, seed_rows=torus)
     projections = _central_projections(comm_full, tol)
     m, h0, shifts = _ground_space(H, projections, tol)
 
-    g0_rows = centralizer_basis(g, d, tol)
-    g0 = subalgebra(g, g0_rows, name=f"fix({g.name})")
-    dpi0 = np.einsum("ri,ids->rds", g0_rows.astype(complex), pi.dpi)
-    pi0 = Representation(g0, h0.conj().T @ dpi0 @ h0, ambient_coeffs=g0_rows)
+    fix = fixed_point_data(g, d, tol)
+    dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
+    pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
 
     ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
 
-    comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol)
+    comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
     compressed_comm = compress(h0, comm_full, tol)
     # P0 pi(G)'' P0 is a von Neumann algebra on H0, so it is the commutant
     # of the compressed commutant; no large algebra closure is needed.
@@ -188,7 +191,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         minimal_shift=m,
         commutant_dims=(comm_full.rank, comm_pi0.rank, corner.rank),
         central_shifts=tuple(shifts),
-        fixed_algebra=g0,
+        fixed_algebra=fix.algebra,
         tol=tol,
     )
 

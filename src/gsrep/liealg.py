@@ -37,12 +37,20 @@ Interval = tuple[float, float]
 
 @dataclass(eq=False)
 class MatrixLieAlgebra:
+    """A real matrix Lie algebra with its structure tensor.
+
+    ``_memo`` holds data that depends on the algebra and one element d
+    alone (see :func:`_memoized`), so sweeps over representations derive
+    it once per (g, d).
+    """
+
     name: str
     kind: str  # 'u', 'su', 'heis', or 'custom'
     n: int  # matrix size
     basis: np.ndarray  # (dim, n, n) complex, a real basis
     structure: np.ndarray  # (dim, dim, dim) real
     cartan_indices: Optional[tuple[int, ...]] = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -78,6 +86,24 @@ class MatrixLieAlgebra:
         return out.real if np.isrealobj(d) or np.allclose(out.imag, 0) else out
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _memoized(g: MatrixLieAlgebra, what: str, d: np.ndarray, tols: tuple, build):
+    """``build()``, stored on ``g`` under what it is, d's dtype, shape and bytes, and the tolerances.
+
+    Stored arrays are read-only.  Concurrent callers may both build an
+    entry; they store identical values, and the last one is kept.
+    """
+    key = (what, d.dtype.str, d.shape, d.tobytes(), tols)
+    value = g._memo.get(key)
+    if value is None:
+        value = g._memo[key] = build()
+    return value
+
+
 def structure_constants(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Structure tensor from a matrix basis; raises if brackets leave the span."""
     m = basis.shape[0]
@@ -110,11 +136,21 @@ def bracket_closure_residual(g: MatrixLieAlgebra) -> float:
 
 
 def jacobi_residual(g: MatrixLieAlgebra) -> float:
+    """Largest entry of the cyclic sum of c[i,j,m] c[m,k,l] over (i, j, k).
+
+    Formed one i-slice at a time, so temporaries hold dim^3 entries.
+    """
     c = g.structure
-    # sum over cyclic permutations of c[i,j,m] c[m,k,l]
-    t = np.einsum("ijm,mkl->ijkl", c, c)
-    cyc = t + np.einsum("jkm,mil->ijkl", c, c) + np.einsum("kim,mjl->ijkl", c, c)
-    return float(np.abs(cyc).max())
+    m = c.shape[0]
+    flat = c.reshape(m * m, m)  # rows (a, b) -> c[a, b, :]
+    worst = 0.0
+    for i in range(m):
+        # t[j, k, l] = c[i,j,m] c[m,k,l] + c[j,k,m] c[m,i,l] + c[k,i,m] c[m,j,l]
+        t = (c[i] @ c.reshape(m, m * m)).reshape(m, m, m)
+        t += (flat @ c[:, i, :]).reshape(m, m, m)
+        t += (c[:, i, :] @ c.reshape(m, m * m)).reshape(m, m, m).transpose(1, 0, 2)
+        worst = max(worst, float(np.abs(t).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +258,7 @@ def diagonal_element(g: MatrixLieAlgebra, entries: Sequence[float]) -> np.ndarra
 # derivation spectra
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerivationData:
     """Eigendata of ``-i D`` for a derivation D of g, on the complexification.
 
@@ -237,7 +273,7 @@ class DerivationData:
     element: Optional[np.ndarray]
     derivation: np.ndarray  # (dim, dim) real matrix of D on coefficients
     eigenvalues: np.ndarray  # complex, sorted by (real, imag)
-    eigenspaces: list[np.ndarray] = field(default_factory=list)
+    eigenspaces: tuple[np.ndarray, ...] = ()
     diagonalizable: bool = True
 
     def spaces(self, predicate) -> list[tuple[complex, np.ndarray]]:
@@ -247,8 +283,13 @@ class DerivationData:
         return self.spaces(lambda lam: lam.real > tol)
 
 
+def _as_derivation(d) -> np.ndarray:
+    """A real element or derivation matrix as float; complex input is kept."""
+    return np.asarray(d, dtype=float) if np.isrealobj(np.asarray(d)) else np.asarray(d)
+
+
 def _derivation_matrix(g: MatrixLieAlgebra, d) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    d = np.asarray(d, dtype=float) if np.isrealobj(np.asarray(d)) else np.asarray(d)
+    d = _as_derivation(d)
     if d.ndim == 1:
         if d.shape != (g.dim,):
             raise DimensionMismatch(f"element coefficient vector must have length {g.dim}")
@@ -266,8 +307,16 @@ def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL,
     eigenspaces are recomputed as SVD null spaces so they are orthonormal
     and correct even for clustered spectra.  If D is not diagonalizable the
     spaces are generalized eigenspaces (null((A - lam)^dim)) and the flag
-    is set accordingly.
+    is set accordingly.  The result is memoized on ``g``, with read-only
+    arrays.
     """
+    d = _as_derivation(d)
+    return _memoized(g, "spectral split", d, (tol, cluster_tol),
+                     lambda: _spectral_split(g, d.copy(), tol, cluster_tol))
+
+
+def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
+                    cluster_tol: float) -> DerivationData:
     D, element = _derivation_matrix(g, d)
     m = g.dim
     A = -1j * D.astype(complex)
@@ -296,10 +345,10 @@ def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL,
     order = sorted(range(len(eigvals)), key=lambda i: (eigvals[i].real, eigvals[i].imag))
     return DerivationData(
         algebra=g,
-        element=element,
-        derivation=D,
-        eigenvalues=np.array([eigvals[i] for i in order]),
-        eigenspaces=[spaces[i] for i in order],
+        element=None if element is None else _frozen(element),
+        derivation=_frozen(D),
+        eigenvalues=_frozen(np.array([eigvals[i] for i in order])),
+        eigenspaces=tuple(_frozen(spaces[i]) for i in order),
         diagonalizable=diag,
     )
 
@@ -340,6 +389,37 @@ def centralizer_basis(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> np.nd
     if np.linalg.norm(rows.imag) > 1e-10:
         raise ValueError("kernel of a real derivation should have a real basis")
     return rows.real
+
+
+@dataclass(frozen=True)
+class FixedPointData:
+    """The fixed-point algebra g^0 = ker(ad d) and its torus.
+
+    ``rows`` are the real orthonormal coefficient rows of g^0 over g, and
+    ``algebra`` is g^0 with the basis they span.  ``torus_rows`` are the
+    Cartan rows of g projected onto g^0, in its coordinates (None when g
+    has no default Cartan); a generic combination of them is the seed
+    element of commutants of g^0's representations.
+    """
+
+    rows: np.ndarray
+    algebra: MatrixLieAlgebra
+    torus_rows: Optional[np.ndarray]
+
+
+def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedPointData:
+    """Fixed-point data of an element d of g, memoized on ``g`` with read-only arrays."""
+    d = _as_derivation(d)
+
+    def build() -> FixedPointData:
+        rows = _frozen(centralizer_basis(g, d, tol))
+        sub = subalgebra(g, rows, name=f"fix({g.name})")
+        _frozen(sub.basis)
+        _frozen(sub.structure)
+        torus = None if g.cartan_indices is None else _frozen(rows[:, list(g.cartan_indices)].T.copy())
+        return FixedPointData(rows, sub, torus)
+
+    return _memoized(g, "fixed point", d, (tol,), build)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ Commutants are seeded with the commutant of one generic element
 ``X = sum_i c_i A_i`` of the span of the inputs, with real coefficients
 drawn from the fixed seed ``GENERIC_SEED`` (Murota, Kanno, Kojima and
 Kojima, "A numerical algorithm for block-diagonal decomposition of matrix
-*-algebras", Japan J. Indust. Appl. Math. 27, 2010).  Every input is then
-imposed on the seed, so the result is exact, not probabilistic: genericity
-only keeps the seed small.  Star-closure of a commutant or generated
+*-algebras", Japan J. Indust. Appl. Math. 27, 2010).  A caller may restrict
+X to the span of some inputs, such as the images of a torus: every input is
+imposed on the seed in X's eigenframe, so the result is exact, not
+probabilistic, for any seed; a good seed only keeps the seed commutant and
+the constraints small.  Star-closure of a commutant or generated
 algebra is verified lazily, on the first read of ``is_star_closed``.
 """
 
@@ -40,6 +42,13 @@ GENERIC_SEED = 2010
 # eigenvalues only enlarges the seed; splitting a true cluster would lose
 # commutant elements, so the window is wide next to eigenvector roundoff.
 SEED_CLUSTER_TOL = 1e-6
+# Entry threshold, relative to max(1, ||A||), below which a block of an
+# input in the seed's eigenframe is left out of the commutant constraints.
+LIVE_TOL = 1e-13
+# Entries of the constraint matrix up to which consecutive inputs share one
+# null space: small inputs pay one SVD in all, while a large input, whose
+# null space shrinks the basis for the next, is imposed alone.
+CONSTRAINT_BATCH = 2**12
 
 
 def _as_ops(ops) -> list[np.ndarray]:
@@ -198,40 +207,117 @@ def _null_rows(mat: np.ndarray, tol: float) -> np.ndarray:
     return vh[numerical_rank(s, tol):].conj()
 
 
-def _commutant_seed(mats: list[np.ndarray], tol: float) -> np.ndarray:
-    """Orthonormal rows spanning {X}' for a generic X in the span of ``mats``.
+def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
+    """Eigenframe and clusters of the seed element X, a generic element of the input span.
 
-    X is a real combination with coefficients from ``GENERIC_SEED``, so the
-    rows contain the commutant of every input.  Uses the eigen-shortcut for
-    (anti-)Hermitian X: Y commutes with a normal X iff Y preserves its
-    eigenspaces, so the null space is spanned by u_a u_b^* over eigenvector
-    pairs in one eigenvalue cluster.  Otherwise it falls back to the dense
-    null space of Y -> YX - XY.
+    X is ``c @ seed_rows`` applied to the inputs, with ``c`` drawn from
+    ``GENERIC_SEED``; ``seed_rows=None`` stands for all inputs.  For a
+    normal X, returns the eigenvectors ``u`` of one Hermitian H whose
+    eigenspaces are X's, and the start and size of each eigenvalue cluster
+    of H (contiguous, since eigenvalues come sorted): Y commutes with X iff
+    ``u^* Y u`` is block diagonal over the clusters.
+    Otherwise ``u`` is None, the whole space is one cluster, and the rows of
+    the dense null space of Y -> YX - XY are returned as well.
     """
-    coeffs = np.random.default_rng(GENERIC_SEED).normal(size=len(mats))
-    X = np.einsum("k,kij->ij", coeffs.astype(complex), np.stack(mats))
-    d = X.shape[0]
-    scale = max(np.linalg.norm(X), 1.0)
-    H = None
-    if np.linalg.norm(X - X.conj().T) <= tol * scale:
-        H = (X + X.conj().T) / 2.0
-    elif np.linalg.norm(X + X.conj().T) <= tol * scale:
+    k, d = mats.shape[0], mats.shape[1]
+    rng = np.random.default_rng(GENERIC_SEED)
+    if seed_rows is None:
+        coeffs = rng.normal(size=k)
+    else:
+        rows = np.asarray(seed_rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != k:
+            raise DimensionMismatch(f"seed rows must have shape (s, {k}), got {rows.shape}")
+        coeffs = rng.normal(size=rows.shape[0]) @ rows
+    X = np.einsum("k,kij->ij", coeffs.astype(complex), mats)
+    Xh = X.conj().T
+    scale = tol * max(np.linalg.norm(X), 1.0)
+    if np.linalg.norm(X - Xh) <= scale:
+        H = (X + Xh) / 2.0
+    elif np.linalg.norm(X + Xh) <= scale:
         H = (-1j * X + (-1j * X).conj().T) / 2.0
-    if H is not None:
-        w, u = np.linalg.eigh(H)
-        window = SEED_CLUSTER_TOL * max(1.0, float(np.abs(w).max()))
-        rows = []
-        for grp in cluster_values(w, window):
-            cols = u[:, grp]
-            k = len(grp)
-            rows.append(np.einsum("ia,jb->abij", cols, cols.conj()).reshape(k * k, d * d))
-        return np.concatenate(rows)
-    eye = np.eye(d, dtype=complex)
-    L = np.kron(eye, X.T) - np.kron(X, eye)
-    return _null_rows(L, tol)
+    elif np.linalg.norm(X @ Xh - Xh @ X) <= scale * max(np.linalg.norm(X), 1.0):
+        # its Hermitian parts commute; a generic real mix of them separates
+        # their joint eigenspaces, which are X's
+        H = (X + Xh) / 2.0 - 1j * np.sqrt(0.5) * (X - Xh)
+    else:
+        eye = np.eye(d, dtype=complex)
+        L = np.kron(eye, X.T) - np.kron(X, eye)
+        return None, np.zeros(1, dtype=int), np.array([d]), _null_rows(L, tol)
+    w, u = np.linalg.eigh(H)
+    window = SEED_CLUSTER_TOL * max(1.0, -w[0], w[-1])
+    bounds = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > window) + 1, [d]))
+    return u, bounds[:-1], bounds[1:] - bounds[:-1], None
 
 
-def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+class _SeedFrame:
+    """Block coordinates of the seed commutant in the seed's eigenframe.
+
+    Cluster c spans eigenvector indices ``starts[c] .. starts[c] + sizes[c]``;
+    the coordinates are the entries of the free blocks Y_c, cluster by
+    cluster, each block row-major.  For index p in a cluster starting at s
+    with size k, ``rows[p, w]`` is the coordinate of entry (p, s + w) and
+    ``cols[p, w]`` that of entry (s + w, p), for w < k; slots w >= k point
+    at one spare coordinate past the end, so every index has K = max size
+    slots.
+    """
+
+    def __init__(self, starts: np.ndarray, sizes: np.ndarray):
+        self.starts, self.sizes = starts, sizes
+        self.labels = np.repeat(np.arange(sizes.size), sizes)
+        self.ncoords = int(np.dot(sizes, sizes))
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``rows``, ``cols`` and ``slot`` tables, (d, K) each."""
+        k = self.sizes[self.labels][:, None]
+        s = self.starts[self.labels][:, None]
+        offset = (np.cumsum(self.sizes * self.sizes) - self.sizes * self.sizes)[self.labels][:, None]
+        local = np.arange(self.labels.size)[:, None] - s
+        w = np.arange(self.sizes.max())
+        inside = w < k
+        rows = np.where(inside, offset + local * k + w, self.ncoords)
+        cols = np.where(inside, offset + local + w * k, self.ncoords)
+        return rows, cols, np.minimum(s + w, self.labels.size - 1)
+
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frame row and column of every coordinate, in coordinate order."""
+        rows, _, slot = self._slots
+        p, w = np.nonzero(rows < self.ncoords)
+        return p, slot[p, w]
+
+    def live_entries(self, frames: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """(inputs, d, d) mask of the entries in each input's live blocks.
+
+        An off-diagonal block is live when its largest entry exceeds
+        ``LIVE_TOL * max(1, ||A||)``; a diagonal block is live when it is
+        not scalar to that threshold, since a scalar block commutes with
+        every Y.
+        """
+        d = frames.shape[1]
+        mag = np.abs(frames)
+        diag = np.diagonal(frames, axis1=1, axis2=2)
+        means = np.add.reduceat(diag, self.starts, axis=1) / self.sizes
+        idx = np.arange(d)
+        mag[:, idx, idx] = np.abs(diag - means[:, self.labels])
+        peak = np.maximum.reduceat(np.maximum.reduceat(mag, self.starts, axis=1),
+                                   self.starts, axis=2)
+        live = peak > LIVE_TOL * np.maximum(1.0, norms)[:, None, None]
+        return live[:, self.labels[:, None], self.labels[None, :]]
+
+    def constraints(self, frames: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        """(entries, coordinates) matrix of Y -> [Y, F_k] on flat entries (k, i, j) of ``frames``."""
+        rows, cols, slot = self._slots
+        k, i, j = np.unravel_index(entries, frames.shape)
+        e = np.arange(entries.size)[:, None]
+        k = k[:, None]
+        C = np.zeros((entries.size, self.ncoords + 1), dtype=complex)
+        C[e, rows[i]] = frames[k, slot[i], j[:, None]]  # sum_w Y[i, w] F[w, j]
+        C[e, cols[j]] -= frames[k, i[:, None], slot[j]]  # sum_w F[i, w] Y[w, j]
+        return C[:, :-1]
+
+
+def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
+                    seed_rows=None) -> OperatorSubspace:
     """Orthonormal basis of {X : [X, A_i] = 0 for all i}.
 
     Parameters
@@ -239,13 +325,33 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL) ->
     ops : matrices (or an OperatorSubspace) acting on the same space.
     dim : ambient dimension, required when ``ops`` is empty.
     tol : relative singular-value threshold for the null-space rank decision.
+    seed_rows : real (s, len(ops)) coefficient rows over the inputs; a
+        generic combination of them is the seed element.  None means all
+        inputs.  Any rows give the exact commutant, since the seed lies in
+        the span of the inputs; rows whose elements are simultaneously
+        diagonal (a torus) keep the imposed constraints sparse.
 
-    The seed is the commutant of a generic real combination of the inputs
-    (see the module docstring); each input is then imposed in turn as a
-    thin null space over the current basis, skipped when it already
-    commutes with every basis element.  The result is always an algebra;
-    star-closure is verified lazily, on first read of ``is_star_closed`` (it
-    holds whenever the input set is star-closed up to sign).
+    The seed is the commutant of the seed element (see the module
+    docstring).  For a normal seed element the current basis is held as
+    coefficients over the free blocks Y_c of its eigenframe ``u``; each input
+    A is taken to that frame, F = u^* A u, and [Y, F] = 0 is imposed as a
+    thin null space with one row per entry of F's live blocks (see
+    :meth:`_SeedFrame.live_entries`).  The dropped blocks of F have entries
+    of at most ``LIVE_TOL * max(1, ||A||)``, so by Weyl's inequality they
+    move every singular value of the constraint by at most
+    ``2 d LIVE_TOL * max(1, ||A||)``: below ``1e-9 * max(1, ||A||)`` for d
+    up to 5000, against the rank threshold ``tol * max(s[0], 1)``.  An
+    input with no live block, or whose constraint is below ``tol``, is
+    skipped.  Consecutive inputs whose first constraint rows fall in one
+    window of ``CONSTRAINT_BATCH // coordinates`` rows share one null space;
+    an input with more rows than that is imposed alone.  A non-normal
+    seed falls back to the dense null space of Y -> YX - XY in the
+    identity frame, as one cluster.  The basis u Y u^* is built at the end,
+    from outer products of eigenvectors when nothing was imposed.
+
+    The result is always an algebra; star-closure is verified lazily, on
+    first read of ``is_star_closed`` (it holds whenever the input set is
+    star-closed up to sign).
     """
     mats = _as_ops(ops)
     if not mats:
@@ -255,18 +361,37 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL) ->
     d = _check_square_same_dim(mats)
     if dim is not None and dim != d:
         raise DimensionMismatch(f"operators have dim {d}, expected {dim}")
-    q = _commutant_seed(mats, tol)
-    for A in mats:
-        if q.shape[0] == 0:
+    stack = np.stack(mats)
+    u, starts, sizes, q = _seed_frame(stack, seed_rows, tol)
+    frame = _SeedFrame(starts, sizes)
+    frames = stack if u is None else u.conj().T @ stack @ u
+    entries = np.flatnonzero(frame.live_entries(frames, np.linalg.norm(stack, axis=(1, 2))))
+    # consecutive inputs share one constraint while it has few entries
+    first = np.searchsorted(entries, entries // (d * d) * (d * d))
+    cuts = np.flatnonzero(np.diff(first // max(1, CONSTRAINT_BATCH // frame.ncoords))) + 1
+    bounds = [0, *cuts.tolist(), entries.size] if entries.size else [0]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if q is not None and q.shape[0] == 0:
             break
-        basis = q.reshape(-1, d, d)
-        comms = (basis @ A - A @ basis).reshape(q.shape[0], -1)  # (r, d^2)
+        comms = frame.constraints(frames, entries[lo:hi])  # (entries, coordinates)
+        if q is not None:
+            comms = comms @ q.T
         if np.linalg.norm(comms) <= tol:
             continue  # every singular value is below the rank threshold
-        # coefficient combinations of the current basis that commute with A
-        q = _null_rows(comms.T, tol) @ q
-    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True,
-                            star_tol=max(tol, 1e-8))
+        # coefficient combinations of the current basis that commute with the batch
+        null = _null_rows(comms, tol)
+        q = null if q is None else null @ q
+    if u is None:
+        basis = q.reshape(-1, d, d)
+    elif q is None:
+        rows, cols = frame.coordinates()
+        basis = u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
+    else:
+        rows, cols = frame.coordinates()
+        Y = np.zeros((q.shape[0], d, d), dtype=complex)
+        Y[:, rows, cols] = q
+        basis = u @ Y @ u.conj().T
+    return OperatorSubspace(d, basis, is_algebra=True, star_tol=max(tol, 1e-8))
 
 
 def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:

@@ -220,6 +220,35 @@ def test_empty_classification_box_is_schema_error(capsys):
     assert_schema_error(capsys, ["classify", "--n", "2", "--d", "2,1", "--box", "-1"])
 
 
+def test_su_cone_check_needs_one_entry_per_cartan_element(capsys):
+    assert_schema_error(capsys, ["cone-check", "--group", "su", "--n", "3",
+                                 "--d", "1,0,-1", "--weight", "1,0,0"])
+    code, out = run_main(capsys, ["cone-check", "--group", "su", "--n", "3",
+                                  "--d", "1,0,-1", "--weight", "1,0"])
+    assert code == 0
+    assert json.loads(out)["verdicts"]["agrees"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--n", "3", "--d", "1e308,1e308,0", "--weight", "2,1,0"],
+    ["analyze", "--n", "3", "--d", "1e200,0,0", "--weight", "2,1,0"],
+    # |d| fits, but |dpi(d)| on this irreducible does not
+    ["analyze", "--n", "3", "--d", "1.3e154,0,0", "--weight", "2,1,0"],
+    ["cone-check", "--n", "3", "--d", "1e308,-1e308,0", "--weight", "1,0,0"],
+    ["classify", "--n", "2", "--d", "1e200,0", "--box", "1"],
+])
+def test_generator_whose_norm_overflows_is_schema_error(capsys, argv):
+    assert_schema_error(capsys, argv)
+
+
+def test_large_finite_generator_keeps_its_verdicts(capsys):
+    reports = [json.loads(run_main(capsys, ["analyze", "--n", "3", "--d", d,
+                                            "--weight", "2,1,0"])[1])
+               for d in ("1,0,0", "1e150,0,0")]
+    assert reports[0]["verdicts"]["h0_dim"] == reports[1]["verdicts"]["h0_dim"] == 2
+    assert reports[0]["verdicts"]["strict"] and reports[1]["verdicts"]["strict"]
+
+
 def test_fock_sector_beyond_cutoff_is_schema_error(capsys):
     assert_schema_error(capsys, ["fock", "--sector", "50", "--cutoffs", "10"])
 

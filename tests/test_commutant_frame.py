@@ -1,0 +1,278 @@
+"""Torus-seeded commutants in the seed's eigenframe, and the per-algebra memo.
+
+``reference_commutant`` is the generic-seed commutant with dense imposition
+that ``matcore.commutant_basis`` computed before the eigenframe, kept here
+verbatim as the reference.  ``analyze`` run with it in place of
+``commutant_basis`` must give the same verdicts as ``analyze`` itself.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from gsrep import cones, groundstate, irreps, liealg, matcore
+from gsrep.matcore import DEFAULT_TOL, GENERIC_SEED, SEED_CLUSTER_TOL, _null_rows, cluster_values
+
+from conftest import D_LISTS, algebra, cached_irrep, dominant_box, random_unitary, rng, su_dominant_box
+
+
+def _reference_seed(mats, tol):
+    coeffs = np.random.default_rng(GENERIC_SEED).normal(size=len(mats))
+    X = np.einsum("k,kij->ij", coeffs.astype(complex), np.stack(mats))
+    d = X.shape[0]
+    scale = max(np.linalg.norm(X), 1.0)
+    H = None
+    if np.linalg.norm(X - X.conj().T) <= tol * scale:
+        H = (X + X.conj().T) / 2.0
+    elif np.linalg.norm(X + X.conj().T) <= tol * scale:
+        H = (-1j * X + (-1j * X).conj().T) / 2.0
+    if H is not None:
+        w, u = np.linalg.eigh(H)
+        window = SEED_CLUSTER_TOL * max(1.0, float(np.abs(w).max()))
+        rows = []
+        for grp in cluster_values(w, window):
+            cols = u[:, grp]
+            k = len(grp)
+            rows.append(np.einsum("ia,jb->abij", cols, cols.conj()).reshape(k * k, d * d))
+        return np.concatenate(rows)
+    eye = np.eye(d, dtype=complex)
+    L = np.kron(eye, X.T) - np.kron(X, eye)
+    return _null_rows(L, tol)
+
+
+def reference_commutant(ops, dim=None, tol=DEFAULT_TOL, seed_rows=None):
+    """The generic seed and one dense imposition per input; ``seed_rows`` is ignored."""
+    mats = [np.asarray(op, dtype=complex) for op in ops]
+    if not mats:
+        return matcore.full_operator_space(dim)
+    d = mats[0].shape[0]
+    q = _reference_seed(mats, tol)
+    for A in mats:
+        if q.shape[0] == 0:
+            break
+        basis = q.reshape(-1, d, d)
+        comms = (basis @ A - A @ basis).reshape(q.shape[0], -1)
+        if np.linalg.norm(comms) <= tol:
+            continue
+        q = _null_rows(comms.T, tol) @ q
+    return matcore.OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True,
+                                    star_tol=max(tol, 1e-8))
+
+
+def verdicts(out):
+    return out.commutant_dims, out.h0_dim, out.strict, out.ground_state
+
+
+def assert_same_verdicts(monkeypatch, cases):
+    """``cases`` are (rep, d) pairs; analyze agrees with its reference-commutant run."""
+    got = [verdicts(groundstate.analyze(rep, d)) for rep, d in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(groundstate, "commutant_basis", reference_commutant)
+        want = [verdicts(groundstate.analyze(rep, d)) for rep, d in cases]
+    mismatches = [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert not mismatches, mismatches[:5]
+    return got
+
+
+def sweep_cases():
+    for kind, n in (("u", 2), ("u", 3), ("su", 3)):
+        box = dominant_box(n, -2, 2) if kind == "u" else su_dominant_box(n, -2, 2)
+        g = algebra(kind, n)
+        for lam in box:
+            for entries in D_LISTS[(kind, n)]:
+                yield cached_irrep(kind, n, lam), liealg.diagonal_element(g, entries)
+
+
+REDUCIBLE_SUMS = [
+    ((2, 0), (1, 0)),
+    ((1, 0), (1, 0)),
+    ((3, 0), (1, -1), (1, -1)),
+    ((2, 1), (0, 0), (1, 0)),
+    ((3, 1, 0), (2, 1, 0)),
+    ((1, 0, 0), (1, 0, 0), (0, 0, -1)),
+    ((2, 0, 0), (1, 1, 0)),
+    ((2, 1, 0), (2, 1, 0)),
+    ((1, 0, 0), (2, 1, 0)),
+]
+REDUCIBLE_D = {
+    2: [(2.0, 1.0), (1.0, 0.0), (0.0, 0.0)],
+    3: [(2.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)],
+}
+
+
+def reducible_cases():
+    for summands in REDUCIBLE_SUMS:
+        n = len(summands[0])
+        g = algebra("u", n)
+        rep = irreps.direct_sum([cached_irrep("u", n, lam) for lam in summands])
+        for entries in REDUCIBLE_D[n]:
+            yield rep, liealg.diagonal_element(g, entries)
+    h = liealg.build_algebra("heis", 2)
+    dpi = np.zeros((3, 2, 2), dtype=complex)
+    dpi[2] = 1j * np.diag([1.0, 2.0])
+    yield irreps.Representation(h, dpi), np.array([0.0, 1.0, 0.0])
+
+
+def test_sweep_fixtures_match_reference(monkeypatch):
+    cases = list(sweep_cases())
+    assert len(cases) == 390
+    got = assert_same_verdicts(monkeypatch, cases)
+    assert all(dims[:2] == (1, 1) and strict and ground for dims, _, strict, ground in got)
+
+
+def test_reducible_cases_match_reference(monkeypatch):
+    cases = list(reducible_cases())
+    assert len(cases) == 28
+    got = assert_same_verdicts(monkeypatch, cases)
+    # dim pi(G)' is the sum of squared multiplicities; the Heisenberg pair is two blocks
+    want = [sum(c * c for c in Counter(summands).values())
+            for summands in REDUCIBLE_SUMS for _ in range(3)] + [2]
+    assert [dims[0] for dims, *_ in got] == want
+
+
+def test_non_diagonal_generator_matches_reference(monkeypatch):
+    g = algebra("u", 3)
+    gen = rng(5)
+    reps = [cached_irrep("u", 3, (2, 1, 0)), cached_irrep("u", 3, (2, 0, -2)),
+            irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)), cached_irrep("u", 3, (2, 1, 0))])]
+    cases = [(rep, gen.normal(size=g.dim)) for rep in reps for _ in range(2)]
+    assert_same_verdicts(monkeypatch, cases)
+
+
+def test_random_basis_change_of_dpi(monkeypatch):
+    g = algebra("u", 3)
+    cases = []
+    for rep in (cached_irrep("u", 3, (2, 1, 0)),
+                irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0))] * 2
+                                  + [cached_irrep("u", 3, (1, 1, 0))])):
+        U = random_unitary(rep.dim, rng(rep.dim))
+        moved = irreps.Representation(g, U @ rep.dpi @ U.conj().T)
+        for entries in D_LISTS[("u", 3)][:4]:
+            d = liealg.diagonal_element(g, entries)
+            assert verdicts(groundstate.analyze(moved, d)) == verdicts(groundstate.analyze(rep, d))
+            cases.append((moved, d))
+    assert_same_verdicts(monkeypatch, cases)
+
+
+def _permuted(g, perm):
+    """g with its basis reordered by ``perm``; the Cartan indices follow."""
+    inv = np.argsort(perm)
+    c = g.structure[perm][:, perm][:, :, perm]
+    return liealg.MatrixLieAlgebra(g.name, g.kind, g.n, g.basis[perm], c,
+                                   tuple(int(inv[k]) for k in g.cartan_indices))
+
+
+def test_generator_permutation(monkeypatch):
+    g = algebra("u", 3)
+    perm = np.array([4, 8, 0, 6, 2, 7, 1, 3, 5])
+    gp = _permuted(g, perm)
+    cases = []
+    for lam in ((2, 1, 0), (1, 1, 0), (2, 0, -2)):
+        rep = cached_irrep("u", 3, lam)
+        moved = irreps.Representation(gp, rep.dpi[perm])
+        for entries in D_LISTS[("u", 3)]:
+            d = liealg.diagonal_element(g, entries)
+            assert (verdicts(groundstate.analyze(moved, d[perm]))
+                    == verdicts(groundstate.analyze(rep, d)))
+            cases.append((moved, d[perm]))
+    assert_same_verdicts(monkeypatch, cases)
+
+
+def _op_sets():
+    g = algebra("u", 3)
+    rep = cached_irrep("u", 3, (2, 1, 0))
+    reducible = irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0))] * 2
+                                  + [cached_irrep("u", 3, (1, 1, 0))])
+    U = random_unitary(reducible.dim, rng(3))
+    N = np.diag(np.ones(3), 1).astype(complex)
+    return [list(rep.dpi), list(reducible.dpi), list(U @ reducible.dpi @ U.conj().T),
+            list(algebra("su", 2).basis), [N, 2.0 * N @ N], [np.eye(4, dtype=complex)],
+            list(g.basis)]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_arbitrary_seed_rows_give_reference_commutant(k):
+    ops = _op_sets()[k]
+    want = reference_commutant(ops)
+    gen = rng(k)
+    m = len(ops)
+    for rows in (None, np.eye(m)[:1], gen.normal(size=(1, m)), gen.normal(size=(3, m)),
+                 np.zeros((2, m)), np.eye(m)):
+        got = matcore.commutant_basis(ops, seed_rows=rows)
+        assert got.rank == want.rank
+        assert got.same_span(want, 1e-8)
+        gram = got.basis.reshape(got.rank, -1).conj() @ got.basis.reshape(got.rank, -1).T
+        assert np.allclose(gram, np.eye(got.rank), atol=1e-10)
+
+
+def test_seed_rows_of_the_wrong_width_are_rejected():
+    from gsrep.errors import DimensionMismatch
+
+    with pytest.raises(DimensionMismatch):
+        matcore.commutant_basis(list(algebra("su", 2).basis), seed_rows=np.eye(2))
+
+
+def test_scalar_input_leaves_the_whole_matrix_algebra():
+    # a scalar with a complex phase is normal: one cluster, nothing imposed
+    comm = matcore.commutant_basis([np.exp(0.3j) * np.eye(5)])
+    assert comm.rank == 25
+    assert comm.same_span(matcore.full_operator_space(5), 1e-10)
+
+
+def test_normal_mixed_seed_separates_joint_eigenspaces():
+    # neither Hermitian nor anti-Hermitian, but normal: eigenvalues 1, i, i
+    U = random_unitary(3, rng(1))
+    X = U @ np.diag([1.0, 1j, 1j]) @ U.conj().T
+    comm = matcore.commutant_basis([X])
+    assert comm.rank == 1 + 4
+    for B in comm.basis:
+        assert np.linalg.norm(B @ X - X @ B) < 1e-10
+
+
+def _frozen_arrays(g, d):
+    dd = liealg.spectral_split(g, d)
+    fix = liealg.fixed_point_data(g, d)
+    cone = cones._action_cone(g, dd)
+    return ([dd.element, dd.derivation, dd.eigenvalues, *dd.eigenspaces, fix.rows,
+             fix.algebra.basis, fix.algebra.structure, fix.torus_rows, cone.generators])
+
+
+@pytest.mark.parametrize("kind,entries", [("u", (2.0, 1.0, 0.0)), ("u", (1.0, 0.0, 0.0)),
+                                          ("su", (1.0, 0.0, -1.0))])
+def test_memoized_alpha_data_is_read_only_and_fresh(kind, entries):
+    g = liealg.build_algebra(kind, 3)
+    d = liealg.diagonal_element(g, entries)
+    first = _frozen_arrays(g, d)
+    again = _frozen_arrays(g, d)
+    assert all(a is b for a, b in zip(first, again))
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    fresh = _frozen_arrays(liealg.build_algebra(kind, 3), d.copy())
+    assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
+
+
+def test_memo_keys_on_value_dtype_and_tolerances():
+    g = liealg.build_algebra("u", 2)
+    d = liealg.diagonal_element(g, [2.0, 1.0])
+    dd = liealg.spectral_split(g, d)
+    d[0] = 5.0  # the memo holds its own copy of d
+    assert dd.element[0] == 2.0
+    assert liealg.spectral_split(g, d) is not dd
+    assert liealg.spectral_split(g, [2.0, 1.0, 0.0, 0.0]) is dd  # list input, same bytes as float
+    assert liealg.spectral_split(g, [2.0, 1.0, 0.0, 0.0], cluster_tol=1e-6) is not dd
+    assert (liealg.fixed_point_data(g, [2.0, 1.0, 0.0, 0.0])
+            is not liealg.fixed_point_data(g, [2.0, 1.0, 0.0, 0.0], tol=1e-7))
+
+
+def test_cone_memo_follows_the_split_it_was_built_from():
+    g = liealg.build_algebra("u", 3)
+    d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
+    dd = liealg.spectral_split(g, d)
+    coarse = liealg.spectral_split(g, d, cluster_tol=1e-6)
+    assert cones._action_cone(g, dd) is cones._action_cone(g, dd)
+    assert cones._action_cone(g, coarse) is not cones._action_cone(g, dd)
+    assert np.array_equal(cones._action_cone(g, dd).generators,
+                          cones.action_cone_generators(g, dd).generators)

@@ -203,6 +203,39 @@ def test_torus_character_operator():
     assert np.allclose(op, 1j * (2 * 1.0 + (-1) * 1.0 + 0 * 3.0))
 
 
+def test_torus_character_checks_the_cartan_length():
+    from gsrep.errors import DimensionMismatch
+
+    g = algebra("su", 3)
+    assert irreps.torus_character(g, (1, 0)).dim == 1
+    for lam in ((1, 0, 0), (1,)):
+        with pytest.raises(DimensionMismatch):
+            irreps.torus_character(g, lam)
+
+
+def _pairwise_homomorphism_residual(rep):
+    g = rep.algebra
+    worst = 0.0
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = np.einsum("k,kab->ab", g.structure[i, j].astype(complex), rep.dpi)
+            rhs = rep.dpi[i] @ rep.dpi[j] - rep.dpi[j] @ rep.dpi[i]
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+@pytest.mark.parametrize("lam", [(5, 2, 0), (5, 3, 0), (6, 2, 0), (6, 3, 0),
+                                 (3, 1, 0, 0), (3, 2, 1, 0), (2, 1, 1, 0, 0)])
+def test_batched_homomorphism_residual_matches_pairwise_loop(lam):
+    rep = cached_irrep("u", len(lam), lam)
+    # both are roundoff on a representation: equal up to the summation order
+    assert rep.homomorphism_residual() == pytest.approx(_pairwise_homomorphism_residual(rep),
+                                                        rel=0.05, abs=1e-14)
+    broken = irreps.Representation(rep.algebra, rep.dpi + 1e-3 * rng(len(lam)).normal(size=rep.dpi.shape))
+    assert broken.homomorphism_residual() == pytest.approx(
+        _pairwise_homomorphism_residual(broken), rel=1e-12)
+
+
 def test_centralizer_irrep_matches_compression():
     # the (0) x (1,0) block representation is the compressed defining action
     g = algebra("u", 3)

@@ -33,6 +33,22 @@ def test_structure_residuals(kind, n):
     assert liealg.jacobi_residual(g) <= 1e-10
 
 
+def _full_tensor_jacobi(c):
+    t = np.einsum("ijm,mkl->ijkl", c, c)
+    cyc = t + np.einsum("jkm,mil->ijkl", c, c) + np.einsum("kim,mjl->ijkl", c, c)
+    return float(np.abs(cyc).max())
+
+
+@pytest.mark.parametrize("kind,n", [("u", 2), ("u", 3), ("su", 3), ("u", 4), ("heis", 4)])
+def test_sliced_jacobi_residual_matches_full_tensor(kind, n):
+    g = liealg.build_algebra(kind, n)
+    assert liealg.jacobi_residual(g) == pytest.approx(_full_tensor_jacobi(g.structure),
+                                                      rel=1e-12, abs=1e-15)
+    # a structure tensor off by noise has a residual of its size
+    g.structure = g.structure + 1e-3 * rng(n).normal(size=g.structure.shape)
+    assert liealg.jacobi_residual(g) == pytest.approx(_full_tensor_jacobi(g.structure), rel=1e-12)
+
+
 def test_compact_bases_are_anti_hermitian():
     for kind, n in (("u", 3), ("su", 3)):
         for b in algebra(kind, n).basis:
