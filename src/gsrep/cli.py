@@ -202,6 +202,9 @@ def _algebra_and_d(job: dict):
     if kind not in ("u", "su"):
         raise SchemaError("group must be 'u' or 'su'")
     n = int(_require(job, "n"))
+    least = 1 if kind == "u" else 2
+    if n < least:
+        raise SchemaError(f"{kind}(n) requires n >= {least}")
     g = liealg.build_algebra(kind, n)
     if job.get("d_coeffs") is not None:
         d = _finite(job["d_coeffs"], "d_coeffs")
@@ -229,9 +232,13 @@ def _bounded_norm(x: np.ndarray, what: str) -> None:
 def _run_analyze(job: dict, report: dict, tol: float) -> None:
     g, d = _algebra_and_d(job)
     lam = tuple(_require(job, "weight"))
+    if len(lam) != g.n:
+        raise SchemaError(f"weight must have {g.n} entries")
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise SchemaError(f"weight {list(lam)} is not weakly decreasing")
     cache = IrrepCache(job.get("cache_dir"))
     rep = cache.get_or_build(g.kind, g.n, lam)
-    _bounded_norm(rep.operator(d, ambient=False), "dpi(d)")
+    _bounded_norm(rep.operator(d), "dpi(d)")
     tol = min(tol, 1e-9)
     out = groundstate.analyze(rep, d, tol=tol)
     h0_weights = sorted(
@@ -318,6 +325,13 @@ def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
 def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
     modes = int(job.get("modes", 1))
     cutoffs = job.get("cutoffs") or [int(job.get("cutoff", 40))]
+    zero_modes = int(job.get("zero_modes", 0))
+    if modes < 1:
+        raise SchemaError("modes must be at least 1")
+    if min(int(c) for c in cutoffs) < 0:
+        raise SchemaError("cutoffs must be non-negative")
+    if not 0 <= zero_modes <= modes:
+        raise SchemaError(f"zero modes must lie in [0, {modes}]")
     rng = np.random.default_rng(seed)
     pairs = [
         (rng.normal(size=modes) + 1j * rng.normal(size=modes),
@@ -341,7 +355,6 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
             got = heisenfock.weyl_vacuum_overlap(ft, v)
             verr = max(verr, abs(got - math.exp(-float(np.linalg.norm(v)) ** 2 / 4)))
         vacuum_err[str(cutoff)] = verr
-    zero_modes = int(job.get("zero_modes", 0))
     kernel_ok = True
     if zero_modes:
         # the loop ends on the truncation at the largest cutoff
@@ -366,6 +379,10 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
 def _run_dirlim(job: dict, report: dict, tol: float) -> None:
     lam = [int(x) for x in _require(job, "lam")]
     d = [float(x) for x in _finite(_require(job, "d"), "d")]
+    if not lam or len(lam) != len(d):
+        raise SchemaError(f"lam and d must have the same positive length, got {len(lam)} and {len(d)}")
+    if len(set(d)) != len(d):
+        raise SchemaError("d entries must be pairwise distinct")
     spec = dirlim.DirectLimitSpec(tuple(d))
     member = dirlim.weight_cone_member(lam, spec)
     cone = dirlim.level_cone_generators(spec)
@@ -391,12 +408,15 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
         if not sub["verdicts"]["match"]:
             failures.append({"case": "u2-classification"})
     elif suite == "cone-coroot":
+        box = int(job.get("box", 2))
+        if box < 0:
+            raise SchemaError("box must be non-negative")
         g = liealg.build_algebra("u", 2)
         for entries in ([2.0, 1.0], [1.0, 3.0]):
             d = liealg.diagonal_element(g, entries)
             dd = liealg.spectral_split(g, d)
             rd = liealg.root_datum(g, d)
-            for lam in _integer_box(2, int(job.get("box", 2))):
+            for lam in _integer_box(2, box):
                 chi = irreps.torus_character(g, lam)
                 total += 1
                 a = cones.check_cone_positivity(g, dd, chi, tol=tol, seed=seed).verdict
@@ -410,8 +430,10 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
         if not sub["verdicts"]["monotone"]:
             failures.append({"case": "fock-monotonicity", "tables": sub["tables"]})
     elif suite == "level-consistency":
-        rng = np.random.default_rng(seed)
         cases = int(job.get("cases", 1000))
+        if cases < 1:
+            raise SchemaError("cases must be at least 1")
+        rng = np.random.default_rng(seed)
         for _ in range(cases):
             level = int(rng.integers(2, 6))
             d = tuple(float(x) for x in rng.permutation(level) + rng.uniform(0, 0.5))

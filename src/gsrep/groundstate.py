@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotIrreducible
 from .irreps import Representation, direct_sum
 from .liealg import (
     MatrixLieAlgebra,
@@ -37,10 +36,10 @@ from .matcore import (
     OperatorSubspace,
     algebra_closure,
     center_basis,
-    cluster_values,
     commutant_basis,
     compress,
     eig_hermitian,
+    hermitian_split,
     numerical_rank,
 )
 
@@ -59,7 +58,6 @@ class GroundStateReport:
     pi0: Representation
     ground_state: bool
     strict: bool
-    minimal_shift: float
     commutant_dims: tuple[int, int, int]
     central_shifts: tuple[float, ...] = ()
     fixed_algebra: Optional[MatrixLieAlgebra] = None
@@ -70,54 +68,44 @@ class GroundStateReport:
         return self.h0_basis.shape[1]
 
 
-def _central_projections(comm: OperatorSubspace, tol: float,
-                         seed: int = 7) -> list[np.ndarray]:
-    """Minimal central projections of the algebra generated by the operators.
+def _central_blocks(comm: OperatorSubspace, tol: float) -> list[np.ndarray]:
+    """Ranges of the minimal central projections of the algebra generated by the operators.
 
     ``comm`` is the commutant of the operators.  The center of their
     generated algebra is the center of ``comm``, comm intersected with
-    comm', so it is one null space over the commutant basis; a
-    random Hermitian element of it has the minimal central projections as
-    its spectral projections (generically, so a couple of retries suffice).
+    comm', so it is one null space over the commutant basis; a random
+    Hermitian element of it has the minimal central projections as its
+    spectral projections (generically, so a couple of retries suffice).
+    Returns one orthonormal column block per projection.
     """
-    dim = comm.dim
-    if comm.rank == 1:
-        return [np.eye(dim, dtype=complex)]
-    center = center_basis(comm, tol)
-    if center.rank == 1:
-        return [np.eye(dim, dtype=complex)]
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        coeff = rng.normal(size=center.rank)
-        X = np.einsum("k,kij->ij", coeff.astype(complex), center.basis)
-        X = (X + X.conj().T) / 2.0
-        w, v = np.linalg.eigh(X)
-        groups = cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))
-        if len(groups) == center.rank:
-            return [v[:, grp] @ v[:, grp].conj().T for grp in groups]
-    raise NotIrreducible("failed to separate central projections")  # pragma: no cover
+    if comm.rank > 1:
+        center = center_basis(comm, tol)
+        if center.rank > 1:
+            return hermitian_split(center.basis, lambda blocks: len(blocks) == center.rank, seed=7)
+    return [np.eye(comm.dim, dtype=complex)]
 
 
-def _ground_space(H: np.ndarray, projections: list[np.ndarray], tol: float) -> tuple[float, np.ndarray, list[float]]:
-    """Blockwise minimal eigenspaces: the kernel of the minimally shifted H."""
-    dim = H.shape[0]
+def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray,
+                  blocks: list[np.ndarray]) -> tuple[np.ndarray, list[float]]:
+    """Blockwise minimal eigenspaces: the kernel of the minimally shifted H.
+
+    ``w, v`` is the eigendecomposition of H on the whole space, which serves
+    a single block; several blocks take one eigendecomposition each.
+    Columns from distinct blocks are orthogonal, since the blocks are.
+    """
     scale = 1.0 + float(np.linalg.norm(H))
-    cols = []
-    shifts = []
-    for P in projections:
-        wp, vp = np.linalg.eigh((P + P.conj().T) / 2.0)
-        Q = vp[:, wp > 0.5]  # orthonormal basis of the block range
-        Hb = Q.conj().T @ H @ Q
-        w, v = np.linalg.eigh((Hb + Hb.conj().T) / 2.0)
-        mb = float(w[0])
-        shifts.append(mb)
-        sel = w <= mb + CLUSTER_TOL * scale
-        cols.append(Q @ v[:, sel])
-    basis = np.hstack(cols) if cols else np.zeros((dim, 0), dtype=complex)
-    # columns from distinct blocks are orthogonal; re-orthonormalize defensively
-    q, r = np.linalg.qr(basis)
-    keep = np.abs(np.diag(r)) > 1e-10
-    return (min(shifts) if shifts else 0.0), q[:, keep], shifts
+    spectra = [(w, v)]
+    if len(blocks) > 1:
+        spectra = []
+        for Q in blocks:
+            Hb = Q.conj().T @ H @ Q
+            wb, vb = np.linalg.eigh((Hb + Hb.conj().T) / 2.0)
+            spectra.append((wb, Q @ vb))
+    cols, shifts = [], []
+    for wb, vb in spectra:
+        shifts.append(float(wb[0]))
+        cols.append(vb[:, wb <= wb[0] + CLUSTER_TOL * scale])
+    return np.hstack(cols), shifts
 
 
 def _krylov_cyclic(dpi_ops: list[np.ndarray], start: np.ndarray, dim: int,
@@ -162,14 +150,12 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     """
     g = pi.algebra
     d = np.asarray(d, dtype=float)
-    H = -1j * pi.operator(d, ambient=False)
-    w, _ = eig_hermitian(H, 1e-8)
-    m_global = float(w[0])
+    H = -1j * pi.operator(d)
+    w, v = eig_hermitian(H, 1e-8)
     dpi_ops = list(pi.dpi)
     torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
     comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol, seed_rows=torus)
-    projections = _central_projections(comm_full, tol)
-    m, h0, shifts = _ground_space(H, projections, tol)
+    h0, shifts = _ground_space(H, w, v, _central_blocks(comm_full, tol))
 
     fix = fixed_point_data(g, d, tol)
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
@@ -180,15 +166,17 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
     compressed_comm = compress(h0, comm_full, tol)
     # P0 pi(G)'' P0 is a von Neumann algebra on H0, so it is the commutant
-    # of the compressed commutant; no large algebra closure is needed.
-    corner = commutant_basis(list(compressed_comm.basis), dim=pi0.dim, tol=tol)
+    # of the compressed commutant; no large algebra closure is needed.  That
+    # span is *-closed, so its Hermitian parts span it and give a normal seed.
+    B = compressed_comm.basis
+    Bh = B.conj().transpose(0, 2, 1)
+    corner = commutant_basis([*(B + Bh), *(1j * (B - Bh))], dim=pi0.dim, tol=tol)
     return GroundStateReport(
-        m=m_global,
+        m=float(w[0]),
         h0_basis=h0,
         pi0=pi0,
         ground_state=ground_state,
         strict=bool(ground_state and comm_pi0.rank == compressed_comm.rank),
-        minimal_shift=m,
         commutant_dims=(comm_full.rank, comm_pi0.rank, corner.rank),
         central_shifts=tuple(shifts),
         fixed_algebra=fix.algebra,
@@ -242,12 +230,12 @@ def spectral_translation_check(pi: Representation, d: np.ndarray, E, F,
     dd = spectral_split(g, np.asarray(d, dtype=float))
     gE_cols = [sp[:, k] for lam, sp in zip(dd.eigenvalues, dd.eigenspaces)
                if intervals_contain(E_iv, float(lam.real)) for k in range(sp.shape[1])]
-    H = -1j * pi.operator(d, ambient=False)
+    H = -1j * pi.operator(d)
     w, v = eig_hermitian(H, 1e-8)
     HF = v[:, [k for k in range(len(w)) if intervals_contain(F_iv, float(w[k]))]]
     HEF = v[:, [k for k in range(len(w)) if intervals_contain(EF, float(w[k]))]]
     for z in gE_cols:
-        op = pi.operator(z, ambient=False)
+        op = pi.operator(z)
         for c in range(HF.shape[1]):
             u = op @ HF[:, c]
             resid = u - HEF @ (HEF.conj().T @ u)

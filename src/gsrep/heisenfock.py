@@ -451,7 +451,7 @@ def heisenberg_weyl(rep0: Representation, x: np.ndarray) -> np.ndarray:
     coeffs = np.zeros(rep0.algebra.dim)
     coeffs[1 : 1 + k] = x[0::2]
     coeffs[1 + k :] = x[1::2]
-    return _exp_anti_hermitian(rep0.operator(coeffs, ambient=False))
+    return _exp_anti_hermitian(rep0.operator(coeffs))
 
 
 def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ from .matcore import (
     _null_rows,
     cluster_values,
     commutant_basis,
+    hermitian_split,
     numerical_rank,
 )
 
@@ -48,45 +48,38 @@ class Representation:
     ``dpi[i]`` is the image of ``algebra.basis[i]``.  When the represented
     algebra is a subalgebra of a larger one (e.g. a fixed-point algebra or a
     torus), ``ambient_coeffs`` maps its basis to coefficient vectors over
-    the ambient algebra, so elements given in ambient coordinates can be
-    evaluated with :meth:`operator`.
+    the ambient algebra, as orthonormal rows, so that :meth:`local_coeffs`
+    takes elements given in ambient coordinates to local ones.
     """
 
     algebra: MatrixLieAlgebra
     dpi: np.ndarray  # (dim_g, d, d) complex
     label: Optional[tuple] = None
-    ambient_coeffs: Optional[np.ndarray] = None  # (dim_g, dim_ambient)
+    ambient_coeffs: Optional[np.ndarray] = None  # (dim_g, dim_ambient), orthonormal rows
 
     @property
     def dim(self) -> int:
         return self.dpi.shape[1]
 
-    @cached_property
-    def _ambient_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.ambient_coeffs.T)
-
     def local_coeffs(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Local coordinates of ambient coefficient rows, and which rows lie outside the subalgebra."""
+        """Local coordinates of ambient coefficient rows, and which rows lie outside the subalgebra.
+
+        With orthonormal rows R in ``ambient_coeffs``, the local coordinates
+        of x are x R^T.  A row x is outside when x R^T R misses x; since R
+        has full rank, that residual also vanishes only where x R^T is the
+        right answer, so rows R that break the contract flag their elements
+        as outside rather than give wrong coordinates.
+        """
         if self.ambient_coeffs is None:
             raise ValueError("representation has no ambient embedding")
         coeffs = np.asarray(coeffs, dtype=complex)
-        local = coeffs @ self._ambient_pinv.T
+        local = coeffs @ self.ambient_coeffs.T
         resid = np.linalg.norm(local @ self.ambient_coeffs - coeffs, axis=-1)
         return local, resid > 1e-8 * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1))
 
-    def operator(self, coeffs: np.ndarray, ambient: Optional[bool] = None) -> np.ndarray:
-        """dpi of an element; complex coefficients extend complex-linearly.
-
-        If ``ambient`` is None, coordinates are taken over the ambient
-        algebra exactly when ``ambient_coeffs`` is set.
-        """
+    def operator(self, coeffs: np.ndarray) -> np.ndarray:
+        """dpi of an element in local coordinates; complex coefficients extend complex-linearly."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        if ambient is None:
-            ambient = self.ambient_coeffs is not None
-        if ambient:
-            coeffs, outside = self.local_coeffs(coeffs)
-            if outside:
-                raise ValueError("element does not lie in the represented subalgebra")
         if coeffs.shape != (self.algebra.dim,):
             raise DimensionMismatch(f"expected {self.algebra.dim} coefficients")
         return np.einsum("i,ijk->jk", coeffs, self.dpi)
@@ -413,7 +406,7 @@ def weight_spaces(rep: Representation, cartan: Optional[np.ndarray] = None,
             raise NonCommutingCartan("algebra has no default Cartan; pass one explicitly")
         cartan = np.eye(g.dim)[list(g.cartan_indices)]
     cartan = np.asarray(cartan, dtype=float)
-    ops = [-1j * rep.operator(row, ambient=False) for row in cartan]
+    ops = [-1j * rep.operator(row) for row in cartan]
     scale = max([1.0] + [float(np.linalg.norm(op)) for op in ops])
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
@@ -459,7 +452,7 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
     for idx in rd.delta_plus:
         i, j = rd.pairs[idx]
         pair = (j, i) if direction == "lowest" else (i, j)
-        rows.append(rep.operator(_root_vector_coeffs(g, *pair), ambient=False))
+        rows.append(rep.operator(_root_vector_coeffs(g, *pair)))
     kernel = _null_rows(np.vstack(rows), tol).T
     if kernel.shape[1] != 1:
         raise NotIrreducible(
@@ -498,43 +491,30 @@ def decompose(rep: Representation, tol: float = DEFAULT_TOL, seed: int = 0,
     """Orthogonal decomposition into irreducible components with multiplicity.
 
     Minimal invariant subspaces are eigenspaces of a random Hermitian
-    element of the commutant; components failing the Schur check trigger a
-    retry with a fresh random element.
+    element of the commutant; a split with a component failing the Schur
+    check is replaced by one from a fresh random element.
     """
     comm = commutant_basis(list(rep.dpi), dim=rep.dim, tol=tol)
     if comm.rank == 1:
         return [(rep, 1)]
-    rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        coeff = rng.normal(size=comm.rank)
-        X = np.einsum("k,kij->ij", coeff.astype(complex), comm.basis)
-        X = (X + X.conj().T) / 2.0
-        w, v = np.linalg.eigh(X)
-        pieces = []
-        ok = True
-        for grp in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max()))):
-            basis = v[:, grp]
-            piece = restrict(rep, basis)
-            piece_comm = commutant_basis(list(piece.dpi), dim=piece.dim, tol=tol)
-            if piece_comm.rank != 1:
-                ok = False
+
+    def irreducible(blocks: list[np.ndarray]) -> bool:
+        return all(commutant_basis(list(restrict(rep, b).dpi), dim=b.shape[1], tol=tol).rank == 1
+                   for b in blocks)
+
+    classes: list[tuple[Representation, int]] = []
+    for basis in hermitian_split(comm.basis, irreducible, seed, max_tries):
+        piece = restrict(rep, basis)
+        for idx, (repr_rep, count) in enumerate(classes):
+            if _equivalent(piece, repr_rep, tol):
+                classes[idx] = (repr_rep, count + 1)
                 break
-            pieces.append(piece)
-        if not ok:
-            continue
-        classes: list[tuple[Representation, int]] = []
-        for piece in pieces:
-            for idx, (repr_rep, count) in enumerate(classes):
-                if _equivalent(piece, repr_rep, tol):
-                    classes[idx] = (repr_rep, count + 1)
-                    break
-            else:
-                classes.append((piece, 1))
-        total = sum(r.dim * m for r, m in classes)
-        if total != rep.dim:
-            raise NotIrreducible("decomposition does not exhaust the space")  # pragma: no cover
-        return classes
-    raise NotIrreducible("could not isolate irreducible components")  # pragma: no cover
+        else:
+            classes.append((piece, 1))
+    total = sum(r.dim * m for r, m in classes)
+    if total != rep.dim:
+        raise NotIrreducible("decomposition does not exhaust the space")  # pragma: no cover
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import (
     NotDiagonal,
     UnsupportedKind,
 )
-from .matcore import CLUSTER_TOL, DEFAULT_TOL, cluster_values, vec
+from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, vec
 
 Interval = tuple[float, float]
 
@@ -327,7 +327,7 @@ def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
     geo_total = 0
     for grp in clusters:
         lam = complex(np.mean(w[grp]))
-        ns = _null_space_cols(A - lam * np.eye(m), tol * scale)
+        ns = _null_rows(A - lam * np.eye(m), tol).T
         eigvals.append(lam)
         spaces.append(ns)
         geo_total += ns.shape[1]
@@ -336,7 +336,7 @@ def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
         spaces = []
         for lam in eigvals:
             powered = np.linalg.matrix_power(A - lam * np.eye(m), m)
-            spaces.append(_null_space_cols(powered, tol * max(1.0, float(np.abs(powered).max()))))
+            spaces.append(_null_rows(powered, tol).T)
     if diag:
         for lam, sp in zip(eigvals, spaces):
             resid = np.linalg.norm(A @ sp - lam * sp)
@@ -351,12 +351,6 @@ def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
         eigenspaces=tuple(_frozen(spaces[i]) for i in order),
         diagonalizable=diag,
     )
-
-
-def _null_space_cols(mat: np.ndarray, thr: float) -> np.ndarray:
-    _, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s > max(thr, s[0] * 1e-12 if s.size else 0.0)))
-    return vh[rank:].conj().T
 
 
 def is_elliptic(g: MatrixLieAlgebra, d, tol: float = CLUSTER_TOL) -> bool:
@@ -375,17 +369,13 @@ def splitting_condition(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> boo
     elliptic derivations and fails for nilpotent ones.
     """
     D, _ = _derivation_matrix(g, d)
-    scale = max(1.0, float(np.abs(D).max()))
-    k1 = _null_space_cols(D, tol * scale).shape[1]
-    k2 = _null_space_cols(D @ D, tol * scale * scale).shape[1]
-    return k1 == k2
+    return _null_rows(D, tol).shape[0] == _null_rows(D @ D, tol).shape[0]
 
 
 def centralizer_basis(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real orthonormal coefficient rows spanning ker(ad d) (or ker of a matrix D)."""
     D, _ = _derivation_matrix(g, d)
-    cols = _null_space_cols(D, tol * max(1.0, float(np.abs(D).max())))
-    rows = cols.T
+    rows = _null_rows(D, tol)
     if np.linalg.norm(rows.imag) > 1e-10:
         raise ValueError("kernel of a real derivation should have a real basis")
     return rows.real

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, NotIrreducible
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-8
@@ -194,6 +194,30 @@ def cluster_values(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndar
     return [np.array(g, dtype=int) for g in groups]
 
 
+def hermitian_split(basis: np.ndarray, accept, seed: int, tries: int = 8) -> list[np.ndarray]:
+    """Eigenspaces of a random Hermitian element of the span of ``basis``, as orthonormal column blocks.
+
+    The element is the Hermitian part of a real combination of the (r, d, d)
+    ``basis``, with coefficients drawn from ``seed``; eigenvalues within a
+    ``CLUSTER_TOL`` window, relative to the largest, share a block.  A draw
+    is returned once ``accept(blocks)`` holds, so a generic element that
+    merges blocks by chance is replaced by the next draw.
+
+    Raises
+    ------
+    NotIrreducible : if none of ``tries`` draws is accepted.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        coeff = rng.normal(size=basis.shape[0])
+        X = np.einsum("k,kij->ij", coeff.astype(complex), basis)
+        w, v = np.linalg.eigh((X + X.conj().T) / 2.0)
+        blocks = [v[:, grp] for grp in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))]
+        if accept(blocks):
+            return blocks
+    raise NotIrreducible(f"no accepted split in {tries} random elements")  # pragma: no cover
+
+
 def _null_rows(mat: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal rows spanning the (right) null space of ``mat``.
 
@@ -215,9 +239,8 @@ def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
     normal X, returns the eigenvectors ``u`` of one Hermitian H whose
     eigenspaces are X's, and the start and size of each eigenvalue cluster
     of H (contiguous, since eigenvalues come sorted): Y commutes with X iff
-    ``u^* Y u`` is block diagonal over the clusters.
-    Otherwise ``u`` is None, the whole space is one cluster, and the rows of
-    the dense null space of Y -> YX - XY are returned as well.
+    ``u^* Y u`` is block diagonal over the clusters.  A non-normal X gives
+    the identity frame as one cluster, so the inputs impose everything.
     """
     k, d = mats.shape[0], mats.shape[1]
     rng = np.random.default_rng(GENERIC_SEED)
@@ -230,23 +253,16 @@ def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
         coeffs = rng.normal(size=rows.shape[0]) @ rows
     X = np.einsum("k,kij->ij", coeffs.astype(complex), mats)
     Xh = X.conj().T
-    scale = tol * max(np.linalg.norm(X), 1.0)
-    if np.linalg.norm(X - Xh) <= scale:
-        H = (X + Xh) / 2.0
-    elif np.linalg.norm(X + Xh) <= scale:
-        H = (-1j * X + (-1j * X).conj().T) / 2.0
-    elif np.linalg.norm(X @ Xh - Xh @ X) <= scale * max(np.linalg.norm(X), 1.0):
-        # its Hermitian parts commute; a generic real mix of them separates
-        # their joint eigenspaces, which are X's
-        H = (X + Xh) / 2.0 - 1j * np.sqrt(0.5) * (X - Xh)
-    else:
-        eye = np.eye(d, dtype=complex)
-        L = np.kron(eye, X.T) - np.kron(X, eye)
-        return None, np.zeros(1, dtype=int), np.array([d]), _null_rows(L, tol)
+    scale = max(np.linalg.norm(X), 1.0)
+    if np.linalg.norm(X @ Xh - Xh @ X) > tol * scale * scale:
+        return np.eye(d, dtype=complex), np.zeros(1, dtype=int), np.array([d])
+    # the Hermitian parts of a normal X commute; a generic real mix of them
+    # separates their joint eigenspaces, which are X's
+    H = (X + Xh) / 2.0 - 1j * np.sqrt(0.5) * (X - Xh)
     w, u = np.linalg.eigh(H)
     window = SEED_CLUSTER_TOL * max(1.0, -w[0], w[-1])
     bounds = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > window) + 1, [d]))
-    return u, bounds[:-1], bounds[1:] - bounds[:-1], None
+    return u, bounds[:-1], bounds[1:] - bounds[:-1]
 
 
 class _SeedFrame:
@@ -332,8 +348,8 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
         diagonal (a torus) keep the imposed constraints sparse.
 
     The seed is the commutant of the seed element (see the module
-    docstring).  For a normal seed element the current basis is held as
-    coefficients over the free blocks Y_c of its eigenframe ``u``; each input
+    docstring).  The current basis is held as coefficients over the free
+    blocks Y_c of the seed element's eigenframe ``u``; each input
     A is taken to that frame, F = u^* A u, and [Y, F] = 0 is imposed as a
     thin null space with one row per entry of F's live blocks (see
     :meth:`_SeedFrame.live_entries`).  The dropped blocks of F have entries
@@ -344,10 +360,10 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     input with no live block, or whose constraint is below ``tol``, is
     skipped.  Consecutive inputs whose first constraint rows fall in one
     window of ``CONSTRAINT_BATCH // coordinates`` rows share one null space;
-    an input with more rows than that is imposed alone.  A non-normal
-    seed falls back to the dense null space of Y -> YX - XY in the
-    identity frame, as one cluster.  The basis u Y u^* is built at the end,
-    from outer products of eigenvectors when nothing was imposed.
+    an input with more rows than that is imposed alone.  A non-normal seed
+    element leaves the identity frame as one cluster, where the inputs are
+    imposed the same way.  The basis u Y u^* is built at the end, from outer
+    products of eigenvectors when nothing was imposed.
 
     The result is always an algebra; star-closure is verified lazily, on
     first read of ``is_star_closed`` (it holds whenever the input set is
@@ -362,14 +378,15 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     if dim is not None and dim != d:
         raise DimensionMismatch(f"operators have dim {d}, expected {dim}")
     stack = np.stack(mats)
-    u, starts, sizes, q = _seed_frame(stack, seed_rows, tol)
+    u, starts, sizes = _seed_frame(stack, seed_rows, tol)
     frame = _SeedFrame(starts, sizes)
-    frames = stack if u is None else u.conj().T @ stack @ u
+    frames = u.conj().T @ stack @ u
     entries = np.flatnonzero(frame.live_entries(frames, np.linalg.norm(stack, axis=(1, 2))))
     # consecutive inputs share one constraint while it has few entries
     first = np.searchsorted(entries, entries // (d * d) * (d * d))
     cuts = np.flatnonzero(np.diff(first // max(1, CONSTRAINT_BATCH // frame.ncoords))) + 1
     bounds = [0, *cuts.tolist(), entries.size] if entries.size else [0]
+    q = None  # coefficient rows over the block coordinates; None is all of them
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if q is not None and q.shape[0] == 0:
             break
@@ -381,13 +398,10 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
         # coefficient combinations of the current basis that commute with the batch
         null = _null_rows(comms, tol)
         q = null if q is None else null @ q
-    if u is None:
-        basis = q.reshape(-1, d, d)
-    elif q is None:
-        rows, cols = frame.coordinates()
+    rows, cols = frame.coordinates()
+    if q is None:
         basis = u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
     else:
-        rows, cols = frame.coordinates()
         Y = np.zeros((q.shape[0], d, d), dtype=complex)
         Y[:, rows, cols] = q
         basis = u @ Y @ u.conj().T

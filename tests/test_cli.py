@@ -253,6 +253,41 @@ def test_fock_sector_beyond_cutoff_is_schema_error(capsys):
     assert_schema_error(capsys, ["fock", "--sector", "50", "--cutoffs", "10"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fock", "--modes", "-1", "--cutoffs", "4"],
+    ["fock", "--modes", "0", "--cutoffs", "4"],
+    ["fock", "--modes", "1", "--cutoffs", "-3"],
+    ["fock", "--modes", "1", "--cutoff", "-3"],
+    ["fock", "--modes", "2", "--cutoffs", "4", "--zero-modes", "5"],
+    ["fock", "--modes", "2", "--cutoffs", "4", "--zero-modes", "-1"],
+    ["dirlim", "--lam", "0,1", "--d", "1,1"],
+    ["dirlim", "--lam", "0,1,2", "--d", "3,2"],
+    ["dirlim", "--lam", "", "--d", ""],
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "0,1"],
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "1,0,0"],
+    ["analyze", "--n", "0", "--d", "", "--weight", ""],
+    ["analyze", "--group", "su", "--n", "1", "--d", "0", "--weight", "0"],
+    ["classify", "--n", "0", "--d", "", "--box", "1"],
+    ["sweep", "--suite", "cone-coroot", "--box", "-1"],
+    ["sweep", "--suite", "level-consistency", "--cases", "-5"],
+    ["sweep", "--suite", "level-consistency", "--cases", "0"],
+])
+def test_input_outside_the_domain_is_schema_error(capsys, argv):
+    assert_schema_error(capsys, argv)
+
+
+def test_smallest_valid_inputs_still_run(capsys):
+    for argv in (["fock", "--modes", "2", "--cutoffs", "0", "--zero-modes", "2"],
+                 ["dirlim", "--lam", "3", "--d", "1"],
+                 ["analyze", "--n", "1", "--d", "1", "--weight", "-2"],
+                 ["sweep", "--suite", "cone-coroot", "--box", "0"],
+                 ["sweep", "--suite", "level-consistency", "--cases", "1"]):
+        code, out = run_main(capsys, argv)
+        assert code == 0, argv
+        report = json.loads(out)
+        assert report["verdicts"].get("cases", 1) >= 1
+
+
 def test_corrupt_cache_record_is_rebuilt(tmp_path, capsys):
     record = tmp_path / "u2_lam_1_0.json"
     record.write_text('{"kind": "u", "n"')

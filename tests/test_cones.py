@@ -115,7 +115,9 @@ def test_cone_positivity_failure_with_witness():
     assert not res.verdict
     assert res.witness is not None
     # the witness pairs negatively: -i dpi0 of it has a negative eigenvalue
-    op = -1j * chi.operator(res.witness.astype(complex))
+    local, outside = chi.local_coeffs(res.witness)
+    assert not outside
+    op = -1j * chi.operator(local)
     assert np.linalg.eigvalsh(op).min() < -1e-9
 
 
@@ -195,15 +197,23 @@ def loop_bracket(g, z, tol=1e-9):
     return gen.real
 
 
+def ambient_operator(rep0, x):
+    """dpi0 of an element in ambient coordinates; ValueError outside the subalgebra."""
+    local, outside = rep0.local_coeffs(np.asarray(x, dtype=complex))
+    if outside:
+        raise ValueError("element does not lie in the represented subalgebra")
+    return rep0.operator(local)
+
+
 def loop_in_positive_cone(rep0, x, tol=cones.PSD_TOL):
-    op = -1j * rep0.operator(np.asarray(x, dtype=complex))
+    op = -1j * ambient_operator(rep0, x)
     w, _ = matcore.eig_hermitian(op, 1e-7)
     return bool(w[0] >= -tol * (1.0 + float(np.linalg.norm(op))))
 
 
 def loop_coroot_condition(rep0, rd, tol=cones.PSD_TOL):
     for idx in rd.delta_plus_plus:
-        op = -1j * rep0.operator(rd.coroots[idx].astype(complex))
+        op = -1j * ambient_operator(rep0, rd.coroots[idx])
         w, _ = matcore.eig_hermitian(op, 1e-7)
         if w[-1] > tol * (1.0 + float(np.linalg.norm(op))):
             return False

@@ -199,8 +199,35 @@ def test_torus_character_operator():
     g = algebra("u", 3)
     chi = irreps.torus_character(g, (2, -1, 0))
     x = liealg.diagonal_element(g, [1.0, 1.0, 3.0])
-    op = chi.operator(x)
+    local, outside = chi.local_coeffs(x)
+    assert not outside
+    op = chi.operator(local)
     assert np.allclose(op, 1j * (2 * 1.0 + (-1) * 1.0 + 0 * 3.0))
+
+
+def test_local_coeffs_flag_a_non_orthonormal_embedding():
+    # ambient_coeffs must have orthonormal rows; rows that span the same
+    # Cartan but break the contract flag its elements as outside, so no
+    # element is given wrong local coordinates
+    from gsrep import cones
+
+    g = algebra("u", 3)
+    chi = irreps.torus_character(g, (2, -1, 0))
+    x = liealg.diagonal_element(g, [1.0, 1.0, 3.0])
+    local, outside = chi.local_coeffs(x)
+    assert not outside and np.array_equal(local, [1.0, 1.0, 3.0])
+    skew = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.5, 2.0]])
+    for rows in (2.0 * chi.ambient_coeffs, skew @ chi.ambient_coeffs):
+        bad = irreps.Representation(chi.algebra, chi.dpi, ambient_coeffs=rows)
+        _, outside = bad.local_coeffs(x)
+        assert outside
+        with pytest.raises(ValueError, match="represented subalgebra"):
+            cones.in_positive_cone(bad, x)
+    # orthonormal rows in another order and sign are within the contract
+    turned = irreps.Representation(chi.algebra, chi.dpi,
+                                   ambient_coeffs=-chi.ambient_coeffs[[2, 0, 1]])
+    local, outside = turned.local_coeffs(x)
+    assert not outside and np.array_equal(local, [-3.0, -1.0, -1.0])
 
 
 def test_torus_character_checks_the_cartan_length():
@@ -244,7 +271,9 @@ def test_centralizer_irrep_matches_compression():
     assert pi0.homomorphism_residual() <= 1e-9
     # evaluate on i(E_22 - E_33), an ambient element of the block
     x = liealg.diagonal_element(g, [0.0, 1.0, -1.0])
-    op = pi0.operator(x)
+    local, outside = pi0.local_coeffs(x)
+    assert not outside
+    op = pi0.operator(local)
     assert np.allclose(sorted(np.linalg.eigvalsh(-1j * op)), [-1, 1])
 
 

@@ -1,0 +1,285 @@
+"""One path per spectral decision in ``analyze``.
+
+The central projections, the blockwise ground space and the liealg null
+space that ``analyze`` used before the central blocks and the single rank
+rule are kept here verbatim as references (``_central_projections``,
+``_ground_space``, ``_null_space_cols``).  ``reference_analyze`` is the
+earlier ``analyze`` body on top of them.
+"""
+
+import numpy as np
+import pytest
+
+from gsrep import groundstate, liealg, matcore
+from gsrep.errors import NotIrreducible
+from gsrep.irreps import Representation
+from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, center_basis,
+                           cluster_values, commutant_basis, compress, eig_hermitian)
+
+from conftest import D_LISTS, algebra, rng
+from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases
+
+
+def _central_projections(comm: OperatorSubspace, tol: float,
+                         seed: int = 7) -> list[np.ndarray]:
+    """Minimal central projections of the algebra generated by the operators.
+
+    ``comm`` is the commutant of the operators.  The center of their
+    generated algebra is the center of ``comm``, comm intersected with
+    comm', so it is one null space over the commutant basis; a
+    random Hermitian element of it has the minimal central projections as
+    its spectral projections (generically, so a couple of retries suffice).
+    """
+    dim = comm.dim
+    if comm.rank == 1:
+        return [np.eye(dim, dtype=complex)]
+    center = center_basis(comm, tol)
+    if center.rank == 1:
+        return [np.eye(dim, dtype=complex)]
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        coeff = rng.normal(size=center.rank)
+        X = np.einsum("k,kij->ij", coeff.astype(complex), center.basis)
+        X = (X + X.conj().T) / 2.0
+        w, v = np.linalg.eigh(X)
+        groups = cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))
+        if len(groups) == center.rank:
+            return [v[:, grp] @ v[:, grp].conj().T for grp in groups]
+    raise NotIrreducible("failed to separate central projections")  # pragma: no cover
+
+
+def _ground_space(H: np.ndarray, projections: list[np.ndarray], tol: float) -> tuple[float, np.ndarray, list[float]]:
+    """Blockwise minimal eigenspaces: the kernel of the minimally shifted H."""
+    dim = H.shape[0]
+    scale = 1.0 + float(np.linalg.norm(H))
+    cols = []
+    shifts = []
+    for P in projections:
+        wp, vp = np.linalg.eigh((P + P.conj().T) / 2.0)
+        Q = vp[:, wp > 0.5]  # orthonormal basis of the block range
+        Hb = Q.conj().T @ H @ Q
+        w, v = np.linalg.eigh((Hb + Hb.conj().T) / 2.0)
+        mb = float(w[0])
+        shifts.append(mb)
+        sel = w <= mb + CLUSTER_TOL * scale
+        cols.append(Q @ v[:, sel])
+    basis = np.hstack(cols) if cols else np.zeros((dim, 0), dtype=complex)
+    # columns from distinct blocks are orthogonal; re-orthonormalize defensively
+    q, r = np.linalg.qr(basis)
+    keep = np.abs(np.diag(r)) > 1e-10
+    return (min(shifts) if shifts else 0.0), q[:, keep], shifts
+
+
+def _null_space_cols(mat: np.ndarray, thr: float) -> np.ndarray:
+    _, s, vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > max(thr, s[0] * 1e-12 if s.size else 0.0)))
+    return vh[rank:].conj().T
+
+
+def reference_analyze(pi, d, tol=DEFAULT_TOL):
+    """The earlier ``analyze``: projectors, their ranges, a QR, and the raw corner inputs."""
+    g = pi.algebra
+    d = np.asarray(d, dtype=float)
+    H = -1j * pi.operator(d)
+    w, _ = eig_hermitian(H, 1e-8)
+    dpi_ops = list(pi.dpi)
+    torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
+    comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol, seed_rows=torus)
+    projections = _central_projections(comm_full, tol)
+    _, h0, shifts = _ground_space(H, projections, tol)
+    fix = liealg.fixed_point_data(g, d, tol)
+    dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
+    pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
+    ground_state = groundstate._krylov_cyclic(dpi_ops, h0, pi.dim, tol)
+    comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
+    compressed_comm = compress(h0, comm_full, tol)
+    corner = commutant_basis(list(compressed_comm.basis), dim=pi0.dim, tol=tol)
+    return {
+        "m": float(w[0]),
+        "h0_basis": h0,
+        "shifts": shifts,
+        "commutant_dims": (comm_full.rank, comm_pi0.rank, corner.rank),
+        "ground_state": ground_state,
+        "strict": bool(ground_state and comm_pi0.rank == compressed_comm.rank),
+        "projections": projections,
+        "comm_full": comm_full,
+    }
+
+
+def assert_matches_reference(cases, exact_shifts):
+    for rep, d in cases:
+        got = groundstate.analyze(rep, d)
+        want = reference_analyze(rep, d)
+        assert got.m == want["m"]
+        assert got.h0_dim == want["h0_basis"].shape[1]
+        assert got.commutant_dims == want["commutant_dims"]
+        assert (got.ground_state, got.strict) == (want["ground_state"], want["strict"])
+        P, Q = got.h0_basis, want["h0_basis"]
+        assert np.abs(P @ P.conj().T - Q @ Q.conj().T).max() <= 1e-12
+        assert np.allclose(P.conj().T @ P, np.eye(P.shape[1]), rtol=0, atol=1e-12)
+        assert len(got.central_shifts) == len(want["shifts"])
+        if exact_shifts:
+            assert list(got.central_shifts) == want["shifts"]
+        else:
+            assert np.abs(np.subtract(got.central_shifts, want["shifts"])).max() <= 1e-12
+
+
+def test_irreducible_fixtures_match_the_projector_route():
+    cases = list(sweep_cases())
+    assert len(cases) == 390
+    assert_matches_reference(cases, exact_shifts=True)
+
+
+def test_reducible_cases_match_the_projector_route():
+    cases = list(reducible_cases())
+    assert len(cases) == 28
+    assert_matches_reference(cases, exact_shifts=False)
+
+
+def test_central_blocks_span_the_reference_projections():
+    blocks_seen = set()
+    for rep, d in reducible_cases():
+        comm = reference_analyze(rep, d)["comm_full"]
+        blocks = groundstate._central_blocks(comm, DEFAULT_TOL)
+        want = _central_projections(comm, DEFAULT_TOL)
+        assert len(blocks) == len(want)
+        for Q, P in zip(blocks, want):
+            assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-12)
+            assert np.abs(Q @ Q.conj().T - P).max() <= 1e-12
+        blocks_seen.add(len(blocks))
+    assert blocks_seen == {1, 2, 3}
+
+
+def _seed_element(mats, seed_rows):
+    """The seed element ``matcore._seed_frame`` draws, recomputed from its seed."""
+    gen = np.random.default_rng(matcore.GENERIC_SEED)
+    if seed_rows is None:
+        coeffs = gen.normal(size=len(mats))
+    else:
+        rows = np.asarray(seed_rows, dtype=float)
+        coeffs = gen.normal(size=rows.shape[0]) @ rows
+    return np.einsum("k,kij->ij", coeffs.astype(complex), mats)
+
+
+@pytest.fixture
+def non_normal_seeds(monkeypatch):
+    """Counts the calls of ``_seed_frame`` whose seed element is not normal."""
+    count = {"calls": 0, "non_normal": 0}
+    real = matcore._seed_frame
+
+    def counting(mats, seed_rows, tol):
+        X = _seed_element(mats, seed_rows)
+        scale = max(np.linalg.norm(X), 1.0)
+        count["calls"] += 1
+        count["non_normal"] += bool(np.linalg.norm(X @ X.conj().T - X.conj().T @ X) > tol * scale ** 2)
+        return real(mats, seed_rows, tol)
+
+    monkeypatch.setattr(matcore, "_seed_frame", counting)
+    return count
+
+
+def test_no_reducible_case_takes_the_identity_frame(non_normal_seeds):
+    for rep, d in reducible_cases():
+        groundstate.analyze(rep, d)
+    assert non_normal_seeds["calls"] == 3 * 28
+    assert non_normal_seeds["non_normal"] == 0
+
+
+def _non_star_closed_sets():
+    N = np.diag(np.ones(3), 1).astype(complex)
+    gen = rng(41)
+    sets = [[N, 2.0 * N @ N], [N]]
+    for dim in (2, 3, 4):
+        sets.append([gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+                     for _ in range(2)])
+    sets.append([np.triu(gen.normal(size=(4, 4))).astype(complex), np.eye(4, dtype=complex)])
+    return sets
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_identity_frame_matches_reference_commutant(k, non_normal_seeds):
+    ops = _non_star_closed_sets()[k]
+    got = matcore.commutant_basis(ops)
+    assert non_normal_seeds["non_normal"] == 1  # the path under test was taken
+    want = reference_commutant(ops)
+    assert got.rank == want.rank
+    assert got.same_span(want, 1e-8)
+    flat = got.basis.reshape(got.rank, -1)
+    assert np.allclose(flat.conj() @ flat.T, np.eye(got.rank), atol=1e-10)
+    for B in got.basis:
+        for A in ops:
+            assert np.linalg.norm(B @ A - A @ B) <= 1e-9 * max(1.0, np.linalg.norm(A))
+
+
+def test_hermitian_parts_span_the_compressed_commutant():
+    # the corner commutant takes B + B^* and i(B - B^*); their span is the
+    # compressed commutant's own, so the corner is unchanged
+    for rep, d in reducible_cases():
+        out = reference_analyze(rep, d)
+        B = compress(out["h0_basis"], out["comm_full"]).basis
+        Bh = B.conj().transpose(0, 2, 1)
+        parts = matcore.span_basis([*(B + Bh), *(1j * (B - Bh))])
+        assert OperatorSubspace(B.shape[1], parts).same_span(OperatorSubspace(B.shape[1], B))
+
+
+# ---------------------------------------------------------------------------
+# the liealg null spaces on the single rank rule
+
+
+def reference_centralizer_rows(g, d, tol=DEFAULT_TOL):
+    D, _ = liealg._derivation_matrix(g, d)
+    return _null_space_cols(D, tol * max(1.0, float(np.abs(D).max()))).T
+
+
+def reference_eigenspaces(g, d, tol=DEFAULT_TOL, cluster_tol=CLUSTER_TOL):
+    """The eigenspaces of the earlier spectral_split, in its order."""
+    D, _ = liealg._derivation_matrix(g, d)
+    m = g.dim
+    A = -1j * D.astype(complex)
+    w = np.linalg.eigvals(A)
+    scale = max(1.0, float(np.abs(A).max()))
+    eigvals, spaces = [], []
+    for grp in cluster_values(w, cluster_tol * scale):
+        lam = complex(np.mean(w[grp]))
+        eigvals.append(lam)
+        spaces.append(_null_space_cols(A - lam * np.eye(m), tol * scale))
+    if sum(sp.shape[1] for sp in spaces) != m:
+        spaces = []
+        for lam in eigvals:
+            powered = np.linalg.matrix_power(A - lam * np.eye(m), m)
+            spaces.append(_null_space_cols(powered, tol * max(1.0, float(np.abs(powered).max()))))
+    order = sorted(range(len(eigvals)), key=lambda i: (eigvals[i].real, eigvals[i].imag))
+    return [eigvals[i] for i in order], [spaces[i] for i in order]
+
+
+def reference_splitting(g, d, tol=DEFAULT_TOL):
+    D, _ = liealg._derivation_matrix(g, d)
+    scale = max(1.0, float(np.abs(D).max()))
+    return (_null_space_cols(D, tol * scale).shape[1]
+            == _null_space_cols(D @ D, tol * scale * scale).shape[1])
+
+
+def _derivations():
+    for (kind, n), lists in D_LISTS.items():
+        g = algebra(kind, n)
+        for entries in lists:
+            yield g, liealg.diagonal_element(g, entries)
+    h = algebra("heis", 2)
+    yield h, np.array([0.0, 1.0, 0.0])  # nilpotent: ad(X) maps Y to Z
+    yield h, np.array([0.0, 1.0, 1.0])
+
+
+def test_liealg_null_spaces_equal_the_reference_bit_for_bit():
+    nilpotent = 0
+    for g, d in _derivations():
+        assert np.array_equal(liealg.centralizer_basis(g, d), reference_centralizer_rows(g, d))
+        # a fresh algebra, so the memo does not answer
+        fresh = liealg.MatrixLieAlgebra(g.name, g.kind, g.n, g.basis, g.structure, g.cartan_indices)
+        dd = liealg.spectral_split(fresh, d)
+        eigvals, spaces = reference_eigenspaces(g, d)
+        assert np.array_equal(dd.eigenvalues, np.array(eigvals))
+        assert len(dd.eigenspaces) == len(spaces)
+        assert all(np.array_equal(a, b) for a, b in zip(dd.eigenspaces, spaces))
+        assert liealg.splitting_condition(g, d) == reference_splitting(g, d)
+        nilpotent += not dd.diagonalizable
+    assert nilpotent == 2
