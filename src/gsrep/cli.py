@@ -229,6 +229,13 @@ def _bounded_norm(x: np.ndarray, what: str) -> None:
             raise SchemaError(f"{what} is too large: its norm overflows a double")
 
 
+def _addressable(entries: int, itemsize: int, what: str) -> None:
+    """Refuse, before allocating it, an array larger than numpy can address."""
+    if entries * itemsize > np.iinfo(np.intp).max:
+        raise SchemaError(f"{what} would take {entries} entries of {itemsize} bytes, "
+                          "more than one array can address")
+
+
 def _run_analyze(job: dict, report: dict, tol: float) -> None:
     g, d = _algebra_and_d(job)
     lam = tuple(_require(job, "weight"))
@@ -236,6 +243,10 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
         raise SchemaError(f"weight must have {g.n} entries")
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise SchemaError(f"weight {list(lam)} is not weakly decreasing")
+    if any(not -2**63 <= x < 2**63 for x in lam):
+        raise SchemaError("weight entries must fit in 64-bit integers")
+    dim = irreps.weyl_dim(lam)
+    _addressable(g.dim * dim * dim, 16, f"the generators of the {dim}-dimensional irreducible")
     cache = IrrepCache(job.get("cache_dir"))
     rep = cache.get_or_build(g.kind, g.n, lam)
     _bounded_norm(rep.operator(d), "dpi(d)")
@@ -392,6 +403,7 @@ def _run_dirlim(job: dict, report: dict, tol: float) -> None:
 
 
 def _integer_box(n: int, box: int):
+    _addressable(n * (2 * box + 1) ** n, 8, f"the integer box of radius {box}")
     grids = np.meshgrid(*[np.arange(-box, box + 1)] * n, indexing="ij")
     combos = np.stack([g.reshape(-1) for g in grids], axis=1)
     return [tuple(int(x) for x in row) for row in combos]
@@ -563,16 +575,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        job = _job_from_args(args)
-        report = run(job)
-    except GsrepError as exc:
+        text = render_report(run(_job_from_args(args)))
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except Exception as exc:  # MemoryError included: the error is one JSON line
         sys.stderr.write(json.dumps({"error": {"code": type(exc).__name__, "message": str(exc)}}) + "\n")
         return 2 if isinstance(exc, SchemaError) else 1
-    text = render_report(report)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -108,21 +108,10 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray,
     return np.hstack(cols), shifts
 
 
-def _krylov_cyclic(dpi_ops: list[np.ndarray], start: np.ndarray, dim: int,
-                   tol: float) -> bool:
-    """Does the iterated operator span of the start subspace fill the space?"""
-    S = start
-    while S.shape[1] < dim:
-        cands = np.hstack([op @ S for op in dpi_ops]) if dpi_ops else S[:, :0]
-        if cands.shape[1] == 0:
-            break
-        cands = cands - S @ (S.conj().T @ cands)
-        u, s, _ = np.linalg.svd(cands, full_matrices=False)
-        keep = numerical_rank(s, tol)
-        if keep == 0:
-            break
-        S = np.hstack([S, u[:, :keep]])
-    return S.shape[1] == dim
+def _separating(comm: OperatorSubspace, h0: np.ndarray, tol: float) -> bool:
+    """Is the range of ``h0`` separating for ``comm``: are the B_k h0 independent?"""
+    cols = (comm.basis @ h0).reshape(comm.rank, -1).T
+    return numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == comm.rank
 
 
 def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> GroundStateReport:
@@ -134,15 +123,15 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     d : real coefficient vector of the generating element.
     tol : rank threshold shared by all subspace decisions.
 
-    Strictness is decided by comparing the commutant of the compressed
-    fixed-point action with the compressed commutant of the whole action,
-    which is equivalent to the literal algebra comparison of
-    :func:`is_strict` and cheap.  The commutant of the whole action is
-    built once and also yields the central blocks.
-
-    The ground-state verdict is cyclicity of the blockwise minimal-energy
-    space under the operator algebra of g (at finite dimension the required
-    positive shift always exists, blockwise).
+    The commutant M' of the whole action, with orthonormal basis B_k, is
+    built once and yields the central blocks and both verdicts.  The
+    ground state property is cyclicity of the blockwise minimal-energy
+    space H0 for M = pi(G)'', i.e. H0 separating for M' (Bratteli-Robinson,
+    vol. 1, Prop. 2.5.3): the B_k h0 are independent.  The projection on
+    H0 lies in M, so separation makes X -> X|H0 injective on M', and
+    strictness is then dim pi0(G0)' = dim M', equivalent to :func:`is_strict`.
+    The corner commutant takes the Hermitian parts of the raw compressions
+    h0^* B_k h0, which span the compressed commutant.
 
     Both commutants of the strictness test are seeded from the torus: the
     Cartan images for pi, and the Cartan rows projected on g^0 for pi0.
@@ -152,23 +141,18 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     d = np.asarray(d, dtype=float)
     H = -1j * pi.operator(d)
     w, v = eig_hermitian(H, 1e-8)
-    dpi_ops = list(pi.dpi)
     torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-    comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol, seed_rows=torus)
+    comm_full = commutant_basis(list(pi.dpi), dim=pi.dim, tol=tol, seed_rows=torus)
     h0, shifts = _ground_space(H, w, v, _central_blocks(comm_full, tol))
+    ground_state = _separating(comm_full, h0, tol)
 
     fix = fixed_point_data(g, d, tol)
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
     pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
-
-    ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
-
     comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
-    compressed_comm = compress(h0, comm_full, tol)
     # P0 pi(G)'' P0 is a von Neumann algebra on H0, so it is the commutant
-    # of the compressed commutant; no large algebra closure is needed.  That
-    # span is *-closed, so its Hermitian parts span it and give a normal seed.
-    B = compressed_comm.basis
+    # of the compressed commutant; its Hermitian inputs give a normal seed
+    B = h0.conj().T @ comm_full.basis @ h0
     Bh = B.conj().transpose(0, 2, 1)
     corner = commutant_basis([*(B + Bh), *(1j * (B - Bh))], dim=pi0.dim, tol=tol)
     return GroundStateReport(
@@ -176,7 +160,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         h0_basis=h0,
         pi0=pi0,
         ground_state=ground_state,
-        strict=bool(ground_state and comm_pi0.rank == compressed_comm.rank),
+        strict=bool(ground_state and comm_pi0.rank == comm_full.rank),
         commutant_dims=(comm_full.rank, comm_pi0.rank, corner.rank),
         central_shifts=tuple(shifts),
         fixed_algebra=fix.algebra,

@@ -27,9 +27,11 @@ from .liealg import MatrixLieAlgebra, RootDatum, _root_vector_coeffs, build_alge
 from .matcore import (
     CLUSTER_TOL,
     DEFAULT_TOL,
+    OperatorSubspace,
     _null_rows,
     cluster_values,
     commutant_basis,
+    compress,
     hermitian_split,
     numerical_rank,
 )
@@ -475,15 +477,11 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
 # decomposition into irreducibles
 
 
-def _equivalent(a: Representation, b: Representation, tol: float) -> bool:
-    """Existence of a nonzero intertwiner between two irreducibles."""
-    if a.dim != b.dim:
-        return False
-    d = a.dim
-    eye = np.eye(d, dtype=complex)
-    rows = [np.kron(a.dpi[i], eye) - np.kron(eye, b.dpi[i].T) for i in range(a.algebra.dim)]
-    _, s, _ = np.linalg.svd(np.vstack(rows))
-    return numerical_rank(s, tol) < d * d
+def _intertwined(comm: OperatorSubspace, P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
+    """Equivalence of the irreducible pieces on ran P and ran Q: the Q^* B_k P
+    span Hom_G(ran P, ran Q), so the pieces are equivalent iff one is nonzero."""
+    stack = (Q.conj().T @ comm.basis @ P).reshape(comm.rank, -1)
+    return numerical_rank(np.linalg.svd(stack, compute_uv=False), tol) > 0
 
 
 def decompose(rep: Representation, tol: float = DEFAULT_TOL, seed: int = 0,
@@ -492,29 +490,27 @@ def decompose(rep: Representation, tol: float = DEFAULT_TOL, seed: int = 0,
 
     Minimal invariant subspaces are eigenspaces of a random Hermitian
     element of the commutant; a split with a component failing the Schur
-    check is replaced by one from a fresh random element.
+    check is replaced by one from a fresh random element.  The Schur check
+    (the commutant compressed to a piece is scalar) and equivalence read comm.
     """
     comm = commutant_basis(list(rep.dpi), dim=rep.dim, tol=tol)
     if comm.rank == 1:
         return [(rep, 1)]
 
     def irreducible(blocks: list[np.ndarray]) -> bool:
-        return all(commutant_basis(list(restrict(rep, b).dpi), dim=b.shape[1], tol=tol).rank == 1
-                   for b in blocks)
+        return all(compress(b, comm, tol).rank == 1 for b in blocks)
 
-    classes: list[tuple[Representation, int]] = []
+    classes: list[tuple[np.ndarray, int]] = []  # (basis of a representative, count)
     for basis in hermitian_split(comm.basis, irreducible, seed, max_tries):
-        piece = restrict(rep, basis)
-        for idx, (repr_rep, count) in enumerate(classes):
-            if _equivalent(piece, repr_rep, tol):
-                classes[idx] = (repr_rep, count + 1)
+        for idx, (first, count) in enumerate(classes):
+            if _intertwined(comm, first, basis, tol):
+                classes[idx] = (first, count + 1)
                 break
         else:
-            classes.append((piece, 1))
-    total = sum(r.dim * m for r, m in classes)
-    if total != rep.dim:
+            classes.append((basis, 1))
+    if sum(b.shape[1] * m for b, m in classes) != rep.dim:
         raise NotIrreducible("decomposition does not exhaust the space")  # pragma: no cover
-    return classes
+    return [(restrict(rep, b), m) for b, m in classes]
 
 
 # ---------------------------------------------------------------------------

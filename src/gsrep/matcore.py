@@ -247,10 +247,7 @@ def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
     if seed_rows is None:
         coeffs = rng.normal(size=k)
     else:
-        rows = np.asarray(seed_rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != k:
-            raise DimensionMismatch(f"seed rows must have shape (s, {k}), got {rows.shape}")
-        coeffs = rng.normal(size=rows.shape[0]) @ rows
+        coeffs = rng.normal(size=seed_rows.shape[0]) @ seed_rows
     X = np.einsum("k,kij->ij", coeffs.astype(complex), mats)
     Xh = X.conj().T
     scale = max(np.linalg.norm(X), 1.0)
@@ -377,6 +374,12 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     d = _check_square_same_dim(mats)
     if dim is not None and dim != d:
         raise DimensionMismatch(f"operators have dim {d}, expected {dim}")
+    if seed_rows is not None:
+        seed_rows = np.asarray(seed_rows, dtype=float)
+        if seed_rows.ndim != 2 or seed_rows.shape[1] != len(mats):
+            raise DimensionMismatch(f"seed rows must have shape (s, {len(mats)}), got {seed_rows.shape}")
+    if d == 1:
+        return full_operator_space(1)  # every 1 x 1 input is scalar
     stack = np.stack(mats)
     u, starts, sizes = _seed_frame(stack, seed_rows, tol)
     frame = _SeedFrame(starts, sizes)

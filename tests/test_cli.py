@@ -276,6 +276,51 @@ def test_input_outside_the_domain_is_schema_error(capsys, argv):
     assert_schema_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "99999999999999999999,0"],
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "9223372036854775808,9223372036854775808"],
+    # every entry fits in int64, but the dimension 2**63 does not
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "9223372036854775807,0"],
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "3000000000,0"],
+    ["classify", "--n", "2", "--d", "2,1", "--box", "99999999999999999999"],
+    ["sweep", "--suite", "cone-coroot", "--box", "99999999999999999999"],
+    ["sweep", "--suite", "classification", "--box", "99999999999999999999"],
+])
+def test_oversized_integers_are_schema_errors_before_allocation(capsys, monkeypatch, argv):
+    # the irreducible and the box are where the arrays would be allocated;
+    # reaching either one turns the schema error into an exit-1 error
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an array was requested for an oversized input")
+
+    monkeypatch.setattr(cli.irreps, "irrep", no_allocation)
+    monkeypatch.setattr(cli.np, "meshgrid", no_allocation)
+    assert_schema_error(capsys, argv)
+
+
+def test_largest_int64_weight_of_dimension_one_still_runs(capsys):
+    code, out = run_main(capsys, ["analyze", "--n", "2", "--d", "1,0", "--weight",
+                                  "4611686018427387904,4611686018427387904"])
+    assert code == 0
+    assert json.loads(out)["tables"]["rep_dim"] == 1
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 22.4 GiB"),
+                                 ValueError("negative dimensions are not allowed"),
+                                 OSError("disk full")])
+def test_any_other_exception_is_one_line_json_with_exit_1(capsys, monkeypatch, exc):
+    def raising(job):
+        raise exc
+
+    monkeypatch.setattr(cli, "run", raising)
+    code = cli.main(["analyze", "--n", "2", "--d", "1,0", "--weight", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"code": type(exc).__name__, "message": str(exc)}
+
+
 def test_smallest_valid_inputs_still_run(capsys):
     for argv in (["fock", "--modes", "2", "--cutoffs", "0", "--zero-modes", "2"],
                  ["dirlim", "--lam", "3", "--d", "1"],

@@ -213,6 +213,26 @@ def test_seed_rows_of_the_wrong_width_are_rejected():
         matcore.commutant_basis(list(algebra("su", 2).basis), seed_rows=np.eye(2))
 
 
+@pytest.mark.parametrize("rows", [np.eye(2), np.ones(3), np.zeros((1, 2, 3))])
+def test_seed_rows_of_the_wrong_shape_are_rejected_at_dimension_one(rows):
+    from gsrep.errors import DimensionMismatch
+
+    ops = [1j * np.ones((1, 1)), 2j * np.ones((1, 1)), np.zeros((1, 1))]
+    with pytest.raises(DimensionMismatch):
+        matcore.commutant_basis(ops, seed_rows=rows)
+
+
+def test_dimension_one_commutant_is_the_scalars_without_a_seed(monkeypatch):
+    def no_seed(*args):
+        raise AssertionError("a 1 x 1 commutant built a seed frame")
+
+    monkeypatch.setattr(matcore, "_seed_frame", no_seed)
+    for ops, rows in (([1j * np.ones((1, 1))], None), ([np.zeros((1, 1))] * 3, np.eye(3)[:2])):
+        comm = matcore.commutant_basis(ops, dim=1, seed_rows=rows)
+        assert np.array_equal(comm.basis, np.ones((1, 1, 1), dtype=complex))
+        assert comm.is_algebra and comm.is_star_closed
+
+
 def test_scalar_input_leaves_the_whole_matrix_algebra():
     # a scalar with a complex phase is normal: one cluster, nothing imposed
     comm = matcore.commutant_basis([np.exp(0.3j) * np.eye(5)])

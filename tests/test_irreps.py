@@ -1,11 +1,14 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from gsrep import irreps, liealg
+from gsrep import irreps, liealg, matcore
 from gsrep.errors import DimensionOracleMismatch, NotDominant, NotIrreducible
+from gsrep.irreps import Representation
+from gsrep.matcore import numerical_rank
 
 from conftest import algebra, cached_irrep, dominant_box, rng, su_dominant_box
 
@@ -275,6 +278,49 @@ def test_centralizer_irrep_matches_compression():
     assert not outside
     op = pi0.operator(local)
     assert np.allclose(sorted(np.linalg.eigvalsh(-1j * op)), [-1, 1])
+
+
+def _equivalent(a: Representation, b: Representation, tol: float) -> bool:
+    """Existence of a nonzero intertwiner between two irreducibles."""
+    if a.dim != b.dim:
+        return False
+    d = a.dim
+    eye = np.eye(d, dtype=complex)
+    rows = [np.kron(a.dpi[i], eye) - np.kron(eye, b.dpi[i].T) for i in range(a.algebra.dim)]
+    _, s, _ = np.linalg.svd(np.vstack(rows))
+    return numerical_rank(s, tol) < d * d
+
+
+@pytest.mark.parametrize("summands", [
+    [(3, 1, 0), (3, 1, 0)],
+    [(3, 1, 0), (2, 1, 0), (3, 1, 0)],
+    [(2, 1, 0), (1, 1, 0), (2, 1, 0), (1, 0, 0)],
+])
+def test_decompose_reads_schur_and_equivalence_from_the_commutant(summands):
+    # the Kronecker intertwiner test and a commutant per block, which
+    # decompose used before, are the references
+    tol = matcore.DEFAULT_TOL
+    rep = irreps.direct_sum([cached_irrep("u", 3, lam) for lam in summands])
+    g = algebra("u", 3)
+    rd = liealg.root_datum(g, liealg.diagonal_element(g, [2, 1, 0]))
+    parts = irreps.decompose(rep)
+    got = Counter()
+    for component, mult in parts:
+        got[irreps.extremal_weight(component, rd, "highest")] += mult
+    assert len(parts) == len(set(summands))
+    assert got == Counter(summands)
+
+    comm = matcore.commutant_basis(list(rep.dpi), dim=rep.dim)
+    pieces = matcore.hermitian_split(
+        comm.basis, lambda blocks: all(matcore.commutant_basis(
+            list(irreps.restrict(rep, b).dpi), dim=b.shape[1]).rank == 1 for b in blocks), seed=0)
+    assert all(matcore.compress(P, comm).rank == 1 for P in pieces)
+    verdicts = Counter()
+    for P, Q in itertools.combinations(pieces, 2):
+        want = _equivalent(irreps.restrict(rep, Q), irreps.restrict(rep, P), tol)
+        assert irreps._intertwined(comm, P, Q, tol) == want
+        verdicts[want] += 1
+    assert verdicts[True] == sum(m * (m - 1) // 2 for m in Counter(summands).values())
 
 
 def test_commutant_rank_is_sum_of_squared_multiplicities():

@@ -1,11 +1,15 @@
 """One path per spectral decision in ``analyze``.
 
-The central projections, the blockwise ground space and the liealg null
-space that ``analyze`` used before the central blocks and the single rank
-rule are kept here verbatim as references (``_central_projections``,
-``_ground_space``, ``_null_space_cols``).  ``reference_analyze`` is the
+The central projections, the blockwise ground space, the Krylov cyclicity
+test and the liealg null space that ``analyze`` used before the central
+blocks, the separation decision and the single rank rule are kept here
+verbatim as references (``_central_projections``, ``_ground_space``,
+``_krylov_cyclic``, ``_null_space_cols``).  ``reference_analyze`` is the
 earlier ``analyze`` body on top of them.
 """
+
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +18,10 @@ from gsrep import groundstate, liealg, matcore
 from gsrep.errors import NotIrreducible
 from gsrep.irreps import Representation
 from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, center_basis,
-                           cluster_values, commutant_basis, compress, eig_hermitian)
+                           cluster_values, commutant_basis, compress, eig_hermitian,
+                           numerical_rank)
 
-from conftest import D_LISTS, algebra, rng
+from conftest import D_LISTS, algebra, cached_irrep, rng
 from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases
 
 
@@ -70,6 +75,23 @@ def _ground_space(H: np.ndarray, projections: list[np.ndarray], tol: float) -> t
     return (min(shifts) if shifts else 0.0), q[:, keep], shifts
 
 
+def _krylov_cyclic(dpi_ops: list[np.ndarray], start: np.ndarray, dim: int,
+                   tol: float) -> bool:
+    """Does the iterated operator span of the start subspace fill the space?"""
+    S = start
+    while S.shape[1] < dim:
+        cands = np.hstack([op @ S for op in dpi_ops]) if dpi_ops else S[:, :0]
+        if cands.shape[1] == 0:
+            break
+        cands = cands - S @ (S.conj().T @ cands)
+        u, s, _ = np.linalg.svd(cands, full_matrices=False)
+        keep = numerical_rank(s, tol)
+        if keep == 0:
+            break
+        S = np.hstack([S, u[:, :keep]])
+    return S.shape[1] == dim
+
+
 def _null_space_cols(mat: np.ndarray, thr: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(mat)
     rank = int(np.sum(s > max(thr, s[0] * 1e-12 if s.size else 0.0)))
@@ -90,7 +112,7 @@ def reference_analyze(pi, d, tol=DEFAULT_TOL):
     fix = liealg.fixed_point_data(g, d, tol)
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
     pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
-    ground_state = groundstate._krylov_cyclic(dpi_ops, h0, pi.dim, tol)
+    ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
     comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
     compressed_comm = compress(h0, comm_full, tol)
     corner = commutant_basis(list(compressed_comm.basis), dim=pi0.dim, tol=tol)
@@ -220,6 +242,66 @@ def test_hermitian_parts_span_the_compressed_commutant():
         Bh = B.conj().transpose(0, 2, 1)
         parts = matcore.span_basis([*(B + Bh), *(1j * (B - Bh))])
         assert OperatorSubspace(B.shape[1], parts).same_span(OperatorSubspace(B.shape[1], B))
+
+
+# ---------------------------------------------------------------------------
+# cyclicity as separation for the commutant
+
+
+def _random_subspaces(rep, gen):
+    """Orthonormal random subspaces of dims 1-3, one inside the first summand,
+    and, when the second summand repeats the first, the diagonal line
+    (x, x, 0), which meets no summand and is still not cyclic."""
+    for k in range(1, min(3, rep.dim) + 1):
+        z = gen.normal(size=(rep.dim, k)) + 1j * gen.normal(size=(rep.dim, k))
+        yield np.linalg.qr(z)[0]
+    # the first diagonal block of a direct sum is invariant
+    b = next((b for b in range(1, rep.dim)
+              if not np.any(rep.dpi[:, :b, b:]) and not np.any(rep.dpi[:, b:, :b])), rep.dim)
+    k = min(2, b)
+    z = np.zeros((rep.dim, k), dtype=complex)
+    z[:b] = gen.normal(size=(b, k)) + 1j * gen.normal(size=(b, k))
+    yield np.linalg.qr(z)[0]
+    if 2 * b <= rep.dim and np.array_equal(rep.dpi[:, :b, :b], rep.dpi[:, b:2 * b, b:2 * b]):
+        z = np.zeros((rep.dim, 1), dtype=complex)
+        z[:b, 0] = z[b:2 * b, 0] = gen.normal(size=b) + 1j * gen.normal(size=b)
+        yield z / np.linalg.norm(z)
+
+
+def test_separation_matches_krylov_on_random_subspaces():
+    gen = rng(11)
+    tally = Counter()
+    for rep, d in reducible_cases():
+        out = reference_analyze(rep, d)
+        comm = out["comm_full"]
+        for K in [out["h0_basis"], *_random_subspaces(rep, gen)]:
+            want = _krylov_cyclic(list(rep.dpi), K, rep.dim, DEFAULT_TOL)
+            assert groundstate._separating(comm, K, DEFAULT_TOL) == want
+            tally[want] += 1
+    assert tally[False] >= 28 + 9 and tally[True] >= 100
+
+
+def test_ground_state_decision_takes_no_krylov_svd_and_no_compression(monkeypatch):
+    g = algebra("u", 3)
+    rep = cached_irrep("u", 3, (6, 3, 0))
+    d = liealg.diagonal_element(g, [1.0, 0.0, 0.0])
+    widths = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_filename == groundstate.__file__:
+            widths.append(np.shape(a)[-1])
+        return real_svd(a, *args, **kwargs)
+
+    def no_compress(*args, **kwargs):
+        raise AssertionError("analyze compressed an operator space")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(matcore, "compress", no_compress)
+    monkeypatch.setattr(groundstate, "compress", no_compress)
+    out = groundstate.analyze(rep, d)
+    assert rep.dim == 64 and out.ground_state and out.strict
+    assert widths and max(widths) <= out.commutant_dims[0]
 
 
 # ---------------------------------------------------------------------------
