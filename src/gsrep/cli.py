@@ -247,16 +247,17 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
         raise SchemaError("weight entries must fit in 64-bit integers")
     dim = irreps.weyl_dim(lam)
     _addressable(g.dim * dim * dim, 16, f"the generators of the {dim}-dimensional irreducible")
+    # build lam - lam_n (1, ..., 1); u(n) adds the character lam_n back, exactly
     cache = IrrepCache(job.get("cache_dir"))
-    rep = cache.get_or_build(g.kind, g.n, lam)
+    rep = cache.get_or_build(g.kind, g.n, [x - lam[-1] for x in lam])
     _bounded_norm(rep.operator(d), "dpi(d)")
     tol = min(tol, 1e-9)
     out = groundstate.analyze(rep, d, tol=tol)
-    h0_weights = sorted(
-        irreps.weights_of(irreps.restrict(rep, out.h0_basis))
-    )
+    shift = lam[-1] if g.kind == "u" else 0
+    energy = shift * float(d[:g.n].sum()) if shift else -0.0  # x + -0.0 is x, -0.0 included
+    h0_weights = sorted(irreps.weights_of(irreps.restrict(rep, out.h0_basis)))
     report["verdicts"] = {
-        "m": out.m,
+        "m": out.m + energy,
         "h0_dim": out.h0_dim,
         "cyclic": out.ground_state,
         "ground_state": out.ground_state,
@@ -264,12 +265,12 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
     }
     report["tables"] = {
         "commutant_dims": list(out.commutant_dims),
-        "central_shifts": list(out.central_shifts),
-        "h0_weights": [list(w) for w in h0_weights],
+        "central_shifts": [x + energy for x in out.central_shifts],
+        "h0_weights": [[x + shift for x in w] for w in h0_weights],
         "rep_dim": rep.dim,
     }
-    _check(report, "minimal-energy", out.ground_state, tol)
-    _check(report, "strictness", out.strict, tol)
+    _check(report, "minimal-energy", out.ground_state, tol, window=out.window)
+    _check(report, "strictness", out.strict, tol, window=out.window)
 
 
 def _run_classify(job: dict, report: dict, tol: float) -> None:
@@ -279,27 +280,20 @@ def _run_classify(job: dict, report: dict, tol: float) -> None:
     box = int(job.get("box", 3))
     if box < 0:
         raise SchemaError("box must be non-negative")
-    dvec = np.diag(-1j * g.matrix(d)).real
-    if len(set(np.round(dvec, 9))) != g.n:
-        raise SchemaError("classification requires a regular diagonal element")
     rd = liealg.root_datum(g, d)
-    antidominant = []
-    for lam in _integer_box(g.n, box):
-        chi = irreps.torus_character(g, lam)
-        if cones.coroot_condition(chi, rd, tol):
-            antidominant.append(tuple(lam))
-    lowest = set()
-    for lam in _integer_box(g.n, box):
-        if all(lam[i] >= lam[i + 1] for i in range(g.n - 1)):
-            rep = irreps.irrep(g, lam)
-            lowest.add(irreps.extremal_weight(rep, rd, "lowest"))
+    if rd.delta_zero:
+        raise SchemaError("classification requires a regular diagonal element")
+    cube = _integer_box(g.n, box)
+    antidominant = [lam for lam in cube if cones.coroot_condition(irreps.torus_character(g, lam), rd, tol)]
+    lowest = {irreps.extremal_weight(irreps.irrep(g, lam), rd, "lowest") for lam in cube
+              if all(lam[i] >= lam[i + 1] for i in range(g.n - 1))}
     match = set(antidominant) == lowest
     report["verdicts"] = {"match": bool(match)}
     report["tables"] = {
         "antidominant": sorted([list(x) for x in antidominant]),
         "lowest_weights": sorted([list(x) for x in lowest]),
     }
-    _check(report, "classification-bijection", bool(match), tol)
+    _check(report, "classification-bijection", bool(match), tol, window=rd.window)
 
 
 def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
@@ -317,20 +311,19 @@ def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
     lam = tuple(_require(job, "weight"))
     if len(lam) != len(g.cartan_indices):
         raise SchemaError(f"a torus character of {g.name} takes {len(g.cartan_indices)} weight entries")
-    dvec = np.diag(-1j * g.matrix(d)).real
-    if len(set(np.round(dvec, 9))) != g.n:
+    rd = liealg.root_datum(g, d)
+    if rd.delta_zero:
         raise SchemaError("torus character cone test requires a regular diagonal element")
     chi = irreps.torus_character(g, lam)
     dd = liealg.spectral_split(g, d)
-    rd = liealg.root_datum(g, d)
     res = cones.check_cone_positivity(g, dd, chi, tol=tol, seed=seed)
     coroot = cones.coroot_condition(chi, rd, tol)
     report["verdicts"] = {"cone": res.verdict, "coroot": coroot, "agrees": res.verdict == coroot}
     if res.witness is not None:
         report["tables"]["witness"] = [float(x) for x in res.witness]
         report["tables"]["witness_provenance"] = list(res.witness_provenance)
-    _check(report, "cone-positivity", res.verdict, tol, sampled=res.sampled)
-    _check(report, "coroot-criterion", coroot, tol)
+    _check(report, "cone-positivity", res.verdict, tol, sampled=res.sampled, window=dd.window)
+    _check(report, "coroot-criterion", coroot, tol, window=rd.window)
 
 
 def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
@@ -415,7 +408,7 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
     total = 0
     if suite == "classification":
         sub = run({"command": "classify", "group": "u", "n": 2, "d": [2.0, 1.0],
-                   "box": int(job.get("box", 3)), "tol": tol})
+                   "box": int(job.get("box", 2)), "tol": tol})
         total = 1
         if not sub["verdicts"]["match"]:
             failures.append({"case": "u2-classification"})

@@ -17,21 +17,19 @@ record the tolerances actually used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .irreps import Representation, direct_sum
 from .liealg import (
-    MatrixLieAlgebra,
     fixed_point_data,
-    intervals_contain,
     intervals_sum,
     normalize_intervals,
     spectral_split,
+    spectral_subspace,
 )
 from .matcore import (
-    CLUSTER_TOL,
     DEFAULT_TOL,
     OperatorSubspace,
     algebra_closure,
@@ -51,6 +49,7 @@ class GroundStateReport:
     ``m`` is the global minimal eigenvalue of ``-i dpi(d)``; ``central_shifts``
     lists the per-central-block minima whose eigenspaces make up ``h0_basis``.
     ``commutant_dims`` is (dim pi(G)', dim pi0(G0)', dim P0 pi(G)'' P0).
+    ``window`` is how far above its block minimum an eigenvalue joins H0.
     """
 
     m: float
@@ -59,9 +58,8 @@ class GroundStateReport:
     ground_state: bool
     strict: bool
     commutant_dims: tuple[int, int, int]
+    window: float
     central_shifts: tuple[float, ...] = ()
-    fixed_algebra: Optional[MatrixLieAlgebra] = None
-    tol: float = DEFAULT_TOL
 
     @property
     def h0_dim(self) -> int:
@@ -85,15 +83,15 @@ def _central_blocks(comm: OperatorSubspace, tol: float) -> list[np.ndarray]:
     return [np.eye(comm.dim, dtype=complex)]
 
 
-def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray,
-                  blocks: list[np.ndarray]) -> tuple[np.ndarray, list[float]]:
+def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.ndarray],
+                  window: float) -> tuple[np.ndarray, list[float]]:
     """Blockwise minimal eigenspaces: the kernel of the minimally shifted H.
 
     ``w, v`` is the eigendecomposition of H on the whole space, which serves
-    a single block; several blocks take one eigendecomposition each.
+    a single block; several blocks take one eigendecomposition each.  An
+    eigenvalue within ``window`` of its block's minimum joins the space.
     Columns from distinct blocks are orthogonal, since the blocks are.
     """
-    scale = 1.0 + float(np.linalg.norm(H))
     spectra = [(w, v)]
     if len(blocks) > 1:
         spectra = []
@@ -104,7 +102,7 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray,
     cols, shifts = [], []
     for wb, vb in spectra:
         shifts.append(float(wb[0]))
-        cols.append(vb[:, wb <= wb[0] + CLUSTER_TOL * scale])
+        cols.append(vb[:, wb <= wb[0] + window])
     return np.hstack(cols), shifts
 
 
@@ -135,18 +133,25 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
 
     Both commutants of the strictness test are seeded from the torus: the
     Cartan images for pi, and the Cartan rows projected on g^0 for pi0.
-    The fixed-point data of (g, d) is memoized on g.
+    The fixed-point data of (g, d) is memoized on g.  So that H0 and g^0
+    agree, H0 is taken for ``FixedPointData.central`` when it is set, at the
+    split's window floored at the roundoff dim * eps * max|w|.
     """
     g = pi.algebra
     d = np.asarray(d, dtype=float)
     H = -1j * pi.operator(d)
     w, v = eig_hermitian(H, 1e-8)
+    m = float(w[0])
     torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
     comm_full = commutant_basis(list(pi.dpi), dim=pi.dim, tol=tol, seed_rows=torus)
-    h0, shifts = _ground_space(H, w, v, _central_blocks(comm_full, tol))
+    fix = fixed_point_data(g, d, tol)
+    if fix.central is not None:
+        H = -1j * pi.operator(fix.central)
+        w, v = eig_hermitian(H, 1e-8)
+    window = max(fix.window, len(w) * np.finfo(float).eps * float(np.abs(w).max()))
+    h0, shifts = _ground_space(H, w, v, _central_blocks(comm_full, tol), window)
     ground_state = _separating(comm_full, h0, tol)
 
-    fix = fixed_point_data(g, d, tol)
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
     pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
     comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
@@ -156,15 +161,14 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     Bh = B.conj().transpose(0, 2, 1)
     corner = commutant_basis([*(B + Bh), *(1j * (B - Bh))], dim=pi0.dim, tol=tol)
     return GroundStateReport(
-        m=float(w[0]),
+        m=m,
         h0_basis=h0,
         pi0=pi0,
         ground_state=ground_state,
         strict=bool(ground_state and comm_pi0.rank == comm_full.rank),
         commutant_dims=(comm_full.rank, comm_pi0.rank, corner.rank),
+        window=window,
         central_shifts=tuple(shifts),
-        fixed_algebra=fix.algebra,
-        tol=tol,
     )
 
 
@@ -204,25 +208,17 @@ def spectral_translation_check(pi: Representation, d: np.ndarray, E, F,
                                tol: float = 1e-9) -> bool:
     """dpi of the ad-spectral subspace over E maps H(F) into H(closure(E+F)).
 
-    E and F are finite unions of closed intervals (scalars allowed); the
-    spectral subspaces of the Hamiltonian are eigenspace sums.  Verified
-    vector by vector with an absolute containment residual.
+    E and F are finite unions of closed intervals (scalars allowed), and
+    the subspaces are those of :func:`liealg.spectral_subspace`.  Verified
+    vector by vector, with a residual relative to max(1, |u|).
     """
-    g = pi.algebra
-    E_iv, F_iv = normalize_intervals(E), normalize_intervals(F)
-    EF = intervals_sum(E_iv, F_iv)
-    dd = spectral_split(g, np.asarray(d, dtype=float))
-    gE_cols = [sp[:, k] for lam, sp in zip(dd.eigenvalues, dd.eigenspaces)
-               if intervals_contain(E_iv, float(lam.real)) for k in range(sp.shape[1])]
+    EF = intervals_sum(normalize_intervals(E), normalize_intervals(F))
+    gE = spectral_subspace(spectral_split(pi.algebra, np.asarray(d, dtype=float)), E)
     H = -1j * pi.operator(d)
-    w, v = eig_hermitian(H, 1e-8)
-    HF = v[:, [k for k in range(len(w)) if intervals_contain(F_iv, float(w[k]))]]
-    HEF = v[:, [k for k in range(len(w)) if intervals_contain(EF, float(w[k]))]]
-    for z in gE_cols:
-        op = pi.operator(z)
-        for c in range(HF.shape[1]):
-            u = op @ HF[:, c]
-            resid = u - HEF @ (HEF.conj().T @ u)
-            if np.linalg.norm(resid) > tol * max(1.0, np.linalg.norm(u)):
-                return False
+    HF, HEF = spectral_subspace(H, F), spectral_subspace(H, EF)
+    for z in gE.T:
+        u = pi.operator(z) @ HF
+        resid = np.linalg.norm(u - HEF @ (HEF.conj().T @ u), axis=0)
+        if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(u, axis=0))):
+            return False
     return True

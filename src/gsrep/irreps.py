@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,8 @@ from .errors import (
     NotDominant,
     NotIrreducible,
 )
-from .liealg import MatrixLieAlgebra, RootDatum, _root_vector_coeffs, build_algebra, subalgebra
+from .liealg import (MatrixLieAlgebra, RootDatum, _root_vector_coeffs, build_algebra,
+                     diagonal_element, root_datum, subalgebra)
 from .matcore import (
     CLUSTER_TOL,
     DEFAULT_TOL,
@@ -536,18 +538,13 @@ def torus_character(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
     return Representation(t_alg, dpi, label=tuple(lam), ambient_coeffs=cartan_rows)
 
 
-def centralizer_blocks(dvec: Sequence[float], tol: float = CLUSTER_TOL) -> list[list[int]]:
-    """Partition of diagonal indices by equal d-entries (order preserved)."""
+def centralizer_blocks(rd: RootDatum) -> list[list[int]]:
+    """Partition of diagonal indices joined by the d-null roots (order preserved)."""
+    null = {rd.pairs[idx] for idx in rd.delta_zero}
     blocks: list[list[int]] = []
-    seen: list[float] = []
-    for i, val in enumerate(dvec):
-        for b, ref in enumerate(seen):
-            if abs(val - ref) <= tol:
-                blocks[b].append(i)
-                break
-        else:
-            seen.append(val)
-            blocks.append([i])
+    for i in range(rd.algebra.n):
+        if not any(i in b for b in blocks):
+            blocks.append([i] + [j for j in range(i + 1, rd.algebra.n) if (i, j) in null])
     return blocks
 
 
@@ -556,14 +553,15 @@ def centralizer_irrep(g: MatrixLieAlgebra, dvec: Sequence[float],
     """Irreducible representation of the block centralizer of a diagonal element.
 
     The centralizer of ``i diag(dvec)`` in u(n) is the direct sum of u(n_b)
-    over blocks of equal diagonal entries; its irreducibles are outer tensor
+    over the blocks of indices that the d-null roots join (see
+    :func:`centralizer_blocks`); its irreducibles are outer tensor
     products of block irreducibles, labelled by one dominant weight per
     block.  The returned representation is embedded, with ``ambient_coeffs``
     expressing the block basis inside g.
     """
     if g.kind != "u":
         raise DimensionMismatch("block centralizer construction targets u(n)")
-    blocks = centralizer_blocks(dvec)
+    blocks = centralizer_blocks(root_datum(g, diagonal_element(g, dvec)))
     if len(block_weights) != len(blocks):
         raise DimensionMismatch(f"expected {len(blocks)} block weights")
     block_reps = []
@@ -574,22 +572,14 @@ def centralizer_irrep(g: MatrixLieAlgebra, dvec: Sequence[float],
         block_reps.append(irrep(gb, bw))
         # embed each u(nb) basis element into g's coefficient coordinates
         for local in np.eye(gb.dim):
-            mat_local = gb.matrix(local)
             mat = np.zeros((g.n, g.n), dtype=complex)
-            mat[np.ix_(block, block)] = mat_local
+            mat[np.ix_(block, block)] = gb.matrix(local)
             embed_rows.append(np.real_if_close(g.coeffs_of(mat)))
-    dims = [r.dim for r in block_reps]
-    total = math.prod(dims)
-    dpi_rows = []
-    for b, rep_b in enumerate(block_reps):
-        for i in range(rep_b.algebra.dim):
-            op = np.eye(1, dtype=complex)
-            for c, rep_c in enumerate(block_reps):
-                factor = rep_c.dpi[i] if c == b else np.eye(rep_c.dim, dtype=complex)
-                op = np.kron(op, factor)
-            dpi_rows.append(op)
+    # the generators of block b act on factor b of the tensor product
+    dpi = np.stack([reduce(np.kron, [r.dpi[i] if c == b else np.eye(r.dim, dtype=complex)
+                                     for c, r in enumerate(block_reps)], np.eye(1, dtype=complex))
+                    for b, rep_b in enumerate(block_reps) for i in range(rep_b.algebra.dim)])
     embed = np.stack(embed_rows).astype(float)
     sub_alg = subalgebra(g, embed, name=f"z_{g.name}")
-    dpi = np.stack(dpi_rows)
     label = tuple(tuple(int(x) for x in bw) for bw in block_weights)
     return Representation(sub_alg, dpi, label=label, ambient_coeffs=embed)

@@ -163,21 +163,12 @@ def _eij(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _u_basis(n: int) -> np.ndarray:
-    mats = [1j * _eij(n, k, k) for k in range(n)]
+def _pair_basis(n: int, cartan: list) -> np.ndarray:
+    """The Cartan block, then E_ij - E_ji and i(E_ij + E_ji) for each pair i < j."""
+    mats = list(cartan)
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append(_eij(n, i, j) - _eij(n, j, i))
-            mats.append(1j * (_eij(n, i, j) + _eij(n, j, i)))
-    return np.stack(mats)
-
-
-def _su_basis(n: int) -> np.ndarray:
-    mats = [1j * (_eij(n, k, k) - _eij(n, k + 1, k + 1)) for k in range(n - 1)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats.append(_eij(n, i, j) - _eij(n, j, i))
-            mats.append(1j * (_eij(n, i, j) + _eij(n, j, i)))
+            mats += [_eij(n, i, j) - _eij(n, j, i), 1j * (_eij(n, i, j) + _eij(n, j, i))]
     return np.stack(mats)
 
 
@@ -203,18 +194,22 @@ def build_algebra(kind: str, n: int, tol: float = 1e-10) -> MatrixLieAlgebra:
     if kind == "u":
         if n < 1:
             raise UnsupportedKind("u(n) requires n >= 1")
-        basis, size, cartan = _u_basis(n), n, tuple(range(n))
+        basis = _pair_basis(n, [1j * _eij(n, k, k) for k in range(n)])
+        size, cartan = n, tuple(range(n))
     elif kind == "su":
         if n < 2:
             raise UnsupportedKind("su(n) requires n >= 2")
-        basis, size, cartan = _su_basis(n), n, tuple(range(n - 1))
+        basis = _pair_basis(n, [1j * (_eij(n, k, k) - _eij(n, k + 1, k + 1)) for k in range(n - 1)])
+        size, cartan = n, tuple(range(n - 1))
     elif kind == "heis":
         if n < 2 or n % 2:
             raise UnsupportedKind("heis takes the symplectic dimension 2k (even, >= 2)")
         basis, size, cartan = _heis_basis(n), n // 2 + 2, None
     else:
         raise UnsupportedKind(f"unknown algebra kind {kind!r}")
-    g = MatrixLieAlgebra(f"{kind}({n})", kind, size, basis, structure_constants(basis, tol), cartan)
+    # integral constants, rounded: their roundoff would mix eigenspaces of ad d
+    c = np.round(structure_constants(basis, tol)) + 0.0
+    g = MatrixLieAlgebra(f"{kind}({n})", kind, size, basis, c, cartan)
     if max(bracket_closure_residual(g), jacobi_residual(g)) > tol * 10:
         raise ValueError("structure constant verification failed")  # pragma: no cover
     return g
@@ -263,24 +258,33 @@ class DerivationData:
     """Eigendata of ``-i D`` for a derivation D of g, on the complexification.
 
     ``element`` is the coefficient vector when D = ad(d) is inner, None for
-    an outer derivation passed as a matrix.  ``eigenvalues[i]`` pairs with
+    an outer derivation passed as a matrix.  ``eigenvalues[i]``, the mean of
+    a cluster of eigenvalues chained at distance ``window``, pairs with
     ``eigenspaces[i]`` (columns = coefficient vectors of g_C); for
     non-diagonalizable D the spaces are generalized eigenspaces and
-    ``diagonalizable`` is False.
+    ``diagonalizable`` is False.  ``zero`` indexes the cluster nearest 0 if
+    it is within the window.  g^0, root signs and regularity read these.
     """
 
     algebra: MatrixLieAlgebra
     element: Optional[np.ndarray]
     derivation: np.ndarray  # (dim, dim) real matrix of D on coefficients
     eigenvalues: np.ndarray  # complex, sorted by (real, imag)
-    eigenspaces: tuple[np.ndarray, ...] = ()
-    diagonalizable: bool = True
+    eigenspaces: tuple[np.ndarray, ...]
+    diagonalizable: bool
+    window: float
+    zero: Optional[int]
 
     def spaces(self, predicate) -> list[tuple[complex, np.ndarray]]:
         return [(lam, sp) for lam, sp in zip(self.eigenvalues, self.eigenspaces) if predicate(lam)]
 
-    def positive(self, tol: float = CLUSTER_TOL):
-        return self.spaces(lambda lam: lam.real > tol)
+    @property
+    def positive_clusters(self) -> list[int]:
+        """The clusters past the window on the positive side, the zero cluster aside."""
+        return [k for k, lam in enumerate(self.eigenvalues) if k != self.zero and lam.real > self.window]
+
+    def positive(self) -> list[tuple[complex, np.ndarray]]:
+        return [(self.eigenvalues[k], self.eigenspaces[k]) for k in self.positive_clusters]
 
 
 def _as_derivation(d) -> np.ndarray:
@@ -303,12 +307,13 @@ def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL,
                    cluster_tol: float = CLUSTER_TOL) -> DerivationData:
     """Full eigendata of ``-i D`` on g_C, where D = ad(d) or an explicit matrix.
 
-    Eigenvalues within ``cluster_tol`` are merged into one eigenspace;
-    eigenspaces are recomputed as SVD null spaces so they are orthonormal
-    and correct even for clustered spectra.  If D is not diagonalizable the
-    spaces are generalized eigenspaces (null((A - lam)^dim)) and the flag
-    is set accordingly.  The result is memoized on ``g``, with read-only
-    arrays.
+    Eigenvalues chained at distance ``window = cluster_tol * max(1, max|D|)``
+    form a cluster; one of k eigenvalues with mean lam takes the k right
+    singular vectors of A - lam with the smallest singular values, so no
+    rank threshold decides a dimension.  D is diagonalizable when each such
+    block has residual at most ``window * max(1, k)``; otherwise the spaces
+    are generalized eigenspaces, null((A - lam)^dim) at the rank rule.  The
+    result is memoized on ``g``, with read-only arrays.
     """
     d = _as_derivation(d)
     return _memoized(g, "spectral split", d, (tol, cluster_tol),
@@ -321,35 +326,27 @@ def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
     m = g.dim
     A = -1j * D.astype(complex)
     w = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.abs(A).max()))
-    clusters = cluster_values(w, cluster_tol * scale)
-    eigvals, spaces = [], []
-    geo_total = 0
-    for grp in clusters:
-        lam = complex(np.mean(w[grp]))
-        ns = _null_rows(A - lam * np.eye(m), tol).T
-        eigvals.append(lam)
-        spaces.append(ns)
-        geo_total += ns.shape[1]
-    diag = geo_total == m
+    window = cluster_tol * max(1.0, float(np.abs(A).max()))
+    clusters = cluster_values(w, window)
+    means = [complex(np.mean(w[grp])) for grp in clusters]
+    order = sorted(range(len(means)), key=lambda i: (means[i].real, means[i].imag))
+    clusters, eigvals = [clusters[i] for i in order], [means[i] for i in order]
+    spaces = [_null_rows(A - lam * np.eye(m), tol, len(grp)).T for lam, grp in zip(eigvals, clusters)]
+    diag = all(np.linalg.norm(A @ sp - lam * sp) <= window * max(1, sp.shape[1])
+               for lam, sp in zip(eigvals, spaces))
     if not diag:
-        spaces = []
-        for lam in eigvals:
-            powered = np.linalg.matrix_power(A - lam * np.eye(m), m)
-            spaces.append(_null_rows(powered, tol).T)
-    if diag:
-        for lam, sp in zip(eigvals, spaces):
-            resid = np.linalg.norm(A @ sp - lam * sp)
-            if resid > 1e-8 * scale * max(1, sp.shape[1]):
-                raise ValueError(f"eigenvector residual {resid:.2e} at {lam}")  # pragma: no cover
-    order = sorted(range(len(eigvals)), key=lambda i: (eigvals[i].real, eigvals[i].imag))
+        spaces = [_null_rows(np.linalg.matrix_power(A - lam * np.eye(m), m), tol).T for lam in eigvals]
+    nearest = [float(np.abs(w[grp]).min()) for grp in clusters]
+    zero = int(np.argmin(nearest))
     return DerivationData(
         algebra=g,
         element=None if element is None else _frozen(element),
         derivation=_frozen(D),
-        eigenvalues=_frozen(np.array([eigvals[i] for i in order])),
-        eigenspaces=tuple(_frozen(spaces[i]) for i in order),
+        eigenvalues=_frozen(np.array(eigvals)),
+        eigenspaces=tuple(_frozen(sp) for sp in spaces),
         diagonalizable=diag,
+        window=window,
+        zero=zero if nearest[zero] <= window else None,
     )
 
 
@@ -373,9 +370,15 @@ def splitting_condition(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> boo
 
 
 def centralizer_basis(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real orthonormal coefficient rows spanning ker(ad d) (or ker of a matrix D)."""
+    """Real orthonormal coefficient rows spanning ker(ad d) (or ker of a matrix D).
+
+    Its dimension is that of the zero cluster of :func:`spectral_split`, or
+    for a non-diagonalizable D the rank rule's.
+    """
     D, _ = _derivation_matrix(g, d)
-    rows = _null_rows(D, tol)
+    dd = spectral_split(g, d, tol)
+    nullity = (0 if dd.zero is None else len(dd.eigenspaces[dd.zero].T)) if dd.diagonalizable else None
+    rows = _null_rows(D, tol, nullity)
     if np.linalg.norm(rows.imag) > 1e-10:
         raise ValueError("kernel of a real derivation should have a real basis")
     return rows.real
@@ -389,12 +392,17 @@ class FixedPointData:
     ``algebra`` is g^0 with the basis they span.  ``torus_rows`` are the
     Cartan rows of g projected onto g^0, in its coordinates (None when g
     has no default Cartan); a generic combination of them is the seed
-    element of commutants of g^0's representations.
+    element of commutants of g^0's representations.  ``window`` is that of
+    the split that decided g^0.  Where the split called nonzero eigenvalues
+    zero (ad d does not vanish on g^0), ``central`` is the part of d in the
+    center of g^0 along [g^0, g^0], for which they are zero; else None.
     """
 
     rows: np.ndarray
     algebra: MatrixLieAlgebra
     torus_rows: Optional[np.ndarray]
+    window: float
+    central: Optional[np.ndarray]
 
 
 def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedPointData:
@@ -407,7 +415,14 @@ def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedP
         _frozen(sub.basis)
         _frozen(sub.structure)
         torus = None if g.cartan_indices is None else _frozen(rows[:, list(g.cartan_indices)].T.copy())
-        return FixedPointData(rows, sub, torus)
+        dd = spectral_split(g, d, tol)
+        central = None
+        if np.any(dd.derivation @ rows.T):
+            k = len(rows)
+            z = _null_rows(sub.structure.transpose(1, 2, 0).reshape(k * k, k), tol).real @ rows
+            zg = z @ np.einsum("iab,jab->ij", g.basis.conj(), g.basis).real
+            central = _frozen(z.T @ np.linalg.solve(zg @ z.T, zg @ d))
+        return FixedPointData(rows, sub, torus, dd.window, central)
 
     return _memoized(g, "fixed point", d, (tol,), build)
 
@@ -424,6 +439,8 @@ class RootDatum:
     coefficient vectors of E_ij over the algebra basis; ``coroots`` are real
     coefficient vectors of the element i(E_ii - E_jj), so the Hermitian
     coroot operator of a representation is ``-i dpi(coroot)``.
+    ``delta_zero`` and ``delta_plus_plus`` hold the roots whose vector lies
+    in the zero, or a positive, cluster of the split of d at ``window``.
     ``delta_plus`` is a positive system containing ``delta_plus_plus``,
     completed on the d-null roots by the lexicographic (i, j) tie-break.
     """
@@ -438,6 +455,7 @@ class RootDatum:
     delta_plus_plus: tuple[int, ...]
     delta_zero: tuple[int, ...]
     delta_plus: tuple[int, ...]
+    window: float
 
 
 def _root_vector_coeffs(g: MatrixLieAlgebra, i: int, j: int) -> np.ndarray:
@@ -470,13 +488,13 @@ def _coroot_coeffs(g: MatrixLieAlgebra, i: int, j: int) -> np.ndarray:
     return out
 
 
-def root_datum(g: MatrixLieAlgebra, d, tol: float = 1e-8) -> RootDatum:
+def root_datum(g: MatrixLieAlgebra, d) -> RootDatum:
     if g.kind not in ("u", "su"):
         raise UnsupportedKind("root data implemented for u(n)/su(n) only")
     d = np.asarray(d, dtype=float)
     mat = g.matrix(d)
     off = mat - np.diag(np.diag(mat))
-    if np.linalg.norm(off) > tol * max(1.0, np.linalg.norm(mat)):
+    if np.linalg.norm(off) > 1e-8 * max(1.0, np.linalg.norm(mat)):
         raise NotDiagonal("d must lie in the diagonal Cartan subalgebra")
     dvec = np.diag(-1j * mat).real
     n = g.n
@@ -488,11 +506,13 @@ def root_datum(g: MatrixLieAlgebra, d, tol: float = 1e-8) -> RootDatum:
         roots[idx, i], roots[idx, j] = 1, -1
         rvecs[idx] = _root_vector_coeffs(g, i, j)
         corts[idx] = _coroot_coeffs(g, i, j)
-    vals = np.array([dvec[i] - dvec[j] for (i, j) in pairs])
-    dpp = tuple(idx for idx in range(len(pairs)) if vals[idx] > tol)
-    dzero = tuple(idx for idx in range(len(pairs)) if abs(vals[idx]) <= tol)
+    dd = spectral_split(g, d)
+    held = np.argmax([np.linalg.norm(rvecs @ sp.conj(), axis=1) for sp in dd.eigenspaces], axis=0)
+    positive = dd.positive_clusters
+    dpp = tuple(idx for idx, k in enumerate(held) if k in positive)
+    dzero = tuple(idx for idx, k in enumerate(held) if k == dd.zero)
     dplus = dpp + tuple(idx for idx in dzero if pairs[idx][0] < pairs[idx][1])
-    return RootDatum(g, d, dvec, pairs, roots, rvecs, corts, dpp, dzero, dplus)
+    return RootDatum(g, d, dvec, pairs, roots, rvecs, corts, dpp, dzero, dplus, dd.window)
 
 
 # ---------------------------------------------------------------------------

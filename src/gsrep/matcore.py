@@ -218,17 +218,18 @@ def hermitian_split(basis: np.ndarray, accept, seed: int, tries: int = 8) -> lis
     raise NotIrreducible(f"no accepted split in {tries} random elements")  # pragma: no cover
 
 
-def _null_rows(mat: np.ndarray, tol: float) -> np.ndarray:
+def _null_rows(mat: np.ndarray, tol: float, nullity: Optional[int] = None) -> np.ndarray:
     """Orthonormal rows spanning the (right) null space of ``mat``.
 
-    A thin SVD suffices when ``mat`` has at least as many rows as columns;
-    only a wide matrix needs the full right factor.
+    They are the right singular vectors past the numerical rank, or the
+    ``nullity`` given with the smallest singular values.  A thin SVD
+    suffices unless ``mat`` is wide, which needs the full right factor.
     """
     m, n = mat.shape
     if m == 0:
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
-    return vh[numerical_rank(s, tol):].conj()
+    return vh[numerical_rank(s, tol) if nullity is None else n - nullity:].conj()
 
 
 def _seed_frame(mats: np.ndarray, seed_rows, tol: float):

@@ -304,6 +304,48 @@ def test_largest_int64_weight_of_dimension_one_still_runs(capsys):
     assert json.loads(out)["tables"]["rep_dim"] == 1
 
 
+def test_weights_past_2_53_come_back_exactly(capsys):
+    top = 2**63 - 1
+    code, out = run_main(capsys, ["analyze", "--n", "3", "--d", "1,0,0", "--weight", f"{top},{top},{top}"])
+    report = json.loads(out)
+    assert code == 0 and report["tables"]["h0_weights"] == [[top, top, top]]
+    assert report["verdicts"]["m"] == float(top)
+    # the irreducible (1, 0) times the character 2^53 + 1: floats would merge its two weights
+    code, out = run_main(capsys, ["analyze", "--n", "2", "--d", "1,0", "--weight",
+                                  "9007199254740994,9007199254740993"])
+    report = json.loads(out)
+    assert code == 0 and report["verdicts"]["h0_dim"] == 1 and report["verdicts"]["strict"] is True
+    assert report["tables"]["h0_weights"] == [[9007199254740993, 9007199254740994]]
+
+
+def test_central_character_adds_to_energies_not_to_su_weights(capsys):
+    _, shifted = run_main(capsys, ["analyze", "--n", "3", "--d", "2,1,0", "--weight", "3,1,-1"])
+    _, plain = run_main(capsys, ["analyze", "--n", "3", "--d", "2,1,0", "--weight", "4,2,0"])
+    shifted, plain = json.loads(shifted), json.loads(plain)
+    assert shifted["verdicts"]["m"] == plain["verdicts"]["m"] - 3.0
+    assert shifted["tables"]["h0_weights"] == [[x - 1 for x in w] for w in plain["tables"]["h0_weights"]]
+    reports = [run_main(capsys, ["analyze", "--group", "su", "--n", "3", "--d", "1,0,-1", "--weight", w])[1]
+               for w in ("2,1,0", "5,4,3")]
+    first, second = (json.loads(r) for r in reports)
+    assert first["verdicts"] == second["verdicts"] and first["tables"] == second["tables"]
+
+
+def test_sweep_runs_the_classification_sub_job_of_a_dict_job(capsys, monkeypatch):
+    seen = []
+    run = cli.run
+
+    def recording(job):
+        if job["command"] == "classify":
+            seen.append(job)
+        return run(job)
+
+    monkeypatch.setattr(cli, "run", recording)
+    assert cli.main(["sweep", "--suite", "classification"]) == 0
+    capsys.readouterr()
+    cli.run({"command": "sweep", "suite": "classification"})
+    assert len(seen) == 2 and seen[0] == seen[1]
+
+
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 22.4 GiB"),
                                  ValueError("negative dimensions are not allowed"),
                                  OSError("disk full")])
