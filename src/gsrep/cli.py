@@ -283,17 +283,23 @@ def _run_classify(job: dict, report: dict, tol: float) -> None:
     rd = liealg.root_datum(g, d)
     if rd.delta_zero:
         raise SchemaError("classification requires a regular diagonal element")
-    cube = _integer_box(g.n, box)
-    antidominant = [lam for lam in cube if cones.coroot_condition(irreps.torus_character(g, lam), rd, tol)]
-    lowest = {irreps.extremal_weight(irreps.irrep(g, lam), rd, "lowest") for lam in cube
-              if all(lam[i] >= lam[i + 1] for i in range(g.n - 1))}
+    antidominant = []
+    for lam in _integer_box(g.n, box):
+        chi = irreps.torus_character(g, lam)
+        if cones.coroot_condition(chi, rd, tol):
+            antidominant.append(tuple(lam))
+    lowest = set()
+    for lam in _integer_box(g.n, box):
+        if all(lam[i] >= lam[i + 1] for i in range(g.n - 1)):
+            rep = irreps.irrep(g, lam)
+            lowest.add(irreps.extremal_weight(rep, rd, "lowest"))
     match = set(antidominant) == lowest
     report["verdicts"] = {"match": bool(match)}
     report["tables"] = {
         "antidominant": sorted([list(x) for x in antidominant]),
         "lowest_weights": sorted([list(x) for x in lowest]),
     }
-    _check(report, "classification-bijection", bool(match), tol, window=rd.window)
+    _check(report, "classification-bijection", bool(match), tol, window=liealg.spectral_split(g, d).window)
 
 
 def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
@@ -323,7 +329,7 @@ def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
         report["tables"]["witness"] = [float(x) for x in res.witness]
         report["tables"]["witness_provenance"] = list(res.witness_provenance)
     _check(report, "cone-positivity", res.verdict, tol, sampled=res.sampled, window=dd.window)
-    _check(report, "coroot-criterion", coroot, tol, window=rd.window)
+    _check(report, "coroot-criterion", coroot, tol, window=dd.window)
 
 
 def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:

@@ -24,10 +24,10 @@ import numpy as np
 from .irreps import Representation, direct_sum
 from .liealg import (
     fixed_point_data,
+    intervals_contain,
     intervals_sum,
     normalize_intervals,
     spectral_split,
-    spectral_subspace,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -46,10 +46,13 @@ from .matcore import (
 class GroundStateReport:
     """Outcome of :func:`analyze`.
 
-    ``m`` is the global minimal eigenvalue of ``-i dpi(d)``; ``central_shifts``
-    lists the per-central-block minima whose eigenspaces make up ``h0_basis``.
+    ``m`` is the global minimal eigenvalue of ``-i dpi(d)``.  ``h0_basis``
+    is read from ``-i dpi(d0)``, where d0 is ``FixedPointData.central`` if
+    it is set and d otherwise; ``central_shifts`` lists its per-central-block
+    minima, whose eigenspaces make up ``h0_basis``, so they equal ``m`` (one
+    block) only when d0 is d.  ``window`` is how far above its block minimum
+    an eigenvalue joins H0.
     ``commutant_dims`` is (dim pi(G)', dim pi0(G0)', dim P0 pi(G)'' P0).
-    ``window`` is how far above its block minimum an eigenvalue joins H0.
     """
 
     m: float
@@ -133,9 +136,10 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
 
     Both commutants of the strictness test are seeded from the torus: the
     Cartan images for pi, and the Cartan rows projected on g^0 for pi0.
-    The fixed-point data of (g, d) is memoized on g.  So that H0 and g^0
-    agree, H0 is taken for ``FixedPointData.central`` when it is set, at the
-    split's window floored at the roundoff dim * eps * max|w|.
+    The fixed-point data of (g, d) is memoized on g.  So that H0 is
+    invariant under g^0, it is taken for ``FixedPointData.central`` when
+    that is set (the split read as zero eigenvalues of ad d past roundoff),
+    at the split's window floored at the roundoff dim * eps * max|w|.
     """
     g = pi.algebra
     d = np.asarray(d, dtype=float)
@@ -148,7 +152,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     if fix.central is not None:
         H = -1j * pi.operator(fix.central)
         w, v = eig_hermitian(H, 1e-8)
-    window = max(fix.window, len(w) * np.finfo(float).eps * float(np.abs(w).max()))
+    window = max(spectral_split(g, d, tol).window, len(w) * np.finfo(float).eps * float(np.abs(w).max()))
     h0, shifts = _ground_space(H, w, v, _central_blocks(comm_full, tol), window)
     ground_state = _separating(comm_full, h0, tol)
 
@@ -208,17 +212,25 @@ def spectral_translation_check(pi: Representation, d: np.ndarray, E, F,
                                tol: float = 1e-9) -> bool:
     """dpi of the ad-spectral subspace over E maps H(F) into H(closure(E+F)).
 
-    E and F are finite unions of closed intervals (scalars allowed), and
-    the subspaces are those of :func:`liealg.spectral_subspace`.  Verified
-    vector by vector, with a residual relative to max(1, |u|).
+    E and F are finite unions of closed intervals (scalars allowed); the
+    spectral subspaces of the Hamiltonian are eigenspace sums.  Verified
+    vector by vector with an absolute containment residual.
     """
-    EF = intervals_sum(normalize_intervals(E), normalize_intervals(F))
-    gE = spectral_subspace(spectral_split(pi.algebra, np.asarray(d, dtype=float)), E)
+    g = pi.algebra
+    E_iv, F_iv = normalize_intervals(E), normalize_intervals(F)
+    EF = intervals_sum(E_iv, F_iv)
+    dd = spectral_split(g, np.asarray(d, dtype=float))
+    gE_cols = [sp[:, k] for lam, sp in zip(dd.eigenvalues, dd.eigenspaces)
+               if intervals_contain(E_iv, float(lam.real)) for k in range(sp.shape[1])]
     H = -1j * pi.operator(d)
-    HF, HEF = spectral_subspace(H, F), spectral_subspace(H, EF)
-    for z in gE.T:
-        u = pi.operator(z) @ HF
-        resid = np.linalg.norm(u - HEF @ (HEF.conj().T @ u), axis=0)
-        if np.any(resid > tol * np.maximum(1.0, np.linalg.norm(u, axis=0))):
-            return False
+    w, v = eig_hermitian(H, 1e-8)
+    HF = v[:, [k for k in range(len(w)) if intervals_contain(F_iv, float(w[k]))]]
+    HEF = v[:, [k for k in range(len(w)) if intervals_contain(EF, float(w[k]))]]
+    for z in gE_cols:
+        op = pi.operator(z)
+        for c in range(HF.shape[1]):
+            u = op @ HF[:, c]
+            resid = u - HEF @ (HEF.conj().T @ u)
+            if np.linalg.norm(resid) > tol * max(1.0, np.linalg.norm(u)):
+                return False
     return True

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -572,14 +571,20 @@ def centralizer_irrep(g: MatrixLieAlgebra, dvec: Sequence[float],
         block_reps.append(irrep(gb, bw))
         # embed each u(nb) basis element into g's coefficient coordinates
         for local in np.eye(gb.dim):
+            mat_local = gb.matrix(local)
             mat = np.zeros((g.n, g.n), dtype=complex)
-            mat[np.ix_(block, block)] = gb.matrix(local)
+            mat[np.ix_(block, block)] = mat_local
             embed_rows.append(np.real_if_close(g.coeffs_of(mat)))
-    # the generators of block b act on factor b of the tensor product
-    dpi = np.stack([reduce(np.kron, [r.dpi[i] if c == b else np.eye(r.dim, dtype=complex)
-                                     for c, r in enumerate(block_reps)], np.eye(1, dtype=complex))
-                    for b, rep_b in enumerate(block_reps) for i in range(rep_b.algebra.dim)])
+    dpi_rows = []
+    for b, rep_b in enumerate(block_reps):
+        for i in range(rep_b.algebra.dim):
+            op = np.eye(1, dtype=complex)
+            for c, rep_c in enumerate(block_reps):
+                factor = rep_c.dpi[i] if c == b else np.eye(rep_c.dim, dtype=complex)
+                op = np.kron(op, factor)
+            dpi_rows.append(op)
     embed = np.stack(embed_rows).astype(float)
     sub_alg = subalgebra(g, embed, name=f"z_{g.name}")
+    dpi = np.stack(dpi_rows)
     label = tuple(tuple(int(x) for x in bw) for bw in block_weights)
     return Representation(sub_alg, dpi, label=label, ambient_coeffs=embed)

@@ -105,7 +105,12 @@ def _memoized(g: MatrixLieAlgebra, what: str, d: np.ndarray, tols: tuple, build)
 
 
 def structure_constants(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Structure tensor from a matrix basis; raises if brackets leave the span."""
+    """Structure tensor from a matrix basis; raises if brackets leave the span.
+
+    A constant within ``tol`` of an integer is that integer, so the solver's
+    roundoff leaves no entry where the tensor has a zero: it would couple
+    eigenspaces of ad d that the tensor keeps apart.
+    """
     m = basis.shape[0]
     flat = basis.reshape(m, -1).T
     pinv = np.linalg.pinv(flat)
@@ -121,7 +126,7 @@ def structure_constants(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
                 raise ValueError("structure constants are not real; basis is not a real basis")
             c[i, j] = sol.real
             c[j, i] = -sol.real
-    return c
+    return np.where(np.abs(c - np.round(c)) <= tol, np.round(c) + 0.0, c)
 
 
 def bracket_closure_residual(g: MatrixLieAlgebra) -> float:
@@ -163,12 +168,21 @@ def _eij(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _pair_basis(n: int, cartan: list) -> np.ndarray:
-    """The Cartan block, then E_ij - E_ji and i(E_ij + E_ji) for each pair i < j."""
-    mats = list(cartan)
+def _u_basis(n: int) -> np.ndarray:
+    mats = [1j * _eij(n, k, k) for k in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            mats += [_eij(n, i, j) - _eij(n, j, i), 1j * (_eij(n, i, j) + _eij(n, j, i))]
+            mats.append(_eij(n, i, j) - _eij(n, j, i))
+            mats.append(1j * (_eij(n, i, j) + _eij(n, j, i)))
+    return np.stack(mats)
+
+
+def _su_basis(n: int) -> np.ndarray:
+    mats = [1j * (_eij(n, k, k) - _eij(n, k + 1, k + 1)) for k in range(n - 1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mats.append(_eij(n, i, j) - _eij(n, j, i))
+            mats.append(1j * (_eij(n, i, j) + _eij(n, j, i)))
     return np.stack(mats)
 
 
@@ -194,22 +208,18 @@ def build_algebra(kind: str, n: int, tol: float = 1e-10) -> MatrixLieAlgebra:
     if kind == "u":
         if n < 1:
             raise UnsupportedKind("u(n) requires n >= 1")
-        basis = _pair_basis(n, [1j * _eij(n, k, k) for k in range(n)])
-        size, cartan = n, tuple(range(n))
+        basis, size, cartan = _u_basis(n), n, tuple(range(n))
     elif kind == "su":
         if n < 2:
             raise UnsupportedKind("su(n) requires n >= 2")
-        basis = _pair_basis(n, [1j * (_eij(n, k, k) - _eij(n, k + 1, k + 1)) for k in range(n - 1)])
-        size, cartan = n, tuple(range(n - 1))
+        basis, size, cartan = _su_basis(n), n, tuple(range(n - 1))
     elif kind == "heis":
         if n < 2 or n % 2:
             raise UnsupportedKind("heis takes the symplectic dimension 2k (even, >= 2)")
         basis, size, cartan = _heis_basis(n), n // 2 + 2, None
     else:
         raise UnsupportedKind(f"unknown algebra kind {kind!r}")
-    # integral constants, rounded: their roundoff would mix eigenspaces of ad d
-    c = np.round(structure_constants(basis, tol)) + 0.0
-    g = MatrixLieAlgebra(f"{kind}({n})", kind, size, basis, c, cartan)
+    g = MatrixLieAlgebra(f"{kind}({n})", kind, size, basis, structure_constants(basis, tol), cartan)
     if max(bracket_closure_residual(g), jacobi_residual(g)) > tol * 10:
         raise ValueError("structure constant verification failed")  # pragma: no cover
     return g
@@ -262,8 +272,9 @@ class DerivationData:
     a cluster of eigenvalues chained at distance ``window``, pairs with
     ``eigenspaces[i]`` (columns = coefficient vectors of g_C); for
     non-diagonalizable D the spaces are generalized eigenspaces and
-    ``diagonalizable`` is False.  ``zero`` indexes the cluster nearest 0 if
-    it is within the window.  g^0, root signs and regularity read these.
+    ``diagonalizable`` is False.  ``null`` indexes the clusters read as
+    zero (see :func:`_null_clusters`), whose eigenvalues reach at most
+    ``reach`` from 0.  g^0, root signs and regularity read these.
     """
 
     algebra: MatrixLieAlgebra
@@ -273,15 +284,16 @@ class DerivationData:
     eigenspaces: tuple[np.ndarray, ...]
     diagonalizable: bool
     window: float
-    zero: Optional[int]
+    null: tuple[int, ...]
+    reach: float
 
     def spaces(self, predicate) -> list[tuple[complex, np.ndarray]]:
         return [(lam, sp) for lam, sp in zip(self.eigenvalues, self.eigenspaces) if predicate(lam)]
 
     @property
     def positive_clusters(self) -> list[int]:
-        """The clusters past the window on the positive side, the zero cluster aside."""
-        return [k for k, lam in enumerate(self.eigenvalues) if k != self.zero and lam.real > self.window]
+        """The clusters past the window on the positive side that are not read as zero."""
+        return [k for k, lam in enumerate(self.eigenvalues) if k not in self.null and lam.real > self.window]
 
     def positive(self) -> list[tuple[complex, np.ndarray]]:
         return [(self.eigenvalues[k], self.eigenspaces[k]) for k in self.positive_clusters]
@@ -336,8 +348,7 @@ def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
                for lam, sp in zip(eigvals, spaces))
     if not diag:
         spaces = [_null_rows(np.linalg.matrix_power(A - lam * np.eye(m), m), tol).T for lam in eigvals]
-    nearest = [float(np.abs(w[grp]).min()) for grp in clusters]
-    zero = int(np.argmin(nearest))
+    null, reach = _null_clusters(w, clusters, window)
     return DerivationData(
         algebra=g,
         element=None if element is None else _frozen(element),
@@ -346,8 +357,31 @@ def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
         eigenspaces=tuple(_frozen(sp) for sp in spaces),
         diagonalizable=diag,
         window=window,
-        zero=zero if nearest[zero] <= window else None,
+        null=null,
+        reach=reach,
     )
+
+
+def _null_clusters(w: np.ndarray, clusters: list, window: float) -> tuple[tuple[int, ...], float]:
+    """The clusters read as zero, and the largest |eigenvalue| among them.
+
+    They are those within the window of 0, closed under sums: a cluster
+    joins when one of its eigenvalues lies within the window of the sum of
+    two that have joined, so that their span is a subalgebra, or is no
+    farther from 0 than one of them, so that the smallest singular values
+    of a normal D are theirs.
+    """
+    near = [float(np.abs(w[grp]).min()) for grp in clusters]
+    null, reach = {k for k, x in enumerate(near) if x <= window}, 0.0
+    while null:
+        vals = np.concatenate([w[clusters[k]] for k in sorted(null)])
+        sums, reach = (vals[:, None] + vals).ravel(), float(np.abs(vals).max())
+        grown = {k for k, grp in enumerate(clusters)
+                 if near[k] <= reach or np.abs(w[grp][:, None] - sums).min() <= window}
+        if grown == null:
+            break
+        null = grown
+    return tuple(sorted(null)), reach
 
 
 def is_elliptic(g: MatrixLieAlgebra, d, tol: float = CLUSTER_TOL) -> bool:
@@ -372,12 +406,12 @@ def splitting_condition(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> boo
 def centralizer_basis(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real orthonormal coefficient rows spanning ker(ad d) (or ker of a matrix D).
 
-    Its dimension is that of the zero cluster of :func:`spectral_split`, or
-    for a non-diagonalizable D the rank rule's.
+    Its dimension is that of the clusters :func:`spectral_split` reads as
+    zero, or for a non-diagonalizable D the rank rule's.
     """
     D, _ = _derivation_matrix(g, d)
     dd = spectral_split(g, d, tol)
-    nullity = (0 if dd.zero is None else len(dd.eigenspaces[dd.zero].T)) if dd.diagonalizable else None
+    nullity = sum(dd.eigenspaces[k].shape[1] for k in dd.null) if dd.diagonalizable else None
     rows = _null_rows(D, tol, nullity)
     if np.linalg.norm(rows.imag) > 1e-10:
         raise ValueError("kernel of a real derivation should have a real basis")
@@ -392,16 +426,15 @@ class FixedPointData:
     ``algebra`` is g^0 with the basis they span.  ``torus_rows`` are the
     Cartan rows of g projected onto g^0, in its coordinates (None when g
     has no default Cartan); a generic combination of them is the seed
-    element of commutants of g^0's representations.  ``window`` is that of
-    the split that decided g^0.  Where the split called nonzero eigenvalues
-    zero (ad d does not vanish on g^0), ``central`` is the part of d in the
+    element of commutants of g^0's representations.  Where the split read
+    as zero eigenvalues past its eigensolver's roundoff dim * eps * max|D|,
+    ad d does not vanish on g^0, and ``central`` is the part of d in the
     center of g^0 along [g^0, g^0], for which they are zero; else None.
     """
 
     rows: np.ndarray
     algebra: MatrixLieAlgebra
     torus_rows: Optional[np.ndarray]
-    window: float
     central: Optional[np.ndarray]
 
 
@@ -417,12 +450,12 @@ def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedP
         torus = None if g.cartan_indices is None else _frozen(rows[:, list(g.cartan_indices)].T.copy())
         dd = spectral_split(g, d, tol)
         central = None
-        if np.any(dd.derivation @ rows.T):
+        if dd.reach > g.dim * np.finfo(float).eps * np.abs(dd.derivation).max():
             k = len(rows)
             z = _null_rows(sub.structure.transpose(1, 2, 0).reshape(k * k, k), tol).real @ rows
             zg = z @ np.einsum("iab,jab->ij", g.basis.conj(), g.basis).real
             central = _frozen(z.T @ np.linalg.solve(zg @ z.T, zg @ d))
-        return FixedPointData(rows, sub, torus, dd.window, central)
+        return FixedPointData(rows, sub, torus, central)
 
     return _memoized(g, "fixed point", d, (tol,), build)
 
@@ -440,7 +473,7 @@ class RootDatum:
     coefficient vectors of the element i(E_ii - E_jj), so the Hermitian
     coroot operator of a representation is ``-i dpi(coroot)``.
     ``delta_zero`` and ``delta_plus_plus`` hold the roots whose vector lies
-    in the zero, or a positive, cluster of the split of d at ``window``.
+    in a cluster that the split of d reads as zero, or in a positive one.
     ``delta_plus`` is a positive system containing ``delta_plus_plus``,
     completed on the d-null roots by the lexicographic (i, j) tie-break.
     """
@@ -455,7 +488,6 @@ class RootDatum:
     delta_plus_plus: tuple[int, ...]
     delta_zero: tuple[int, ...]
     delta_plus: tuple[int, ...]
-    window: float
 
 
 def _root_vector_coeffs(g: MatrixLieAlgebra, i: int, j: int) -> np.ndarray:
@@ -510,9 +542,9 @@ def root_datum(g: MatrixLieAlgebra, d) -> RootDatum:
     held = np.argmax([np.linalg.norm(rvecs @ sp.conj(), axis=1) for sp in dd.eigenspaces], axis=0)
     positive = dd.positive_clusters
     dpp = tuple(idx for idx, k in enumerate(held) if k in positive)
-    dzero = tuple(idx for idx, k in enumerate(held) if k == dd.zero)
+    dzero = tuple(idx for idx, k in enumerate(held) if k in dd.null)
     dplus = dpp + tuple(idx for idx in dzero if pairs[idx][0] < pairs[idx][1])
-    return RootDatum(g, d, dvec, pairs, roots, rvecs, corts, dpp, dzero, dplus, dd.window)
+    return RootDatum(g, d, dvec, pairs, roots, rvecs, corts, dpp, dzero, dplus)
 
 
 # ---------------------------------------------------------------------------
