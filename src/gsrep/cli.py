@@ -68,13 +68,13 @@ class IrrepCache:
         if self.directory:
             self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, kind: str, n: int, lam) -> Optional[Path]:
+    def _path(self, g: liealg.MatrixLieAlgebra, lam) -> Optional[Path]:
         if not self.directory:
             return None
         tag = "_".join(str(int(x)).replace("-", "m") for x in lam)
-        return self.directory / f"{kind}{n}_lam_{tag}.json"
+        return self.directory / f"{g.kind}{g.n}_lam_{tag}.json"
 
-    def load(self, kind: str, n: int, lam) -> Optional[irreps.Representation]:
+    def load(self, g: liealg.MatrixLieAlgebra, lam) -> Optional[irreps.Representation]:
         """The cached irreducible, or None for a missing or unusable record.
 
         A record is used only if it is tagged with the basis ``irrep`` builds
@@ -82,7 +82,7 @@ class IrrepCache:
         generator images of the right shape; anything else is a miss, which
         the rebuild replaces.
         """
-        path = self._path(kind, n, lam)
+        path = self._path(g, lam)
         if not path or not path.exists():
             return None
         try:
@@ -90,7 +90,6 @@ class IrrepCache:
             if record.get("basis") != CACHE_BASIS:
                 return None
             dim = irreps.weyl_dim(lam)
-            g = liealg.build_algebra(kind, n)
             dpi = np.stack([decode_matrix(m) for m in record["dpi"]])
         except (ValueError, KeyError, TypeError, AttributeError, GsrepError):
             return None
@@ -103,7 +102,7 @@ class IrrepCache:
 
     def store(self, rep: irreps.Representation) -> None:
         g = rep.algebra
-        path = self._path(g.kind, g.n, rep.label)
+        path = self._path(g, rep.label)
         if not path:
             return
         record = {
@@ -119,11 +118,11 @@ class IrrepCache:
             json.dump(record, handle, sort_keys=True)
         os.replace(tmp, path)
 
-    def get_or_build(self, kind: str, n: int, lam) -> irreps.Representation:
-        cached = self.load(kind, n, lam)
+    def get_or_build(self, g: liealg.MatrixLieAlgebra, lam) -> irreps.Representation:
+        cached = self.load(g, lam)
         if cached is not None:
             return cached
-        rep = irreps.irrep(liealg.build_algebra(kind, n), lam)
+        rep = irreps.irrep(g, lam)
         self.store(rep)
         return rep
 
@@ -249,7 +248,7 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
     _addressable(g.dim * dim * dim, 16, f"the generators of the {dim}-dimensional irreducible")
     # build lam - lam_n (1, ..., 1); u(n) adds the character lam_n back, exactly
     cache = IrrepCache(job.get("cache_dir"))
-    rep = cache.get_or_build(g.kind, g.n, [x - lam[-1] for x in lam])
+    rep = cache.get_or_build(g, [x - lam[-1] for x in lam])
     _bounded_norm(rep.operator(d), "dpi(d)")
     tol = min(tol, 1e-9)
     out = groundstate.analyze(rep, d, tol=tol)

@@ -13,9 +13,11 @@ the full quadratic family {i[z^*, z]}; membership is then decided on the
 basis generators plus seeded random samples and the verdict is flagged as
 sampled rather than exhaustive.
 
-PSD decisions are batched: one ``eigvalsh`` over the stack of operators
-``-i dpi0(x)`` decides each at ``-PSD_TOL * (1 + ||op||)``, and the stack is
-scanned in generator order, so the first failure is the one a loop finds.
+PSD decisions are batched: one ``eigvalsh`` over one stack of operators
+``-i dpi0(x)``, the stored generators and then the samples, decides each at
+``-PSD_TOL * (1 + ||op||)``, and the stack is scanned in that order, so the
+first failure is the one a loop finds.  The stack depends on (g, d), the
+sample count and the seed alone, so it is memoized on g.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotDiagonalizable, NotHermitian
 from .irreps import Representation
-from .liealg import DerivationData, MatrixLieAlgebra, RootDatum, _memoized
+from .liealg import DerivationData, MatrixLieAlgebra, RootDatum, _frozen, _memoized
 
 PSD_TOL = 1e-8
 
@@ -129,21 +131,35 @@ def action_cone_generators(g: MatrixLieAlgebra, dd: DerivationData,
     return ConeDescription(g, _bracket_generators(g, zs, tol), prov)
 
 
-def _action_cone(g: MatrixLieAlgebra, dd: DerivationData) -> ConeDescription:
-    """The action cone of an inner derivation, memoized on ``g`` with read-only generators.
+def _cone_stack(g: MatrixLieAlgebra, dd: DerivationData, samples: int,
+                seed: int) -> tuple[np.ndarray, tuple, bool]:
+    """The action cone's generators, then ``samples`` seeded samples per positive eigenspace of dim > 1.
 
-    The entry is keyed by the DerivationData itself, which it holds, since
-    :func:`liealg.spectral_split` returns one per (g, d, tolerances).
+    Returns the read-only rows, their provenance (k of ``("sample", eig, k)``
+    counts within its eigenspace) and whether any eigenspace was sampled.
+    An inner derivation's entry is memoized on ``g`` under the DerivationData,
+    which it holds; :func:`liealg.spectral_split` returns one per (g, d, tols).
     """
-    if dd.element is None:
-        return action_cone_generators(g, dd)
 
     def build():
         cone = action_cone_generators(g, dd)
-        cone.generators.setflags(write=False)
-        return dd, ConeDescription(g, cone.generators, tuple(cone.provenance))
+        rows, prov, sampled = [cone.generators], cone.provenance, False
+        rng = np.random.default_rng(seed)
+        for lam, space in dd.positive():
+            r = space.shape[1]
+            if r <= 1:
+                continue
+            sampled = True
+            # the stream of one real and one imaginary draw per sample
+            raw = rng.normal(size=(samples, 2, r))
+            raw = raw[:, 0] + 1j * raw[:, 1]
+            rows.append(_bracket_generators(g, [space @ (u / np.linalg.norm(u)) for u in raw]))
+            prov += [("sample", float(lam.real), k) for k in range(samples)]
+        return dd, _frozen(np.concatenate(rows)), tuple(prov), sampled
 
-    return _memoized(g, "action cone", dd.element, (id(dd),), build)[1]
+    if dd.element is None:
+        return build()[1:]
+    return _memoized(g, "action cone", dd.element, (id(dd), samples, seed), build)[1:]
 
 
 def in_positive_cone(rep0: Representation, x: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -156,33 +172,15 @@ def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Represe
                           seed: int = 0) -> ConeTestResult:
     """Decide whether the action cone maps into the positive cone of rep0.
 
-    Checks every stored generator, plus ``samples`` random unit vectors per
+    Checks every stored generator, then ``samples`` random unit vectors per
     positive eigenspace of dimension > 1 (quadratic-form robustness).  On
     failure the first violating generator is returned as a witness.
     """
-    cone = _action_cone(g, dd)
-    k = _first_outside_psd(rep0, cone.generators, tol)
-    if k is not None:
-        return ConeTestResult(False, cone.generators[k].copy(), cone.provenance[k],
-                              sampled=False, checked=k + 1)
-    checked = cone.size
-    sampled = False
-    rng = np.random.default_rng(seed)
-    for lam, space in dd.positive():
-        r = space.shape[1]
-        if r <= 1:
-            continue
-        sampled = True
-        # the stream of one real and one imaginary draw per sample
-        raw = rng.normal(size=(samples, 2, r))
-        raw = raw[:, 0] + 1j * raw[:, 1]
-        gens = _bracket_generators(g, [space @ (u / np.linalg.norm(u)) for u in raw])
-        k = _first_outside_psd(rep0, gens, tol)
-        if k is not None:
-            return ConeTestResult(False, gens[k], ("sample", float(lam.real), k),
-                                  sampled=True, checked=checked + k + 1)
-        checked += samples
-    return ConeTestResult(True, sampled=sampled, checked=checked)
+    stack, prov, sampled = _cone_stack(g, dd, samples, seed)
+    k = _first_outside_psd(rep0, stack, tol)
+    if k is None:
+        return ConeTestResult(True, sampled=sampled, checked=len(stack))
+    return ConeTestResult(False, stack[k].copy(), prov[k], sampled=prov[k][0] == "sample", checked=k + 1)
 
 
 def coroot_condition(rep0: Representation, rd: RootDatum, tol: float = PSD_TOL) -> bool:

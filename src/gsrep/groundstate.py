@@ -16,6 +16,7 @@ record the tolerances actually used.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,10 +25,10 @@ import numpy as np
 from .irreps import Representation, direct_sum
 from .liealg import (
     fixed_point_data,
-    intervals_contain,
     intervals_sum,
     normalize_intervals,
     spectral_split,
+    spectral_subspace,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -86,6 +87,26 @@ def _central_blocks(comm: OperatorSubspace, tol: float) -> list[np.ndarray]:
     return [np.eye(comm.dim, dtype=complex)]
 
 
+def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[np.ndarray]]:
+    """pi(G)', seeded from the torus, and its central blocks, memoized on ``pi`` with read-only arrays.
+
+    Both depend on dpi, the Cartan indices and ``tol`` alone.  The key is
+    a blake2b digest of dpi with its shape and dtype, not a copy of dpi, so
+    an edited or reassigned dpi misses the entry of the old one.
+    """
+    g = pi.algebra
+    dpi = np.ascontiguousarray(pi.dpi)
+    key = ("commutant", hashlib.blake2b(dpi).digest(), dpi.shape, dpi.dtype.str, g.cartan_indices, tol)
+    if key not in pi._memo:
+        torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
+        comm = commutant_basis(list(dpi), dim=pi.dim, tol=tol, seed_rows=torus)
+        blocks = _central_blocks(comm, tol)
+        for arr in (comm.basis, *blocks):
+            arr.setflags(write=False)
+        pi._memo[key] = comm, blocks
+    return pi._memo[key]
+
+
 def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.ndarray],
                   window: float) -> tuple[np.ndarray, list[float]]:
     """Blockwise minimal eigenspaces: the kernel of the minimally shifted H.
@@ -124,11 +145,12 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     d : real coefficient vector of the generating element.
     tol : rank threshold shared by all subspace decisions.
 
-    The commutant M' of the whole action, with orthonormal basis B_k, is
-    built once and yields the central blocks and both verdicts.  The
-    ground state property is cyclicity of the blockwise minimal-energy
-    space H0 for M = pi(G)'', i.e. H0 separating for M' (Bratteli-Robinson,
-    vol. 1, Prop. 2.5.3): the B_k h0 are independent.  The projection on
+    The commutant M' of the whole action, with orthonormal basis B_k, and
+    its central blocks do not depend on d, so they are memoized on ``pi``;
+    they yield the ground space and both verdicts.  The ground state
+    property is cyclicity of the blockwise minimal-energy space H0 for
+    M = pi(G)'', i.e. H0 separating for M' (Bratteli-Robinson, vol. 1,
+    Prop. 2.5.3): the B_k h0 are independent.  The projection on
     H0 lies in M, so separation makes X -> X|H0 injective on M', and
     strictness is then dim pi0(G0)' = dim M', equivalent to :func:`is_strict`.
     The corner commutant takes the Hermitian parts of the raw compressions
@@ -146,14 +168,13 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     H = -1j * pi.operator(d)
     w, v = eig_hermitian(H, 1e-8)
     m = float(w[0])
-    torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-    comm_full = commutant_basis(list(pi.dpi), dim=pi.dim, tol=tol, seed_rows=torus)
+    comm_full, blocks = _commutant(pi, tol)
     fix = fixed_point_data(g, d, tol)
     if fix.central is not None:
         H = -1j * pi.operator(fix.central)
         w, v = eig_hermitian(H, 1e-8)
     window = max(spectral_split(g, d, tol).window, len(w) * np.finfo(float).eps * float(np.abs(w).max()))
-    h0, shifts = _ground_space(H, w, v, _central_blocks(comm_full, tol), window)
+    h0, shifts = _ground_space(H, w, v, blocks, window)
     ground_state = _separating(comm_full, h0, tol)
 
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
@@ -216,17 +237,12 @@ def spectral_translation_check(pi: Representation, d: np.ndarray, E, F,
     spectral subspaces of the Hamiltonian are eigenspace sums.  Verified
     vector by vector with an absolute containment residual.
     """
-    g = pi.algebra
     E_iv, F_iv = normalize_intervals(E), normalize_intervals(F)
-    EF = intervals_sum(E_iv, F_iv)
-    dd = spectral_split(g, np.asarray(d, dtype=float))
-    gE_cols = [sp[:, k] for lam, sp in zip(dd.eigenvalues, dd.eigenspaces)
-               if intervals_contain(E_iv, float(lam.real)) for k in range(sp.shape[1])]
+    dd = spectral_split(pi.algebra, np.asarray(d, dtype=float))
     H = -1j * pi.operator(d)
-    w, v = eig_hermitian(H, 1e-8)
-    HF = v[:, [k for k in range(len(w)) if intervals_contain(F_iv, float(w[k]))]]
-    HEF = v[:, [k for k in range(len(w)) if intervals_contain(EF, float(w[k]))]]
-    for z in gE_cols:
+    HF = spectral_subspace(H, F_iv)
+    HEF = spectral_subspace(H, intervals_sum(E_iv, F_iv))
+    for z in spectral_subspace(dd, E_iv).T:
         op = pi.operator(z)
         for c in range(HF.shape[1]):
             u = op @ HF[:, c]

@@ -11,7 +11,7 @@ formula.  Construction cost is polynomial in the irreducible's dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,13 +52,15 @@ class Representation:
     algebra is a subalgebra of a larger one (e.g. a fixed-point algebra or a
     torus), ``ambient_coeffs`` maps its basis to coefficient vectors over
     the ambient algebra, as orthonormal rows, so that :meth:`local_coeffs`
-    takes elements given in ambient coordinates to local ones.
+    takes elements given in ambient coordinates to local ones.  ``_memo``
+    holds what :func:`groundstate.analyze` derives from ``dpi`` alone.
     """
 
     algebra: MatrixLieAlgebra
     dpi: np.ndarray  # (dim_g, d, d) complex
     label: Optional[tuple] = None
     ambient_coeffs: Optional[np.ndarray] = None  # (dim_g, dim_ambient), orthonormal rows
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:

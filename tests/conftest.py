@@ -16,6 +16,15 @@ def cached_irrep(kind: str, n: int, lam: tuple):
     return irreps.irrep(algebra(kind, n), lam)
 
 
+def fresh(rep):
+    """A new Representation over a copy of ``rep.dpi``: no memo held by ``rep`` answers for it.
+
+    Tests that patch or count the commutant, center or cone path of
+    ``analyze`` run on fresh representations, so the path runs.
+    """
+    return irreps.Representation(rep.algebra, rep.dpi.copy(), rep.label, rep.ambient_coeffs)
+
+
 def dominant_box(n: int, lo: int, hi: int):
     """All weakly decreasing integer n-tuples with entries in [lo, hi]."""
     out = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gsrep
-from gsrep import cli
+from gsrep import cli, liealg
 from gsrep.errors import SchemaError
 
 
@@ -104,8 +104,9 @@ def test_matrix_encoding_round_trip():
 
 def test_irrep_cache_round_trip(tmp_path):
     cache = cli.IrrepCache(str(tmp_path))
-    rep = cache.get_or_build("u", 2, (2, 0))
-    again = cache.load("u", 2, (2, 0))
+    g = liealg.build_algebra("u", 2)
+    rep = cache.get_or_build(g, (2, 0))
+    again = cache.load(g, (2, 0))
     assert again is not None
     assert np.array_equal(rep.dpi, again.dpi)
     assert again.label == (2, 0)
@@ -119,6 +120,25 @@ def test_irrep_cache_used_by_analyze(tmp_path, capsys):
     assert list(tmp_path.glob("u2_lam_*.json"))
     code, second = run_main(capsys, argv)
     assert first == second
+
+
+def test_analyze_builds_the_algebra_once_with_a_cold_and_a_warm_cache(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, _real=liealg.build_algebra):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(liealg, "build_algebra", counting)
+    argv = ["--cache-dir", str(tmp_path), "analyze", "--group", "u", "--n", "3",
+            "--d", "1,0,0", "--weight", "2,1,0"]
+    reports = []
+    for _ in range(2):
+        code, out = run_main(capsys, argv)
+        assert code == 0
+        reports.append(out)
+    assert calls == [("u", 3)] * 2
+    assert reports[0] == reports[1]
 
 
 def test_classify_u2(capsys):
@@ -402,14 +422,15 @@ def _not_anti_hermitian(record):
 @pytest.mark.parametrize("spoil", [_untagged, _wrong_dim, _not_anti_hermitian])
 def test_unusable_cache_record_is_a_miss(tmp_path, spoil):
     cache = cli.IrrepCache(str(tmp_path))
-    fresh = cache.get_or_build("u", 2, (2, 0))
+    g = liealg.build_algebra("u", 2)
+    fresh = cache.get_or_build(g, (2, 0))
     path = tmp_path / "u2_lam_2_0.json"
     record = json.loads(path.read_text())
     assert record["basis"] == cli.CACHE_BASIS
     spoil(record)
     path.write_text(json.dumps(record))
-    assert cache.load("u", 2, (2, 0)) is None
-    rebuilt = cache.get_or_build("u", 2, (2, 0))
+    assert cache.load(g, (2, 0)) is None
+    rebuilt = cache.get_or_build(g, (2, 0))
     assert np.array_equal(rebuilt.dpi, fresh.dpi)
     assert json.loads(path.read_text())["basis"] == cli.CACHE_BASIS
 

@@ -1,4 +1,4 @@
-"""Torus-seeded commutants in the seed's eigenframe, and the per-algebra memo.
+"""Torus-seeded commutants in the seed's eigenframe, and the per-algebra and per-representation memos.
 
 ``reference_commutant`` is the generic-seed commutant with dense imposition
 that ``matcore.commutant_basis`` computed before the eigenframe, kept here
@@ -14,7 +14,8 @@ import pytest
 from gsrep import cones, groundstate, irreps, liealg, matcore
 from gsrep.matcore import DEFAULT_TOL, GENERIC_SEED, SEED_CLUSTER_TOL, _null_rows, cluster_values
 
-from conftest import D_LISTS, algebra, cached_irrep, dominant_box, random_unitary, rng, su_dominant_box
+from conftest import (D_LISTS, algebra, cached_irrep, dominant_box, fresh, random_unitary, rng,
+                      su_dominant_box)
 
 
 def _reference_seed(mats, tol):
@@ -65,11 +66,15 @@ def verdicts(out):
 
 
 def assert_same_verdicts(monkeypatch, cases):
-    """``cases`` are (rep, d) pairs; analyze agrees with its reference-commutant run."""
+    """``cases`` are (rep, d) pairs; analyze agrees with its reference-commutant run.
+
+    The reference run takes fresh representations, so that no memoized
+    commutant of pi stands in for the reference one.
+    """
     got = [verdicts(groundstate.analyze(rep, d)) for rep, d in cases]
     with monkeypatch.context() as patch:
         patch.setattr(groundstate, "commutant_basis", reference_commutant)
-        want = [verdicts(groundstate.analyze(rep, d)) for rep, d in cases]
+        want = [verdicts(groundstate.analyze(fresh(rep), d)) for rep, d in cases]
     mismatches = [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b]
     assert not mismatches, mismatches[:5]
     return got
@@ -253,9 +258,9 @@ def test_normal_mixed_seed_separates_joint_eigenspaces():
 def _frozen_arrays(g, d):
     dd = liealg.spectral_split(g, d)
     fix = liealg.fixed_point_data(g, d)
-    cone = cones._action_cone(g, dd)
+    stack, _, _ = cones._cone_stack(g, dd, 32, 0)
     return ([dd.element, dd.derivation, dd.eigenvalues, *dd.eigenspaces, fix.rows,
-             fix.algebra.basis, fix.algebra.structure, fix.torus_rows, cone.generators])
+             fix.algebra.basis, fix.algebra.structure, fix.torus_rows, stack])
 
 
 @pytest.mark.parametrize("kind,entries", [("u", (2.0, 1.0, 0.0)), ("u", (1.0, 0.0, 0.0)),
@@ -292,7 +297,76 @@ def test_cone_memo_follows_the_split_it_was_built_from():
     d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
     dd = liealg.spectral_split(g, d)
     coarse = liealg.spectral_split(g, d, cluster_tol=1e-6)
-    assert cones._action_cone(g, dd) is cones._action_cone(g, dd)
-    assert cones._action_cone(g, coarse) is not cones._action_cone(g, dd)
-    assert np.array_equal(cones._action_cone(g, dd).generators,
-                          cones.action_cone_generators(g, dd).generators)
+    stack, prov, _ = cones._cone_stack(g, dd, 32, 0)
+    assert cones._cone_stack(g, dd, 32, 0)[0] is stack
+    assert cones._cone_stack(g, coarse, 32, 0)[0] is not stack
+    cone = cones.action_cone_generators(g, dd)
+    assert np.array_equal(stack[:cone.size], cone.generators)
+    assert prov[:cone.size] == tuple(cone.provenance)
+
+
+def report_fields(out):
+    return (out.m, out.h0_basis.tobytes(), out.central_shifts, out.commutant_dims, out.window,
+            out.ground_state, out.strict, out.pi0.dpi.tobytes())
+
+
+def test_memo_warm_analyze_is_bit_equal_to_a_cold_one():
+    cases = list(sweep_cases()) + list(reducible_cases())
+    warm = [report_fields(groundstate.analyze(rep, d)) for rep, d in cases]
+    cold = [report_fields(groundstate.analyze(fresh(rep), d)) for rep, d in cases]
+    assert warm == cold
+
+
+@pytest.fixture
+def commutant_builds(monkeypatch):
+    """Counts the commutants of pi that ``analyze`` builds: one set of central blocks each."""
+    calls = []
+
+    def counting(comm, tol, _real=groundstate._central_blocks):
+        calls.append(tol)
+        return _real(comm, tol)
+
+    monkeypatch.setattr(groundstate, "_central_blocks", counting)
+    return calls
+
+
+def test_the_commutant_of_pi_is_built_once_across_d(commutant_builds):
+    g = algebra("u", 3)
+    rep = fresh(cached_irrep("u", 3, (2, 1, 0)))
+    for entries in D_LISTS[("u", 3)]:
+        groundstate.analyze(rep, liealg.diagonal_element(g, entries))
+    assert commutant_builds == [DEFAULT_TOL]
+
+
+def test_commutant_memo_follows_dpi_and_tol(commutant_builds):
+    g = algebra("u", 3)
+    d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
+    twice = irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0))] * 2)
+    dual = irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)), cached_irrep("u", 3, (0, 0, -1))])
+    dual_twice = irreps.direct_sum([cached_irrep("u", 3, (0, 0, -1))] * 2)
+    want = verdicts(groundstate.analyze(fresh(dual), d))
+    rep = fresh(twice)
+    assert groundstate.analyze(rep, d).commutant_dims[0] == 4
+    rep.dpi[...] = dual.dpi  # edited in place
+    assert verdicts(groundstate.analyze(rep, d)) == want
+    assert groundstate.analyze(rep, d).commutant_dims[0] == 2  # held
+    rep.dpi = dual_twice.dpi.copy()  # reassigned
+    assert groundstate.analyze(rep, d).commutant_dims[0] == 4
+    groundstate.analyze(rep, d, tol=1e-10)
+    assert commutant_builds == [DEFAULT_TOL] * 4 + [1e-10]
+    rep.dpi = twice.dpi.copy()  # the key is the content: the first entry answers
+    assert groundstate.analyze(rep, d).commutant_dims[0] == 4
+    assert len(commutant_builds) == 5
+
+
+def test_memoized_commutant_is_read_only():
+    g = algebra("u", 3)
+    rep = fresh(irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)), cached_irrep("u", 3, (1, 1, 0))]))
+    groundstate.analyze(rep, liealg.diagonal_element(g, [2.0, 1.0, 0.0]))
+    comm, blocks = groundstate._commutant(rep, DEFAULT_TOL)
+    assert comm.rank == 2 and len(blocks) == 2
+    assert groundstate._commutant(rep, DEFAULT_TOL)[0] is comm
+    for arr in (comm.basis, *blocks):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0

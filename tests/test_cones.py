@@ -315,6 +315,18 @@ def test_batched_cone_matches_loop_when_a_sample_fails_first():
     assert_same_result(cones.check_cone_positivity(g, dd, rep0), want)
 
 
+@pytest.mark.parametrize("samples,seed", [(32, 0), (32, 3), (7, 0), (1, 5), (0, 0), (32, 0)])
+def test_memoized_samples_follow_samples_and_seed(samples, seed):
+    # every run shares the memo of one (g, d); a different sample count or
+    # seed must not read another's samples, and a repeat reads its own
+    g, dd, failing = sample_first_fixture()
+    passing = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), dd.element).pi0
+    for rep0 in (failing, passing):
+        want = loop_cone_positivity(g, dd, rep0, samples=samples, seed=seed)
+        assert_same_result(cones.check_cone_positivity(g, dd, rep0, samples=samples, seed=seed), want)
+        assert want.sampled
+
+
 def test_batched_cone_rejects_non_anti_hermitian_rep0():
     g, d, dd = split("u", 3, [2, 1, 0])
     chi = irreps.torus_character(g, (0, 1, 2))
@@ -344,7 +356,7 @@ def test_batched_cone_rejects_elements_outside_the_subalgebra():
 
 def test_cone_positivity_runs_one_eigvalsh_per_stack(monkeypatch):
     # a per-generator eigensolver must not come back: one eigvalsh for the
-    # stored generators, one per sampled eigenspace, and no eigh
+    # one stack of the stored generators and every sample, and no eigh
     g, d, dd = split("u", 3, [2, 1, 0])
     pi0 = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), d).pi0
     calls = {"eigh": 0, "eigvalsh": 0}
@@ -357,7 +369,7 @@ def test_cone_positivity_runs_one_eigvalsh_per_stack(monkeypatch):
     assert res.verdict and res.sampled
     sampled_spaces = sum(space.shape[1] > 1 for _, space in dd.positive())
     assert sampled_spaces == 1
-    assert calls == {"eigh": 0, "eigvalsh": 1 + sampled_spaces}
+    assert calls == {"eigh": 0, "eigvalsh": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, center_ba
                            cluster_values, commutant_basis, compress, eig_hermitian,
                            numerical_rank)
 
-from conftest import D_LISTS, algebra, cached_irrep, rng
+from conftest import D_LISTS, algebra, cached_irrep, fresh, rng
 from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases
 
 
@@ -202,7 +202,7 @@ def non_normal_seeds(monkeypatch):
 
 def test_no_reducible_case_takes_the_identity_frame(non_normal_seeds):
     for rep, d in reducible_cases():
-        groundstate.analyze(rep, d)
+        groundstate.analyze(fresh(rep), d)
     assert non_normal_seeds["calls"] == 3 * 28
     assert non_normal_seeds["non_normal"] == 0
 
@@ -283,7 +283,7 @@ def test_separation_matches_krylov_on_random_subspaces():
 
 def test_ground_state_decision_takes_no_krylov_svd_and_no_compression(monkeypatch):
     g = algebra("u", 3)
-    rep = cached_irrep("u", 3, (6, 3, 0))
+    rep = fresh(cached_irrep("u", 3, (6, 3, 0)))
     d = liealg.diagonal_element(g, [1.0, 0.0, 0.0])
     widths = []
     real_svd = np.linalg.svd
