@@ -3,7 +3,7 @@
 Subpackages by function:
 
 - ``matcore``: dense complex linear algebra (eigendecompositions,
-  commutants, generated algebras, compression).
+  commutants, compression).
 - ``liealg``: matrix Lie algebras, derivation spectra, root data.
 - ``irreps``: highest-weight construction, weights, decomposition.
 - ``cones``: invariant positivity cones and the extension tests.

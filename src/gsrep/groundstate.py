@@ -17,12 +17,13 @@ record the tolerances actually used.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .irreps import Representation, direct_sum
+from .errors import ConvergenceFailure
+from .irreps import Representation
 from .liealg import (
     fixed_point_data,
     intervals_sum,
@@ -33,10 +34,8 @@ from .liealg import (
 from .matcore import (
     DEFAULT_TOL,
     OperatorSubspace,
-    algebra_closure,
     center_basis,
     commutant_basis,
-    compress,
     eig_hermitian,
     hermitian_split,
     numerical_rank,
@@ -54,6 +53,8 @@ class GroundStateReport:
     block) only when d0 is d.  ``window`` is how far above its block minimum
     an eigenvalue joins H0.
     ``commutant_dims`` is (dim pi(G)', dim pi0(G0)', dim P0 pi(G)'' P0).
+    ``strict`` compares the first two; the corner P0 pi(G)'' P0 is only
+    reported, and is counted from the central blocks (see :func:`analyze`).
     """
 
     m: float
@@ -87,37 +88,63 @@ def _central_blocks(comm: OperatorSubspace, tol: float) -> list[np.ndarray]:
     return [np.eye(comm.dim, dtype=complex)]
 
 
-def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[np.ndarray]]:
-    """pi(G)', seeded from the torus, and its central blocks, memoized on ``pi`` with read-only arrays.
+def _multiplicities(comm: OperatorSubspace, blocks: list[np.ndarray], tol: float) -> tuple[int, ...]:
+    """The multiplicity m_b of each central block: pi(G)' restricted to block b is M_{m_b}(C).
 
-    Both depend on dpi, the Cartan indices and ``tol`` alone.  The key is
-    a blake2b digest of dpi with its shape and dtype, not a copy of dpi, so
-    an edited or reassigned dpi misses the entry of the old one.
+    One block has m^2 = dim pi(G)'; several take one rank of the compressed
+    basis Q_b^* B_k Q_b each.  A rank that is not a square means the blocks
+    were split wrongly.
+    """
+    ranks = [comm.rank]
+    if len(blocks) > 1:
+        ranks = [numerical_rank(np.linalg.svd((Q.conj().T @ comm.basis @ Q).reshape(comm.rank, -1),
+                                              compute_uv=False), tol) for Q in blocks]
+    mults = tuple(math.isqrt(r) for r in ranks)
+    if any(m * m != r for m, r in zip(mults, ranks)):
+        raise ConvergenceFailure(f"commutant ranks {ranks} of the central blocks are not all squares")
+    return mults
+
+
+def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[np.ndarray], tuple[int, ...]]:
+    """pi(G)', seeded from the torus, its central blocks and their multiplicities, memoized on ``pi``.
+
+    All three depend on dpi, the Cartan indices and ``tol`` alone.  The
+    entry is keyed on the last two and holds a blake2b digest of dpi with
+    its shape and dtype, not a copy of dpi, so an edited or reassigned dpi
+    misses the digest and overwrites the entry: ``pi`` holds at most one
+    entry per tolerance.  A single block is stored as no block, and the
+    stored arrays are read-only.
     """
     g = pi.algebra
     dpi = np.ascontiguousarray(pi.dpi)
-    key = ("commutant", hashlib.blake2b(dpi).digest(), dpi.shape, dpi.dtype.str, g.cartan_indices, tol)
-    if key not in pi._memo:
+    key = ("commutant", g.cartan_indices, tol)
+    digest = (hashlib.blake2b(dpi).digest(), dpi.shape, dpi.dtype.str)
+    entry = pi._memo.get(key)
+    if entry is None or entry[0] != digest:
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
         comm = commutant_basis(list(dpi), dim=pi.dim, tol=tol, seed_rows=torus)
         blocks = _central_blocks(comm, tol)
+        mults = _multiplicities(comm, blocks, tol)
+        blocks = blocks if len(blocks) > 1 else []
         for arr in (comm.basis, *blocks):
             arr.setflags(write=False)
-        pi._memo[key] = comm, blocks
-    return pi._memo[key]
+        entry = pi._memo[key] = digest, comm, blocks, mults
+    return entry[1:]
 
 
 def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.ndarray],
-                  window: float) -> tuple[np.ndarray, list[float]]:
+                  window: float) -> tuple[np.ndarray, list[float], list[int]]:
     """Blockwise minimal eigenspaces: the kernel of the minimally shifted H.
 
     ``w, v`` is the eigendecomposition of H on the whole space, which serves
-    a single block; several blocks take one eigendecomposition each.  An
-    eigenvalue within ``window`` of its block's minimum joins the space.
-    Columns from distinct blocks are orthogonal, since the blocks are.
+    a single block (given as no block); several blocks take one
+    eigendecomposition each.  An eigenvalue within ``window`` of its block's
+    minimum joins the space.  Columns from distinct blocks are orthogonal,
+    since the blocks are.  Returns the columns, the block minima and the
+    number of columns each block gives.
     """
     spectra = [(w, v)]
-    if len(blocks) > 1:
+    if blocks:
         spectra = []
         for Q in blocks:
             Hb = Q.conj().T @ H @ Q
@@ -127,7 +154,7 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.n
     for wb, vb in spectra:
         shifts.append(float(wb[0]))
         cols.append(vb[:, wb <= wb[0] + window])
-    return np.hstack(cols), shifts
+    return np.hstack(cols), shifts, [c.shape[1] for c in cols]
 
 
 def _separating(comm: OperatorSubspace, h0: np.ndarray, tol: float) -> bool:
@@ -145,16 +172,23 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     d : real coefficient vector of the generating element.
     tol : rank threshold shared by all subspace decisions.
 
-    The commutant M' of the whole action, with orthonormal basis B_k, and
-    its central blocks do not depend on d, so they are memoized on ``pi``;
-    they yield the ground space and both verdicts.  The ground state
-    property is cyclicity of the blockwise minimal-energy space H0 for
-    M = pi(G)'', i.e. H0 separating for M' (Bratteli-Robinson, vol. 1,
-    Prop. 2.5.3): the B_k h0 are independent.  The projection on
-    H0 lies in M, so separation makes X -> X|H0 injective on M', and
-    strictness is then dim pi0(G0)' = dim M', equivalent to :func:`is_strict`.
-    The corner commutant takes the Hermitian parts of the raw compressions
-    h0^* B_k h0, which span the compressed commutant.
+    The commutant M' of the whole action, with orthonormal basis B_k, its
+    central blocks and their multiplicities do not depend on d, so they are
+    memoized on ``pi``; they yield the ground space, both verdicts and the
+    corner.  The ground state property is cyclicity of the blockwise
+    minimal-energy space H0 for M = pi(G)'', i.e. H0 separating for M'
+    (Bratteli-Robinson, vol. 1, Prop. 2.5.3): the B_k h0 are independent.
+    The projection P0 on H0 lies in M, so separation makes X -> X|H0
+    injective on M', and strictness is then dim pi0(G0)' = dim M'.  That is
+    equivalent to the literal comparison of P0 M P0 with the algebra pi0
+    generates, which the test suite keeps as its oracle ``is_strict``.
+
+    No commutant is formed for the corner P0 M P0.  By Wedderburn,
+    M = (+)_b M_{n_b} (x) 1_{m_b} over the central blocks b, so P0 takes
+    c_b = r_b m_b columns of block b and P0 M P0 = (+)_b M_{r_b}: its
+    dimension is the sum of (c_b / m_b)^2.  A c_b that is not a multiple of
+    m_b means the window or the central blocks were decided wrongly, and
+    raises ``ConvergenceFailure``.
 
     Both commutants of the strictness test are seeded from the torus: the
     Cartan images for pi, and the Cartan rows projected on g^0 for pi0.
@@ -168,65 +202,32 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     H = -1j * pi.operator(d)
     w, v = eig_hermitian(H, 1e-8)
     m = float(w[0])
-    comm_full, blocks = _commutant(pi, tol)
+    comm_full, blocks, mults = _commutant(pi, tol)
     fix = fixed_point_data(g, d, tol)
     if fix.central is not None:
         H = -1j * pi.operator(fix.central)
         w, v = eig_hermitian(H, 1e-8)
     window = max(spectral_split(g, d, tol).window, len(w) * np.finfo(float).eps * float(np.abs(w).max()))
-    h0, shifts = _ground_space(H, w, v, blocks, window)
+    h0, shifts, counts = _ground_space(H, w, v, blocks, window)
+    if any(c % k for c, k in zip(counts, mults)):
+        raise ConvergenceFailure(f"ground space columns {counts} of the central blocks are not "
+                                 f"multiples of their multiplicities {list(mults)}")
+    corner = sum((c // k) ** 2 for c, k in zip(counts, mults))
     ground_state = _separating(comm_full, h0, tol)
 
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
     pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
     comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
-    # P0 pi(G)'' P0 is a von Neumann algebra on H0, so it is the commutant
-    # of the compressed commutant; its Hermitian inputs give a normal seed
-    B = h0.conj().T @ comm_full.basis @ h0
-    Bh = B.conj().transpose(0, 2, 1)
-    corner = commutant_basis([*(B + Bh), *(1j * (B - Bh))], dim=pi0.dim, tol=tol)
     return GroundStateReport(
         m=m,
         h0_basis=h0,
         pi0=pi0,
         ground_state=ground_state,
         strict=bool(ground_state and comm_pi0.rank == comm_full.rank),
-        commutant_dims=(comm_full.rank, comm_pi0.rank, corner.rank),
+        commutant_dims=(comm_full.rank, comm_pi0.rank, corner),
         window=window,
         central_shifts=tuple(shifts),
     )
-
-
-def is_strict(pi: Representation, report: GroundStateReport,
-              tol: float = DEFAULT_TOL) -> bool:
-    """Literal strictness test by algebra comparison on the ground space.
-
-    Builds the unital algebra generated by the dpi images, compresses it to
-    the ground space, and compares its span with the unital algebra
-    generated there by the compressed fixed-point action.  Quadratic in the
-    full operator-space dimension; :func:`analyze` uses the equivalent
-    commutant-dimension comparison instead, and this is its test oracle.
-    """
-    A = algebra_closure(list(pi.dpi), include_identity=True, tol=tol)
-    B = compress(report.h0_basis, A, tol)
-    ops0 = list(report.pi0.dpi) + [np.eye(report.h0_dim, dtype=complex)]
-    C = algebra_closure(ops0, include_identity=True, tol=tol)
-    return B.same_span(C, max(tol, 1e-8))
-
-
-def direct_sum_law(reps: Sequence[Representation], d: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> bool:
-    """Ground-state property of a direct sum vs. its summands.
-
-    Must always return True; a False return signals an implementation bug
-    and is surfaced by the property suite.
-    """
-    reps = list(reps)
-    if not reps:
-        return True
-    whole = analyze(direct_sum(reps), d, tol).ground_state
-    parts = all(analyze(r, d, tol).ground_state for r in reps)
-    return whole == parts
 
 
 def spectral_translation_check(pi: Representation, d: np.ndarray, E, F,

