@@ -17,7 +17,6 @@ record the tolerances actually used.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,9 @@ from .liealg import (
 from .matcore import (
     DEFAULT_TOL,
     OperatorSubspace,
-    center_basis,
     commutant_basis,
     eig_hermitian,
-    hermitian_split,
+    isotypic_split,
     numerical_rank,
 )
 
@@ -50,8 +48,9 @@ class GroundStateReport:
     is read from ``-i dpi(d0)``, where d0 is ``FixedPointData.central`` if
     it is set and d otherwise; ``central_shifts`` lists its per-central-block
     minima, whose eigenspaces make up ``h0_basis``, so they equal ``m`` (one
-    block) only when d0 is d.  ``window`` is how far above its block minimum
-    an eigenvalue joins H0.
+    block) only when d0 is d; they follow the block order of the isotypic
+    split (:func:`matcore.isotypic_split`), which is not otherwise meaningful.
+    ``window`` is how far above its block minimum an eigenvalue joins H0.
     ``commutant_dims`` is (dim pi(G)', dim pi0(G0)', dim P0 pi(G)'' P0).
     ``strict`` compares the first two; the corner P0 pi(G)'' P0 is only
     reported, and is counted from the central blocks (see :func:`analyze`).
@@ -71,49 +70,17 @@ class GroundStateReport:
         return self.h0_basis.shape[1]
 
 
-def _central_blocks(comm: OperatorSubspace, tol: float) -> list[np.ndarray]:
-    """Ranges of the minimal central projections of the algebra generated by the operators.
-
-    ``comm`` is the commutant of the operators.  The center of their
-    generated algebra is the center of ``comm``, comm intersected with
-    comm', so it is one null space over the commutant basis; a random
-    Hermitian element of it has the minimal central projections as its
-    spectral projections (generically, so a couple of retries suffice).
-    Returns one orthonormal column block per projection.
-    """
-    if comm.rank > 1:
-        center = center_basis(comm, tol)
-        if center.rank > 1:
-            return hermitian_split(center.basis, lambda blocks: len(blocks) == center.rank, seed=7)
-    return [np.eye(comm.dim, dtype=complex)]
-
-
-def _multiplicities(comm: OperatorSubspace, blocks: list[np.ndarray], tol: float) -> tuple[int, ...]:
-    """The multiplicity m_b of each central block: pi(G)' restricted to block b is M_{m_b}(C).
-
-    One block has m^2 = dim pi(G)'; several take one rank of the compressed
-    basis Q_b^* B_k Q_b each.  A rank that is not a square means the blocks
-    were split wrongly.
-    """
-    ranks = [comm.rank]
-    if len(blocks) > 1:
-        ranks = [numerical_rank(np.linalg.svd((Q.conj().T @ comm.basis @ Q).reshape(comm.rank, -1),
-                                              compute_uv=False), tol) for Q in blocks]
-    mults = tuple(math.isqrt(r) for r in ranks)
-    if any(m * m != r for m, r in zip(mults, ranks)):
-        raise ConvergenceFailure(f"commutant ranks {ranks} of the central blocks are not all squares")
-    return mults
-
-
 def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[np.ndarray], tuple[int, ...]]:
     """pi(G)', seeded from the torus, its central blocks and their multiplicities, memoized on ``pi``.
 
-    All three depend on dpi, the Cartan indices and ``tol`` alone.  The
-    entry is keyed on the last two and holds a blake2b digest of dpi with
-    its shape and dtype, not a copy of dpi, so an edited or reassigned dpi
-    misses the digest and overwrites the entry: ``pi`` holds at most one
-    entry per tolerance.  A single block is stored as no block, and the
-    stored arrays are read-only.
+    The blocks are the classes of :func:`matcore.isotypic_split`, each the
+    columns of its equivalent irreducible pieces, and a multiplicity is its
+    class size.  All three depend on dpi, the Cartan indices and ``tol``
+    alone.  The entry is keyed on the last two and holds a blake2b digest
+    of dpi with its shape and dtype, not a copy of dpi, so an edited or
+    reassigned dpi misses the digest and overwrites the entry: ``pi`` holds
+    at most one entry per tolerance.  A single block is stored as no block,
+    and the stored arrays are read-only.
     """
     g = pi.algebra
     dpi = np.ascontiguousarray(pi.dpi)
@@ -123,9 +90,9 @@ def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[n
     if entry is None or entry[0] != digest:
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
         comm = commutant_basis(list(dpi), dim=pi.dim, tol=tol, seed_rows=torus)
-        blocks = _central_blocks(comm, tol)
-        mults = _multiplicities(comm, blocks, tol)
-        blocks = blocks if len(blocks) > 1 else []
+        classes = isotypic_split(comm, tol, seed=7)
+        blocks = [np.hstack(c) for c in classes] if len(classes) > 1 else []
+        mults = tuple(len(c) for c in classes)
         for arr in (comm.basis, *blocks):
             arr.setflags(write=False)
         entry = pi._memo[key] = digest, comm, blocks, mults
@@ -175,7 +142,10 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     The commutant M' of the whole action, with orthonormal basis B_k, its
     central blocks and their multiplicities do not depend on d, so they are
     memoized on ``pi``; they yield the ground space, both verdicts and the
-    corner.  The ground state property is cyclicity of the blockwise
+    corner.  Blocks and multiplicities come from one generic Hermitian
+    element of M' (:func:`matcore.isotypic_split`, shared with
+    ``irreps.decompose``): its eigenspaces are the irreducible pieces, and
+    the pieces that M' intertwines make up one block.  The ground state property is cyclicity of the blockwise
     minimal-energy space H0 for M = pi(G)'', i.e. H0 separating for M'
     (Bratteli-Robinson, vol. 1, Prop. 2.5.3): the B_k h0 are independent.
     The projection P0 on H0 lies in M, so separation makes X -> X|H0

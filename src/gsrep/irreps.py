@@ -25,17 +25,7 @@ from .errors import (
 )
 from .liealg import (MatrixLieAlgebra, RootDatum, _root_vector_coeffs, build_algebra,
                      diagonal_element, root_datum, subalgebra)
-from .matcore import (
-    CLUSTER_TOL,
-    DEFAULT_TOL,
-    OperatorSubspace,
-    _null_rows,
-    cluster_values,
-    commutant_basis,
-    compress,
-    hermitian_split,
-    numerical_rank,
-)
+from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, commutant_basis, isotypic_split
 
 Weight = tuple[int, ...]
 
@@ -142,16 +132,6 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
         dpi[:, off : off + r.dim, off : off + r.dim] = r.dpi
         off += r.dim
     return Representation(g, dpi, label=None, ambient_coeffs=reps[0].ambient_coeffs)
-
-
-def tensor_product(a: Representation, b: Representation) -> Representation:
-    if a.algebra.dim != b.algebra.dim:
-        raise DimensionMismatch("tensor factors must represent the same algebra")
-    eye_a, eye_b = np.eye(a.dim), np.eye(b.dim)
-    dpi = np.stack(
-        [np.kron(a.dpi[i], eye_b) + np.kron(eye_a, b.dpi[i]) for i in range(a.algebra.dim)]
-    )
-    return Representation(a.algebra, dpi, ambient_coeffs=a.ambient_coeffs)
 
 
 def restrict(rep: Representation, columns: np.ndarray) -> Representation:
@@ -480,40 +460,21 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
 # decomposition into irreducibles
 
 
-def _intertwined(comm: OperatorSubspace, P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
-    """Equivalence of the irreducible pieces on ran P and ran Q: the Q^* B_k P
-    span Hom_G(ran P, ran Q), so the pieces are equivalent iff one is nonzero."""
-    stack = (Q.conj().T @ comm.basis @ P).reshape(comm.rank, -1)
-    return numerical_rank(np.linalg.svd(stack, compute_uv=False), tol) > 0
-
-
 def decompose(rep: Representation, tol: float = DEFAULT_TOL, seed: int = 0,
               max_tries: int = 8) -> list[tuple[Representation, int]]:
     """Orthogonal decomposition into irreducible components with multiplicity.
 
-    Minimal invariant subspaces are eigenspaces of a random Hermitian
-    element of the commutant; a split with a component failing the Schur
-    check is replaced by one from a fresh random element.  The Schur check
-    (the commutant compressed to a piece is scalar) and equivalence read comm.
+    The components are the classes of :func:`matcore.isotypic_split` of the
+    commutant, one representative piece each, with the class size as the
+    multiplicity; ``analyze`` reads its central blocks from the same split.
     """
     comm = commutant_basis(list(rep.dpi), dim=rep.dim, tol=tol)
     if comm.rank == 1:
         return [(rep, 1)]
-
-    def irreducible(blocks: list[np.ndarray]) -> bool:
-        return all(compress(b, comm, tol).rank == 1 for b in blocks)
-
-    classes: list[tuple[np.ndarray, int]] = []  # (basis of a representative, count)
-    for basis in hermitian_split(comm.basis, irreducible, seed, max_tries):
-        for idx, (first, count) in enumerate(classes):
-            if _intertwined(comm, first, basis, tol):
-                classes[idx] = (first, count + 1)
-                break
-        else:
-            classes.append((basis, 1))
-    if sum(b.shape[1] * m for b, m in classes) != rep.dim:
+    classes = isotypic_split(comm, tol, seed, max_tries)
+    if sum(c[0].shape[1] * len(c) for c in classes) != rep.dim:
         raise NotIrreducible("decomposition does not exhaust the space")  # pragma: no cover
-    return [(restrict(rep, b), m) for b, m in classes]
+    return [(restrict(rep, c[0]), len(c)) for c in classes]
 
 
 # ---------------------------------------------------------------------------

@@ -384,25 +384,6 @@ def _null_clusters(w: np.ndarray, clusters: list, window: float) -> tuple[tuple[
     return tuple(sorted(null)), reach
 
 
-def is_elliptic(g: MatrixLieAlgebra, d, tol: float = CLUSTER_TOL) -> bool:
-    """True iff the derivation is diagonalizable with purely imaginary spectrum."""
-    dd = spectral_split(g, d)
-    if not dd.diagonalizable:
-        return False
-    return bool(np.max(np.abs(dd.eigenvalues.imag), initial=0.0) <= tol)
-
-
-def splitting_condition(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ker(D^2) = ker(D): the generalized zero eigenspace collapses.
-
-    This is the finite-dimensional form of the regularity condition needed
-    for the fixed-point projection to exist; it holds automatically for
-    elliptic derivations and fails for nilpotent ones.
-    """
-    D, _ = _derivation_matrix(g, d)
-    return _null_rows(D, tol).shape[0] == _null_rows(D @ D, tol).shape[0]
-
-
 def centralizer_basis(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real orthonormal coefficient rows spanning ker(ad d) (or ker of a matrix D).
 

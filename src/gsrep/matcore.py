@@ -122,13 +122,6 @@ class OperatorSubspace:
         resid = adj - (adj @ q.conj().T) @ q
         return bool(np.all(np.linalg.norm(resid, axis=1) <= self.star_tol))
 
-    def contains(self, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        v = vec(mat)
-        scale = max(np.linalg.norm(v), 1.0)
-        q = self._rows()
-        resid = v - (q.conj() @ v) @ q
-        return bool(np.linalg.norm(resid) <= tol * scale)
-
     def same_span(self, other: "OperatorSubspace", tol: float = DEFAULT_TOL) -> bool:
         if self.dim != other.dim or self.rank != other.rank:
             return False
@@ -411,20 +404,6 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     return OperatorSubspace(d, basis, is_algebra=True, star_tol=max(tol, 1e-8))
 
 
-def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
-    """Center of an algebra: the elements of ``alg`` commuting with all of it.
-
-    One null space of the (r d^2, r) matrix of brackets [B_j, B_k] of the
-    basis elements, so it costs no d^2 x d^2 decomposition.
-    """
-    B, r, d = alg.basis, alg.rank, alg.dim
-    prod = np.einsum("jab,kbc->jkac", B, B)
-    brackets = prod - prod.transpose(1, 0, 2, 3)  # [B_j, B_k]
-    cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
-    q = _null_rows(cols, tol) @ alg._rows()
-    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True)
-
-
 def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """Span of {P^* A P : A in S} as operators on the column space of P.
 
@@ -445,3 +424,45 @@ def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> Op
     comp = P.conj().T @ S.basis @ P
     basis = span_basis(list(comp), tol) if comp.shape[0] else np.zeros((0, r, r), complex)
     return OperatorSubspace(r, basis)
+
+
+def _intertwined(comm: OperatorSubspace, P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
+    """Equivalence of the irreducible pieces on ran P and ran Q: the Q^* B_k P
+    span Hom_G(ran P, ran Q), so the pieces are equivalent iff one is nonzero."""
+    stack = (Q.conj().T @ comm.basis @ P).reshape(comm.rank, -1)
+    return numerical_rank(np.linalg.svd(stack, compute_uv=False), tol) > 0
+
+
+def isotypic_split(comm: OperatorSubspace, tol: float, seed: int, tries: int = 8) -> list[list[np.ndarray]]:
+    """Irreducible pieces of the operators whose commutant is ``comm``, grouped by equivalence class.
+
+    The pieces are the eigenspaces of a random Hermitian element of
+    ``comm`` (:func:`hermitian_split`), accepted once ``comm`` compresses
+    to the scalars on every piece (Schur).  A piece joins the class of the
+    first piece it is intertwined with.  By Wedderburn,
+    comm = (+)_b M_{m_b} (x) 1_{n_b}, so the classes span the central blocks
+    and class b holds m_b pieces; a scalar ``comm`` is one class, the whole
+    space.
+
+    Raises
+    ------
+    ConvergenceFailure : if the squared class sizes do not sum to dim comm.
+    """
+    if comm.rank == 1:
+        return [[np.eye(comm.dim, dtype=complex)]]
+
+    def irreducible(blocks: list[np.ndarray]) -> bool:
+        return all(compress(b, comm, tol).rank == 1 for b in blocks)
+
+    classes: list[list[np.ndarray]] = []
+    for piece in hermitian_split(comm.basis, irreducible, seed, tries):
+        for members in classes:
+            if _intertwined(comm, members[0], piece, tol):
+                members.append(piece)
+                break
+        else:
+            classes.append([piece])
+    sizes = [len(c) for c in classes]
+    if sum(k * k for k in sizes) != comm.rank:
+        raise ConvergenceFailure(f"class sizes {sizes} do not account for a commutant of rank {comm.rank}")
+    return classes

@@ -1,7 +1,9 @@
-"""Test oracles kept out of the package: literal algebra closure and strictness, and the direct-sum law.
+"""Test oracles and test-only helpers kept out of the package.
 
-``algebra_closure`` (from ``matcore``), ``is_strict`` and
-``direct_sum_law`` (from ``groundstate``) are kept here verbatim.
+``algebra_closure``, ``center_basis`` and ``contains`` (from ``matcore``),
+``is_strict`` and ``direct_sum_law`` (from ``groundstate``),
+``tensor_product`` (from ``irreps``) and ``is_elliptic`` and
+``splitting_condition`` (from ``liealg``) are kept here verbatim.
 ``analyze`` decides strictness as an equality of commutant dimensions;
 ``is_strict`` compares the compressed algebra with the one the
 fixed-point action generates, and so checks that decision independently.
@@ -14,8 +16,10 @@ import numpy as np
 from gsrep.errors import DimensionMismatch
 from gsrep.groundstate import GroundStateReport, analyze
 from gsrep.irreps import Representation, direct_sum
-from gsrep.matcore import (DEFAULT_TOL, OperatorSubspace, _as_ops, _check_square_same_dim,
-                           compress, numerical_rank, span_basis)
+from gsrep.liealg import MatrixLieAlgebra, _derivation_matrix, spectral_split
+from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _as_ops,
+                           _check_square_same_dim, _null_rows, compress, numerical_rank,
+                           span_basis, vec)
 
 
 def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> OperatorSubspace:
@@ -82,3 +86,54 @@ def direct_sum_law(reps: Sequence[Representation], d: np.ndarray,
     whole = analyze(direct_sum(reps), d, tol).ground_state
     parts = all(analyze(r, d, tol).ground_state for r in reps)
     return whole == parts
+
+
+def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+    """Center of an algebra: the elements of ``alg`` commuting with all of it.
+
+    One null space of the (r d^2, r) matrix of brackets [B_j, B_k] of the
+    basis elements, so it costs no d^2 x d^2 decomposition.
+    """
+    B, r, d = alg.basis, alg.rank, alg.dim
+    prod = np.einsum("jab,kbc->jkac", B, B)
+    brackets = prod - prod.transpose(1, 0, 2, 3)  # [B_j, B_k]
+    cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
+    q = _null_rows(cols, tol) @ alg._rows()
+    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True)
+
+
+def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    v = vec(mat)
+    scale = max(np.linalg.norm(v), 1.0)
+    q = space._rows()
+    resid = v - (q.conj() @ v) @ q
+    return bool(np.linalg.norm(resid) <= tol * scale)
+
+
+def tensor_product(a: Representation, b: Representation) -> Representation:
+    if a.algebra.dim != b.algebra.dim:
+        raise DimensionMismatch("tensor factors must represent the same algebra")
+    eye_a, eye_b = np.eye(a.dim), np.eye(b.dim)
+    dpi = np.stack(
+        [np.kron(a.dpi[i], eye_b) + np.kron(eye_a, b.dpi[i]) for i in range(a.algebra.dim)]
+    )
+    return Representation(a.algebra, dpi, ambient_coeffs=a.ambient_coeffs)
+
+
+def is_elliptic(g: MatrixLieAlgebra, d, tol: float = CLUSTER_TOL) -> bool:
+    """True iff the derivation is diagonalizable with purely imaginary spectrum."""
+    dd = spectral_split(g, d)
+    if not dd.diagonalizable:
+        return False
+    return bool(np.max(np.abs(dd.eigenvalues.imag), initial=0.0) <= tol)
+
+
+def splitting_condition(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> bool:
+    """True iff ker(D^2) = ker(D): the generalized zero eigenspace collapses.
+
+    This is the finite-dimensional form of the regularity condition needed
+    for the fixed-point projection to exist; it holds automatically for
+    elliptic derivations and fails for nilpotent ones.
+    """
+    D, _ = _derivation_matrix(g, d)
+    return _null_rows(D, tol).shape[0] == _null_rows(D @ D, tol).shape[0]

@@ -319,14 +319,14 @@ def test_memo_warm_analyze_is_bit_equal_to_a_cold_one():
 
 @pytest.fixture
 def commutant_builds(monkeypatch):
-    """Counts the commutants of pi that ``analyze`` builds: one set of central blocks each."""
+    """Counts the commutants of pi that ``analyze`` builds: one isotypic split each."""
     calls = []
 
-    def counting(comm, tol, _real=groundstate._central_blocks):
+    def counting(comm, tol, seed, tries=8, _real=groundstate.isotypic_split):
         calls.append(tol)
-        return _real(comm, tol)
+        return _real(comm, tol, seed, tries)
 
-    monkeypatch.setattr(groundstate, "_central_blocks", counting)
+    monkeypatch.setattr(groundstate, "isotypic_split", counting)
     return calls
 
 

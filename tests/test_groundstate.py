@@ -6,7 +6,7 @@ import pytest
 from gsrep import cones, groundstate, irreps, liealg
 
 from conftest import D_LISTS, algebra, cached_irrep, dominant_box, su_dominant_box
-from oracles import direct_sum_law, is_strict
+from oracles import direct_sum_law, is_strict, splitting_condition
 
 
 def heis_commuting_family():
@@ -93,7 +93,7 @@ def test_non_strict_commuting_family():
     # the literal algebra-comparison route agrees
     assert is_strict(rep, out) is False
     # and the representation fails the splitting condition, as expected
-    assert liealg.splitting_condition(rep.algebra, d) is False
+    assert splitting_condition(rep.algebra, d) is False
 
 
 def test_direct_sum_law():

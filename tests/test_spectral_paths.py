@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from gsrep import groundstate, liealg, matcore
 from gsrep.errors import ConvergenceFailure, NotIrreducible
 from gsrep.irreps import Representation, direct_sum
-from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, center_basis,
-                           cluster_values, commutant_basis, compress, eig_hermitian,
+from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, cluster_values, commutant_basis, compress, eig_hermitian,
                            numerical_rank)
 
 from conftest import D_LISTS, algebra, cached_irrep, fresh, random_unitary, rng
+from oracles import center_basis, splitting_condition
 from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases
 
 
@@ -145,7 +145,10 @@ def assert_matches_reference(cases, exact_shifts):
         if exact_shifts:
             assert list(got.central_shifts) == want["shifts"]
         else:
-            assert np.abs(np.subtract(got.central_shifts, want["shifts"])).max() <= 1e-12
+            blocks = groundstate._commutant(rep, DEFAULT_TOL)[1] or [np.eye(rep.dim)]
+            order = _pair_by_projector(blocks, want["projections"])
+            shifts = [want["shifts"][j] for j in order]
+            assert np.abs(np.subtract(got.central_shifts, shifts)).max() <= 1e-12
 
 
 def test_irreducible_fixtures_match_the_projector_route():
@@ -160,16 +163,27 @@ def test_reducible_cases_match_the_projector_route():
     assert_matches_reference(cases, exact_shifts=False)
 
 
+def _pair_by_projector(blocks, projections, atol=1e-12):
+    """For each column block, the index of the one projection onto its span, within ``atol``."""
+    order = []
+    for Q in blocks:
+        near = [j for j, P in enumerate(projections) if np.abs(Q @ Q.conj().T - P).max() <= atol]
+        assert len(near) == 1
+        order.append(near[0])
+    assert sorted(order) == list(range(len(projections)))
+    return order
+
+
 def test_central_blocks_span_the_reference_projections():
     blocks_seen = set()
     for rep, d in reducible_cases():
         comm = reference_analyze(rep, d)["comm_full"]
-        blocks = groundstate._central_blocks(comm, DEFAULT_TOL)
+        blocks = [np.hstack(c) for c in matcore.isotypic_split(comm, DEFAULT_TOL, seed=7)]
         want = _central_projections(comm, DEFAULT_TOL)
         assert len(blocks) == len(want)
-        for Q, P in zip(blocks, want):
+        for Q in blocks:
             assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-12)
-            assert np.abs(Q @ Q.conj().T - P).max() <= 1e-12
+        _pair_by_projector(blocks, want)
         blocks_seen.add(len(blocks))
     assert blocks_seen == {1, 2, 3}
 
@@ -327,6 +341,33 @@ def test_the_corner_at_d_zero_is_the_whole_matrix_algebra():
     assert out.commutant_dims == (1, 1, 125 ** 2)
 
 
+def test_twenty_trivial_copies_split_without_forming_the_center():
+    # the center of this 400-dimensional commutant, as one null space of all
+    # brackets, grew like d^6: 1.0 s and 268 MB already at 12 copies
+    g = algebra("u", 2)
+    rep = fresh(direct_sum([cached_irrep("u", 2, (0, 0))] * 20))
+    out = groundstate.analyze(rep, liealg.diagonal_element(g, [1.0, 0.0]))
+    assert out.commutant_dims == (400, 400, 1)
+    assert out.h0_dim == 20
+
+
+# ---------------------------------------------------------------------------
+# the isotypic split: central blocks and multiplicities from one generic element
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(corner_cases())
+@example(("u", ((1, 0), (1, 0), (1, 0), (2, 0), (2, 0)), CORNER_D[2][0], 3))
+def test_isotypic_classes_are_the_summand_multiplicities_and_the_central_blocks(case):
+    rep, _ = _corner_case(*case)
+    comm = matcore.commutant_basis(list(rep.dpi), dim=rep.dim)
+    classes = matcore.isotypic_split(comm, DEFAULT_TOL, seed=7)
+    sizes = [len(c) for c in classes]
+    assert Counter(sizes) == Counter(Counter(case[1]).values())
+    assert sum(k * k for k in sizes) == comm.rank
+    _pair_by_projector([np.hstack(c) for c in classes], _central_projections(comm, DEFAULT_TOL), 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # cyclicity as separation for the commutant
 
@@ -445,6 +486,6 @@ def test_liealg_null_spaces_equal_the_reference_bit_for_bit():
         assert np.array_equal(dd.eigenvalues, np.array(eigvals))
         assert len(dd.eigenspaces) == len(spaces)
         assert all(np.array_equal(a, b) for a, b in zip(dd.eigenspaces, spaces))
-        assert liealg.splitting_condition(g, d) == reference_splitting(g, d)
+        assert splitting_condition(g, d) == reference_splitting(g, d)
         nilpotent += not dd.diagonalizable
     assert nilpotent == 2
