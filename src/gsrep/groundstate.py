@@ -90,9 +90,11 @@ def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[n
     if entry is None or entry[0] != digest:
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
         comm = commutant_basis(list(dpi), dim=pi.dim, tol=tol, seed_rows=torus)
-        classes = isotypic_split(comm, tol, seed=7)
-        blocks = [np.hstack(c) for c in classes] if len(classes) > 1 else []
-        mults = tuple(len(c) for c in classes)
+        blocks, mults = [], (1,)
+        if comm.rank > 1:
+            classes = isotypic_split(comm, tol, seed=7)
+            blocks = [np.hstack(c) for c in classes] if len(classes) > 1 else []
+            mults = tuple(len(c) for c in classes)
         for arr in (comm.basis, *blocks):
             arr.setflags(write=False)
         entry = pi._memo[key] = digest, comm, blocks, mults
@@ -160,8 +162,13 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     m_b means the window or the central blocks were decided wrongly, and
     raises ``ConvergenceFailure``.
 
-    Both commutants of the strictness test are seeded from the torus: the
-    Cartan images for pi, and the Cartan rows projected on g^0 for pi0.
+    The commutant of pi is seeded from the torus, the Cartan images.  Where
+    g^0 = g and H0 is the whole space, pi0 is pi written in the basis h0, so
+    pi0(G0)' = h0* M' h0 and its dimension is read from the memoized M'.
+    That is the case at every d central in g (d = 0, or a multiple of the
+    identity on u(n)): dpi(d) then lies in the center of M by Schur, so each
+    central block is one eigenspace of H.  Otherwise pi0's commutant is
+    built, seeded from the Cartan rows projected on g^0.
     The fixed-point data of (g, d) is memoized on g.  So that H0 is
     invariant under g^0, it is taken for ``FixedPointData.central`` when
     that is set (the split read as zero eigenvalues of ad d past roundoff),
@@ -187,14 +194,18 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
 
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
     pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
-    comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
+    if fix.rows.shape[0] == g.dim and h0.shape[1] == pi.dim:
+        # pi0 is pi in the basis h0; at central d, Schur puts dpi(d) in Z(pi(G)'') so H0 = H
+        rank_pi0 = comm_full.rank
+    else:
+        rank_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows).rank
     return GroundStateReport(
         m=m,
         h0_basis=h0,
         pi0=pi0,
         ground_state=ground_state,
-        strict=bool(ground_state and comm_pi0.rank == comm_full.rank),
-        commutant_dims=(comm_full.rank, comm_pi0.rank, corner),
+        strict=bool(ground_state and rank_pi0 == comm_full.rank),
+        commutant_dims=(comm_full.rank, rank_pi0, corner),
         window=window,
         central_shifts=tuple(shifts),
     )

@@ -448,9 +448,6 @@ def isotypic_split(comm: OperatorSubspace, tol: float, seed: int, tries: int = 8
     ------
     ConvergenceFailure : if the squared class sizes do not sum to dim comm.
     """
-    if comm.rank == 1:
-        return [[np.eye(comm.dim, dtype=complex)]]
-
     def irreducible(blocks: list[np.ndarray]) -> bool:
         return all(compress(b, comm, tol).rank == 1 for b in blocks)
 

@@ -72,6 +72,19 @@ def test_fock_tables(capsys):
     table = report["tables"]["weyl_residuals"]
     assert set(table) == {"10", "20"}
     assert table["20"]["residual"] <= table["10"]["residual"] + 1e-12
+    assert report["verdicts"]["monotone"] is True
+    assert "weyl-relations-monotone" in [c["id"] for c in report["checks"]]
+
+
+@pytest.mark.parametrize("cutoff_args", [[], ["--cutoff", "12"], ["--cutoffs", "10,10"]])
+def test_fock_with_one_distinct_cutoff_gives_no_monotonicity_verdict(capsys, cutoff_args):
+    code, out = run_main(capsys, ["fock", "--modes", "1", *cutoff_args])
+    report = json.loads(out)
+    assert code == 0
+    assert len(report["tables"]["weyl_residuals"]) == 1
+    assert report["verdicts"]["monotone"] is None
+    assert "weyl-relations-monotone" not in [c["id"] for c in report["checks"]]
+    assert "weyl-vacuum" in [c["id"] for c in report["checks"]]
 
 
 def test_sweep_level_consistency(capsys):

@@ -6,6 +6,7 @@ verbatim as the reference.  ``analyze`` run with it in place of
 ``commutant_basis`` must give the same verdicts as ``analyze`` itself.
 """
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -319,14 +320,15 @@ def test_memo_warm_analyze_is_bit_equal_to_a_cold_one():
 
 @pytest.fixture
 def commutant_builds(monkeypatch):
-    """Counts the commutants of pi that ``analyze`` builds: one isotypic split each."""
+    """Counts the commutants of pi that ``analyze`` builds: the ``commutant_basis`` calls of ``_commutant``."""
     calls = []
 
-    def counting(comm, tol, seed, tries=8, _real=groundstate.isotypic_split):
-        calls.append(tol)
-        return _real(comm, tol, seed, tries)
+    def counting(*args, _real=groundstate.commutant_basis, **kwargs):
+        if sys._getframe(1).f_code is groundstate._commutant.__code__:
+            calls.append(kwargs["tol"])
+        return _real(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate, "isotypic_split", counting)
+    monkeypatch.setattr(groundstate, "commutant_basis", counting)
     return calls
 
 
@@ -373,3 +375,13 @@ def test_memoized_commutant_is_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
+
+
+def test_a_cold_irreducible_commutant_takes_no_split(monkeypatch):
+    def no_split(*args, **kwargs):
+        raise AssertionError("a scalar commutant consulted the isotypic split")
+
+    monkeypatch.setattr(groundstate, "isotypic_split", no_split)
+    for kind, n, lam in (("u", 2, (1, 0)), ("u", 3, (2, 1, 0)), ("su", 3, (2, 1, 0))):
+        comm, blocks, mults = groundstate._commutant(fresh(cached_irrep(kind, n, lam)), DEFAULT_TOL)
+        assert comm.rank == 1 and blocks == [] and mults == (1,)

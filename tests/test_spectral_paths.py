@@ -219,7 +219,8 @@ def non_normal_seeds(monkeypatch):
 def test_no_reducible_case_takes_the_identity_frame(non_normal_seeds):
     for rep, d in reducible_cases():
         groundstate.analyze(fresh(rep), d)
-    assert non_normal_seeds["calls"] == 2 * 28  # the commutants of pi and pi0
+    # the commutants of pi and pi0, less pi0's for the 4 sums at the central d = (0, 0)
+    assert non_normal_seeds["calls"] == 52
     assert non_normal_seeds["non_normal"] == 0
 
 
@@ -489,3 +490,83 @@ def test_liealg_null_spaces_equal_the_reference_bit_for_bit():
         assert splitting_condition(g, d) == reference_splitting(g, d)
         nilpotent += not dd.diagonalizable
     assert nilpotent == 2
+
+
+# ---------------------------------------------------------------------------
+# pi0's commutant at central d: read from the memoized commutant of pi
+
+
+def _central_cases():
+    u2, u3, su3 = algebra("u", 2), algebra("u", 3), algebra("su", 3)
+    for g, kind, lams, centrals, other in (
+            (u2, "u", [(1, 0), (2, -1), (3, 3)], [(0.0, 0.0), (1.0, 1.0)], (1.0, 0.0)),
+            (u3, "u", [(1, 0, 0), (2, 1, 0), (2, 0, -2)], [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)],
+             (1.0, 1.0, 0.0)),
+            (su3, "su", [(1, 0, 0), (2, 1, 0), (2, 0, -2)], [(0.0, 0.0, 0.0)], (1.0, 1.0, -2.0))):
+        for lam in lams:
+            for entries in centrals:
+                yield (cached_irrep(kind, g.n, lam), liealg.diagonal_element(g, entries),
+                       liealg.diagonal_element(g, other))
+    repeated = direct_sum([cached_irrep("u", 2, lam) for lam in ((1, 0), (1, 0), (2, 0))])
+    yield repeated, liealg.diagonal_element(u2, (0.0, 0.0)), liealg.diagonal_element(u2, (1.0, 0.0))
+
+
+@pytest.fixture
+def commutant_calls(monkeypatch):
+    """Counts the calls of ``commutant_basis`` that ``analyze`` makes."""
+    calls = []
+
+    def counting(*args, _real=groundstate.commutant_basis, **kwargs):
+        calls.append(kwargs["dim"])
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(groundstate, "commutant_basis", counting)
+    return calls
+
+
+def test_pi0_commutant_at_central_d_is_read_from_the_commutant_of_pi(commutant_calls):
+    cases = list(_central_cases())
+    assert len(cases) == 16
+    for rep, d, other in cases:
+        rep = fresh(rep)
+        out = groundstate.analyze(rep, d)
+        assert out.h0_dim == rep.dim and out.pi0.dim == rep.dim
+        assert out.commutant_dims[1] == reference_commutant(list(out.pi0.dpi)).rank
+        want = reference_analyze(rep, d)
+        assert out.commutant_dims == want["commutant_dims"]
+        assert (out.ground_state, out.strict) == (want["ground_state"], want["strict"])
+        commutant_calls.clear()
+        groundstate.analyze(rep, d)
+        assert commutant_calls == []  # memo-warm: nothing is built
+        groundstate.analyze(rep, other)
+        assert len(commutant_calls) == 1  # non-central d: pi0's commutant is built
+
+
+def _edited_fundamental(index, value):
+    """The u(2) fundamental with one generator replaced: no longer a homomorphism."""
+    rep = fresh(cached_irrep("u", 2, (1, 0)))
+    rep.dpi[index] = value
+    return rep
+
+
+@pytest.mark.parametrize("case", ["h0-smaller", "g0-smaller"])
+def test_pi0_commutant_is_built_unless_g0_is_g_and_h0_is_the_whole_space(case, commutant_calls):
+    g = algebra("u", 2)
+    c0, c1 = g.cartan_indices
+    if case == "h0-smaller":
+        # d central, so g0 = g, but dpi(d) = i diag(1, 4) is not scalar: H0 is one line
+        rep = _edited_fundamental(c0, 1j * np.diag([1.0, 3.0]))
+        d, want = (1.0, 1.0), ((1, 1, 1), 1, True, True)
+    else:
+        # dpi vanishes on the torus, so H = 0 is H0, but d = (1, 0) is regular: g0 is the torus,
+        # on which pi0 is zero with the whole 2 x 2 matrices as its commutant
+        rep = _edited_fundamental([c0, c1], 0.0)
+        d, want = (1.0, 0.0), ((1, 4, 4), 2, True, False)
+    d = liealg.diagonal_element(g, d)
+    fix = liealg.fixed_point_data(g, d)
+    assert (fix.rows.shape[0] == g.dim) == (case == "h0-smaller")
+    groundstate.analyze(rep, d)
+    commutant_calls.clear()
+    out = groundstate.analyze(rep, d)
+    assert commutant_calls == [out.h0_dim]  # the commutant path was taken
+    assert (out.commutant_dims, out.h0_dim, out.ground_state, out.strict) == want
