@@ -89,7 +89,7 @@ def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[n
     entry = pi._memo.get(key)
     if entry is None or entry[0] != digest:
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-        comm = commutant_basis(list(dpi), dim=pi.dim, tol=tol, seed_rows=torus)
+        comm = commutant_basis(dpi, dim=pi.dim, tol=tol, seed_rows=torus)
         blocks, mults = [], (1,)
         if comm.rank > 1:
             classes = isotypic_split(comm, tol, seed=7)
@@ -127,7 +127,14 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.n
 
 
 def _separating(comm: OperatorSubspace, h0: np.ndarray, tol: float) -> bool:
-    """Is the range of ``h0`` separating for ``comm``: are the B_k h0 independent?"""
+    """Is the range of ``h0`` separating for ``comm``: are the B_k h0 independent?
+
+    A scalar ``comm`` (rank 1) separates every nonzero subspace and takes
+    no SVD: its one singular value would be sqrt(r / d) for r columns of
+    h0, never below the threshold.
+    """
+    if comm.rank == 1:
+        return True
     cols = (comm.basis @ h0).reshape(comm.rank, -1).T
     return numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == comm.rank
 
@@ -147,13 +154,15 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     corner.  Blocks and multiplicities come from one generic Hermitian
     element of M' (:func:`matcore.isotypic_split`, shared with
     ``irreps.decompose``): its eigenspaces are the irreducible pieces, and
-    the pieces that M' intertwines make up one block.  The ground state property is cyclicity of the blockwise
-    minimal-energy space H0 for M = pi(G)'', i.e. H0 separating for M'
-    (Bratteli-Robinson, vol. 1, Prop. 2.5.3): the B_k h0 are independent.
-    The projection P0 on H0 lies in M, so separation makes X -> X|H0
-    injective on M', and strictness is then dim pi0(G0)' = dim M'.  That is
-    equivalent to the literal comparison of P0 M P0 with the algebra pi0
-    generates, which the test suite keeps as its oracle ``is_strict``.
+    the pieces that M' intertwines make up one block.  The ground state
+    property is cyclicity of the blockwise minimal-energy space H0 for
+    M = pi(G)'', i.e. H0 separating for M' (Bratteli-Robinson, vol. 1,
+    Prop. 2.5.3): the B_k h0 are independent, which a scalar M' grants with
+    no SVD.  The projection P0 on H0 lies in M, so separation makes
+    X -> X|H0 injective on M', and strictness is then
+    dim pi0(G0)' = dim M'.  That is equivalent to the literal comparison of
+    P0 M P0 with the algebra pi0 generates, which the test suite keeps as
+    its oracle ``is_strict``.
 
     No commutant is formed for the corner P0 M P0.  By Wedderburn,
     M = (+)_b M_{n_b} (x) 1_{m_b} over the central blocks b, so P0 takes
@@ -161,6 +170,10 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     dimension is the sum of (c_b / m_b)^2.  A c_b that is not a multiple of
     m_b means the window or the central blocks were decided wrongly, and
     raises ``ConvergenceFailure``.
+
+    pi0 is built compression first: the images h0* dpi h0 of the generators
+    of g are combined over the rows of g^0 afterwards, at O(dim g d^2 r)
+    for r = dim H0 rather than O(dim g^0 dim g d^2).
 
     The commutant of pi is seeded from the torus, the Cartan images.  Where
     g^0 = g and H0 is the whole space, pi0 is pi written in the basis h0, so
@@ -192,13 +205,13 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     corner = sum((c // k) ** 2 for c, k in zip(counts, mults))
     ground_state = _separating(comm_full, h0, tol)
 
-    dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
-    pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
+    dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), h0.conj().T @ pi.dpi @ h0)
+    pi0 = Representation(fix.algebra, dpi0, ambient_coeffs=fix.rows)
     if fix.rows.shape[0] == g.dim and h0.shape[1] == pi.dim:
         # pi0 is pi in the basis h0; at central d, Schur puts dpi(d) in Z(pi(G)'') so H0 = H
         rank_pi0 = comm_full.rank
     else:
-        rank_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows).rank
+        rank_pi0 = commutant_basis(pi0.dpi, dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows).rank
     return GroundStateReport(
         m=m,
         h0_basis=h0,

@@ -468,7 +468,7 @@ def decompose(rep: Representation, tol: float = DEFAULT_TOL, seed: int = 0,
     commutant, one representative piece each, with the class size as the
     multiplicity; ``analyze`` reads its central blocks from the same split.
     """
-    comm = commutant_basis(list(rep.dpi), dim=rep.dim, tol=tol)
+    comm = commutant_basis(rep.dpi, dim=rep.dim, tol=tol)
     if comm.rank == 1:
         return [(rep, 1)]
     classes = isotypic_split(comm, tol, seed, max_tries)

@@ -27,8 +27,8 @@ on the first read of ``is_star_closed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,12 +48,6 @@ LIVE_TOL = 1e-13
 # null space: small inputs pay one SVD in all, while a large input, whose
 # null space shrinks the basis for the next, is imposed alone.
 CONSTRAINT_BATCH = 2**12
-
-
-def _as_ops(ops) -> list[np.ndarray]:
-    if isinstance(ops, OperatorSubspace):
-        return [np.asarray(b, dtype=complex) for b in ops.basis]
-    return [np.asarray(op, dtype=complex) for op in ops]
 
 
 def _check_square_same_dim(ops: Sequence[np.ndarray]) -> int:
@@ -224,102 +218,147 @@ def _null_rows(mat: np.ndarray, tol: float, nullity: Optional[int] = None) -> np
     return vh[numerical_rank(s, tol) if nullity is None else n - nullity:].conj()
 
 
-def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
-    """Eigenframe and clusters of the seed element X, a generic element of the input span.
+@lru_cache(maxsize=64)
+def _draws(n: int) -> np.ndarray:
+    """The first ``n`` normal draws from ``GENERIC_SEED``, read-only."""
+    coeffs = np.random.default_rng(GENERIC_SEED).normal(size=n)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _seed_frame(mats: np.ndarray, seed_rows, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Eigenframe and cluster sizes of the seed element X, a generic element of the input span.
 
     X is ``c @ seed_rows`` applied to the inputs, with ``c`` drawn from
-    ``GENERIC_SEED``; ``seed_rows=None`` stands for all inputs.  For a
-    normal X, returns the eigenvectors ``u`` of one Hermitian H whose
-    eigenspaces are X's, and the start and size of each eigenvalue cluster
-    of H (contiguous, since eigenvalues come sorted): Y commutes with X iff
+    ``GENERIC_SEED`` (:func:`_draws`); ``seed_rows=None`` stands for all
+    inputs.  For a normal X, returns the eigenvectors ``u`` of one Hermitian
+    H whose eigenspaces are X's, and the size of each eigenvalue cluster of
+    H (contiguous, since eigenvalues come sorted): Y commutes with X iff
     ``u^* Y u`` is block diagonal over the clusters.  A non-normal X gives
     the identity frame as one cluster, so the inputs impose everything.
     """
     k, d = mats.shape[0], mats.shape[1]
-    rng = np.random.default_rng(GENERIC_SEED)
-    if seed_rows is None:
-        coeffs = rng.normal(size=k)
-    else:
-        coeffs = rng.normal(size=seed_rows.shape[0]) @ seed_rows
+    coeffs = _draws(k) if seed_rows is None else _draws(seed_rows.shape[0]) @ seed_rows
     X = np.einsum("k,kij->ij", coeffs.astype(complex), mats)
     Xh = X.conj().T
     scale = max(np.linalg.norm(X), 1.0)
     if np.linalg.norm(X @ Xh - Xh @ X) > tol * scale * scale:
-        return np.eye(d, dtype=complex), np.zeros(1, dtype=int), np.array([d])
+        return np.eye(d, dtype=complex), (d,)
     # the Hermitian parts of a normal X commute; a generic real mix of them
     # separates their joint eigenspaces, which are X's
     H = (X + Xh) / 2.0 - 1j * np.sqrt(0.5) * (X - Xh)
     w, u = np.linalg.eigh(H)
     window = SEED_CLUSTER_TOL * max(1.0, -w[0], w[-1])
     bounds = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > window) + 1, [d]))
-    return u, bounds[:-1], bounds[1:] - bounds[:-1]
+    return u, tuple(np.diff(bounds).tolist())
 
 
-class _SeedFrame:
+class _FrameTables(NamedTuple):
     """Block coordinates of the seed commutant in the seed's eigenframe.
 
-    Cluster c spans eigenvector indices ``starts[c] .. starts[c] + sizes[c]``;
-    the coordinates are the entries of the free blocks Y_c, cluster by
-    cluster, each block row-major.  For index p in a cluster starting at s
-    with size k, ``rows[p, w]`` is the coordinate of entry (p, s + w) and
-    ``cols[p, w]`` that of entry (s + w, p), for w < k; slots w >= k point
+    Cluster c spans eigenvector indices ``starts[c] .. starts[c] + sizes[c]``
+    and ``labels[p]`` is the cluster of index p.  The coordinates are the
+    entries of the free blocks Y_c, cluster by cluster, each block
+    row-major; coordinate n is entry (``coord_rows[n]``, ``coord_cols[n]``).
+    For index p in a cluster starting at s with size k, ``rows[p, w]`` is
+    the coordinate of entry (p, s + w) and ``cols[p, w]`` that of entry
+    (s + w, p), for w < k, and ``slot[p, w]`` is s + w; slots w >= k point
     at one spare coordinate past the end, so every index has K = max size
     slots.
     """
 
-    def __init__(self, starts: np.ndarray, sizes: np.ndarray):
-        self.starts, self.sizes = starts, sizes
-        self.labels = np.repeat(np.arange(sizes.size), sizes)
-        self.ncoords = int(np.dot(sizes, sizes))
+    starts: np.ndarray
+    sizes: np.ndarray
+    labels: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    slot: np.ndarray
+    coord_rows: np.ndarray
+    coord_cols: np.ndarray
 
-    @cached_property
-    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``rows``, ``cols`` and ``slot`` tables, (d, K) each."""
-        k = self.sizes[self.labels][:, None]
-        s = self.starts[self.labels][:, None]
-        offset = (np.cumsum(self.sizes * self.sizes) - self.sizes * self.sizes)[self.labels][:, None]
-        local = np.arange(self.labels.size)[:, None] - s
-        w = np.arange(self.sizes.max())
-        inside = w < k
-        rows = np.where(inside, offset + local * k + w, self.ncoords)
-        cols = np.where(inside, offset + local + w * k, self.ncoords)
-        return rows, cols, np.minimum(s + w, self.labels.size - 1)
+    @property
+    def ncoords(self) -> int:
+        return self.coord_rows.size
 
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frame row and column of every coordinate, in coordinate order."""
-        rows, _, slot = self._slots
-        p, w = np.nonzero(rows < self.ncoords)
-        return p, slot[p, w]
 
-    def live_entries(self, frames: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        """(inputs, d, d) mask of the entries in each input's live blocks.
+@lru_cache(maxsize=128)
+def _frame_tables(sizes: tuple[int, ...]) -> _FrameTables:
+    """The :class:`_FrameTables` of clusters of ``sizes``, in order; the arrays are read-only."""
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    ncoords = int(np.dot(sizes, sizes))
+    k = sizes[labels][:, None]
+    s = starts[labels][:, None]
+    offset = (np.cumsum(sizes * sizes) - sizes * sizes)[labels][:, None]
+    local = np.arange(labels.size)[:, None] - s
+    w = np.arange(sizes.max())
+    inside = w < k
+    rows = np.where(inside, offset + local * k + w, ncoords)
+    cols = np.where(inside, offset + local + w * k, ncoords)
+    slot = np.minimum(s + w, labels.size - 1)
+    p, j = np.nonzero(inside)
+    tables = _FrameTables(starts, sizes, labels, rows, cols, slot, p, slot[p, j])
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
-        An off-diagonal block is live when its largest entry exceeds
-        ``LIVE_TOL * max(1, ||A||)``; a diagonal block is live when it is
-        not scalar to that threshold, since a scalar block commutes with
-        every Y.
-        """
-        d = frames.shape[1]
-        mag = np.abs(frames)
-        diag = np.diagonal(frames, axis1=1, axis2=2)
-        means = np.add.reduceat(diag, self.starts, axis=1) / self.sizes
-        idx = np.arange(d)
-        mag[:, idx, idx] = np.abs(diag - means[:, self.labels])
-        peak = np.maximum.reduceat(np.maximum.reduceat(mag, self.starts, axis=1),
-                                   self.starts, axis=2)
-        live = peak > LIVE_TOL * np.maximum(1.0, norms)[:, None, None]
-        return live[:, self.labels[:, None], self.labels[None, :]]
 
-    def constraints(self, frames: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        """(entries, coordinates) matrix of Y -> [Y, F_k] on flat entries (k, i, j) of ``frames``."""
-        rows, cols, slot = self._slots
-        k, i, j = np.unravel_index(entries, frames.shape)
-        e = np.arange(entries.size)[:, None]
-        k = k[:, None]
-        C = np.zeros((entries.size, self.ncoords + 1), dtype=complex)
-        C[e, rows[i]] = frames[k, slot[i], j[:, None]]  # sum_w Y[i, w] F[w, j]
-        C[e, cols[j]] -= frames[k, i[:, None], slot[j]]  # sum_w F[i, w] Y[w, j]
-        return C[:, :-1]
+def _live_entries(frame: _FrameTables, frames: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """(inputs, d, d) mask of the entries in each input's live blocks.
+
+    An off-diagonal block is live when its largest entry exceeds
+    ``LIVE_TOL * max(1, ||A||)``; a diagonal block is live when it is
+    not scalar to that threshold, since a scalar block commutes with
+    every Y.
+    """
+    d = frames.shape[1]
+    mag = np.abs(frames)
+    diag = np.diagonal(frames, axis1=1, axis2=2)
+    means = np.add.reduceat(diag, frame.starts, axis=1) / frame.sizes
+    idx = np.arange(d)
+    mag[:, idx, idx] = np.abs(diag - means[:, frame.labels])
+    peak = np.maximum.reduceat(np.maximum.reduceat(mag, frame.starts, axis=1),
+                               frame.starts, axis=2)
+    live = peak > LIVE_TOL * np.maximum(1.0, norms)[:, None, None]
+    return live[:, frame.labels[:, None], frame.labels[None, :]]
+
+
+def _constraints(frame: _FrameTables, frames: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """(entries, coordinates) matrix of Y -> [Y, F_k] on flat entries (k, i, j) of ``frames``."""
+    rows, cols, slot = frame.rows, frame.cols, frame.slot
+    k, i, j = np.unravel_index(entries, frames.shape)
+    e = np.arange(entries.size)[:, None]
+    k = k[:, None]
+    C = np.zeros((entries.size, frame.ncoords + 1), dtype=complex)
+    C[e, rows[i]] = frames[k, slot[i], j[:, None]]  # sum_w Y[i, w] F[w, j]
+    C[e, cols[j]] -= frames[k, i[:, None], slot[j]]  # sum_w F[i, w] Y[w, j]
+    return C[:, :-1]
+
+
+def _as_stack(ops, dim: Optional[int]) -> np.ndarray:
+    """The inputs as one C-contiguous (k, d, d) complex stack.
+
+    An array, or the basis of an OperatorSubspace, gives d by its shape,
+    also when it holds no matrix; an empty list takes d from ``dim``.
+    """
+    if isinstance(ops, OperatorSubspace):
+        ops = ops.basis
+    if isinstance(ops, np.ndarray):
+        stack = np.ascontiguousarray(ops, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
+    else:
+        mats = [np.asarray(op, dtype=complex) for op in ops]
+        if not mats:
+            if dim is None:
+                raise DimensionMismatch("empty operator list requires an explicit dimension")
+            return np.zeros((0, dim, dim), dtype=complex)
+        _check_square_same_dim(mats)
+        stack = np.stack(mats)
+    if dim is not None and dim != stack.shape[1]:
+        raise DimensionMismatch(f"operators have dim {stack.shape[1]}, expected {dim}")
+    return stack
 
 
 def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
@@ -328,8 +367,10 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
 
     Parameters
     ----------
-    ops : matrices (or an OperatorSubspace) acting on the same space.
-    dim : ambient dimension, required when ``ops`` is empty.
+    ops : a (k, d, d) array, a list of d x d matrices, or an OperatorSubspace
+        (its basis is the input stack).  An array or a subspace fixes d by
+        its shape even when it is empty.
+    dim : ambient dimension, required when ``ops`` is an empty list.
     tol : relative singular-value threshold for the null-space rank decision.
     seed_rows : real (s, len(ops)) coefficient rows over the inputs; a
         generic combination of them is the seed element.  None means all
@@ -338,19 +379,22 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
         diagonal (a torus) keep the imposed constraints sparse.
 
     The seed is the commutant of the seed element (see the module
-    docstring).  The current basis is held as coefficients over the free
-    blocks Y_c of the seed element's eigenframe ``u``; each input
-    A is taken to that frame, F = u^* A u, and [Y, F] = 0 is imposed as a
-    thin null space with one row per entry of F's live blocks (see
-    :meth:`_SeedFrame.live_entries`).  The dropped blocks of F have entries
-    of at most ``LIVE_TOL * max(1, ||A||)``, so by Weyl's inequality they
-    move every singular value of the constraint by at most
-    ``2 d LIVE_TOL * max(1, ||A||)``: below ``1e-9 * max(1, ||A||)`` for d
-    up to 5000, against the rank threshold ``tol * max(s[0], 1)``.  An
-    input with no live block, or whose constraint is below ``tol``, is
-    skipped.  Consecutive inputs whose first constraint rows fall in one
-    window of ``CONSTRAINT_BATCH // coordinates`` rows share one null space;
-    an input with more rows than that is imposed alone.  A non-normal seed
+    docstring); its coefficients are drawn once per input count and
+    cached.  The current basis is held as coefficients over the free
+    blocks Y_c of the seed element's eigenframe ``u``, whose index tables
+    depend on the cluster sizes alone and are cached per size tuple
+    (:func:`_frame_tables`).  Each input A is taken to that frame,
+    F = u^* A u, and [Y, F] = 0 is imposed as a thin null space with one
+    row per entry of F's live blocks (see :func:`_live_entries`).  The
+    dropped blocks of F have entries of at most ``LIVE_TOL * max(1, ||A||)``,
+    so by Weyl's inequality they move every singular value of the
+    constraint by at most ``2 d LIVE_TOL * max(1, ||A||)``: below
+    ``1e-9 * max(1, ||A||)`` for d up to 5000, against the rank threshold
+    ``tol * max(s[0], 1)``.  An input with no live block, or whose
+    constraint is below ``tol``, is skipped.  Consecutive inputs whose first
+    constraint rows fall in one window of ``CONSTRAINT_BATCH // coordinates``
+    rows share one null space; an input with more rows than that is imposed
+    alone.  A non-normal seed
     element leaves the identity frame as one cluster, where the inputs are
     imposed the same way.  The basis u Y u^* is built at the end, from outer
     products of eigenvectors when nothing was imposed.
@@ -359,25 +403,20 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     first read of ``is_star_closed`` (it holds whenever the input set is
     star-closed up to sign).
     """
-    mats = _as_ops(ops)
-    if not mats:
-        if dim is None:
-            raise DimensionMismatch("empty operator list requires an explicit dimension")
-        return full_operator_space(dim)
-    d = _check_square_same_dim(mats)
-    if dim is not None and dim != d:
-        raise DimensionMismatch(f"operators have dim {d}, expected {dim}")
+    stack = _as_stack(ops, dim)
+    k, d = stack.shape[0], stack.shape[1]
+    if k == 0:
+        return full_operator_space(d)
     if seed_rows is not None:
         seed_rows = np.asarray(seed_rows, dtype=float)
-        if seed_rows.ndim != 2 or seed_rows.shape[1] != len(mats):
-            raise DimensionMismatch(f"seed rows must have shape (s, {len(mats)}), got {seed_rows.shape}")
+        if seed_rows.ndim != 2 or seed_rows.shape[1] != k:
+            raise DimensionMismatch(f"seed rows must have shape (s, {k}), got {seed_rows.shape}")
     if d == 1:
         return full_operator_space(1)  # every 1 x 1 input is scalar
-    stack = np.stack(mats)
-    u, starts, sizes = _seed_frame(stack, seed_rows, tol)
-    frame = _SeedFrame(starts, sizes)
+    u, sizes = _seed_frame(stack, seed_rows, tol)
+    frame = _frame_tables(sizes)
     frames = u.conj().T @ stack @ u
-    entries = np.flatnonzero(frame.live_entries(frames, np.linalg.norm(stack, axis=(1, 2))))
+    entries = np.flatnonzero(_live_entries(frame, frames, np.linalg.norm(stack, axis=(1, 2))))
     # consecutive inputs share one constraint while it has few entries
     first = np.searchsorted(entries, entries // (d * d) * (d * d))
     cuts = np.flatnonzero(np.diff(first // max(1, CONSTRAINT_BATCH // frame.ncoords))) + 1
@@ -386,7 +425,7 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if q is not None and q.shape[0] == 0:
             break
-        comms = frame.constraints(frames, entries[lo:hi])  # (entries, coordinates)
+        comms = _constraints(frame, frames, entries[lo:hi])  # (entries, coordinates)
         if q is not None:
             comms = comms @ q.T
         if np.linalg.norm(comms) <= tol:
@@ -394,7 +433,7 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
         # coefficient combinations of the current basis that commute with the batch
         null = _null_rows(comms, tol)
         q = null if q is None else null @ q
-    rows, cols = frame.coordinates()
+    rows, cols = frame.coord_rows, frame.coord_cols
     if q is None:
         basis = u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
     else:

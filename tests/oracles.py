@@ -17,9 +17,8 @@ from gsrep.errors import DimensionMismatch
 from gsrep.groundstate import GroundStateReport, analyze
 from gsrep.irreps import Representation, direct_sum
 from gsrep.liealg import MatrixLieAlgebra, _derivation_matrix, spectral_split
-from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _as_ops,
-                           _check_square_same_dim, _null_rows, compress, numerical_rank,
-                           span_basis, vec)
+from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _check_square_same_dim,
+                           _null_rows, compress, numerical_rank, span_basis, vec)
 
 
 def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> OperatorSubspace:
@@ -30,7 +29,9 @@ def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL
     far; terminates when the dimension stabilizes (bounded by d^2, which
     suffices at finite dimension by Cayley--Hamilton saturation).
     """
-    mats = _as_ops(ops)
+    if isinstance(ops, OperatorSubspace):
+        ops = ops.basis
+    mats = [np.asarray(op, dtype=complex) for op in ops]
     if not mats:
         raise DimensionMismatch("algebra closure needs at least one generator or the identity")
     d = _check_square_same_dim(mats)

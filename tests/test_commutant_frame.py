@@ -11,6 +11,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsrep import cones, groundstate, irreps, liealg, matcore
 from gsrep.matcore import DEFAULT_TOL, GENERIC_SEED, SEED_CLUSTER_TOL, _null_rows, cluster_values
@@ -183,6 +185,35 @@ def test_generator_permutation(monkeypatch):
                     == verdicts(groundstate.analyze(rep, d)))
             cases.append((moved, d[perm]))
     assert_same_verdicts(monkeypatch, cases)
+
+
+@st.composite
+def moved_sums(draw):
+    """A u(2)/u(3) direct sum of dimension <= 16, a D_LISTS generator, a unitary and a permutation."""
+    n = draw(st.sampled_from([2, 3]))
+    small = [lam for lam in dominant_box(n, -2, 2) if irreps.weyl_dim(lam) <= 16]
+    summands = draw(st.lists(st.sampled_from(small), min_size=1, max_size=3))
+    while sum(map(irreps.weyl_dim, summands)) > 16:
+        summands.pop()
+    entries = draw(st.sampled_from(D_LISTS[("u", n)]))
+    gen = rng(draw(st.integers(0, 2**16)))
+    rep = irreps.direct_sum([cached_irrep("u", n, lam) for lam in summands])
+    return rep, entries, random_unitary(rep.dim, gen), gen.permutation(n * n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(moved_sums())
+def test_verdicts_are_invariant_under_basis_change_and_generator_permutation(case):
+    rep, entries, U, perm = case
+    g = rep.algebra
+    d = liealg.diagonal_element(g, entries)
+    want = groundstate.analyze(fresh(rep), d)
+    for moved, dm in ((irreps.Representation(g, U @ rep.dpi @ U.conj().T), d),
+                      (irreps.Representation(_permuted(g, perm), rep.dpi[perm]), d[perm])):
+        got = groundstate.analyze(moved, dm)
+        assert (got.h0_dim, got.ground_state, got.strict, got.commutant_dims) == (
+            want.h0_dim, want.ground_state, want.strict, want.commutant_dims)
+        assert abs(got.m - want.m) <= 1e-9
 
 
 def _op_sets():

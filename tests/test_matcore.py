@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsrep import matcore
 from gsrep.errors import DimensionMismatch, NotHermitian
+from gsrep.matcore import DEFAULT_TOL
 
 from conftest import algebra, random_hermitian, random_unitary, rng
 from oracles import algebra_closure, center_basis, contains
@@ -67,6 +70,79 @@ def test_commutant_of_empty_set_is_everything():
 def test_commutant_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         matcore.commutant_basis([np.eye(2), np.eye(3)])
+
+
+def test_empty_subspace_takes_its_dimension_from_its_basis():
+    empty = matcore.OperatorSubspace(3, np.zeros((0, 3, 3), dtype=complex))
+    sub = matcore.commutant_basis(empty)
+    assert sub.rank == 9 and sub.same_span(matcore.full_operator_space(3))
+    with pytest.raises(DimensionMismatch):
+        matcore.commutant_basis(empty, dim=4)
+
+
+def test_empty_array_takes_its_dimension_from_its_shape():
+    assert matcore.commutant_basis(np.zeros((0, 2, 2))).rank == 4
+    assert matcore.commutant_basis(np.zeros((0, 2, 2)), dim=2).rank == 4
+    with pytest.raises(DimensionMismatch):
+        matcore.commutant_basis(np.zeros((0, 2, 2)), dim=3)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (1, 2, 2, 2)])
+def test_commutant_rejects_a_stack_of_non_square_matrices(shape):
+    with pytest.raises(DimensionMismatch):
+        matcore.commutant_basis(np.zeros(shape))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Inputs of dimension 2-6 that share the blocks of one cluster pattern, and seed rows.
+
+    The first input is Hermitian with clusters of the drawn sizes, so the
+    seed rows that pick it give the kernel that cluster-size tuple; the
+    others are Hermitian, anti-Hermitian or non-normal, block diagonal
+    over the clusters or not.
+    """
+    d = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["hermitian", "anti-hermitian", "non-normal"]))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1))))
+    sizes = np.diff([0, *cuts, d])
+    blocked = draw(st.booleans())
+    seeding = draw(st.sampled_from(["all", "first", "random", "zero"]))
+    gen = rng(draw(st.integers(0, 2**16)))
+    U = random_unitary(d, gen)
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    ops = [U @ np.diag(labels.astype(complex)) @ U.conj().T]
+    for _ in range(k - 1):
+        M = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+        if blocked:
+            M = M * (labels[:, None] == labels[None, :])
+        M = {"hermitian": M + M.conj().T, "anti-hermitian": M - M.conj().T, "non-normal": M}[kind]
+        ops.append(U @ M @ U.conj().T)
+    rows = {"all": None, "first": np.eye(k)[:1], "random": gen.normal(size=(2, k)),
+            "zero": np.zeros((1, k))}[seeding]
+    return np.stack(ops), rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kernel_inputs())
+def test_kernel_takes_stacks_and_lists_alike_and_keeps_its_caches_read_only(case):
+    from test_commutant_frame import reference_commutant
+
+    stack, rows = case
+    got = matcore.commutant_basis(stack, seed_rows=rows)
+    listed = matcore.commutant_basis(list(stack), seed_rows=rows)
+    assert got.basis.tobytes() == listed.basis.tobytes() and got.rank == listed.rank
+    want = reference_commutant(list(stack))
+    assert got.rank == want.rank
+    assert got.same_span(want, 1e-8)
+    _, sizes = matcore._seed_frame(stack, rows, DEFAULT_TOL)
+    cached = [*matcore._frame_tables(sizes), matcore._draws(stack.shape[0])]
+    if rows is not None:
+        cached.append(matcore._draws(rows.shape[0]))
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 def test_closure_of_identity():

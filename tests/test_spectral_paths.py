@@ -406,10 +406,8 @@ def test_separation_matches_krylov_on_random_subspaces():
     assert tally[False] >= 28 + 9 and tally[True] >= 100
 
 
-def test_ground_state_decision_takes_no_krylov_svd_and_no_compression(monkeypatch):
-    g = algebra("u", 3)
-    rep = fresh(cached_irrep("u", 3, (6, 3, 0)))
-    d = liealg.diagonal_element(g, [1.0, 0.0, 0.0])
+def _groundstate_svd_widths(monkeypatch) -> list[int]:
+    """Widths of the SVDs called from ``groundstate``; ``compress`` raises."""
     widths = []
     real_svd = np.linalg.svd
 
@@ -424,8 +422,29 @@ def test_ground_state_decision_takes_no_krylov_svd_and_no_compression(monkeypatc
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(matcore, "compress", no_compress)
     monkeypatch.setattr(groundstate, "compress", no_compress, raising=False)
+    return widths
+
+
+def test_ground_state_decision_takes_no_krylov_svd_and_no_compression(monkeypatch):
+    # a scalar pi(G)' separates every nonzero subspace: no SVD at all
+    g = algebra("u", 3)
+    rep = fresh(cached_irrep("u", 3, (6, 3, 0)))
+    d = liealg.diagonal_element(g, [1.0, 0.0, 0.0])
+    widths = _groundstate_svd_widths(monkeypatch)
     out = groundstate.analyze(rep, d)
     assert rep.dim == 64 and out.ground_state and out.strict
+    assert out.commutant_dims[0] == 1
+    assert widths == []
+
+
+def test_reducible_ground_state_decision_takes_one_thin_svd(monkeypatch):
+    g = algebra("u", 3)
+    rep = direct_sum([cached_irrep("u", 3, (2, 1, 0)), cached_irrep("u", 3, (1, 0, 0))])
+    d = liealg.diagonal_element(g, [1.0, 0.0, 0.0])
+    groundstate._commutant(rep, DEFAULT_TOL)  # its isotypic split compresses
+    widths = _groundstate_svd_widths(monkeypatch)
+    out = groundstate.analyze(rep, d)
+    assert rep.dim == 11 and out.ground_state and out.commutant_dims[0] == 2
     assert widths and max(widths) <= out.commutant_dims[0]
 
 
