@@ -397,9 +397,9 @@ def _run_dirlim(job: dict, report: dict, tol: float) -> None:
         raise SchemaError("d entries must be pairwise distinct")
     spec = dirlim.DirectLimitSpec(tuple(d))
     member = dirlim.weight_cone_member(lam, spec)
-    cone = dirlim.level_cone_generators(spec)
     report["verdicts"] = {"member": member}
-    report["tables"] = {"generator_count": cone.size}
+    # one cone generator per pair with d_n > d_m: every pair of distinct entries
+    report["tables"] = {"generator_count": spec.level * (spec.level - 1) // 2}
     _check(report, "weight-cone-membership", member, 0.0, arithmetic="integer")
 
 

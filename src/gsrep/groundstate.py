@@ -16,13 +16,12 @@ record the tolerances actually used.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .irreps import Representation
+from .irreps import Representation, commutant
 from .liealg import (
     fixed_point_data,
     intervals_sum,
@@ -35,7 +34,6 @@ from .matcore import (
     OperatorSubspace,
     commutant_basis,
     eig_hermitian,
-    isotypic_split,
     numerical_rank,
 )
 
@@ -70,50 +68,19 @@ class GroundStateReport:
         return self.h0_basis.shape[1]
 
 
-def _commutant(pi: Representation, tol: float) -> tuple[OperatorSubspace, list[np.ndarray], tuple[int, ...]]:
-    """pi(G)', seeded from the torus, its central blocks and their multiplicities, memoized on ``pi``.
-
-    The blocks are the classes of :func:`matcore.isotypic_split`, each the
-    columns of its equivalent irreducible pieces, and a multiplicity is its
-    class size.  All three depend on dpi, the Cartan indices and ``tol``
-    alone.  The entry is keyed on the last two and holds a blake2b digest
-    of dpi with its shape and dtype, not a copy of dpi, so an edited or
-    reassigned dpi misses the digest and overwrites the entry: ``pi`` holds
-    at most one entry per tolerance.  A single block is stored as no block,
-    and the stored arrays are read-only.
-    """
-    g = pi.algebra
-    dpi = np.ascontiguousarray(pi.dpi)
-    key = ("commutant", g.cartan_indices, tol)
-    digest = (hashlib.blake2b(dpi).digest(), dpi.shape, dpi.dtype.str)
-    entry = pi._memo.get(key)
-    if entry is None or entry[0] != digest:
-        torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-        comm = commutant_basis(dpi, dim=pi.dim, tol=tol, seed_rows=torus)
-        blocks, mults = [], (1,)
-        if comm.rank > 1:
-            classes = isotypic_split(comm, tol, seed=7)
-            blocks = [np.hstack(c) for c in classes] if len(classes) > 1 else []
-            mults = tuple(len(c) for c in classes)
-        for arr in (comm.basis, *blocks):
-            arr.setflags(write=False)
-        entry = pi._memo[key] = digest, comm, blocks, mults
-    return entry[1:]
-
-
 def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.ndarray],
                   window: float) -> tuple[np.ndarray, list[float], list[int]]:
     """Blockwise minimal eigenspaces: the kernel of the minimally shifted H.
 
     ``w, v`` is the eigendecomposition of H on the whole space, which serves
-    a single block (given as no block); several blocks take one
-    eigendecomposition each.  An eigenvalue within ``window`` of its block's
-    minimum joins the space.  Columns from distinct blocks are orthogonal,
-    since the blocks are.  Returns the columns, the block minima and the
+    a single block or none; several blocks take one eigendecomposition
+    each.  An eigenvalue within ``window`` of its block's minimum joins the
+    space.  Columns from distinct blocks are orthogonal, since the blocks
+    are.  Returns the columns, the block minima and the
     number of columns each block gives.
     """
     spectra = [(w, v)]
-    if blocks:
+    if len(blocks) > 1:
         spectra = []
         for Q in blocks:
             Hb = Q.conj().T @ H @ Q
@@ -150,12 +117,13 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
 
     The commutant M' of the whole action, with orthonormal basis B_k, its
     central blocks and their multiplicities do not depend on d, so they are
-    memoized on ``pi``; they yield the ground space, both verdicts and the
-    corner.  Blocks and multiplicities come from one generic Hermitian
-    element of M' (:func:`matcore.isotypic_split`, shared with
-    ``irreps.decompose``): its eigenspaces are the irreducible pieces, and
-    the pieces that M' intertwines make up one block.  The ground state
-    property is cyclicity of the blockwise minimal-energy space H0 for
+    read from the memo on ``pi`` that :func:`irreps.commutant` fills and
+    ``irreps.decompose`` reads too; they yield the ground space, both
+    verdicts and the corner.  Blocks and multiplicities come from one
+    generic Hermitian element of M' (:func:`matcore.isotypic_split`): its
+    eigenspaces are the irreducible pieces, and the pieces that M'
+    intertwines make up one block.  The ground state property is
+    cyclicity of the blockwise minimal-energy space H0 for
     M = pi(G)'', i.e. H0 separating for M' (Bratteli-Robinson, vol. 1,
     Prop. 2.5.3): the B_k h0 are independent, which a scalar M' grants with
     no SVD.  The projection P0 on H0 lies in M, so separation makes
@@ -192,7 +160,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     H = -1j * pi.operator(d)
     w, v = eig_hermitian(H, 1e-8)
     m = float(w[0])
-    comm_full, blocks, mults = _commutant(pi, tol)
+    comm_full, blocks, mults = commutant(pi, tol)
     fix = fixed_point_data(g, d, tol)
     if fix.central is not None:
         H = -1j * pi.operator(fix.central)

@@ -347,13 +347,17 @@ class SymplecticSetup:
 
     ``frequencies[j]`` is the rotation frequency of mode j; zero frequencies
     span the fixed subspace V^beta and positive ones the effective part.
-    The canonical layout keeps fixed modes first.
+    The canonical layout keeps fixed modes first.  Frequencies must be
+    finite and non-negative; sigma = (+) 2 ROT and D = (+) f ROT then put D
+    in sp(V, sigma) with sigma non-degenerate, by construction.
     """
 
     frequencies: tuple[float, ...]
 
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.frequencies)
+        if not all(math.isfinite(f) for f in freqs):
+            raise SplitInvalid("frequencies must be finite")
         if any(f < 0 for f in freqs):
             raise SplitInvalid("frequencies must be non-negative")
         if sorted(freqs, key=lambda f: f > 0) != list(freqs):
@@ -391,18 +395,6 @@ class SymplecticSetup:
 
     def sigma(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.asarray(u) @ self.sigma_matrix() @ np.asarray(v))
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check D_V is in sp(V, sigma) and the split is non-degenerate."""
-        D = self.rotation_generator()
-        S = self.sigma_matrix()
-        if np.linalg.norm(D.T @ S + S @ D) > tol * max(1.0, np.linalg.norm(S)):
-            raise SplitInvalid("rotation generator is not in the symplectic Lie algebra")
-        # sigma restricted to the effective part must be non-degenerate
-        eff = slice(2 * self.fixed_modes, 2 * self.modes)
-        sub = S[eff, eff]
-        if sub.size and np.linalg.matrix_rank(sub) != sub.shape[0]:
-            raise SplitInvalid("degenerate form on the effective subspace")
 
     def complex_coords(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split a real vector into fixed-part (real 2k_0) and effective
@@ -473,7 +465,6 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
 
     Raises SectorOutOfRange for a sector outside [0, cutoff].
     """
-    setup.validate()
     _check_sector(ft, sector)
     if ft.modes != setup.effective_modes:
         raise SplitInvalid("Fock truncation does not match the effective mode count")
@@ -509,8 +500,6 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
 
     # (b) one-dimensional minimal-energy space of the effective factor
     if ft.modes:
-        if min(setup.effective_frequencies) <= 0:
-            return False
         number_gen = second_quantize(ft, np.diag(setup.effective_frequencies).astype(complex))
         if kernel_dimension(ft, number_gen) != 1:
             return False

@@ -10,6 +10,7 @@ formula.  Construction cost is polynomial in the irreducible's dimension.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -25,7 +26,8 @@ from .errors import (
 )
 from .liealg import (MatrixLieAlgebra, RootDatum, _root_vector_coeffs, build_algebra,
                      diagonal_element, root_datum, subalgebra)
-from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, commutant_basis, isotypic_split
+from .matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _null_rows, cluster_values, commutant_basis,
+                      isotypic_split)
 
 Weight = tuple[int, ...]
 
@@ -43,7 +45,7 @@ class Representation:
     torus), ``ambient_coeffs`` maps its basis to coefficient vectors over
     the ambient algebra, as orthonormal rows, so that :meth:`local_coeffs`
     takes elements given in ambient coordinates to local ones.  ``_memo``
-    holds what :func:`groundstate.analyze` derives from ``dpi`` alone.
+    holds what :func:`commutant` derives from ``dpi`` alone.
     """
 
     algebra: MatrixLieAlgebra
@@ -457,24 +459,53 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
 
 
 # ---------------------------------------------------------------------------
-# decomposition into irreducibles
+# the commutant pi(G)' and the decomposition into irreducibles
 
 
-def decompose(rep: Representation, tol: float = DEFAULT_TOL, seed: int = 0,
-              max_tries: int = 8) -> list[tuple[Representation, int]]:
+def commutant(rep: Representation, tol: float = DEFAULT_TOL
+              ) -> tuple[OperatorSubspace, list[np.ndarray], tuple[int, ...]]:
+    """pi(G)', seeded from the torus, its central blocks and their multiplicities, memoized on ``rep``.
+
+    The blocks are the classes of :func:`matcore.isotypic_split`, each the
+    columns of its m equivalent irreducible pieces side by side, so its
+    first 1/m of the columns are one piece; m is its multiplicity.  A
+    scalar pi(G)' is not split: it gives no block and the multiplicities
+    (1,).  All three depend on dpi, the Cartan indices and ``tol`` alone.
+    The entry is keyed on the last two and holds a blake2b digest of dpi
+    with its shape and dtype, not a copy of dpi, so an edited or reassigned
+    dpi misses the digest and overwrites the entry: ``rep`` holds at most
+    one entry per tolerance.  The stored arrays are read-only.
+    """
+    g = rep.algebra
+    dpi = np.ascontiguousarray(rep.dpi)
+    key = ("commutant", g.cartan_indices, tol)
+    digest = (hashlib.blake2b(dpi).digest(), dpi.shape, dpi.dtype.str)
+    entry = rep._memo.get(key)
+    if entry is None or entry[0] != digest:
+        torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
+        comm = commutant_basis(dpi, dim=rep.dim, tol=tol, seed_rows=torus)
+        blocks, mults = [], (1,)
+        if comm.rank > 1:
+            classes = isotypic_split(comm, tol)
+            blocks = [np.hstack(c) for c in classes]
+            mults = tuple(len(c) for c in classes)
+        for arr in (comm.basis, *blocks):
+            arr.setflags(write=False)
+        entry = rep._memo[key] = digest, comm, blocks, mults
+    return entry[1:]
+
+
+def decompose(rep: Representation, tol: float = DEFAULT_TOL) -> list[tuple[Representation, int]]:
     """Orthogonal decomposition into irreducible components with multiplicity.
 
-    The components are the classes of :func:`matcore.isotypic_split` of the
-    commutant, one representative piece each, with the class size as the
-    multiplicity; ``analyze`` reads its central blocks from the same split.
+    One component per central block of the memoized :func:`commutant`, its
+    first piece, with the block's multiplicity; ``groundstate.analyze``
+    reads the same blocks.
     """
-    comm = commutant_basis(rep.dpi, dim=rep.dim, tol=tol)
-    if comm.rank == 1:
+    _, blocks, mults = commutant(rep, tol)
+    if not blocks:
         return [(rep, 1)]
-    classes = isotypic_split(comm, tol, seed, max_tries)
-    if sum(c[0].shape[1] * len(c) for c in classes) != rep.dim:
-        raise NotIrreducible("decomposition does not exhaust the space")  # pragma: no cover
-    return [(restrict(rep, c[0]), len(c)) for c in classes]
+    return [(restrict(rep, Q[:, :Q.shape[1] // m]), m) for Q, m in zip(blocks, mults)]
 
 
 # ---------------------------------------------------------------------------

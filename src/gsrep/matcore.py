@@ -20,14 +20,13 @@ Kojima, "A numerical algorithm for block-diagonal decomposition of matrix
 X to the span of some inputs, such as the images of a torus: every input is
 imposed on the seed in X's eigenframe, so the result is exact, not
 probabilistic, for any seed; a good seed only keeps the seed commutant and
-the constraints small.  Star-closure of a commutant is verified lazily,
-on the first read of ``is_star_closed``.
+the constraints small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -48,6 +47,10 @@ LIVE_TOL = 1e-13
 # null space: small inputs pay one SVD in all, while a large input, whose
 # null space shrinks the basis for the next, is imposed alone.
 CONSTRAINT_BATCH = 2**12
+# Seed and number of draws of the generic Hermitian element that
+# isotypic_split takes the irreducible pieces from.
+SPLIT_SEED = 7
+SPLIT_DRAWS = 8
 
 
 def _check_square_same_dim(ops: Sequence[np.ndarray]) -> int:
@@ -87,17 +90,10 @@ def span_basis(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarr
 
 @dataclass
 class OperatorSubspace:
-    """A subspace of d x d operators with a trace-orthonormal basis.
-
-    ``is_algebra`` / ``is_star_closed`` are three-valued: ``True``/``False``
-    when verified, ``None`` when not asserted.  ``is_star_closed`` is
-    verified on first read, at tolerance ``star_tol``, when that is set.
-    """
+    """A subspace of d x d operators with a trace-orthonormal basis."""
 
     dim: int
     basis: np.ndarray  # (r, dim, dim), rows orthonormal under tr(A^* B)
-    is_algebra: Optional[bool] = None
-    star_tol: Optional[float] = None
 
     @property
     def rank(self) -> int:
@@ -106,30 +102,13 @@ class OperatorSubspace:
     def _rows(self) -> np.ndarray:
         return self.basis.reshape(self.rank, -1)
 
-    @cached_property
-    def is_star_closed(self) -> Optional[bool]:
-        """Does every basis adjoint lie in the span, within ``star_tol``?"""
-        if self.star_tol is None:
-            return None
-        q = self._rows()
-        adj = self.basis.conj().transpose(0, 2, 1).reshape(self.rank, -1)
-        resid = adj - (adj @ q.conj().T) @ q
-        return bool(np.all(np.linalg.norm(resid, axis=1) <= self.star_tol))
-
-    def same_span(self, other: "OperatorSubspace", tol: float = DEFAULT_TOL) -> bool:
-        if self.dim != other.dim or self.rank != other.rank:
-            return False
-        q, p = self._rows(), other._rows()
-        resid = p - (p @ q.conj().T) @ q
-        return bool(np.linalg.norm(resid) <= tol * max(1.0, self.rank))
-
 
 def full_operator_space(dim: int) -> OperatorSubspace:
     basis = np.zeros((dim * dim, dim, dim), dtype=complex)
     for a in range(dim):
         for b in range(dim):
             basis[a * dim + b, a, b] = 1.0
-    return OperatorSubspace(dim, basis, is_algebra=True, star_tol=DEFAULT_TOL)
+    return OperatorSubspace(dim, basis)
 
 
 def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
@@ -178,30 +157,6 @@ def cluster_values(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndar
         else:
             groups.append([int(idx)])
     return [np.array(g, dtype=int) for g in groups]
-
-
-def hermitian_split(basis: np.ndarray, accept, seed: int, tries: int = 8) -> list[np.ndarray]:
-    """Eigenspaces of a random Hermitian element of the span of ``basis``, as orthonormal column blocks.
-
-    The element is the Hermitian part of a real combination of the (r, d, d)
-    ``basis``, with coefficients drawn from ``seed``; eigenvalues within a
-    ``CLUSTER_TOL`` window, relative to the largest, share a block.  A draw
-    is returned once ``accept(blocks)`` holds, so a generic element that
-    merges blocks by chance is replaced by the next draw.
-
-    Raises
-    ------
-    NotIrreducible : if none of ``tries`` draws is accepted.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(tries):
-        coeff = rng.normal(size=basis.shape[0])
-        X = np.einsum("k,kij->ij", coeff.astype(complex), basis)
-        w, v = np.linalg.eigh((X + X.conj().T) / 2.0)
-        blocks = [v[:, grp] for grp in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))]
-        if accept(blocks):
-            return blocks
-    raise NotIrreducible(f"no accepted split in {tries} random elements")  # pragma: no cover
 
 
 def _null_rows(mat: np.ndarray, tol: float, nullity: Optional[int] = None) -> np.ndarray:
@@ -399,9 +354,8 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     imposed the same way.  The basis u Y u^* is built at the end, from outer
     products of eigenvectors when nothing was imposed.
 
-    The result is always an algebra; star-closure is verified lazily, on
-    first read of ``is_star_closed`` (it holds whenever the input set is
-    star-closed up to sign).
+    The result is always an algebra, and it is star-closed whenever the
+    input set is star-closed up to sign.
     """
     stack = _as_stack(ops, dim)
     k, d = stack.shape[0], stack.shape[1]
@@ -440,15 +394,14 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
         Y = np.zeros((q.shape[0], d, d), dtype=complex)
         Y[:, rows, cols] = q
         basis = u @ Y @ u.conj().T
-    return OperatorSubspace(d, basis, is_algebra=True, star_tol=max(tol, 1e-8))
+    return OperatorSubspace(d, basis)
 
 
 def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """Span of {P^* A P : A in S} as operators on the column space of P.
 
     ``P`` must have orthonormal columns.  The result need not be an algebra
-    unless S is one and the subspace is suitably invariant, so no closure
-    flags are set.
+    unless S is one and the subspace is suitably invariant.
     """
     P = np.asarray(P, dtype=complex)
     if P.ndim != 2:
@@ -472,26 +425,37 @@ def _intertwined(comm: OperatorSubspace, P: np.ndarray, Q: np.ndarray, tol: floa
     return numerical_rank(np.linalg.svd(stack, compute_uv=False), tol) > 0
 
 
-def isotypic_split(comm: OperatorSubspace, tol: float, seed: int, tries: int = 8) -> list[list[np.ndarray]]:
+def isotypic_split(comm: OperatorSubspace, tol: float) -> list[list[np.ndarray]]:
     """Irreducible pieces of the operators whose commutant is ``comm``, grouped by equivalence class.
 
-    The pieces are the eigenspaces of a random Hermitian element of
-    ``comm`` (:func:`hermitian_split`), accepted once ``comm`` compresses
-    to the scalars on every piece (Schur).  A piece joins the class of the
-    first piece it is intertwined with.  By Wedderburn,
-    comm = (+)_b M_{m_b} (x) 1_{n_b}, so the classes span the central blocks
-    and class b holds m_b pieces; a scalar ``comm`` is one class, the whole
-    space.
+    The pieces are the eigenspaces of the Hermitian part of a real
+    combination of the basis of ``comm``, with coefficients drawn from
+    ``SPLIT_SEED``; eigenvalues within a ``CLUSTER_TOL`` window, relative to
+    the largest, share a piece.  A draw is accepted once ``comm`` compresses
+    to the scalars on every piece (Schur); one that merges pieces by chance
+    is replaced by the next, for at most ``SPLIT_DRAWS`` draws.  A piece
+    joins the class of the first piece it is intertwined with.  By
+    Wedderburn, comm = (+)_b M_{m_b} (x) 1_{n_b}, so the classes span the
+    central blocks and class b holds m_b pieces; a scalar ``comm`` is one
+    class, the whole space.
 
     Raises
     ------
+    NotIrreducible : if no draw is accepted.
     ConvergenceFailure : if the squared class sizes do not sum to dim comm.
     """
-    def irreducible(blocks: list[np.ndarray]) -> bool:
-        return all(compress(b, comm, tol).rank == 1 for b in blocks)
-
+    rng = np.random.default_rng(SPLIT_SEED)
+    for _ in range(SPLIT_DRAWS):
+        coeff = rng.normal(size=comm.rank)
+        X = np.einsum("k,kij->ij", coeff.astype(complex), comm.basis)
+        w, v = np.linalg.eigh((X + X.conj().T) / 2.0)
+        pieces = [v[:, grp] for grp in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))]
+        if all(compress(P, comm, tol).rank == 1 for P in pieces):
+            break
+    else:  # pragma: no cover
+        raise NotIrreducible(f"no accepted split in {SPLIT_DRAWS} random elements")
     classes: list[list[np.ndarray]] = []
-    for piece in hermitian_split(comm.basis, irreducible, seed, tries):
+    for piece in pieces:
         for members in classes:
             if _intertwined(comm, members[0], piece, tol):
                 members.append(piece)

@@ -1,9 +1,13 @@
 import itertools
+import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
-from gsrep import liealg, irreps
+import gsrep.cli  # noqa: F401  (imports every gsrep module)
+from gsrep import liealg, irreps, matcore
 
 
 @lru_cache(maxsize=None)
@@ -23,6 +27,28 @@ def fresh(rep):
     ``analyze`` run on fresh representations, so the path runs.
     """
     return irreps.Representation(rep.algebra, rep.dpi.copy(), rep.label, rep.ambient_coeffs)
+
+
+@pytest.fixture
+def commutant_swap(monkeypatch):
+    """``with commutant_swap(fn):`` puts ``fn`` for ``commutant_basis`` in every gsrep module that binds it.
+
+    So the commutants of pi (``irreps.commutant``) and of pi0
+    (``groundstate.analyze``) both take ``fn``, wherever they are built.
+    """
+    modules = [m for name, m in sorted(sys.modules.items())
+               if (name == "gsrep" or name.startswith("gsrep."))
+               and getattr(m, "commutant_basis", None) is matcore.commutant_basis]
+    assert {irreps, sys.modules["gsrep.groundstate"]} <= set(modules)
+
+    @contextmanager
+    def swap(fn):
+        with monkeypatch.context() as patch:
+            for module in modules:
+                patch.setattr(module, "commutant_basis", fn)
+            yield
+
+    return swap
 
 
 def dominant_box(n: int, lo: int, hi: int):

@@ -1,6 +1,7 @@
 """Test oracles and test-only helpers kept out of the package.
 
-``algebra_closure``, ``center_basis`` and ``contains`` (from ``matcore``),
+``algebra_closure``, ``center_basis``, ``contains``, ``same_span`` and
+``is_star_closed`` (from ``matcore``),
 ``is_strict`` and ``direct_sum_law`` (from ``groundstate``),
 ``tensor_product`` (from ``irreps``) and ``is_elliptic`` and
 ``splitting_condition`` (from ``liealg``) are kept here verbatim.
@@ -53,8 +54,7 @@ def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL
             break
         q = np.vstack([q, new])
         frontier = new.reshape(-1, d, d)
-    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True,
-                            star_tol=max(tol, 1e-8))
+    return OperatorSubspace(d, q.reshape(-1, d, d))
 
 
 def is_strict(pi: Representation, report: GroundStateReport,
@@ -71,7 +71,7 @@ def is_strict(pi: Representation, report: GroundStateReport,
     B = compress(report.h0_basis, A, tol)
     ops0 = list(report.pi0.dpi) + [np.eye(report.h0_dim, dtype=complex)]
     C = algebra_closure(ops0, include_identity=True, tol=tol)
-    return B.same_span(C, max(tol, 1e-8))
+    return same_span(B, C, max(tol, 1e-8))
 
 
 def direct_sum_law(reps: Sequence[Representation], d: np.ndarray,
@@ -100,7 +100,7 @@ def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSub
     brackets = prod - prod.transpose(1, 0, 2, 3)  # [B_j, B_k]
     cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
     q = _null_rows(cols, tol) @ alg._rows()
-    return OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True)
+    return OperatorSubspace(d, q.reshape(-1, d, d))
 
 
 def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -109,6 +109,22 @@ def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL)
     q = space._rows()
     resid = v - (q.conj() @ v) @ q
     return bool(np.linalg.norm(resid) <= tol * scale)
+
+
+def same_span(a: OperatorSubspace, b: OperatorSubspace, tol: float = DEFAULT_TOL) -> bool:
+    if a.dim != b.dim or a.rank != b.rank:
+        return False
+    q, p = a._rows(), b._rows()
+    resid = p - (p @ q.conj().T) @ q
+    return bool(np.linalg.norm(resid) <= tol * max(1.0, a.rank))
+
+
+def is_star_closed(space: OperatorSubspace, tol: float = 1e-8) -> bool:
+    """Does every basis adjoint lie in the span, within ``tol``?"""
+    q = space._rows()
+    adj = space.basis.conj().transpose(0, 2, 1).reshape(space.rank, -1)
+    resid = adj - (adj @ q.conj().T) @ q
+    return bool(np.all(np.linalg.norm(resid, axis=1) <= tol))
 
 
 def tensor_product(a: Representation, b: Representation) -> Representation:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gsrep
-from gsrep import cli, liealg
+from gsrep import cli, dirlim, liealg
 from gsrep.errors import SchemaError
 
 
@@ -62,6 +62,21 @@ def test_dirlim_member(capsys):
     assert code == 0
     assert report["verdicts"]["member"] is True
     assert report["tables"]["generator_count"] == 3
+
+
+def test_dirlim_counts_generators_without_building_an_algebra(capsys, monkeypatch):
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("dirlim built a Lie algebra")
+
+    monkeypatch.setattr(liealg, "build_algebra", no_algebra)
+    monkeypatch.setattr(dirlim, "build_algebra", no_algebra)
+    level = 16
+    lam = ",".join(str(k) for k in range(level))
+    d = ",".join(str(level - k) for k in range(level))
+    code, out = run_main(capsys, ["dirlim", "--lam", lam, "--d", d])
+    report = json.loads(out)
+    assert code == 0 and report["verdicts"]["member"] is True
+    assert report["tables"]["generator_count"] == 120
 
 
 def test_fock_tables(capsys):

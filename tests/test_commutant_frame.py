@@ -19,6 +19,7 @@ from gsrep.matcore import DEFAULT_TOL, GENERIC_SEED, SEED_CLUSTER_TOL, _null_row
 
 from conftest import (D_LISTS, algebra, cached_irrep, dominant_box, fresh, random_unitary, rng,
                       su_dominant_box)
+from oracles import algebra_closure, is_star_closed, same_span
 
 
 def _reference_seed(mats, tol):
@@ -60,23 +61,21 @@ def reference_commutant(ops, dim=None, tol=DEFAULT_TOL, seed_rows=None):
         if np.linalg.norm(comms) <= tol:
             continue
         q = _null_rows(comms.T, tol) @ q
-    return matcore.OperatorSubspace(d, q.reshape(-1, d, d), is_algebra=True,
-                                    star_tol=max(tol, 1e-8))
+    return matcore.OperatorSubspace(d, q.reshape(-1, d, d))
 
 
 def verdicts(out):
     return out.commutant_dims, out.h0_dim, out.strict, out.ground_state
 
 
-def assert_same_verdicts(monkeypatch, cases):
+def assert_same_verdicts(commutant_swap, cases):
     """``cases`` are (rep, d) pairs; analyze agrees with its reference-commutant run.
 
     The reference run takes fresh representations, so that no memoized
     commutant of pi stands in for the reference one.
     """
     got = [verdicts(groundstate.analyze(rep, d)) for rep, d in cases]
-    with monkeypatch.context() as patch:
-        patch.setattr(groundstate, "commutant_basis", reference_commutant)
+    with commutant_swap(reference_commutant):
         want = [verdicts(groundstate.analyze(fresh(rep), d)) for rep, d in cases]
     mismatches = [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b]
     assert not mismatches, mismatches[:5]
@@ -122,33 +121,33 @@ def reducible_cases():
     yield irreps.Representation(h, dpi), np.array([0.0, 1.0, 0.0])
 
 
-def test_sweep_fixtures_match_reference(monkeypatch):
+def test_sweep_fixtures_match_reference(commutant_swap):
     cases = list(sweep_cases())
     assert len(cases) == 390
-    got = assert_same_verdicts(monkeypatch, cases)
+    got = assert_same_verdicts(commutant_swap, cases)
     assert all(dims[:2] == (1, 1) and strict and ground for dims, _, strict, ground in got)
 
 
-def test_reducible_cases_match_reference(monkeypatch):
+def test_reducible_cases_match_reference(commutant_swap):
     cases = list(reducible_cases())
     assert len(cases) == 28
-    got = assert_same_verdicts(monkeypatch, cases)
+    got = assert_same_verdicts(commutant_swap, cases)
     # dim pi(G)' is the sum of squared multiplicities; the Heisenberg pair is two blocks
     want = [sum(c * c for c in Counter(summands).values())
             for summands in REDUCIBLE_SUMS for _ in range(3)] + [2]
     assert [dims[0] for dims, *_ in got] == want
 
 
-def test_non_diagonal_generator_matches_reference(monkeypatch):
+def test_non_diagonal_generator_matches_reference(commutant_swap):
     g = algebra("u", 3)
     gen = rng(5)
     reps = [cached_irrep("u", 3, (2, 1, 0)), cached_irrep("u", 3, (2, 0, -2)),
             irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)), cached_irrep("u", 3, (2, 1, 0))])]
     cases = [(rep, gen.normal(size=g.dim)) for rep in reps for _ in range(2)]
-    assert_same_verdicts(monkeypatch, cases)
+    assert_same_verdicts(commutant_swap, cases)
 
 
-def test_random_basis_change_of_dpi(monkeypatch):
+def test_random_basis_change_of_dpi(commutant_swap):
     g = algebra("u", 3)
     cases = []
     for rep in (cached_irrep("u", 3, (2, 1, 0)),
@@ -160,7 +159,7 @@ def test_random_basis_change_of_dpi(monkeypatch):
             d = liealg.diagonal_element(g, entries)
             assert verdicts(groundstate.analyze(moved, d)) == verdicts(groundstate.analyze(rep, d))
             cases.append((moved, d))
-    assert_same_verdicts(monkeypatch, cases)
+    assert_same_verdicts(commutant_swap, cases)
 
 
 def _permuted(g, perm):
@@ -171,7 +170,7 @@ def _permuted(g, perm):
                                    tuple(int(inv[k]) for k in g.cartan_indices))
 
 
-def test_generator_permutation(monkeypatch):
+def test_generator_permutation(commutant_swap):
     g = algebra("u", 3)
     perm = np.array([4, 8, 0, 6, 2, 7, 1, 3, 5])
     gp = _permuted(g, perm)
@@ -184,7 +183,7 @@ def test_generator_permutation(monkeypatch):
             assert (verdicts(groundstate.analyze(moved, d[perm]))
                     == verdicts(groundstate.analyze(rep, d)))
             cases.append((moved, d[perm]))
-    assert_same_verdicts(monkeypatch, cases)
+    assert_same_verdicts(commutant_swap, cases)
 
 
 @st.composite
@@ -238,7 +237,7 @@ def test_arbitrary_seed_rows_give_reference_commutant(k):
                  np.zeros((2, m)), np.eye(m)):
         got = matcore.commutant_basis(ops, seed_rows=rows)
         assert got.rank == want.rank
-        assert got.same_span(want, 1e-8)
+        assert same_span(got, want, 1e-8)
         gram = got.basis.reshape(got.rank, -1).conj() @ got.basis.reshape(got.rank, -1).T
         assert np.allclose(gram, np.eye(got.rank), atol=1e-10)
 
@@ -267,14 +266,14 @@ def test_dimension_one_commutant_is_the_scalars_without_a_seed(monkeypatch):
     for ops, rows in (([1j * np.ones((1, 1))], None), ([np.zeros((1, 1))] * 3, np.eye(3)[:2])):
         comm = matcore.commutant_basis(ops, dim=1, seed_rows=rows)
         assert np.array_equal(comm.basis, np.ones((1, 1, 1), dtype=complex))
-        assert comm.is_algebra and comm.is_star_closed
+        assert algebra_closure(comm).rank == comm.rank and is_star_closed(comm)
 
 
 def test_scalar_input_leaves_the_whole_matrix_algebra():
     # a scalar with a complex phase is normal: one cluster, nothing imposed
     comm = matcore.commutant_basis([np.exp(0.3j) * np.eye(5)])
     assert comm.rank == 25
-    assert comm.same_span(matcore.full_operator_space(5), 1e-10)
+    assert same_span(comm, matcore.full_operator_space(5), 1e-10)
 
 
 def test_normal_mixed_seed_separates_joint_eigenspaces():
@@ -350,17 +349,17 @@ def test_memo_warm_analyze_is_bit_equal_to_a_cold_one():
 
 
 @pytest.fixture
-def commutant_builds(monkeypatch):
-    """Counts the commutants of pi that ``analyze`` builds: the ``commutant_basis`` calls of ``_commutant``."""
+def commutant_builds(commutant_swap):
+    """Counts the commutants of pi that are built: the ``commutant_basis`` calls of ``irreps.commutant``."""
     calls = []
 
-    def counting(*args, _real=groundstate.commutant_basis, **kwargs):
-        if sys._getframe(1).f_code is groundstate._commutant.__code__:
+    def counting(*args, _real=matcore.commutant_basis, **kwargs):
+        if sys._getframe(1).f_code is irreps.commutant.__code__:
             calls.append(kwargs["tol"])
         return _real(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate, "commutant_basis", counting)
-    return calls
+    with commutant_swap(counting):
+        yield calls
 
 
 def test_the_commutant_of_pi_is_built_once_across_d(commutant_builds):
@@ -399,9 +398,9 @@ def test_memoized_commutant_is_read_only():
     g = algebra("u", 3)
     rep = fresh(irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)), cached_irrep("u", 3, (1, 1, 0))]))
     groundstate.analyze(rep, liealg.diagonal_element(g, [2.0, 1.0, 0.0]))
-    comm, blocks, mults = groundstate._commutant(rep, DEFAULT_TOL)
+    comm, blocks, mults = irreps.commutant(rep, DEFAULT_TOL)
     assert comm.rank == 2 and len(blocks) == 2 and mults == (1, 1)
-    assert groundstate._commutant(rep, DEFAULT_TOL)[0] is comm
+    assert irreps.commutant(rep, DEFAULT_TOL)[0] is comm
     for arr in (comm.basis, *blocks):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -412,7 +411,7 @@ def test_a_cold_irreducible_commutant_takes_no_split(monkeypatch):
     def no_split(*args, **kwargs):
         raise AssertionError("a scalar commutant consulted the isotypic split")
 
-    monkeypatch.setattr(groundstate, "isotypic_split", no_split)
+    monkeypatch.setattr(irreps, "isotypic_split", no_split)
     for kind, n, lam in (("u", 2, (1, 0)), ("u", 3, (2, 1, 0)), ("su", 3, (2, 1, 0))):
-        comm, blocks, mults = groundstate._commutant(fresh(cached_irrep(kind, n, lam)), DEFAULT_TOL)
+        comm, blocks, mults = irreps.commutant(fresh(cached_irrep(kind, n, lam)), DEFAULT_TOL)
         assert comm.rank == 1 and blocks == [] and mults == (1,)

@@ -331,8 +331,9 @@ def test_kernel_dimension_rejects_sector_coupling_and_wrong_shape():
 
 def test_symplectic_setup_positivity():
     setup = hf.SymplecticSetup((0.0, 1.0, 2.5))
-    setup.validate()
     D = setup.rotation_generator()
+    S = setup.sigma_matrix()
+    assert np.array_equal(D.T @ S + S @ D, np.zeros_like(D))  # D lies in sp(V, sigma)
     generator = rng(2)
     for _ in range(8):
         v = generator.normal(size=6)
@@ -342,6 +343,12 @@ def test_symplectic_setup_positivity():
 def test_symplectic_setup_rejects_negative_frequency():
     with pytest.raises(SplitInvalid):
         hf.SymplecticSetup((-1.0, 0.0))
+
+
+@pytest.mark.parametrize("frequencies", [(float("nan"),), (0.0, float("inf")), (float("-inf"), 1.0)])
+def test_symplectic_setup_rejects_non_finite_frequency(frequencies):
+    with pytest.raises(SplitInvalid):
+        hf.SymplecticSetup(frequencies)
 
 
 def test_symplectic_split_dimensions():

@@ -11,7 +11,8 @@ from gsrep.irreps import Representation
 from gsrep.matcore import numerical_rank
 
 from conftest import algebra, cached_irrep, dominant_box, rng, su_dominant_box
-from oracles import tensor_product
+from oracles import is_star_closed, tensor_product
+from test_groundstate import heis_commuting_family
 
 
 def ssyt_count(shape, n):
@@ -188,6 +189,24 @@ def test_decompose_triple_tensor_power_u2():
     assert by_dim == [(2, 2), (4, 1)]
 
 
+def test_decompose_without_a_cartan():
+    # the heis(2) pair of characters, and block-centralizer irreducibles: no default Cartan
+    pair = heis_commuting_family()
+    assert pair.algebra.cartan_indices is None
+    parts = irreps.decompose(pair)
+    assert [m for _, m in parts] == [1, 1]
+    assert sorted(float((-1j * c.dpi[2, 0, 0]).real) for c, _ in parts) == pytest.approx([1.0, 2.0])
+    g = algebra("u", 3)
+    line = irreps.centralizer_irrep(g, [1, 0, 0], [(0,), (1, 0)])
+    point = irreps.centralizer_irrep(g, [1, 0, 0], [(1,), (0, 0)])
+    assert line.algebra.cartan_indices is None
+    assert irreps.decompose(line) == [(line, 1)]
+    parts = irreps.decompose(irreps.direct_sum([line, point, line]))
+    assert sorted((c.dim, m) for c, m in parts) == [(1, 1), (2, 2)]
+    for c, _ in parts:
+        assert matcore.commutant_basis(list(c.dpi), dim=c.dim).rank == 1
+
+
 def test_weights_reject_non_commuting_family():
     from gsrep.errors import NonCommutingCartan
 
@@ -311,10 +330,12 @@ def test_decompose_reads_schur_and_equivalence_from_the_commutant(summands):
     assert len(parts) == len(set(summands))
     assert got == Counter(summands)
 
+    assert all(matcore.commutant_basis(list(c.dpi), dim=c.dim).rank == 1 for c, _ in parts)
     comm = matcore.commutant_basis(list(rep.dpi), dim=rep.dim)
-    pieces = matcore.hermitian_split(
-        comm.basis, lambda blocks: all(matcore.commutant_basis(
-            list(irreps.restrict(rep, b).dpi), dim=b.shape[1]).rank == 1 for b in blocks), seed=0)
+    pieces = [P for members in matcore.isotypic_split(comm, tol) for P in members]
+    assert sum(P.shape[1] for P in pieces) == rep.dim
+    assert all(matcore.commutant_basis(list(irreps.restrict(rep, P).dpi), dim=P.shape[1]).rank == 1
+               for P in pieces)
     assert all(matcore.compress(P, comm).rank == 1 for P in pieces)
     verdicts = Counter()
     for P, Q in itertools.combinations(pieces, 2):
@@ -335,7 +356,7 @@ def test_commutant_rank_is_sum_of_squared_multiplicities():
     assert sorted(m for _, m in parts) == [1, 2, 3]
     comm = matcore.commutant_basis(list(rep.dpi))
     assert comm.rank == sum(m * m for _, m in parts) == 14
-    assert comm.is_star_closed is True
+    assert is_star_closed(comm)
 
 
 def pattern_weights(lam):

@@ -16,15 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gsrep import groundstate, liealg, matcore
+from gsrep import groundstate, irreps, liealg, matcore
 from gsrep.errors import ConvergenceFailure, NotIrreducible
 from gsrep.irreps import Representation, direct_sum
 from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, cluster_values, commutant_basis, compress, eig_hermitian,
                            numerical_rank)
 
 from conftest import D_LISTS, algebra, cached_irrep, fresh, random_unitary, rng
-from oracles import center_basis, splitting_condition
-from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases
+from oracles import center_basis, same_span, splitting_condition
+from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases, verdicts
 
 
 def _central_projections(comm: OperatorSubspace, tol: float,
@@ -145,7 +145,7 @@ def assert_matches_reference(cases, exact_shifts):
         if exact_shifts:
             assert list(got.central_shifts) == want["shifts"]
         else:
-            blocks = groundstate._commutant(rep, DEFAULT_TOL)[1] or [np.eye(rep.dim)]
+            blocks = irreps.commutant(rep, DEFAULT_TOL)[1] or [np.eye(rep.dim)]
             order = _pair_by_projector(blocks, want["projections"])
             shifts = [want["shifts"][j] for j in order]
             assert np.abs(np.subtract(got.central_shifts, shifts)).max() <= 1e-12
@@ -178,7 +178,7 @@ def test_central_blocks_span_the_reference_projections():
     blocks_seen = set()
     for rep, d in reducible_cases():
         comm = reference_analyze(rep, d)["comm_full"]
-        blocks = [np.hstack(c) for c in matcore.isotypic_split(comm, DEFAULT_TOL, seed=7)]
+        blocks = [np.hstack(c) for c in matcore.isotypic_split(comm, DEFAULT_TOL)]
         want = _central_projections(comm, DEFAULT_TOL)
         assert len(blocks) == len(want)
         for Q in blocks:
@@ -242,7 +242,7 @@ def test_identity_frame_matches_reference_commutant(k, non_normal_seeds):
     assert non_normal_seeds["non_normal"] == 1  # the path under test was taken
     want = reference_commutant(ops)
     assert got.rank == want.rank
-    assert got.same_span(want, 1e-8)
+    assert same_span(got, want, 1e-8)
     flat = got.basis.reshape(got.rank, -1)
     assert np.allclose(flat.conj() @ flat.T, np.eye(got.rank), atol=1e-10)
     for B in got.basis:
@@ -258,7 +258,7 @@ def test_hermitian_parts_span_the_compressed_commutant():
         B = compress(out["h0_basis"], out["comm_full"]).basis
         Bh = B.conj().transpose(0, 2, 1)
         parts = matcore.span_basis([*(B + Bh), *(1j * (B - Bh))])
-        assert OperatorSubspace(B.shape[1], parts).same_span(OperatorSubspace(B.shape[1], B))
+        assert same_span(OperatorSubspace(B.shape[1], parts), OperatorSubspace(B.shape[1], B))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_twenty_trivial_copies_split_without_forming_the_center():
 def test_isotypic_classes_are_the_summand_multiplicities_and_the_central_blocks(case):
     rep, _ = _corner_case(*case)
     comm = matcore.commutant_basis(list(rep.dpi), dim=rep.dim)
-    classes = matcore.isotypic_split(comm, DEFAULT_TOL, seed=7)
+    classes = matcore.isotypic_split(comm, DEFAULT_TOL)
     sizes = [len(c) for c in classes]
     assert Counter(sizes) == Counter(Counter(case[1]).values())
     assert sum(k * k for k in sizes) == comm.rank
@@ -441,7 +441,7 @@ def test_reducible_ground_state_decision_takes_one_thin_svd(monkeypatch):
     g = algebra("u", 3)
     rep = direct_sum([cached_irrep("u", 3, (2, 1, 0)), cached_irrep("u", 3, (1, 0, 0))])
     d = liealg.diagonal_element(g, [1.0, 0.0, 0.0])
-    groundstate._commutant(rep, DEFAULT_TOL)  # its isotypic split compresses
+    irreps.commutant(rep, DEFAULT_TOL)  # its isotypic split compresses
     widths = _groundstate_svd_widths(monkeypatch)
     out = groundstate.analyze(rep, d)
     assert rep.dim == 11 and out.ground_state and out.commutant_dims[0] == 2
@@ -531,16 +531,16 @@ def _central_cases():
 
 
 @pytest.fixture
-def commutant_calls(monkeypatch):
-    """Counts the calls of ``commutant_basis`` that ``analyze`` makes."""
+def commutant_calls(commutant_swap):
+    """Counts the calls of ``commutant_basis`` that gsrep makes, for pi and for pi0."""
     calls = []
 
-    def counting(*args, _real=groundstate.commutant_basis, **kwargs):
+    def counting(*args, _real=matcore.commutant_basis, **kwargs):
         calls.append(kwargs["dim"])
         return _real(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate, "commutant_basis", counting)
-    return calls
+    with commutant_swap(counting):
+        yield calls
 
 
 def test_pi0_commutant_at_central_d_is_read_from_the_commutant_of_pi(commutant_calls):
@@ -548,7 +548,9 @@ def test_pi0_commutant_at_central_d_is_read_from_the_commutant_of_pi(commutant_c
     assert len(cases) == 16
     for rep, d, other in cases:
         rep = fresh(rep)
+        commutant_calls.clear()
         out = groundstate.analyze(rep, d)
+        assert commutant_calls == [rep.dim]  # cold: the commutant of pi alone
         assert out.h0_dim == rep.dim and out.pi0.dim == rep.dim
         assert out.commutant_dims[1] == reference_commutant(list(out.pi0.dpi)).rank
         want = reference_analyze(rep, d)
@@ -559,6 +561,29 @@ def test_pi0_commutant_at_central_d_is_read_from_the_commutant_of_pi(commutant_c
         assert commutant_calls == []  # memo-warm: nothing is built
         groundstate.analyze(rep, other)
         assert len(commutant_calls) == 1  # non-central d: pi0's commutant is built
+
+
+def test_decompose_after_analyze_reads_the_memoized_commutant(commutant_calls):
+    g = algebra("u", 3)
+    rep = fresh(direct_sum([cached_irrep("u", 3, lam) for lam in ((2, 1, 0), (1, 0, 0), (2, 1, 0))]))
+    groundstate.analyze(rep, liealg.diagonal_element(g, [2.0, 1.0, 0.0]))
+    commutant_calls.clear()
+    parts = irreps.decompose(rep)
+    assert commutant_calls == []
+    assert sorted((c.dim, m) for c, m in parts) == [(3, 1), (8, 2)]
+
+
+def test_analyze_after_a_cold_decompose_builds_only_the_commutant_of_pi0(commutant_calls):
+    g = algebra("u", 3)
+    rep = fresh(direct_sum([cached_irrep("u", 3, lam) for lam in ((2, 1, 0), (1, 0, 0), (2, 1, 0))]))
+    d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
+    irreps.decompose(rep)
+    assert commutant_calls == [rep.dim]
+    commutant_calls.clear()
+    out = groundstate.analyze(rep, d)
+    assert out.h0_dim < rep.dim
+    assert commutant_calls == [out.h0_dim]
+    assert verdicts(out) == verdicts(groundstate.analyze(fresh(rep), d))
 
 
 def _edited_fundamental(index, value):
