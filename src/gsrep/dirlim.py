@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import LengthMismatch, SplitInvalid
-from .liealg import build_algebra
-from .cones import ConeDescription
 
 
 @dataclass(frozen=True)
@@ -57,29 +53,6 @@ def weight_cone_member(lam: Sequence[int], spec: DirectLimitSpec) -> bool:
         for m in range(spec.level)
         if d[n] > d[m]
     )
-
-
-def level_cone_generators(spec: DirectLimitSpec) -> ConeDescription:
-    """Cone generators i(E_mm - E_nn) for every pair with d_n > d_m.
-
-    Returned over the u(N) basis of the level, matching the cone the
-    derivation machinery produces for i*diag(d) up to positive scaling.
-    """
-    g = build_algebra("u", spec.level) if spec.level else build_algebra("u", 1)
-    if spec.level == 0:
-        return ConeDescription(g, np.zeros((0, g.dim)), [])
-    gens = []
-    prov = []
-    for n in range(spec.level):
-        for m in range(spec.level):
-            if spec.d_seq[n] > spec.d_seq[m]:
-                row = np.zeros(g.dim)
-                row[m] = 1.0
-                row[n] = -1.0
-                gens.append(row)
-                prov.append(("pair", n, m))
-    arr = np.stack(gens) if gens else np.zeros((0, g.dim))
-    return ConeDescription(g, arr, prov)
 
 
 def level_consistency(lam: Sequence[int], spec: DirectLimitSpec, n: int) -> bool:

@@ -32,7 +32,7 @@ from .liealg import (
 from .matcore import (
     DEFAULT_TOL,
     OperatorSubspace,
-    commutant_basis,
+    _commutant_coefficients,
     eig_hermitian,
     numerical_rank,
 )
@@ -149,7 +149,8 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     That is the case at every d central in g (d = 0, or a multiple of the
     identity on u(n)): dpi(d) then lies in the center of M by Schur, so each
     central block is one eigenspace of H.  Otherwise pi0's commutant is
-    built, seeded from the Cartan rows projected on g^0.
+    built, seeded from the Cartan rows projected on g^0, up to its
+    coefficient rows: only its dimension is read, so no basis is assembled.
     The fixed-point data of (g, d) is memoized on g.  So that H0 is
     invariant under g^0, it is taken for ``FixedPointData.central`` when
     that is set (the split read as zero eigenvalues of ad d past roundoff),
@@ -179,7 +180,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         # pi0 is pi in the basis h0; at central d, Schur puts dpi(d) in Z(pi(G)'') so H0 = H
         rank_pi0 = comm_full.rank
     else:
-        rank_pi0 = commutant_basis(pi0.dpi, dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows).rank
+        rank_pi0 = _commutant_coefficients(pi0.dpi, dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows).rank
     return GroundStateReport(
         m=m,
         h0_basis=h0,

@@ -63,9 +63,6 @@ class FockTruncation:
         v[self.index[(0,) * self.modes]] = 1.0
         return v
 
-    def total_number(self) -> np.ndarray:
-        return np.diag(self.occupations.sum(axis=1).astype(float)).astype(complex)
-
     def annihilation(self, mode: int) -> np.ndarray:
         a = np.zeros((self.dim, self.dim), dtype=complex)
         src, dst = self._lowered(mode)
@@ -381,16 +378,9 @@ class SymplecticSetup:
         return tuple(f for f in self.frequencies if f > 0)
 
     def sigma_matrix(self) -> np.ndarray:
-        blocks = [2.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]) for _ in range(self.modes)]
         out = np.zeros((2 * self.modes, 2 * self.modes))
-        for j, b in enumerate(blocks):
-            out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = b
-        return out
-
-    def rotation_generator(self) -> np.ndarray:
-        out = np.zeros((2 * self.modes, 2 * self.modes))
-        for j, f in enumerate(self.frequencies):
-            out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = f * ROT
+        for j in range(self.modes):
+            out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 2.0 * ROT
         return out
 
     def sigma(self, u: np.ndarray, v: np.ndarray) -> float:

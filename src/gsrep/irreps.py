@@ -10,7 +10,6 @@ formula.  Construction cost is polynomial in the irreducible's dimension.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,23 +35,32 @@ Weight = tuple[int, ...]
 # representation container
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """A unitary representation given by its anti-Hermitian generator images.
 
-    ``dpi[i]`` is the image of ``algebra.basis[i]``.  When the represented
-    algebra is a subalgebra of a larger one (e.g. a fixed-point algebra or a
-    torus), ``ambient_coeffs`` maps its basis to coefficient vectors over
-    the ambient algebra, as orthonormal rows, so that :meth:`local_coeffs`
-    takes elements given in ambient coordinates to local ones.  ``_memo``
-    holds what :func:`commutant` derives from ``dpi`` alone.
+    ``dpi[i]`` is the image of ``algebra.basis[i]``.  The representation
+    owns ``dpi``: construction makes it a C-contiguous complex array, which
+    copies nothing when it already is one, and sets it read-only in place,
+    so it can be neither written nor, the fields being frozen, reassigned.
+    ``_memo`` holds what :func:`commutant` derives from ``dpi`` alone.  When
+    the represented algebra is a subalgebra of a larger one (e.g. a
+    fixed-point algebra or a torus), ``ambient_coeffs`` maps its basis to
+    coefficient vectors over the ambient algebra, as orthonormal rows, so
+    that :meth:`local_coeffs` takes elements given in ambient coordinates to
+    local ones.
     """
 
     algebra: MatrixLieAlgebra
-    dpi: np.ndarray  # (dim_g, d, d) complex
+    dpi: np.ndarray  # (dim_g, d, d) complex, read-only
     label: Optional[tuple] = None
     ambient_coeffs: Optional[np.ndarray] = None  # (dim_g, dim_ambient), orthonormal rows
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        dpi = np.ascontiguousarray(self.dpi, dtype=complex)
+        dpi.setflags(write=False)
+        object.__setattr__(self, "dpi", dpi)
 
     @property
     def dim(self) -> int:
@@ -470,20 +478,17 @@ def commutant(rep: Representation, tol: float = DEFAULT_TOL
     columns of its m equivalent irreducible pieces side by side, so its
     first 1/m of the columns are one piece; m is its multiplicity.  A
     scalar pi(G)' is not split: it gives no block and the multiplicities
-    (1,).  All three depend on dpi, the Cartan indices and ``tol`` alone.
-    The entry is keyed on the last two and holds a blake2b digest of dpi
-    with its shape and dtype, not a copy of dpi, so an edited or reassigned
-    dpi misses the digest and overwrites the entry: ``rep`` holds at most
-    one entry per tolerance.  The stored arrays are read-only.
+    (1,).  All three depend on dpi, the Cartan indices and ``tol`` alone,
+    and dpi never changes (:class:`Representation`), so the entry is keyed
+    on the last two: ``rep`` holds one entry per tolerance.  The stored
+    arrays are read-only.
     """
     g = rep.algebra
-    dpi = np.ascontiguousarray(rep.dpi)
     key = ("commutant", g.cartan_indices, tol)
-    digest = (hashlib.blake2b(dpi).digest(), dpi.shape, dpi.dtype.str)
     entry = rep._memo.get(key)
-    if entry is None or entry[0] != digest:
+    if entry is None:
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-        comm = commutant_basis(dpi, dim=rep.dim, tol=tol, seed_rows=torus)
+        comm = commutant_basis(rep.dpi, dim=rep.dim, tol=tol, seed_rows=torus)
         blocks, mults = [], (1,)
         if comm.rank > 1:
             classes = isotypic_split(comm, tol)
@@ -491,8 +496,8 @@ def commutant(rep: Representation, tol: float = DEFAULT_TOL
             mults = tuple(len(c) for c in classes)
         for arr in (comm.basis, *blocks):
             arr.setflags(write=False)
-        entry = rep._memo[key] = digest, comm, blocks, mults
-    return entry[1:]
+        entry = rep._memo[key] = comm, blocks, mults
+    return entry
 
 
 def decompose(rep: Representation, tol: float = DEFAULT_TOL) -> list[tuple[Representation, int]]:

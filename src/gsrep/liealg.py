@@ -26,7 +26,7 @@ from .errors import (
     NotDiagonal,
     UnsupportedKind,
 )
-from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, vec
+from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, eig_hermitian, vec
 
 Interval = tuple[float, float]
 
@@ -568,8 +568,6 @@ def spectral_subspace(A, E, tol: float = CLUSTER_TOL) -> np.ndarray:
                   if intervals_contain(intervals, lam.real, tol)]
         dim = A.algebra.dim
         return np.hstack(spaces) if spaces else np.zeros((dim, 0), dtype=complex)
-    from .matcore import eig_hermitian
-
     w, v = eig_hermitian(np.asarray(A, dtype=complex), 1e-8)
     keep = [k for k in range(len(w)) if intervals_contain(intervals, float(w[k]), tol)]
     if not keep:

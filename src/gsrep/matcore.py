@@ -99,17 +99,6 @@ class OperatorSubspace:
     def rank(self) -> int:
         return self.basis.shape[0]
 
-    def _rows(self) -> np.ndarray:
-        return self.basis.reshape(self.rank, -1)
-
-
-def full_operator_space(dim: int) -> OperatorSubspace:
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            basis[a * dim + b, a, b] = 1.0
-    return OperatorSubspace(dim, basis)
-
 
 def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
@@ -316,6 +305,61 @@ def _as_stack(ops, dim: Optional[int]) -> np.ndarray:
     return stack
 
 
+class _CommutantCoefficients(NamedTuple):
+    """The commutant as coefficient rows ``q`` over the block coordinates of the seed frame ``u``.
+
+    Row n of ``q`` holds Y = sum_p q[n, p] E_p over the coordinates of
+    ``frame`` (:class:`_FrameTables`), and u Y u^* is basis element n of
+    :func:`commutant_basis`; ``q`` None stands for all coordinates.
+    """
+
+    u: np.ndarray
+    frame: _FrameTables
+    q: Optional[np.ndarray]
+
+    @property
+    def rank(self) -> int:
+        return self.frame.ncoords if self.q is None else self.q.shape[0]
+
+
+def _commutant_coefficients(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
+                            seed_rows=None) -> _CommutantCoefficients:
+    """The commutant of :func:`commutant_basis` (same arguments) before its basis is built.
+
+    No input, or 1 x 1 inputs, which are all scalar, give the identity
+    frame as one cluster with every coordinate free.
+    """
+    stack = _as_stack(ops, dim)
+    k, d = stack.shape[0], stack.shape[1]
+    if seed_rows is not None and k:
+        seed_rows = np.asarray(seed_rows, dtype=float)
+        if seed_rows.ndim != 2 or seed_rows.shape[1] != k:
+            raise DimensionMismatch(f"seed rows must have shape (s, {k}), got {seed_rows.shape}")
+    if k == 0 or d == 1:
+        return _CommutantCoefficients(np.eye(d, dtype=complex), _frame_tables((d,)), None)
+    u, sizes = _seed_frame(stack, seed_rows, tol)
+    frame = _frame_tables(sizes)
+    frames = u.conj().T @ stack @ u
+    entries = np.flatnonzero(_live_entries(frame, frames, np.linalg.norm(stack, axis=(1, 2))))
+    # consecutive inputs share one constraint while it has few entries
+    first = np.searchsorted(entries, entries // (d * d) * (d * d))
+    cuts = np.flatnonzero(np.diff(first // max(1, CONSTRAINT_BATCH // frame.ncoords))) + 1
+    bounds = [0, *cuts.tolist(), entries.size] if entries.size else [0]
+    q = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if q is not None and q.shape[0] == 0:
+            break
+        comms = _constraints(frame, frames, entries[lo:hi])  # (entries, coordinates)
+        if q is not None:
+            comms = comms @ q.T
+        if np.linalg.norm(comms) <= tol:
+            continue  # every singular value is below the rank threshold
+        # coefficient combinations of the current basis that commute with the batch
+        null = _null_rows(comms, tol)
+        q = null if q is None else null @ q
+    return _CommutantCoefficients(u, frame, q)
+
+
 def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
                     seed_rows=None) -> OperatorSubspace:
     """Orthonormal basis of {X : [X, A_i] = 0 for all i}.
@@ -351,50 +395,23 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     rows share one null space; an input with more rows than that is imposed
     alone.  A non-normal seed
     element leaves the identity frame as one cluster, where the inputs are
-    imposed the same way.  The basis u Y u^* is built at the end, from outer
-    products of eigenvectors when nothing was imposed.
+    imposed the same way.  :func:`_commutant_coefficients` stops there, so a
+    caller that needs only the dimension reads its ``rank``; the basis
+    u Y u^* is built here, from outer products of eigenvectors when nothing
+    was imposed.
 
     The result is always an algebra, and it is star-closed whenever the
     input set is star-closed up to sign.
     """
-    stack = _as_stack(ops, dim)
-    k, d = stack.shape[0], stack.shape[1]
-    if k == 0:
-        return full_operator_space(d)
-    if seed_rows is not None:
-        seed_rows = np.asarray(seed_rows, dtype=float)
-        if seed_rows.ndim != 2 or seed_rows.shape[1] != k:
-            raise DimensionMismatch(f"seed rows must have shape (s, {k}), got {seed_rows.shape}")
-    if d == 1:
-        return full_operator_space(1)  # every 1 x 1 input is scalar
-    u, sizes = _seed_frame(stack, seed_rows, tol)
-    frame = _frame_tables(sizes)
-    frames = u.conj().T @ stack @ u
-    entries = np.flatnonzero(_live_entries(frame, frames, np.linalg.norm(stack, axis=(1, 2))))
-    # consecutive inputs share one constraint while it has few entries
-    first = np.searchsorted(entries, entries // (d * d) * (d * d))
-    cuts = np.flatnonzero(np.diff(first // max(1, CONSTRAINT_BATCH // frame.ncoords))) + 1
-    bounds = [0, *cuts.tolist(), entries.size] if entries.size else [0]
-    q = None  # coefficient rows over the block coordinates; None is all of them
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if q is not None and q.shape[0] == 0:
-            break
-        comms = _constraints(frame, frames, entries[lo:hi])  # (entries, coordinates)
-        if q is not None:
-            comms = comms @ q.T
-        if np.linalg.norm(comms) <= tol:
-            continue  # every singular value is below the rank threshold
-        # coefficient combinations of the current basis that commute with the batch
-        null = _null_rows(comms, tol)
-        q = null if q is None else null @ q
+    u, frame, q = _commutant_coefficients(ops, dim, tol, seed_rows)
     rows, cols = frame.coord_rows, frame.coord_cols
     if q is None:
         basis = u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
     else:
-        Y = np.zeros((q.shape[0], d, d), dtype=complex)
+        Y = np.zeros((q.shape[0], *u.shape), dtype=complex)
         Y[:, rows, cols] = q
         basis = u @ Y @ u.conj().T
-    return OperatorSubspace(d, basis)
+    return OperatorSubspace(u.shape[0], basis)
 
 
 def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:

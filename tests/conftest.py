@@ -21,31 +21,40 @@ def cached_irrep(kind: str, n: int, lam: tuple):
 
 
 def fresh(rep):
-    """A new Representation over a copy of ``rep.dpi``: no memo held by ``rep`` answers for it.
+    """A new Representation over the same read-only ``rep.dpi``, with its own memo.
 
-    Tests that patch or count the commutant, center or cone path of
-    ``analyze`` run on fresh representations, so the path runs.
+    No memo held by ``rep`` answers for it.  Tests that patch or count the
+    commutant, center or cone path of ``analyze`` run on fresh
+    representations, so the path runs.
     """
-    return irreps.Representation(rep.algebra, rep.dpi.copy(), rep.label, rep.ambient_coeffs)
+    return irreps.Representation(rep.algebra, rep.dpi, rep.label, rep.ambient_coeffs)
 
 
 @pytest.fixture
 def commutant_swap(monkeypatch):
-    """``with commutant_swap(fn):`` puts ``fn`` for ``commutant_basis`` in every gsrep module that binds it.
+    """``with commutant_swap(fn):`` puts ``fn`` in place of the commutant kernel in every gsrep module.
 
-    So the commutants of pi (``irreps.commutant``) and of pi0
-    (``groundstate.analyze``) both take ``fn``, wherever they are built.
+    ``fn`` takes the arguments of ``matcore.commutant_basis`` and returns an
+    OperatorSubspace.  It replaces ``commutant_basis`` wherever that is
+    bound, so it builds the commutant of pi (``irreps.commutant``), and
+    ``_commutant_coefficients`` wherever it is bound outside ``matcore``,
+    whose ``commutant_basis`` calls it: ``groundstate.analyze`` reads only
+    the ``rank`` of pi0's commutant, which an OperatorSubspace has too.
     """
-    modules = [m for name, m in sorted(sys.modules.items())
-               if (name == "gsrep" or name.startswith("gsrep."))
-               and getattr(m, "commutant_basis", None) is matcore.commutant_basis]
-    assert {irreps, sys.modules["gsrep.groundstate"]} <= set(modules)
+    kernels = {"commutant_basis": matcore.commutant_basis,
+               "_commutant_coefficients": matcore._commutant_coefficients}
+    bound = [(m, attr) for name, m in sorted(sys.modules.items())
+             if name == "gsrep" or name.startswith("gsrep.")
+             for attr, kernel in kernels.items()
+             if getattr(m, attr, None) is kernel and not (m is matcore and attr == "_commutant_coefficients")]
+    groundstate = sys.modules["gsrep.groundstate"]
+    assert {(irreps, "commutant_basis"), (groundstate, "_commutant_coefficients")} <= set(bound)
 
     @contextmanager
     def swap(fn):
         with monkeypatch.context() as patch:
-            for module in modules:
-                patch.setattr(module, "commutant_basis", fn)
+            for module, attr in bound:
+                patch.setattr(module, attr, fn)
             yield
 
     return swap

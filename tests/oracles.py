@@ -1,10 +1,13 @@
 """Test oracles and test-only helpers kept out of the package.
 
-``algebra_closure``, ``center_basis``, ``contains``, ``same_span`` and
-``is_star_closed`` (from ``matcore``),
+``algebra_closure``, ``center_basis``, ``contains``, ``same_span``,
+``is_star_closed``, ``full_operator_space`` and ``rows`` (from ``matcore``),
 ``is_strict`` and ``direct_sum_law`` (from ``groundstate``),
-``tensor_product`` (from ``irreps``) and ``is_elliptic`` and
-``splitting_condition`` (from ``liealg``) are kept here verbatim.
+``tensor_product`` (from ``irreps``), ``is_elliptic`` and
+``splitting_condition`` (from ``liealg``), ``level_cone_generators`` (from
+``dirlim``) and ``total_number`` and ``rotation_generator`` (from
+``heisenfock``) are kept here verbatim, methods as functions of their
+object.
 ``analyze`` decides strictness as an equality of commutant dimensions;
 ``is_strict`` compares the compressed algebra with the one the
 fixed-point action generates, and so checks that decision independently.
@@ -14,12 +17,27 @@ from typing import Sequence
 
 import numpy as np
 
+from gsrep.cones import ConeDescription
+from gsrep.dirlim import DirectLimitSpec
 from gsrep.errors import DimensionMismatch
 from gsrep.groundstate import GroundStateReport, analyze
+from gsrep.heisenfock import ROT, FockTruncation, SymplecticSetup
 from gsrep.irreps import Representation, direct_sum
-from gsrep.liealg import MatrixLieAlgebra, _derivation_matrix, spectral_split
+from gsrep.liealg import MatrixLieAlgebra, _derivation_matrix, build_algebra, spectral_split
 from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _check_square_same_dim,
                            _null_rows, compress, numerical_rank, span_basis, vec)
+
+
+def rows(space: OperatorSubspace) -> np.ndarray:
+    return space.basis.reshape(space.rank, -1)
+
+
+def full_operator_space(dim: int) -> OperatorSubspace:
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            basis[a * dim + b, a, b] = 1.0
+    return OperatorSubspace(dim, basis)
 
 
 def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> OperatorSubspace:
@@ -99,14 +117,14 @@ def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSub
     prod = np.einsum("jab,kbc->jkac", B, B)
     brackets = prod - prod.transpose(1, 0, 2, 3)  # [B_j, B_k]
     cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
-    q = _null_rows(cols, tol) @ alg._rows()
+    q = _null_rows(cols, tol) @ rows(alg)
     return OperatorSubspace(d, q.reshape(-1, d, d))
 
 
 def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     v = vec(mat)
     scale = max(np.linalg.norm(v), 1.0)
-    q = space._rows()
+    q = rows(space)
     resid = v - (q.conj() @ v) @ q
     return bool(np.linalg.norm(resid) <= tol * scale)
 
@@ -114,14 +132,14 @@ def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL)
 def same_span(a: OperatorSubspace, b: OperatorSubspace, tol: float = DEFAULT_TOL) -> bool:
     if a.dim != b.dim or a.rank != b.rank:
         return False
-    q, p = a._rows(), b._rows()
+    q, p = rows(a), rows(b)
     resid = p - (p @ q.conj().T) @ q
     return bool(np.linalg.norm(resid) <= tol * max(1.0, a.rank))
 
 
 def is_star_closed(space: OperatorSubspace, tol: float = 1e-8) -> bool:
     """Does every basis adjoint lie in the span, within ``tol``?"""
-    q = space._rows()
+    q = rows(space)
     adj = space.basis.conj().transpose(0, 2, 1).reshape(space.rank, -1)
     resid = adj - (adj @ q.conj().T) @ q
     return bool(np.all(np.linalg.norm(resid, axis=1) <= tol))
@@ -154,3 +172,37 @@ def splitting_condition(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> boo
     """
     D, _ = _derivation_matrix(g, d)
     return _null_rows(D, tol).shape[0] == _null_rows(D @ D, tol).shape[0]
+
+
+def level_cone_generators(spec: DirectLimitSpec) -> ConeDescription:
+    """Cone generators i(E_mm - E_nn) for every pair with d_n > d_m.
+
+    Returned over the u(N) basis of the level, matching the cone the
+    derivation machinery produces for i*diag(d) up to positive scaling.
+    """
+    g = build_algebra("u", spec.level) if spec.level else build_algebra("u", 1)
+    if spec.level == 0:
+        return ConeDescription(g, np.zeros((0, g.dim)), [])
+    gens = []
+    prov = []
+    for n in range(spec.level):
+        for m in range(spec.level):
+            if spec.d_seq[n] > spec.d_seq[m]:
+                row = np.zeros(g.dim)
+                row[m] = 1.0
+                row[n] = -1.0
+                gens.append(row)
+                prov.append(("pair", n, m))
+    arr = np.stack(gens) if gens else np.zeros((0, g.dim))
+    return ConeDescription(g, arr, prov)
+
+
+def total_number(ft: FockTruncation) -> np.ndarray:
+    return np.diag(ft.occupations.sum(axis=1).astype(float)).astype(complex)
+
+
+def rotation_generator(setup: SymplecticSetup) -> np.ndarray:
+    out = np.zeros((2 * setup.modes, 2 * setup.modes))
+    for j, f in enumerate(setup.frequencies):
+        out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = f * ROT
+    return out

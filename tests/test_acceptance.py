@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from gsrep import cli, cones, dirlim, groundstate, heisenfock, irreps, liealg
 
 from conftest import D_LISTS, algebra, cached_irrep, dominant_box, su_dominant_box
-from oracles import is_strict
+from oracles import is_strict, level_cone_generators, total_number
 
 
 def _emit(num: int, desc: str, ok: bool) -> bool:
@@ -157,7 +157,7 @@ def test_criterion_07_factorization():
     rep0 = irreps.Representation(h2, dpi)
     ft = heisenfock.FockTruncation(1, 30)
     clean = heisenfock.factorization_check(setup, rep0, ft, sector=10, tol=1e-5)
-    coupler = expm(1j * 0.6 * np.kron(np.diag([1.0, -1.0]), ft.total_number()))
+    coupler = expm(1j * 0.6 * np.kron(np.diag([1.0, -1.0]), total_number(ft)))
     rejected = not heisenfock.factorization_check(
         setup, rep0, ft, sector=10, tol=1e-5, entangler=coupler
     )
@@ -199,7 +199,7 @@ def test_criterion_09_direct_limit_consistency():
     rays_ok = True
     for n, entries in ((2, (1.3, 0.4)), (3, (2.3, 0.7, -0.9)), (4, (3.1, 1.2, 0.4, -1.7))):
         spec = dirlim.DirectLimitSpec(entries)
-        level = dirlim.level_cone_generators(spec)
+        level = level_cone_generators(spec)
         g = algebra("u", n)
         dd = liealg.spectral_split(g, liealg.diagonal_element(g, entries))
         derived = cones.action_cone_generators(g, dd)

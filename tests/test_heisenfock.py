@@ -10,6 +10,7 @@ from gsrep.errors import (ConvergenceFailure, DimensionMismatch, NotDiagonal, No
                           SectorOutOfRange, SplitInvalid)
 
 from conftest import algebra, rng
+from oracles import rotation_generator, total_number
 
 
 def character_pair_rep(a=(0.3, -0.5), b=(1.0, 0.25)):
@@ -331,7 +332,7 @@ def test_kernel_dimension_rejects_sector_coupling_and_wrong_shape():
 
 def test_symplectic_setup_positivity():
     setup = hf.SymplecticSetup((0.0, 1.0, 2.5))
-    D = setup.rotation_generator()
+    D = rotation_generator(setup)
     S = setup.sigma_matrix()
     assert np.array_equal(D.T @ S + S @ D, np.zeros_like(D))  # D lies in sp(V, sigma)
     generator = rng(2)
@@ -354,7 +355,7 @@ def test_symplectic_setup_rejects_non_finite_frequency(frequencies):
 def test_symplectic_split_dimensions():
     setup = hf.SymplecticSetup((0.0, 0.0, 1.0))
     assert setup.fixed_modes == 2 and setup.effective_modes == 1
-    D = setup.rotation_generator()
+    D = rotation_generator(setup)
     assert np.linalg.matrix_rank(D) == 2  # V_eff has real dimension 2
 
 
@@ -376,7 +377,7 @@ def test_factorization_rejects_sector_outside_cutoff(sector):
 def test_factorization_rejects_entangled():
     setup = hf.SymplecticSetup((0.0, 1.0))
     ft = hf.FockTruncation(1, 30)
-    coupler = expm(1j * 0.6 * np.kron(np.diag([1.0, -1.0]), ft.total_number()))
+    coupler = expm(1j * 0.6 * np.kron(np.diag([1.0, -1.0]), total_number(ft)))
     assert not hf.factorization_check(
         setup, character_pair_rep(), ft, sector=10, tol=1e-5, entangler=coupler
     )

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gsrep import irreps, liealg, matcore
+from gsrep import cli, groundstate, irreps, liealg, matcore
 from gsrep.errors import DimensionOracleMismatch, NotDominant, NotIrreducible
 from gsrep.irreps import Representation
 from gsrep.matcore import numerical_rank
@@ -575,3 +575,55 @@ def test_irrep_guards_raise_on_corrupted_construction(monkeypatch):
     bad = liealg.MatrixLieAlgebra(g.name, g.kind, g.n, basis, g.structure, g.cartan_indices)
     with pytest.raises(DimensionOracleMismatch, match="anti-Hermitian"):
         irreps.irrep(bad, (2, 1, 0))
+
+
+def _cache_round_trip(g, tmp_path):
+    cache = cli.IrrepCache(str(tmp_path))
+    cache.store(cached_irrep("u", 3, (2, 1, 0)))
+    return cache.load(g, (2, 1, 0))
+
+
+CONSTRUCTORS = {
+    "irrep": lambda g, _: irreps.irrep(g, (2, 1, 0)),
+    "direct_sum": lambda g, _: irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)),
+                                                  cached_irrep("u", 3, (1, 1, 0))]),
+    "restrict": lambda g, _: irreps.restrict(cached_irrep("u", 3, (1, 0, 0)), np.eye(3)[:, ::-1]),
+    "torus_character": lambda g, _: irreps.torus_character(g, (1, 0, -1)),
+    "centralizer_irrep": lambda g, _: irreps.centralizer_irrep(g, [1, 1, 0], [(1, 0), (2,)]),
+    "analyze pi0": lambda g, _: groundstate.analyze(
+        cached_irrep("u", 3, (2, 1, 0)), liealg.diagonal_element(g, [1.0, 1.0, 0.0])).pi0,
+    "decompose piece": lambda g, _: irreps.decompose(irreps.direct_sum(
+        [cached_irrep("u", 3, (1, 0, 0))] * 2 + [cached_irrep("u", 3, (1, 1, 0))]))[0][0],
+    "IrrepCache.load": _cache_round_trip,
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONSTRUCTORS))
+def test_every_constructor_gives_a_read_only_c_contiguous_dpi(path, tmp_path):
+    rep = CONSTRUCTORS[path](algebra("u", 3), tmp_path)
+    assert rep.dpi.dtype == complex and rep.dpi.flags.c_contiguous
+    assert not rep.dpi.flags.writeable
+    with pytest.raises(ValueError):
+        rep.dpi[0, 0, 0] = 1.0
+
+
+def test_irrep_freezes_its_dpi_in_place(monkeypatch):
+    given = []
+
+    def recording(g, dpi, *args, **kwargs):
+        given.append(dpi)
+        return Representation(g, dpi, *args, **kwargs)
+
+    monkeypatch.setattr(irreps, "Representation", recording)
+    rep = irreps.irrep(algebra("u", 3), (3, 1, 0))
+    assert rep.dpi is given[0]  # not a copy
+    assert not given[0].flags.writeable
+
+
+def test_a_representation_takes_its_dpi_as_given_or_converts_it():
+    g = algebra("u", 2)
+    dpi = np.zeros((g.dim, 2, 2), dtype=complex)
+    assert Representation(g, dpi).dpi is dpi and not dpi.flags.writeable
+    real = np.zeros((g.dim, 2, 2))
+    rep = Representation(g, real)
+    assert rep.dpi.dtype == complex and real.flags.writeable  # converted, so the input is left alone

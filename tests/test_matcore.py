@@ -8,7 +8,7 @@ from gsrep.errors import DimensionMismatch, NotHermitian
 from gsrep.matcore import DEFAULT_TOL
 
 from conftest import algebra, random_hermitian, random_unitary, rng
-from oracles import algebra_closure, center_basis, contains, is_star_closed, same_span
+from oracles import algebra_closure, center_basis, contains, full_operator_space, is_star_closed, same_span
 
 
 def test_eig_diagonal_input():
@@ -75,13 +75,15 @@ def test_commutant_dimension_mismatch():
 def test_empty_subspace_takes_its_dimension_from_its_basis():
     empty = matcore.OperatorSubspace(3, np.zeros((0, 3, 3), dtype=complex))
     sub = matcore.commutant_basis(empty)
-    assert sub.rank == 9 and same_span(sub, matcore.full_operator_space(3))
+    assert sub.rank == 9 and same_span(sub, full_operator_space(3))
     with pytest.raises(DimensionMismatch):
         matcore.commutant_basis(empty, dim=4)
 
 
 def test_empty_array_takes_its_dimension_from_its_shape():
     assert matcore.commutant_basis(np.zeros((0, 2, 2))).rank == 4
+    assert matcore._commutant_coefficients(np.zeros((0, 2, 2))).rank == 4
+    assert matcore._commutant_coefficients(np.ones((3, 1, 1))).rank == 1
     assert matcore.commutant_basis(np.zeros((0, 2, 2)), dim=2).rank == 4
     with pytest.raises(DimensionMismatch):
         matcore.commutant_basis(np.zeros((0, 2, 2)), dim=3)
@@ -133,6 +135,7 @@ def test_kernel_takes_stacks_and_lists_alike_and_keeps_its_caches_read_only(case
     got = matcore.commutant_basis(stack, seed_rows=rows)
     listed = matcore.commutant_basis(list(stack), seed_rows=rows)
     assert got.basis.tobytes() == listed.basis.tobytes() and got.rank == listed.rank
+    assert matcore._commutant_coefficients(stack, seed_rows=rows).rank == got.rank
     want = reference_commutant(list(stack))
     assert got.rank == want.rank
     assert same_span(got, want, 1e-8)

@@ -328,8 +328,8 @@ def test_a_column_count_off_the_multiplicities_raises(monkeypatch, summands, mul
     rep = fresh(direct_sum([cached_irrep("u", 3, lam) for lam in summands]))
     d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
     groundstate.analyze(rep, d)
-    (key, (digest, comm, blocks, _)), = rep._memo.items()
-    monkeypatch.setitem(rep._memo, key, (digest, comm, blocks, mults))
+    (key, (comm, blocks, _)), = rep._memo.items()
+    monkeypatch.setitem(rep._memo, key, (comm, blocks, mults))
     with pytest.raises(ConvergenceFailure, match="not multiples"):
         groundstate.analyze(rep, d)
 
@@ -588,9 +588,10 @@ def test_analyze_after_a_cold_decompose_builds_only_the_commutant_of_pi0(commuta
 
 def _edited_fundamental(index, value):
     """The u(2) fundamental with one generator replaced: no longer a homomorphism."""
-    rep = fresh(cached_irrep("u", 2, (1, 0)))
-    rep.dpi[index] = value
-    return rep
+    rep = cached_irrep("u", 2, (1, 0))
+    dpi = rep.dpi.copy()
+    dpi[index] = value
+    return Representation(rep.algebra, dpi, rep.label)
 
 
 @pytest.mark.parametrize("case", ["h0-smaller", "g0-smaller"])
@@ -614,3 +615,20 @@ def test_pi0_commutant_is_built_unless_g0_is_g_and_h0_is_the_whole_space(case, c
     out = groundstate.analyze(rep, d)
     assert commutant_calls == [out.h0_dim]  # the commutant path was taken
     assert (out.commutant_dims, out.h0_dim, out.ground_state, out.strict) == want
+
+
+def test_a_warm_analyze_assembles_no_commutant_basis(monkeypatch):
+    # at this d, H0 is smaller than H, so pi0's commutant is formed; only its rank is read
+    g = algebra("u", 3)
+    rep = fresh(cached_irrep("u", 3, (2, 1, 0)))
+    d = liealg.diagonal_element(g, [1.0, 1.0, 0.0])
+    want = groundstate.analyze(rep, d)
+    assert want.h0_dim < rep.dim
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a commutant basis was assembled")
+
+    monkeypatch.setattr(matcore, "commutant_basis", no_basis)
+    monkeypatch.setattr(irreps, "commutant_basis", no_basis)
+    monkeypatch.setattr(groundstate, "commutant_basis", no_basis, raising=False)
+    assert groundstate.analyze(rep, d).commutant_dims == want.commutant_dims
