@@ -306,6 +306,8 @@ def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
         lam = tuple(_require(job, "weight"))
         if len(lam) != 3:
             raise SchemaError("the rank-two predicate takes an integer triple")
+        if lam[1] < lam[2]:
+            raise SchemaError(f"K-type {list(lam)} is not dominant: l2 < l3")
         cone = cones.su12_cone_condition(lam)
         hw = cones.su12_hw_unitarizable(lam)
         report["verdicts"] = {"cone": cone, "hw_unitarizable": hw}
@@ -479,8 +481,15 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are schema errors, not a usage text and exit 2."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gsrep", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="gsrep", description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV))
@@ -573,9 +582,8 @@ def render_report(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         text = render_report(run(_job_from_args(args)))
         if args.output:
             Path(args.output).write_text(text)

@@ -345,7 +345,9 @@ def irrep(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
     NotDominant : if the weight entries are not weakly decreasing integers.
     DimensionOracleMismatch : if the pattern count disagrees with the Weyl
         dimension formula, or the generators are not anti-Hermitian (guards
-        against construction bugs).
+        against construction bugs).  The second guard reads dpi + dpi^* on
+        the cells the construction wrote and their transposes, where all of
+        it lies, rather than on all dim_g d^2 entries.
     """
     if g.kind not in ("u", "su"):
         raise DimensionMismatch("irreducible construction implemented for u(n)/su(n)")
@@ -366,21 +368,44 @@ def irrep(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
     coef = g.basis.reshape(g.dim, n * n).view(float).reshape(g.dim, n * n, 2)
     dpi = np.zeros((g.dim, d * d, 2))
     dpi[:, ::d + 1] = (coef[:, ::n + 1].transpose(0, 2, 1) @ diag).transpose(0, 2, 1)
-    pair = np.concatenate([pair, pair % n * n + pair // n])
+    both = np.concatenate([pair, pair % n * n + pair // n])
     cell = np.concatenate([tgt * d + src, src * d + tgt])
     value = np.concatenate([val, val])
     # expand each entry over the nonzero basis coefficients of its E_ij
     entry, b, part = coef.transpose(1, 0, 2).nonzero()
-    count = np.bincount(entry, minlength=n * n)[pair]
-    owner = np.arange(len(pair)).repeat(count)
-    first = entry.searchsorted(pair) - np.add.accumulate(count) + count
+    count = np.bincount(entry, minlength=n * n)[both]
+    owner = np.arange(len(both)).repeat(count)
+    first = entry.searchsorted(both) - np.add.accumulate(count) + count
     at = np.arange(len(owner)) + first.repeat(count)
     dpi[b[at], cell[owner], part[at]] = coef[b[at], entry[at], part[at]] * value[owner]
     dpi = dpi.view(complex).reshape(g.dim, d, d)
-    rep = Representation(g, dpi, label=lam)
-    if rep.anti_hermitian_residual() > 1e-9 * max(1, sum(abs(x) for x in lam)):
+    touched = (coef != 0).any(axis=2).reshape(g.dim, n, n)
+    if _written_gap(dpi, touched, pair, tgt, src) > 1e-9 * max(1, sum(abs(x) for x in lam)):
         raise DimensionOracleMismatch("constructed generators are not anti-Hermitian")
-    return rep
+    return Representation(g, dpi, label=lam)
+
+
+def _written_gap(dpi: np.ndarray, touched: np.ndarray, pair: np.ndarray, tgt: np.ndarray,
+                 src: np.ndarray) -> float:
+    """Largest Frobenius norm of dpi[b] + dpi[b]^*, read on the cells the GT scatter wrote.
+
+    ``dpi`` started as zeros.  Basis element b wrote the whole diagonal
+    and the cells of each E_ij, i != j, with ``touched[b, i, j]``; the
+    entries of the E_ij with i < j are (``pair``, ``tgt``, ``src``), and
+    those of E_ji are their transposes.  Every other cell of dpi + dpi^* is
+    zero, so the norm is read on the diagonal and, once per cell pair u,
+    u^T, on the entries of each E_ij (i < j) that b touched or whose
+    transpose it touched: the sum of
+    :meth:`Representation.anti_hermitian_residual`, in another order.
+    """
+    dim_g, d, _ = dpi.shape
+    flat = dpi.reshape(dim_g, d * d)
+    sq = np.add.reduce((2 * flat[:, ::d + 1].real) ** 2, axis=1)
+    touched = touched | touched.swapaxes(1, 2)
+    b, e = touched.reshape(dim_g, -1)[:, pair].nonzero()
+    gap = flat[b, tgt[e] * d + src[e]] + flat[b, src[e] * d + tgt[e]].conj()
+    sq += 2 * np.bincount(b, gap.real**2 + gap.imag**2, minlength=dim_g)
+    return math.sqrt(sq.max())
 
 
 # ---------------------------------------------------------------------------

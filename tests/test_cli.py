@@ -233,11 +233,55 @@ def assert_schema_error(capsys, argv):
     assert not captured.out
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["code"] == "SchemaError"
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == "SchemaError"
+    return error["message"]
 
 
 def test_schema_error_is_one_line_json(capsys):
     assert_schema_error(capsys, ["cone-check", "--weight", "1,0"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--n", "2"], "gsrep analyze: the following arguments are required: --d, --weight"),
+    (["analyze", "--n", "x", "--d", "1,0", "--weight", "1,0"], "invalid int value: 'x'"),
+    # global options go before the subcommand
+    (["analyze", "--n", "2", "--d", "1,0", "--weight", "1,0", "--tol", "0"],
+     "gsrep: unrecognized arguments: --tol 0"),
+])
+def test_argument_errors_are_one_line_json_schema_errors(capsys, argv, message):
+    assert message in assert_schema_error(capsys, argv)
+
+
+def test_an_argument_error_exits_2_from_a_fresh_interpreter():
+    src = str(Path(gsrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gsrep.cli", "analyze", "--n", "2"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert json.loads(proc.stderr)["error"]["code"] == "SchemaError"
+    assert proc.stderr.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["analyze", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gsrep analyze")
+
+
+@pytest.mark.parametrize("weight", ["1,0,1", "0,-1,2"])
+def test_su12_k_type_that_is_not_dominant_is_schema_error(capsys, weight):
+    message = assert_schema_error(capsys, ["cone-check", "--su12", f"--weight={weight}"])
+    assert "not dominant" in message
+
+
+def test_su12_scalar_k_types_keep_their_verdicts(capsys):
+    for weight in ("0,0,0", "-1,1,1"):
+        code, out = run_main(capsys, ["cone-check", "--su12", f"--weight={weight}"])
+        assert code == 0
+        assert json.loads(out)["verdicts"] == {"cone": False, "hw_unitarizable": False}
 
 
 def test_analyze_records_decision_tolerance(capsys):

@@ -395,10 +395,12 @@ def test_gelfand_tsetlin_reaches_dimension_125():
     assert matcore.commutant_basis(list(rep.dpi), dim=rep.dim).rank == 1
 
 
-@pytest.mark.parametrize("kind,lam", [("u", (2, 0, -2)), ("u", (3, 1, 0, 0)), ("su", (2, 1, 0))])
+@pytest.mark.parametrize("kind,lam", [("u", (2, 0, -2)), ("u", (3, 1, 0, 0)), ("su", (2, 1, 0)),
+                                      ("u", (5, 3, 1, 0))])  # the last at dimension 360
 def test_cartan_acts_by_exact_integers(kind, lam):
     g = algebra(kind, len(lam))
     rep = irreps.irrep(g, lam)
+    assert rep.dim == irreps.weyl_dim(lam)
     for idx in g.cartan_indices:
         op = -1j * rep.dpi[idx]
         diag = np.diag(op)
@@ -575,6 +577,67 @@ def test_irrep_guards_raise_on_corrupted_construction(monkeypatch):
     bad = liealg.MatrixLieAlgebra(g.name, g.kind, g.n, basis, g.structure, g.cartan_indices)
     with pytest.raises(DimensionOracleMismatch, match="anti-Hermitian"):
         irreps.irrep(bad, (2, 1, 0))
+
+
+@pytest.mark.parametrize("kind,lam", [
+    ("u", (3, -1)), ("u", (0, 0)), ("u", (2, 0, -2)), ("u", (4, 1, 0)), ("u", (2, 1, -1, -3)),
+    ("u", (1, 0, 0, 0)), ("u", (2, 1, 1, 0, -1)), ("su", (2, 1, 0)), ("su", (4, 1, 0)),
+])
+def test_irrep_guards_without_the_dense_residual(monkeypatch, kind, lam):
+    def dense(self):
+        raise AssertionError("irrep ran the dense anti-Hermitian pass")
+
+    with monkeypatch.context() as m:
+        m.setattr(Representation, "anti_hermitian_residual", dense)
+        rep = irreps.irrep(algebra(kind, len(lam)), lam)
+    assert rep.anti_hermitian_residual() == 0.0
+
+
+def _with_e12_alone(scale):
+    """u(3) with its basis element E_12 - E_21 replaced by scale * E_12."""
+    g = algebra("u", 3)
+    basis = g.basis.copy()
+    basis[3] = 0.0
+    basis[3, 0, 1] = scale
+    return liealg.MatrixLieAlgebra(g.name, g.kind, g.n, basis, g.structure, g.cartan_indices)
+
+
+def test_irrep_guard_reads_the_transposes_of_the_cells_it_wrote():
+    # E_12 alone writes rho(E_12) and nothing on the transposed cells, where
+    # dpi + dpi^* holds rho(E_21): half of its squared norm lies off the
+    # written cells, so a guard on those alone would read 1/sqrt(2) of it
+    lam = (2, 1, 0)
+    with pytest.raises(DimensionOracleMismatch, match="anti-Hermitian"):
+        irreps.irrep(_with_e12_alone(1.0), lam)
+    _, (pair, _, _, val) = irreps._gt_generators(lam)
+    per_unit = math.sqrt(2) * np.linalg.norm(val[pair == 1])  # dense residual of E_12
+    threshold = 1e-9 * sum(lam)
+    with pytest.raises(DimensionOracleMismatch, match="anti-Hermitian"):
+        irreps.irrep(_with_e12_alone(1.2 * threshold / per_unit), lam)
+    rep = irreps.irrep(_with_e12_alone(0.8 * threshold / per_unit), lam)
+    assert rep.anti_hermitian_residual() == pytest.approx(0.8 * threshold, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_irrep_guard_equals_the_dense_residual_on_any_basis(monkeypatch, seed):
+    gen = rng(seed)
+    n = 2 + seed % 3
+    g = algebra("u", n)
+    basis = g.basis.copy()
+    for k in gen.choice(g.dim, size=2, replace=False):
+        basis[k] = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+        basis[k][gen.random((n, n)) < 0.4] = 0.0
+    bad = liealg.MatrixLieAlgebra(g.name, g.kind, g.n, basis, g.structure, g.cartan_indices)
+    seen, written_gap = [], irreps._written_gap
+
+    def recording(*args):
+        seen.append(written_gap(*args))
+        return 0.0
+
+    monkeypatch.setattr(irreps, "_written_gap", recording)
+    rep = irreps.irrep(bad, dominant_box(n, -1, 2)[seed])
+    assert seen[0] > 0.0
+    assert seen[0] == pytest.approx(rep.anti_hermitian_residual(), rel=1e-12)
 
 
 def _cache_round_trip(g, tmp_path):
