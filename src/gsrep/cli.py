@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -162,6 +163,8 @@ def run(job: dict) -> dict:
     if not (math.isfinite(tol) and tol > 0):
         raise SchemaError("tolerance must be positive and finite")
     seed = int(job.get("seed", 0))
+    if seed < 0:
+        raise SchemaError(f"seed must be a non-negative integer, got {seed}")
     report = {
         "job": job,
         "verdicts": {},
@@ -583,7 +586,14 @@ def render_report(report: dict) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse reads a value such as -1,0 as an option: join it to its list option as --d=-1,0
+        joined: list[str] = []
+        for arg in sys.argv[1:] if argv is None else argv:
+            if joined and joined[-1] in ("--d", "--weight", "--lam") and re.match(r"-[0-9.]", arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        args = _build_parser().parse_args(joined)
         text = render_report(run(_job_from_args(args)))
         if args.output:
             Path(args.output).write_text(text)

@@ -17,7 +17,9 @@ PSD decisions are batched: one ``eigvalsh`` over one stack of operators
 ``-i dpi0(x)``, the stored generators and then the samples, decides each at
 ``-PSD_TOL * (1 + ||op||)``, and the stack is scanned in that order, so the
 first failure is the one a loop finds.  The stack depends on (g, d), the
-sample count and the seed alone, so it is memoized on g.
+sample count and the seed alone, so it is memoized on g, and its rows in
+rep0's coordinates are memoized on rep0's algebra: for the pi0 of
+:func:`groundstate.analyze` that is the g^0 the (g, d) memo keeps.
 """
 
 from __future__ import annotations
@@ -74,27 +76,38 @@ def _bracket_generators(g: MatrixLieAlgebra, zs: list, tol: float = 1e-9) -> np.
     return gens.real
 
 
-def _first_outside_psd(rep0: Representation, xs: np.ndarray, tol: float) -> Optional[int]:
+def _local_rows(rep0: Representation, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``xs`` in rep0's local coordinates, and which lie outside its algebra."""
+    xs = np.asarray(xs, dtype=complex)
+    if rep0.ambient_coeffs is None:
+        return xs, np.zeros(len(xs), dtype=bool)
+    return rep0.local_coeffs(xs)
+
+
+def _frobenius(ops: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous complex stack, in one reduction."""
+    parts = ops.view(float)
+    return np.sqrt(np.einsum("gjk,gjk->g", parts, parts))
+
+
+def _first_outside_psd(rep0: Representation, xs: np.ndarray, outside: np.ndarray,
+                       tol: float) -> Optional[int]:
     """Index of the first row x of ``xs`` with ``-i dpi0(x)`` not PSD, or None.
 
-    Rows are ambient coordinates when rep0 is embedded.  In row order, the
+    ``xs, outside`` are as :func:`_local_rows` gives them.  In row order, the
     first row outside the subalgebra raises ValueError and the first
     non-Hermitian operator NotHermitian.
     """
-    xs = np.asarray(xs, dtype=complex)
-    outside = np.zeros(len(xs), dtype=bool)
-    if rep0.ambient_coeffs is not None:
-        xs, outside = rep0.local_coeffs(xs)
     if xs.shape[1:] != (rep0.algebra.dim,):
         raise DimensionMismatch(f"expected {rep0.algebra.dim} coefficients")
     ops = -1j * np.einsum("gi,ijk->gjk", xs, rep0.dpi)
     adj = ops.conj().transpose(0, 2, 1)
-    norms = np.linalg.norm(ops, axis=(1, 2))
+    norms = _frobenius(ops)
     try:
         lowest = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
-    nonherm = np.linalg.norm(ops - adj, axis=(1, 2)) > 1e-7 * np.maximum(norms, 1.0)
+    nonherm = _frobenius(ops - adj) > 1e-7 * np.maximum(norms, 1.0)
     failing = np.flatnonzero(outside | nonherm | (lowest < -tol * (1.0 + norms)))
     if failing.size == 0:
         return None
@@ -164,7 +177,7 @@ def _cone_stack(g: MatrixLieAlgebra, dd: DerivationData, samples: int,
 
 def in_positive_cone(rep0: Representation, x: np.ndarray, tol: float = PSD_TOL) -> bool:
     """True iff ``-i dpi0(x)`` is positive semidefinite within tolerance."""
-    return _first_outside_psd(rep0, np.asarray(x)[None], tol) is None
+    return _first_outside_psd(rep0, *_local_rows(rep0, np.asarray(x)[None]), tol) is None
 
 
 def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Representation,
@@ -174,10 +187,18 @@ def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Represe
 
     Checks every stored generator, then ``samples`` random unit vectors per
     positive eigenspace of dimension > 1 (quadratic-form robustness).  On
-    failure the first violating generator is returned as a witness.
+    failure the first violating generator is returned as a witness.  The
+    stack's local rows are memoized on ``rep0.algebra``, keyed on the stack
+    and the read-only embedding by identity; the entry holds both.
     """
     stack, prov, sampled = _cone_stack(g, dd, samples, seed)
-    k = _first_outside_psd(rep0, stack, tol)
+    emb = rep0.ambient_coeffs
+    key = ("cone rows", id(stack), id(emb))
+    entry = rep0.algebra._memo.get(key)
+    if entry is None:
+        xs, outside = _local_rows(rep0, stack)
+        entry = rep0.algebra._memo[key] = (stack, emb, _frozen(xs), _frozen(outside))
+    k = _first_outside_psd(rep0, *entry[2:], tol)
     if k is None:
         return ConeTestResult(True, sampled=sampled, checked=len(stack))
     return ConeTestResult(False, stack[k].copy(), prov[k], sampled=prov[k][0] == "sample", checked=k + 1)
@@ -190,7 +211,7 @@ def coroot_condition(rep0: Representation, rd: RootDatum, tol: float = PSD_TOL) 
     operator is ``-i dpi0`` of it; its maximal eigenvalue must not exceed
     the tolerance for any root with positive value on -i d.
     """
-    return _first_outside_psd(rep0, -rd.coroots[list(rd.delta_plus_plus)], tol) is None
+    return _first_outside_psd(rep0, *_local_rows(rep0, -rd.coroots[list(rd.delta_plus_plus)]), tol) is None
 
 
 # ---------------------------------------------------------------------------

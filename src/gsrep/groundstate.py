@@ -37,6 +37,8 @@ from .matcore import (
     numerical_rank,
 )
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass
 class GroundStateReport:
@@ -90,7 +92,7 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.n
     for wb, vb in spectra:
         shifts.append(float(wb[0]))
         cols.append(vb[:, wb <= wb[0] + window])
-    return np.hstack(cols), shifts, [c.shape[1] for c in cols]
+    return cols[0] if len(cols) == 1 else np.hstack(cols), shifts, [c.shape[1] for c in cols]
 
 
 def _separating(comm: OperatorSubspace, h0: np.ndarray, tol: float) -> bool:
@@ -166,7 +168,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     if fix.central is not None:
         H = -1j * pi.operator(fix.central)
         w, v = eig_hermitian(H, 1e-8)
-    window = max(spectral_split(g, d, tol).window, len(w) * np.finfo(float).eps * float(np.abs(w).max()))
+    window = max(spectral_split(g, d, tol).window, len(w) * _EPS * max(float(w[-1]), -float(w[0])))
     h0, shifts, counts = _ground_space(H, w, v, blocks, window)
     if any(c % k for c, k in zip(counts, mults)):
         raise ConvergenceFailure(f"ground space columns {counts} of the central blocks are not "

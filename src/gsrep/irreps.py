@@ -48,7 +48,8 @@ class Representation:
     fixed-point algebra or a torus), ``ambient_coeffs`` maps its basis to
     coefficient vectors over the ambient algebra, as orthonormal rows, so
     that :meth:`local_coeffs` takes elements given in ambient coordinates to
-    local ones.
+    local ones.  Construction sets those rows read-only in place too, so a
+    memo may key on their identity (:func:`cones.check_cone_positivity`).
     """
 
     algebra: MatrixLieAlgebra
@@ -61,6 +62,8 @@ class Representation:
         dpi = np.ascontiguousarray(self.dpi, dtype=complex)
         dpi.setflags(write=False)
         object.__setattr__(self, "dpi", dpi)
+        if self.ambient_coeffs is not None:
+            self.ambient_coeffs.setflags(write=False)
 
     @property
     def dim(self) -> int:

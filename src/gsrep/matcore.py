@@ -114,6 +114,12 @@ def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
     eigenvectors : (d, d) unitary array, columns matching the eigenvalues,
         so that ``H = V diag(w) V^*`` up to roundoff.
 
+    An exactly diagonal H, such as -i dpi(d) for a Cartan d on a weight
+    basis, takes no solver: w is the real part of its diagonal, sorted
+    stably, so equal values keep their index order, and V holds the
+    matching identity columns, so ``H = V diag(w) V^*`` holds exactly.  Its
+    Hermiticity deviation is read on the diagonal's imaginary part.
+
     Raises
     ------
     NotHermitian : if the input fails the Hermiticity precondition.
@@ -121,9 +127,15 @@ def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
     """
     H = np.asarray(H, dtype=complex)
     _check_square_same_dim([H])
-    scale = max(np.linalg.norm(H), 1.0)
-    if np.linalg.norm(H - H.conj().T) > tol * scale:
-        raise NotHermitian(f"deviation {np.linalg.norm(H - H.conj().T):.3e} exceeds tolerance")
+    diag = H.diagonal()
+    diagonal = np.count_nonzero(H) == np.count_nonzero(diag)
+    dev = 2.0 * np.linalg.norm(diag.imag) if diagonal else np.linalg.norm(H - H.conj().T)
+    # dev > tol * max(||H||, 1), with the norm taken only past tol
+    if dev > tol and dev > tol * np.linalg.norm(diag if diagonal else H):
+        raise NotHermitian(f"deviation {dev:.3e} exceeds tolerance")
+    if diagonal:
+        order = np.argsort(diag.real, kind="stable")
+        return diag.real[order], np.eye(len(order), dtype=complex).take(order, axis=1)
     try:
         w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -342,9 +354,11 @@ def _commutant_coefficients(ops, dim: Optional[int] = None, tol: float = DEFAULT
     frames = u.conj().T @ stack @ u
     entries = np.flatnonzero(_live_entries(frame, frames, np.linalg.norm(stack, axis=(1, 2))))
     # consecutive inputs share one constraint while it has few entries
-    first = np.searchsorted(entries, entries // (d * d) * (d * d))
-    cuts = np.flatnonzero(np.diff(first // max(1, CONSTRAINT_BATCH // frame.ncoords))) + 1
-    bounds = [0, *cuts.tolist(), entries.size] if entries.size else [0]
+    step = max(1, CONSTRAINT_BATCH // frame.ncoords)
+    bounds = [0, entries.size] if entries.size else [0]
+    if entries.size > step:
+        first = np.searchsorted(entries, entries // (d * d) * (d * d))
+        bounds[1:1] = (np.flatnonzero(np.diff(first // step)) + 1).tolist()
     q = None
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if q is not None and q.shape[0] == 0:

@@ -253,6 +253,42 @@ def test_argument_errors_are_one_line_json_schema_errors(capsys, argv, message):
     assert message in assert_schema_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv,with_equals", [
+    (["analyze", "--n", "2", "--d", "-1,0", "--weight", "1,0"],
+     ["analyze", "--n", "2", "--d=-1,0", "--weight", "1,0"]),
+    (["analyze", "--n", "2", "--d", "1,0", "--weight", "-1,-1"],
+     ["analyze", "--n", "2", "--d", "1,0", "--weight=-1,-1"]),
+    (["cone-check", "--n", "2", "--d", "2,1", "--weight", "-1,-1"],
+     ["cone-check", "--n", "2", "--d", "2,1", "--weight=-1,-1"]),
+    (["dirlim", "--lam", "-2,0,1", "--d", "3,2,1"], ["dirlim", "--lam=-2,0,1", "--d", "3,2,1"]),
+    (["classify", "--n", "2", "--d", "-.5,1", "--box", "1"], ["classify", "--n", "2", "--d=-.5,1", "--box", "1"]),
+])
+def test_list_values_may_start_with_a_minus_sign(capsys, monkeypatch, argv, with_equals):
+    want = run_main(capsys, with_equals)
+    assert want[0] == 0 and run_main(capsys, argv) == want
+    monkeypatch.setattr(sys, "argv", ["gsrep", *argv])  # main() reads sys.argv
+    assert run_main(capsys, None) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--n", "2", "--d", "--weight", "1,0"],
+    ["dirlim", "--d", "3,2,1", "--lam"],
+    ["cone-check", "--n", "2", "--d", "2,1", "--weight", "-x"],
+])
+def test_a_missing_list_value_is_still_a_schema_error(capsys, argv):
+    assert "expected one argument" in assert_schema_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", "fock", "--modes", "1", "--cutoffs", "4"],
+    ["--seed", "-1", "cone-check", "--n", "3", "--d", "2,1,0", "--weight", "1,0,2"],
+    ["--seed", "-3", "sweep", "--suite", "cone-coroot", "--box", "1", "--cases", "5"],
+    ["--seed", "-1", "analyze", "--n", "2", "--d", "1,0", "--weight", "1,0"],
+])
+def test_a_negative_seed_is_a_schema_error(capsys, argv):
+    assert "seed must be a non-negative integer" in assert_schema_error(capsys, argv)
+
+
 def test_an_argument_error_exits_2_from_a_fresh_interpreter():
     src = str(Path(gsrep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

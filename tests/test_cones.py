@@ -373,6 +373,76 @@ def test_cone_positivity_runs_one_eigvalsh_per_stack(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the stack's local rows, memoized on rep0's algebra
+
+
+def on_fresh_algebra(g, rep0):
+    """rep0 over a new subalgebra with the same rows, so with an empty memo."""
+    return irreps.Representation(liealg.subalgebra(g, rep0.ambient_coeffs), rep0.dpi,
+                                 ambient_coeffs=rep0.ambient_coeffs)
+
+
+def passing_pi0():
+    g, d, dd = split("u", 3, [2, 1, 0])
+    return g, dd, groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), d).pi0
+
+
+@pytest.mark.parametrize("fixture", [passing_pi0, sample_first_fixture])
+def test_cone_result_is_the_same_cold_warm_and_on_a_fresh_algebra(fixture):
+    g, dd, rep0 = fixture()
+    want = loop_cone_positivity(g, dd, rep0)
+    assert want.verdict == (fixture is passing_pi0)
+    fresh = on_fresh_algebra(g, rep0)
+    for r in (fresh, fresh, rep0, rep0):  # cold, then warm, on each algebra
+        assert_same_result(cones.check_cone_positivity(g, dd, r), want)
+
+
+def counting_local_coeffs(monkeypatch):
+    calls = []
+    real = irreps.Representation.local_coeffs
+
+    def counting(self, coeffs):
+        calls.append(len(coeffs))
+        return real(self, coeffs)
+
+    monkeypatch.setattr(irreps.Representation, "local_coeffs", counting)
+    return calls
+
+
+def test_a_warm_cone_test_maps_no_rows(monkeypatch):
+    # every analyze builds a new pi0 over the g0 and rows the (g, d) memo keeps
+    g, dd, rep0 = passing_pi0()
+    want = cones.check_cone_positivity(g, dd, rep0)
+
+    def raising(self, coeffs):
+        raise AssertionError("a warm cone test mapped its stack again")
+
+    monkeypatch.setattr(irreps.Representation, "local_coeffs", raising)
+    again = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), dd.element).pi0
+    assert again is not rep0 and again.ambient_coeffs is rep0.ambient_coeffs
+    for r in (rep0, again):
+        assert_same_result(cones.check_cone_positivity(g, dd, r), want)
+
+
+def test_equal_rows_in_a_distinct_array_do_not_share_an_entry(monkeypatch):
+    g, dd, rep0 = passing_pi0()
+    want = cones.check_cone_positivity(g, dd, rep0)
+    calls = counting_local_coeffs(monkeypatch)
+    # an equal embedding in another array
+    copy = irreps.Representation(rep0.algebra, rep0.dpi, ambient_coeffs=rep0.ambient_coeffs.copy())
+    assert_same_result(cones.check_cone_positivity(g, dd, copy), want)
+    assert len(calls) == 1
+    # an equal stack in another array: a second split of d at another tol
+    other = liealg.spectral_split(g, dd.element, 1e-10)
+    assert other is not dd
+    assert_same_result(cones.check_cone_positivity(g, other, rep0), want)
+    assert len(calls) == 2
+    for r, split_ in ((copy, dd), (rep0, other), (rep0, dd)):
+        assert_same_result(cones.check_cone_positivity(g, split_, r), want)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
 # the rank-two pseudo-unitary predicates (exact integer arithmetic)
 
 

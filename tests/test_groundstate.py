@@ -266,3 +266,30 @@ def test_ground_energy_is_exact_in_gelfand_tsetlin_basis(kind, lam, entries, m):
     g = algebra(kind, len(lam))
     out = groundstate.analyze(irreps.irrep(g, lam), liealg.diagonal_element(g, entries))
     assert out.m == m
+
+
+@pytest.mark.parametrize("kind,lam,entries", [
+    ("u", (3, 1, 0), (2, 1, 0)),  # H0 is a line
+    ("u", (3, 1, 0), (1, 0, 0)),  # H0 of dimension 3
+    ("u", (3, 1, 0), (0, 0, 0)),  # H0 is all of H
+    ("su", (2, 1, 0), (1, 0, -1)),
+    ("u", (3, 1, 0, 0), (1, 1, 0, 0)),
+])
+def test_analyze_at_a_cartan_d_runs_no_eigh_on_h(monkeypatch, kind, lam, entries):
+    # the Gelfand-Tsetlin basis is a weight basis, so H = -i dpi(d) is diagonal
+    g = algebra(kind, len(lam))
+    rep = cached_irrep(kind, len(lam), lam)
+    d = liealg.diagonal_element(g, entries)
+    want = groundstate.analyze(rep, d)  # fills the memos of (g, d) and of rep
+    shapes, real = [], np.linalg.eigh
+
+    def spying(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spying)
+    out = groundstate.analyze(rep, d)
+    assert (rep.dim, rep.dim) not in shapes
+    assert out.m == want.m and out.window == want.window
+    assert out.h0_basis.tobytes() == want.h0_basis.tobytes()
+    assert set(np.unique(out.h0_basis)) <= {0.0, 1.0}  # identity columns

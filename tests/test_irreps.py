@@ -670,6 +670,32 @@ def test_every_constructor_gives_a_read_only_c_contiguous_dpi(path, tmp_path):
         rep.dpi[0, 0, 0] = 1.0
 
 
+EMBEDDED = {
+    "analyze pi0": CONSTRUCTORS["analyze pi0"],
+    "torus_character": CONSTRUCTORS["torus_character"],
+    "centralizer_irrep": CONSTRUCTORS["centralizer_irrep"],
+    "restrict": lambda g, _: irreps.restrict(CONSTRUCTORS["centralizer_irrep"](g, _), np.eye(2)[:, ::-1]),
+    "direct_sum": lambda g, _: irreps.direct_sum([irreps.torus_character(g, (1, 0, -1)),
+                                                  irreps.torus_character(g, (0, 0, 2))]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(EMBEDDED))
+def test_every_embedding_is_read_only(path):
+    rep = EMBEDDED[path](algebra("u", 3), None)
+    assert rep.ambient_coeffs is not None and not rep.ambient_coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        rep.ambient_coeffs[0, 0] = 1.0
+
+
+def test_a_representation_freezes_its_embedding_in_place():
+    chi = irreps.torus_character(algebra("u", 2), (1, 0))
+    rows = chi.ambient_coeffs.copy()
+    assert rows.flags.writeable
+    assert Representation(chi.algebra, chi.dpi, ambient_coeffs=rows).ambient_coeffs is rows
+    assert not rows.flags.writeable
+
+
 def test_irrep_freezes_its_dpi_in_place(monkeypatch):
     given = []
 

@@ -9,6 +9,7 @@ from gsrep.matcore import DEFAULT_TOL
 
 from conftest import algebra, random_hermitian, random_unitary, rng
 from oracles import algebra_closure, center_basis, contains, full_operator_space, is_star_closed, same_span
+from test_commutant_frame import reference_commutant
 
 
 def test_eig_diagonal_input():
@@ -45,6 +46,56 @@ def test_eig_reconstruction_error(n):
     w, v = matcore.eig_hermitian(H)
     assert np.linalg.norm(H - v @ np.diag(w) @ v.conj().T) <= 1e-10 * np.linalg.norm(H)
     assert np.all(np.diff(w) >= -1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eig_of_an_exact_diagonal_is_lapacks_spectrum_and_a_permutation(monkeypatch, seed):
+    gen = rng(seed)
+    n = int(gen.integers(1, 12))
+    values = gen.integers(-3, 4, size=n).astype(float)  # ties at most sizes
+    values[gen.random(n) < 0.3] *= 0.5 + gen.random()
+    H = np.diag(values + 0j)
+    if seed % 2:
+        H[np.diag_indices(n)] += 1e-12j  # within the Hermiticity tolerance
+    want = np.linalg.eigh(np.diag(values))[0]
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("an exactly diagonal input reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solver)
+    w, v = matcore.eig_hermitian(H)
+    assert w.dtype == float and w.tobytes() == want.tobytes()
+    assert set(np.unique(v)) <= {0.0, 1.0} and np.array_equal(v.sum(axis=0), np.ones(n))
+    assert np.array_equal(v.sum(axis=1), np.ones(n))
+    assert np.array_equal(v @ np.diag(w) @ v.conj().T, np.diag(values))
+    index = v.argmax(axis=0)  # the basis vector in each column
+    for value in set(values):
+        ties = index[w == value]
+        assert np.array_equal(ties, np.sort(ties))
+
+
+@pytest.mark.parametrize("factor,raises", [(1.001, True), (0.999, False)])
+def test_eig_of_a_diagonal_decides_hermiticity_at_the_dense_threshold(factor, raises):
+    # deviation ||H - H^*|| = 2 |t| against tol * max(||H||, 1), ||H|| = 5 + O(t^2)
+    tol = 1e-8
+    t = factor * tol * 5.0 / 2.0
+    for H in (np.diag([3.0 + 1j * t, 4.0]), np.array([[3.0 + 1j * t, 1e-300], [1e-300, 4.0]])):
+        if raises:
+            with pytest.raises(NotHermitian):
+                matcore.eig_hermitian(H, tol)
+        else:
+            assert np.array_equal(matcore.eig_hermitian(H, tol)[0], [3.0, 4.0])
+
+
+def test_eig_of_the_zero_matrix_and_of_1x1_inputs_is_exact():
+    for n in (0, 1, 3):
+        w, v = matcore.eig_hermitian(np.zeros((n, n)))
+        assert np.array_equal(w, np.zeros(n)) and np.array_equal(v, np.eye(n))
+    for x in (-2.5, 0.0, 7.0):
+        w, v = matcore.eig_hermitian(np.array([[x]]))
+        assert np.array_equal(w, [x]) and np.array_equal(v, [[1.0]])
+    with pytest.raises(NotHermitian):
+        matcore.eig_hermitian(np.array([[1.0 + 1e-3j]]))
 
 
 def test_commutant_of_irreducible_is_scalar():
@@ -129,8 +180,6 @@ def kernel_inputs(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(kernel_inputs())
 def test_kernel_takes_stacks_and_lists_alike_and_keeps_its_caches_read_only(case):
-    from test_commutant_frame import reference_commutant
-
     stack, rows = case
     got = matcore.commutant_basis(stack, seed_rows=rows)
     listed = matcore.commutant_basis(list(stack), seed_rows=rows)
