@@ -208,18 +208,13 @@ def _algebra_and_d(job: dict):
     if n < least:
         raise SchemaError(f"{kind}(n) requires n >= {least}")
     g = liealg.build_algebra(kind, n)
-    if job.get("d_coeffs") is not None:
-        d = _finite(job["d_coeffs"], "d_coeffs")
-        if d.shape != (g.dim,):
-            raise SchemaError(f"d_coeffs must have length {g.dim}")
-    else:
-        entries = _finite(_require(job, "d"), "d")
-        if entries.shape != (g.n,):
-            raise SchemaError(f"d must have {g.n} entries")
-        try:
-            d = liealg.diagonal_element(g, entries)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+    entries = _finite(_require(job, "d"), "d")
+    if entries.shape != (g.n,):
+        raise SchemaError(f"d must have {g.n} entries")
+    try:
+        d = liealg.diagonal_element(g, entries)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     _bounded_norm(d, "d")
     return g, d
 

@@ -16,7 +16,8 @@ sampled rather than exhaustive.
 PSD decisions are batched: one ``eigvalsh`` over one stack of operators
 ``-i dpi0(x)``, the stored generators and then the samples, decides each at
 ``-PSD_TOL * (1 + ||op||)``, and the stack is scanned in that order, so the
-first failure is the one a loop finds.  The stack depends on (g, d), the
+first failure is the one a loop finds; an exactly diagonal stack needs no
+``eigvalsh``.  The stack depends on (g, d), the
 sample count and the seed alone, so it is memoized on g, and its rows in
 rep0's coordinates are memoized on rep0's algebra: for the pi0 of
 :func:`groundstate.analyze` that is the g^0 the (g, d) memo keeps.
@@ -96,15 +97,23 @@ def _first_outside_psd(rep0: Representation, xs: np.ndarray, outside: np.ndarray
 
     ``xs, outside`` are as :func:`_local_rows` gives them.  In row order, the
     first row outside the subalgebra raises ValueError and the first
-    non-Hermitian operator NotHermitian.
+    non-Hermitian operator NotHermitian.  An empty stack returns None.  The
+    lowest eigenvalues of an exactly diagonal stack (every stack on a line)
+    are read off its real diagonal, of any other from one ``eigvalsh``.
     """
     if xs.shape[1:] != (rep0.algebra.dim,):
         raise DimensionMismatch(f"expected {rep0.algebra.dim} coefficients")
+    if not len(xs):
+        return None
     ops = -1j * np.einsum("gi,ijk->gjk", xs, rep0.dpi)
     adj = ops.conj().transpose(0, 2, 1)
     norms = _frobenius(ops)
+    diag = np.diagonal(ops, axis1=1, axis2=2)
     try:
-        lowest = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0]
+        if np.count_nonzero(ops) == np.count_nonzero(diag):
+            lowest = diag.real.min(axis=1)
+        else:
+            lowest = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
     nonherm = _frobenius(ops - adj) > 1e-7 * np.maximum(norms, 1.0)

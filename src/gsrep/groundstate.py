@@ -33,7 +33,7 @@ from .matcore import (
     DEFAULT_TOL,
     OperatorSubspace,
     _commutant_coefficients,
-    eig_hermitian,
+    eig_frame,
     numerical_rank,
 )
 
@@ -141,19 +141,23 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     m_b means the window or the central blocks were decided wrongly, and
     raises ``ConvergenceFailure``.
 
-    pi0 is built compression first: the images h0* dpi h0 of the generators
-    of g are combined over the rows of g^0 afterwards, at O(dim g d^2 r)
-    for r = dim H0 rather than O(dim g^0 dim g d^2).
+    pi0 combines the compressed images h0* dpi_i h0 over the rows of g^0 in
+    one matrix product.  Where H is exactly diagonal and H0 lies in one
+    central block, as on a weight basis, h0 is identity columns
+    (:func:`matcore.eig_frame`) and the images are read off dpi by index;
+    if H0 is then all of H in index order and g^0 = g with identity rows,
+    pi0 shares pi's read-only dpi.
 
     The commutant of pi is seeded from the torus, the Cartan images.  Where
     g^0 = g and H0 is the whole space, pi0 is pi written in the basis h0, so
     pi0(G0)' = h0* M' h0 and its dimension is read from the memoized M'.
     That is the case at every d central in g (d = 0, or a multiple of the
     identity on u(n)): dpi(d) then lies in the center of M by Schur, so each
-    central block is one eigenspace of H.  Otherwise pi0's commutant is
-    built, seeded from the Cartan rows projected on g^0, up to its
-    coefficient rows: only its dimension is read, so no basis is assembled.
-    The fixed-point data of (g, d) is memoized on g.  So that H0 is
+    central block is one eigenspace of H.  A line H0 has pi0(G0)' = C.
+    Otherwise pi0's commutant is built, seeded from the Cartan rows
+    projected on g^0, up to its coefficient rows: only its dimension is
+    read, so no basis is assembled.  The fixed-point data of (g, d) and the
+    split's window are memoized on g.  So that H0 is
     invariant under g^0, it is taken for ``FixedPointData.central`` when
     that is set (the split read as zero eigenvalues of ad d past roundoff),
     at the split's window floored at the roundoff dim * eps * max|w|.
@@ -161,14 +165,14 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     g = pi.algebra
     d = np.asarray(d, dtype=float)
     H = -1j * pi.operator(d)
-    w, v = eig_hermitian(H, 1e-8)
+    w, v, order = eig_frame(H, 1e-8)
     m = float(w[0])
     comm_full, blocks, mults = commutant(pi, tol)
     fix = fixed_point_data(g, d, tol)
     if fix.central is not None:
         H = -1j * pi.operator(fix.central)
-        w, v = eig_hermitian(H, 1e-8)
-    window = max(spectral_split(g, d, tol).window, len(w) * _EPS * max(float(w[-1]), -float(w[0])))
+        w, v, order = eig_frame(H, 1e-8)
+    window = max(fix.window, len(w) * _EPS * max(float(w[-1]), -float(w[0])))
     h0, shifts, counts = _ground_space(H, w, v, blocks, window)
     if any(c % k for c, k in zip(counts, mults)):
         raise ConvergenceFailure(f"ground space columns {counts} of the central blocks are not "
@@ -176,9 +180,17 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     corner = sum((c // k) ** 2 for c, k in zip(counts, mults))
     ground_state = _separating(comm_full, h0, tol)
 
-    dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), h0.conj().T @ pi.dpi @ h0)
+    r = h0.shape[1]
+    idx = None if order is None or len(blocks) > 1 else order[:r]  # h0 is the identity columns idx
+    if idx is not None and np.array_equal(idx, np.arange(pi.dim)) and np.array_equal(fix.rows, np.eye(g.dim)):
+        dpi0 = pi.dpi
+    else:
+        c = h0.conj().T @ pi.dpi @ h0 if idx is None else pi.dpi[:, idx[:, None], idx]
+        dpi0 = (fix.crows @ c.reshape(g.dim, -1)).reshape(-1, r, r)
     pi0 = Representation(fix.algebra, dpi0, ambient_coeffs=fix.rows)
-    if fix.rows.shape[0] == g.dim and h0.shape[1] == pi.dim:
+    if r == 1:
+        rank_pi0 = 1
+    elif fix.rows.shape[0] == g.dim and r == pi.dim:
         # pi0 is pi in the basis h0; at central d, Schur puts dpi(d) in Z(pi(G)'') so H0 = H
         rank_pi0 = comm_full.rank
     else:

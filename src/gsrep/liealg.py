@@ -411,12 +411,16 @@ class FixedPointData:
     as zero eigenvalues past its eigensolver's roundoff dim * eps * max|D|,
     ad d does not vanish on g^0, and ``central`` is the part of d in the
     center of g^0 along [g^0, g^0], for which they are zero; else None.
+    ``crows`` are ``rows`` as complex numbers, and ``window`` is the
+    split's.
     """
 
     rows: np.ndarray
     algebra: MatrixLieAlgebra
     torus_rows: Optional[np.ndarray]
     central: Optional[np.ndarray]
+    crows: np.ndarray
+    window: float
 
 
 def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedPointData:
@@ -436,7 +440,7 @@ def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedP
             z = _null_rows(sub.structure.transpose(1, 2, 0).reshape(k * k, k), tol).real @ rows
             zg = z @ np.einsum("iab,jab->ij", g.basis.conj(), g.basis).real
             central = _frozen(z.T @ np.linalg.solve(zg @ z.T, zg @ d))
-        return FixedPointData(rows, sub, torus, central)
+        return FixedPointData(rows, sub, torus, central, _frozen(rows.astype(complex)), dd.window)
 
     return _memoized(g, "fixed point", d, (tol,), build)
 

@@ -101,7 +101,12 @@ class OperatorSubspace:
 
 
 def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """The eigenvalues and eigenvectors that :func:`eig_frame` returns."""
+    return eig_frame(H, tol)[:2]
+
+
+def eig_frame(H: np.ndarray, tol: float = DEFAULT_TOL):
+    """Eigendecomposition of a Hermitian matrix, with the index order of a diagonal one.
 
     Parameters
     ----------
@@ -113,12 +118,14 @@ def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
     eigenvalues : (d,) real array, ascending.
     eigenvectors : (d, d) unitary array, columns matching the eigenvalues,
         so that ``H = V diag(w) V^*`` up to roundoff.
+    order : for an exactly diagonal H, the index of each column of V; else None.
 
-    An exactly diagonal H, such as -i dpi(d) for a Cartan d on a weight
-    basis, takes no solver: w is the real part of its diagonal, sorted
-    stably, so equal values keep their index order, and V holds the
-    matching identity columns, so ``H = V diag(w) V^*`` holds exactly.  Its
-    Hermiticity deviation is read on the diagonal's imaginary part.
+    An exactly diagonal H, one whose nonzero count is its diagonal's, such as
+    -i dpi(d) for a Cartan d on a weight basis, takes no solver: w is the
+    real part of its diagonal, sorted stably, so equal values keep their
+    index order, and V holds the matching identity columns, so
+    ``H = V diag(w) V^*`` holds exactly.  Its Hermiticity deviation is read
+    on the diagonal's imaginary part.
 
     Raises
     ------
@@ -135,12 +142,12 @@ def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
         raise NotHermitian(f"deviation {dev:.3e} exceeds tolerance")
     if diagonal:
         order = np.argsort(diag.real, kind="stable")
-        return diag.real[order], np.eye(len(order), dtype=complex).take(order, axis=1)
+        return diag.real[order], np.eye(len(order), dtype=complex).take(order, axis=1), order
     try:
         w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
-    return w, v
+    return w, v, None
 
 
 def cluster_values(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndarray]:
@@ -182,31 +189,38 @@ def _draws(n: int) -> np.ndarray:
     return coeffs
 
 
-def _seed_frame(mats: np.ndarray, seed_rows, tol: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Eigenframe and cluster sizes of the seed element X, a generic element of the input span.
+def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
+    """Eigenframe, cluster sizes and index order of the seed element X, a generic element of the input span.
 
     X is ``c @ seed_rows`` applied to the inputs, with ``c`` drawn from
     ``GENERIC_SEED`` (:func:`_draws`); ``seed_rows=None`` stands for all
     inputs.  For a normal X, returns the eigenvectors ``u`` of one Hermitian
     H whose eigenspaces are X's, and the size of each eigenvalue cluster of
     H (contiguous, since eigenvalues come sorted): Y commutes with X iff
-    ``u^* Y u`` is block diagonal over the clusters.  A non-normal X gives
+    ``u^* Y u`` is block diagonal over the clusters.  An exactly diagonal X,
+    such as a torus element on a weight basis, is normal, and its H is read
+    by :func:`eig_frame`: ``u`` is then identity columns, whose index order
+    is returned, and None for a frame from ``eigh``.  A non-normal X gives
     the identity frame as one cluster, so the inputs impose everything.
     """
     k, d = mats.shape[0], mats.shape[1]
     coeffs = _draws(k) if seed_rows is None else _draws(seed_rows.shape[0]) @ seed_rows
     X = np.einsum("k,kij->ij", coeffs.astype(complex), mats)
-    Xh = X.conj().T
-    scale = max(np.linalg.norm(X), 1.0)
-    if np.linalg.norm(X @ Xh - Xh @ X) > tol * scale * scale:
-        return np.eye(d, dtype=complex), (d,)
-    # the Hermitian parts of a normal X commute; a generic real mix of them
-    # separates their joint eigenspaces, which are X's
-    H = (X + Xh) / 2.0 - 1j * np.sqrt(0.5) * (X - Xh)
-    w, u = np.linalg.eigh(H)
+    x = X.diagonal()
+    if np.count_nonzero(X) == np.count_nonzero(x):  # H below, in the same floating-point operations
+        w, u, order = eig_frame(np.diag(x.real + np.sqrt(2.0) * x.imag))
+    else:
+        Xh = X.conj().T
+        scale = max(np.linalg.norm(X), 1.0)
+        if np.linalg.norm(X @ Xh - Xh @ X) > tol * scale * scale:
+            return np.eye(d, dtype=complex), (d,), np.arange(d)
+        # the Hermitian parts of a normal X commute; a generic real mix of them
+        # separates their joint eigenspaces, which are X's
+        H = (X + Xh) / 2.0 - 1j * np.sqrt(0.5) * (X - Xh)
+        (w, u), order = np.linalg.eigh(H), None
     window = SEED_CLUSTER_TOL * max(1.0, -w[0], w[-1])
     bounds = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > window) + 1, [d]))
-    return u, tuple(np.diff(bounds).tolist())
+    return u, tuple(np.diff(bounds).tolist()), order
 
 
 class _FrameTables(NamedTuple):
@@ -349,9 +363,10 @@ def _commutant_coefficients(ops, dim: Optional[int] = None, tol: float = DEFAULT
             raise DimensionMismatch(f"seed rows must have shape (s, {k}), got {seed_rows.shape}")
     if k == 0 or d == 1:
         return _CommutantCoefficients(np.eye(d, dtype=complex), _frame_tables((d,)), None)
-    u, sizes = _seed_frame(stack, seed_rows, tol)
+    u, sizes, order = _seed_frame(stack, seed_rows, tol)
     frame = _frame_tables(sizes)
-    frames = u.conj().T @ stack @ u
+    # u^* A u, read by index where u is identity columns
+    frames = u.conj().T @ stack @ u if order is None else stack[:, order[:, None], order]
     entries = np.flatnonzero(_live_entries(frame, frames, np.linalg.norm(stack, axis=(1, 2))))
     # consecutive inputs share one constraint while it has few entries
     step = max(1, CONSTRAINT_BATCH // frame.ncoords)

@@ -60,6 +60,18 @@ def commutant_swap(monkeypatch):
     return swap
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts the calls of ``np.linalg.eigh``, ``eigvalsh`` and ``svd``, by name, from the test on."""
+    calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+    for name in calls:
+        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def dominant_box(n: int, lo: int, hi: int):
     """All weakly decreasing integer n-tuples with entries in [lo, hi]."""
     out = []

@@ -7,12 +7,16 @@
 ``splitting_condition`` (from ``liealg``), ``level_cone_generators`` (from
 ``dirlim``) and ``total_number`` and ``rotation_generator`` (from
 ``heisenfock``) are kept here verbatim, methods as functions of their
-object.
+object; ``pattern_weights`` moved here verbatim from tests/test_irreps.py.
 ``analyze`` decides strictness as an equality of commutant dimensions;
 ``is_strict`` compares the compressed algebra with the one the
 fixed-point action generates, and so checks that decision independently.
+``gt_sum_analysis`` states every field of ``analyze`` on a sum of u(n)
+Gelfand-Tsetlin irreducibles in closed form, from pattern weights alone.
 """
 
+import itertools
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -206,3 +210,46 @@ def rotation_generator(setup: SymplecticSetup) -> np.ndarray:
     for j, f in enumerate(setup.frequencies):
         out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = f * ROT
     return out
+
+
+def pattern_weights(lam):
+    """Independent weight oracle: mu_k = |row k| - |row k-1| over all
+    interlacing patterns with top row lam, enumerated by brute force."""
+    if len(lam) == 1:
+        return [tuple(lam)]
+    out = []
+    ranges = [range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1)]
+    for sub in itertools.product(*ranges):
+        out.extend(mu + (sum(lam) - sum(sub),) for mu in pattern_weights(sub))
+    return sorted(out)
+
+
+def gt_sum_analysis(summands: Sequence[Sequence[int]], e: Sequence[float], tol: float = 1e-9) -> dict:
+    """Every field of ``analyze`` on the sum of the u(n) irreducibles ``summands`` at d = i diag(e).
+
+    H is diagonal on the patterns, with <mu, e> on one of weight mu, and the
+    central blocks are the isotypic components.  The lowest ad-d graded
+    piece of an irreducible lam is an irreducible G^0-module, whose extremal
+    weight determines lam (by PBW, U(g) = U(n-) U(l) U(n+)), so distinct lam
+    give inequivalent pieces.  With m_lam copies of lam and c_lam patterns
+    at its least energy: ``central_shifts`` is the multiset of those least
+    energies and ``m`` its minimum; H0 holds those patterns, each m_lam
+    times; ``commutant_dims`` is (sum m^2, sum m^2, sum c^2); and both
+    verdicts hold.  It assumes entries of e that are equal or well apart:
+    near-coincident ones go through the split's window, which this does not
+    model.
+    """
+    mult = Counter(tuple(int(x) for x in lam) for lam in summands)
+    shifts, h0_weights, corner = [], [], 0
+    for lam, k in mult.items():
+        weights = pattern_weights(lam)
+        energies = [float(np.dot(mu, e)) for mu in weights]
+        low = min(energies)
+        ground = [mu for mu, en in zip(weights, energies) if en <= low + tol * max(1.0, abs(low))]
+        shifts.append(low)
+        h0_weights += ground * k
+        corner += len(ground) ** 2
+    squares = sum(k * k for k in mult.values())
+    return {"m": min(shifts), "h0_dim": len(h0_weights), "h0_weights": sorted(h0_weights),
+            "central_shifts": sorted(shifts), "commutant_dims": (squares, squares, corner),
+            "ground_state": True, "strict": True}

@@ -289,6 +289,22 @@ def test_a_negative_seed_is_a_schema_error(capsys, argv):
     assert "seed must be a non-negative integer" in assert_schema_error(capsys, argv)
 
 
+def test_d_coeffs_is_no_job_key(capsys, monkeypatch):
+    # off the Cartan it used to run analyze and then fail with exit 1 on a non-integral H0 weight
+    job = {"command": "analyze", "group": "u", "n": 3, "weight": [2, 1, 0],
+           "d_coeffs": [0.3, 0, 0, 0.5, 0, 0, 0.2, 0, 0]}
+
+    def no_analyze(*args, **kwargs):
+        raise AssertionError("analyze ran on a job without d")
+
+    monkeypatch.setattr(cli.groundstate, "analyze", no_analyze)
+    with pytest.raises(SchemaError, match="missing required field 'd'"):
+        cli.run(dict(job))
+    monkeypatch.setattr(cli, "_job_from_args", lambda args: dict(job))
+    message = assert_schema_error(capsys, ["analyze", "--n", "3", "--d", "1,0,0", "--weight", "2,1,0"])
+    assert message == "job is missing required field 'd'"
+
+
 def test_an_argument_error_exits_2_from_a_fresh_interpreter():
     src = str(Path(gsrep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -412,3 +412,57 @@ def test_a_cold_irreducible_commutant_takes_no_split(monkeypatch):
     for kind, n, lam in (("u", 2, (1, 0)), ("u", 3, (2, 1, 0)), ("su", 3, (2, 1, 0))):
         comm, blocks, mults = irreps.commutant(fresh(cached_irrep(kind, n, lam)), DEFAULT_TOL)
         assert comm.rank == 1 and blocks == [] and mults == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the diagonal seed: an index frame in place of eigh
+
+
+def torus_seeded_inputs():
+    """(stack, seed rows, on a weight basis) of every torus-seeded commutant analyze forms on
+    small GT inputs: pi's, and pi0's where H0 is not a line.  The H0 of a sum with several
+    central blocks is spanned by eigenvectors of each block, not by weight vectors."""
+    irreducible = [(cached_irrep(kind, n, lam), liealg.diagonal_element(algebra(kind, n), e))
+                   for kind, n, box in (("u", 2, dominant_box(2, -2, 2)), ("u", 3, dominant_box(3, -1, 1)),
+                                        ("su", 3, su_dominant_box(3, 0, 2)))
+                   for lam in box if irreps.weyl_dim(lam) <= 15 for e in D_LISTS[(kind, n)][:4]]
+    for rep, d in irreducible + list(reducible_cases()):
+        g = rep.algebra
+        yield rep.dpi, None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)], True
+        out = groundstate.analyze(rep, d)
+        if out.h0_dim >= 2:
+            yield out.pi0.dpi, liealg.fixed_point_data(g, d).torus_rows, len(irreps.commutant(rep)[1]) <= 1
+
+
+def eigh_seed_frame(mats, seed_rows):
+    """``matcore._seed_frame``'s eigh path, for a normal seed element: the frame and cluster sizes."""
+    coeffs = matcore._draws(len(mats)) if seed_rows is None else matcore._draws(len(seed_rows)) @ seed_rows
+    X = np.einsum("k,kij->ij", coeffs.astype(complex), mats)
+    w, u = np.linalg.eigh((X + X.conj().T) / 2.0 - 1j * np.sqrt(0.5) * (X - X.conj().T))
+    window = SEED_CLUSTER_TOL * max(1.0, -w[0], w[-1])
+    return u, np.diff(np.concatenate(([0], np.flatnonzero(np.diff(w) > window) + 1, [len(w)])))
+
+
+def test_diagonal_seed_frame_is_the_eigh_frame_up_to_tie_order(lapack_calls):
+    read = 0
+    for stack, rows, weight_basis in torus_seeded_inputs():
+        before = lapack_calls["eigh"]
+        u, sizes, order = matcore._seed_frame(stack, rows, DEFAULT_TOL)
+        assert (lapack_calls["eigh"] == before) == (order is not None)
+        if order is None:
+            assert not weight_basis  # a torus seed on a weight basis is diagonal
+            continue
+        read += 1
+        assert np.array_equal(u, np.eye(len(order)).take(order, axis=1))
+        u_eigh, sizes_eigh = eigh_seed_frame(stack, rows)
+        assert sizes == tuple(sizes_eigh)
+        assert np.array_equal(np.abs(u_eigh) > 0, np.abs(u_eigh) == 1)  # identity columns up to phase
+        bounds = np.cumsum((0,) + sizes)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            assert set(np.abs(u_eigh[:, lo:hi]).argmax(axis=0)) == set(order[lo:hi])
+    assert read >= 200
+
+
+def test_diagonal_seed_commutant_rank_is_the_reference_rank():
+    for stack, rows, _ in torus_seeded_inputs():
+        assert matcore._commutant_coefficients(stack, seed_rows=rows).rank == reference_commutant(list(stack)).rank

@@ -354,22 +354,77 @@ def test_batched_cone_rejects_elements_outside_the_subalgebra():
             check(g, dd, chi)
 
 
-def test_cone_positivity_runs_one_eigvalsh_per_stack(monkeypatch):
+def test_cone_positivity_runs_one_eigvalsh_per_stack(lapack_calls):
     # a per-generator eigensolver must not come back: one eigvalsh for the
-    # one stack of the stored generators and every sample, and no eigh
-    g, d, dd = split("u", 3, [2, 1, 0])
-    pi0 = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), d).pi0
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
-    res = cones.check_cone_positivity(g, dd, pi0)
-    assert res.verdict and res.sampled
-    sampled_spaces = sum(space.shape[1] > 1 for _, space in dd.positive())
-    assert sampled_spaces == 1
-    assert calls == {"eigh": 0, "eigvalsh": 1}
+    # one stack of the stored generators and every sample, and no eigh; a
+    # diagonal stack, such as any stack on a line H0, takes none
+    for entries, h0_dim, eigvalsh_calls in (([2, 1, 0], 1, 0), ([1, 0, 0], 2, 1)):
+        g, d, dd = split("u", 3, entries)
+        pi0 = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), d).pi0
+        assert pi0.dim == h0_dim
+        lapack_calls.update(eigh=0, eigvalsh=0)
+        res = cones.check_cone_positivity(g, dd, pi0)
+        assert res.verdict and res.sampled
+        sampled_spaces = sum(space.shape[1] > 1 for _, space in dd.positive())
+        assert sampled_spaces == 1
+        assert (lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (0, eigvalsh_calls)
+
+
+def eigvalsh_first_outside_psd(rep0, xs, outside, tol):
+    """``cones._first_outside_psd`` with every stack through one ``eigvalsh``."""
+    ops = -1j * np.einsum("gi,ijk->gjk", xs, rep0.dpi)
+    adj = ops.conj().transpose(0, 2, 1)
+    norms = cones._frobenius(ops)
+    lowest = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0]
+    nonherm = cones._frobenius(ops - adj) > 1e-7 * np.maximum(norms, 1.0)
+    failing = np.flatnonzero(outside | nonherm | (lowest < -tol * (1.0 + norms)))
+    if failing.size == 0:
+        return None
+    k = int(failing[0])
+    if outside[k]:
+        raise ValueError("element does not lie in the represented subalgebra")
+    if nonherm[k]:
+        raise NotHermitian("deviation exceeds tolerance")
+    return k
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except (ValueError, NotHermitian) as exc:
+        return type(exc)
+
+
+def diagonal_stack(gen, count, r):
+    """Diagonals of ``count`` operators -i dpi0(x): small integers, so with ties, and on
+    about a third of them one entry just either side of the PSD or the Hermiticity bound."""
+    vals = gen.integers(0, 4, size=(count, r)).astype(complex)
+    outside = gen.random(count) < 0.05
+    for k in np.flatnonzero(gen.random(count) < 0.35):
+        j, side = gen.integers(r), 1.0 + gen.choice([-1e-6, 1e-6])
+        vals[k, j] = 0.0
+        norm = np.linalg.norm(vals[k])
+        if gen.random() < 0.5:
+            vals[k, j] = -side * cones.PSD_TOL * (1.0 + norm)
+        else:  # ||op - op^*|| = 2 |Im| against 1e-7 max(||op||, 1)
+            vals[k, j] += 1j * side * 0.5e-7 * max(norm, 1.0)
+    return vals, outside
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_diagonal_stack_read_decides_as_eigvalsh(seed, lapack_calls):
+    gen = rng(seed)
+    g = algebra("u", 4)
+    r = int(gen.integers(1, 6))
+    vals, outside = diagonal_stack(gen, g.dim, r)
+    rep0 = irreps.Representation(g, 1j * np.einsum("kj,jl->kjl", vals, np.eye(r)))
+    xs = np.eye(g.dim, dtype=complex)[gen.permutation(g.dim)]
+    outside = outside[gen.permutation(g.dim)]
+    ops = -1j * np.einsum("gi,ijk->gjk", xs, rep0.dpi)
+    assert np.count_nonzero(ops) == np.count_nonzero(np.diagonal(ops, axis1=1, axis2=2))
+    got = outcome(cones._first_outside_psd, rep0, xs, outside, cones.PSD_TOL)
+    assert lapack_calls["eigvalsh"] == 0  # read off the diagonal
+    assert got == outcome(eigvalsh_first_outside_psd, rep0, xs, outside, cones.PSD_TOL)
 
 
 # ---------------------------------------------------------------------------

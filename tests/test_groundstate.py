@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsrep import cones, groundstate, irreps, liealg
 
-from conftest import D_LISTS, algebra, cached_irrep, dominant_box, su_dominant_box
-from oracles import direct_sum_law, is_strict, splitting_condition
+from conftest import D_LISTS, algebra, cached_irrep, dominant_box, fresh, su_dominant_box
+from oracles import direct_sum_law, gt_sum_analysis, is_strict, splitting_condition
 
 
 def heis_commuting_family():
@@ -293,3 +295,45 @@ def test_analyze_at_a_cartan_d_runs_no_eigh_on_h(monkeypatch, kind, lam, entries
     assert out.m == want.m and out.window == want.window
     assert out.h0_basis.tobytes() == want.h0_basis.tobytes()
     assert set(np.unique(out.h0_basis)) <= {0.0, 1.0}  # identity columns
+
+
+# ---------------------------------------------------------------------------
+# every field of analyze on Gelfand-Tsetlin sums, against the closed form
+
+
+def assert_closed_form(summands, entries, rep=None):
+    n = len(entries)
+    rep = rep or irreps.direct_sum([cached_irrep("u", n, lam) for lam in summands])
+    out = groundstate.analyze(rep, liealg.diagonal_element(algebra("u", n), entries))
+    want = gt_sum_analysis(summands, entries)
+    assert abs(out.m - want["m"]) <= 1e-9
+    assert (out.h0_dim, out.commutant_dims, out.ground_state, out.strict) == (
+        want["h0_dim"], want["commutant_dims"], want["ground_state"], want["strict"])
+    assert irreps.weights_of(irreps.restrict(rep, out.h0_basis)) == want["h0_weights"]
+    assert np.allclose(sorted(out.central_shifts), want["central_shifts"], rtol=0, atol=1e-9)
+
+
+@st.composite
+def gt_sums(draw):
+    """A u(2)-u(4) sum of 1-3 distinct irreducibles, each once or twice, of dimension <= 60,
+    and diagonal entries from {-2, ..., 2}, so equal or at least 1 apart."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    small = [lam for lam in dominant_box(n, -2, 2) if irreps.weyl_dim(lam) <= 30]
+    distinct = draw(st.lists(st.sampled_from(small), min_size=1, max_size=3, unique=True))
+    summands = [lam for lam in distinct for _ in range(draw(st.integers(1, 2)))]
+    while sum(map(irreps.weyl_dim, summands)) > 60:
+        summands.pop()
+    return summands, tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(gt_sums())
+def test_analyze_on_gelfand_tsetlin_sums_is_the_closed_form(case):
+    assert_closed_form(*case)
+
+
+@pytest.mark.parametrize("lam", [(6, 3, 0), (10, 5, 0)])
+def test_analyze_on_large_irreducibles_is_the_closed_form(lam):
+    rep = fresh(cached_irrep("u", 3, lam))
+    for entries in ((0, 0, 0), (1, 0, 0)):
+        assert_closed_form([lam], entries, rep)

@@ -11,7 +11,7 @@ from gsrep.irreps import Representation
 from gsrep.matcore import numerical_rank
 
 from conftest import algebra, cached_irrep, dominant_box, rng, su_dominant_box
-from oracles import is_star_closed, tensor_product
+from oracles import is_star_closed, pattern_weights, tensor_product
 from test_groundstate import heis_commuting_family
 
 
@@ -357,18 +357,6 @@ def test_commutant_rank_is_sum_of_squared_multiplicities():
     comm = matcore.commutant_basis(list(rep.dpi))
     assert comm.rank == sum(m * m for _, m in parts) == 14
     assert is_star_closed(comm)
-
-
-def pattern_weights(lam):
-    """Independent weight oracle: mu_k = |row k| - |row k-1| over all
-    interlacing patterns with top row lam, enumerated by brute force."""
-    if len(lam) == 1:
-        return [tuple(lam)]
-    out = []
-    ranges = [range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1)]
-    for sub in itertools.product(*ranges):
-        out.extend(mu + (sum(lam) - sum(sub),) for mu in pattern_weights(sub))
-    return sorted(out)
 
 
 @pytest.mark.parametrize("kind,n,weights", [

@@ -188,7 +188,7 @@ def test_kernel_takes_stacks_and_lists_alike_and_keeps_its_caches_read_only(case
     want = reference_commutant(list(stack))
     assert got.rank == want.rank
     assert same_span(got, want, 1e-8)
-    _, sizes = matcore._seed_frame(stack, rows, DEFAULT_TOL)
+    _, sizes, _ = matcore._seed_frame(stack, rows, DEFAULT_TOL)
     cached = [*matcore._frame_tables(sizes), matcore._draws(stack.shape[0])]
     if rows is not None:
         cached.append(matcore._draws(rows.shape[0]))
