@@ -13,6 +13,7 @@ under --cache-dir or $GSREP_CACHE_DIR.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -79,9 +80,10 @@ class IrrepCache:
         """The cached irreducible, or None for a missing or unusable record.
 
         A record is used only if it is tagged with the basis ``irrep`` builds
-        in, has the Weyl dimension of ``lam``, and holds anti-Hermitian
-        generator images of the right shape; anything else is a miss, which
-        the rebuild replaces.
+        in, has the Weyl dimension of ``lam``, and holds finite,
+        anti-Hermitian generator images of the right shape: a NaN makes the
+        residual NaN, which fails the test as a large one does.  Anything
+        else is a miss, which the rebuild replaces.
         """
         path = self._path(g, lam)
         if not path or not path.exists():
@@ -97,7 +99,7 @@ class IrrepCache:
         if record.get("dim") != dim or dpi.shape != (g.dim, dim, dim):
             return None
         rep = irreps.Representation(g, dpi, label=tuple(int(x) for x in lam))
-        if rep.anti_hermitian_residual() > 1e-9:
+        if not rep.anti_hermitian_residual() <= 1e-9:
             return None
         return rep
 
@@ -341,6 +343,11 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
         raise SchemaError("cutoffs must be non-negative")
     if not 0 <= zero_modes <= modes:
         raise SchemaError(f"zero modes must lie in [0, {modes}]")
+    # the truncation at the top cutoff has C(top + modes, modes) states; that
+    # count is at least 2^min(top, modes), so past 64 it is not formed in full
+    top = max(int(c) for c in cutoffs)
+    states = math.comb(top + modes, min(top, modes, 64))
+    _addressable(states * states, 16, f"a dense operator of {modes} modes at cutoff {top}")
     rng = np.random.default_rng(seed)
     pairs = [
         (rng.normal(size=modes) + 1j * rng.normal(size=modes),
@@ -405,9 +412,7 @@ def _run_dirlim(job: dict, report: dict, tol: float) -> None:
 
 def _integer_box(n: int, box: int):
     _addressable(n * (2 * box + 1) ** n, 8, f"the integer box of radius {box}")
-    grids = np.meshgrid(*[np.arange(-box, box + 1)] * n, indexing="ij")
-    combos = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return [tuple(int(x) for x in row) for row in combos]
+    return list(itertools.product(range(-box, box + 1), repeat=n))
 
 
 def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:

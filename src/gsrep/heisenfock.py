@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (ConvergenceFailure, DimensionMismatch, NotDiagonal, NotPSD,
                      SectorOutOfRange, SplitInvalid)
 from .irreps import Representation
-from .matcore import CLUSTER_TOL, eig_hermitian
+from .matcore import CLUSTER_TOL, eig_hermitian, numerical_rank
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +309,11 @@ def kernel_dimension(ft: FockTruncation, op: np.ndarray, tol: float = CLUSTER_TO
     """Dimension of the numerical kernel of a number-preserving operator on ``ft``.
 
     ``op`` must be block diagonal over the number sectors, as dGamma from
-    ``second_quantize`` is.  The Hermitian part is diagonalized one sector
-    at a time, and an eigenvalue counts when |w| <= tol * (1 + max |w|).
+    ``second_quantize`` is: an entry off the blocks above tol * (1 + max |w|),
+    or NaN, raises.  The Hermitian part is diagonalized one sector at a
+    time, and the kernel is what :func:`matcore.numerical_rank` leaves of
+    the |w| in descending order: the eigenvalues with |w| <= tol * max(1,
+    max |w|).
     """
     if op.shape != (ft.dim, ft.dim):
         raise DimensionMismatch(f"operator must be {ft.dim} x {ft.dim}")
@@ -318,12 +321,11 @@ def kernel_dimension(ft: FockTruncation, op: np.ndarray, tol: float = CLUSTER_TO
     for a, b in zip(ft.offsets[:-1], ft.offsets[1:]):
         block = op[a:b, a:b]
         w.append(np.linalg.eigvalsh((block + block.conj().T) / 2))
-        leak = max(leak, np.abs(op[a:b, b:]).max(initial=0.0), np.abs(op[b:, a:b]).max(initial=0.0))
-    w = np.concatenate(w)
-    scale = 1.0 + float(np.abs(w).max())
-    if leak > tol * scale:
+        leak = np.max([leak, np.abs(op[a:b, b:]).max(initial=0.0), np.abs(op[b:, a:b]).max(initial=0.0)])
+    w = np.sort(np.abs(np.concatenate(w)))[::-1]
+    if not leak <= tol * (1.0 + w[0]):
         raise NotDiagonal("operator couples different number sectors")
-    return int(np.sum(np.abs(w) <= tol * scale))
+    return len(w) - numerical_rank(w, tol)
 
 
 def truncated_kernel_count(cutoff: int, zero_modes: int) -> int:
@@ -403,19 +405,14 @@ class SymplecticSetup:
 # factorization of ground state representations over a split
 
 
-def _block_residual_left(W: np.ndarray, dk: int, sector: np.ndarray) -> float:
-    """Residual of W against A (x) 1 on the given list of F-basis indices."""
+def _block_residual(W: np.ndarray, dk: int, sector: np.ndarray, fixed: bool) -> float:
+    """Residual of W against A (x) 1 (``fixed``) or 1 (x) B on the given list of F-basis indices."""
     T = W.reshape(dk, -1, dk, W.shape[1] // dk)[:, sector][:, :, :, sector]
-    A = T[:, 0, :, 0]  # slice through the vacuum, which is index 0 of the sector
-    ideal = np.einsum("ac,bd->abcd", A, np.eye(len(sector), dtype=complex))
-    return float(np.linalg.norm((T - ideal).reshape(dk * len(sector), -1), 2))
-
-
-def _block_residual_right(W: np.ndarray, dk: int, sector: np.ndarray) -> float:
-    """Residual of W against 1 (x) B on the given list of F-basis indices."""
-    T = W.reshape(dk, -1, dk, W.shape[1] // dk)[:, sector][:, :, :, sector]
-    B = T[0, :, 0, :]
-    ideal = np.einsum("ac,bd->abcd", np.eye(dk, dtype=complex), B)
+    if fixed:  # slice through the vacuum, which is index 0 of the sector
+        A, B = T[:, 0, :, 0], np.eye(len(sector), dtype=complex)
+    else:
+        A, B = np.eye(dk, dtype=complex), T[0, :, 0, :]
+    ideal = np.einsum("ac,bd->abcd", A, B)
     return float(np.linalg.norm((T - ideal).reshape(dk * len(sector), -1), 2))
 
 
@@ -476,16 +473,11 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
             W = entangler @ W @ entangler.conj().T
         return W
 
-    # (a) block structure on basis directions of each part
-    for idx in range(2 * setup.fixed_modes):
+    # (a) block structure on basis directions of each part, fixed part first
+    for idx in range(2 * setup.modes):
         e = np.zeros(2 * setup.modes)
         e[idx] = 1.0
-        if _block_residual_left(total_weyl(e), dk, sector_idx) > tol:
-            return False
-    for idx in range(2 * setup.fixed_modes, 2 * setup.modes):
-        e = np.zeros(2 * setup.modes)
-        e[idx] = 1.0
-        if _block_residual_right(total_weyl(e), dk, sector_idx) > tol:
+        if not _block_residual(total_weyl(e), dk, sector_idx, idx < 2 * setup.fixed_modes) <= tol:
             return False
 
     # (b) one-dimensional minimal-energy space of the effective factor

@@ -93,10 +93,11 @@ class Representation:
         return np.einsum("i,ijk->jk", coeffs, self.dpi)
 
     def homomorphism_residual(self) -> float:
-        """Largest Frobenius norm of dpi([x_i, x_j]) - [dpi(x_i), dpi(x_j)] over i < j.
+        """Largest Frobenius norm of dpi([x_i, x_j]) - [dpi(x_i), dpi(x_j)] over i < j; NaN if dpi holds one.
 
         One batched product per generator i covers every j > i, so
-        temporaries hold dim_g * d^2 entries.
+        temporaries hold dim_g * d^2 entries; the running maximum is
+        ``np.maximum``, which keeps a NaN.
         """
         g = self.algebra
         flat = self.dpi.reshape(g.dim, -1)
@@ -106,30 +107,15 @@ class Representation:
             gap = (g.structure[i, i + 1:] @ flat).reshape(rest.shape)
             gap -= self.dpi[i] @ rest
             gap += rest @ self.dpi[i]
-            worst = max(worst, float(np.linalg.norm(gap, axis=(1, 2)).max()))
-        return worst
+            worst = np.maximum(worst, np.linalg.norm(gap, axis=(1, 2)).max())
+        return float(worst)
 
     def anti_hermitian_residual(self) -> float:
-        """Largest Frobenius norm of dpi[i] + dpi[i]^*.
+        """Largest Frobenius norm of dpi[i] + dpi[i]^*; NaN if dpi holds one.
 
-        Summed over pairs of square tiles for a few matrices at a time, so
-        temporaries stay small and the transposed tile is read from cache.
+        One norm per generator, so temporaries hold d^2 entries.
         """
-        tile = 128
-        corners = range(0, self.dim, tile)
-        step = max(1, 2**16 // min(self.dim, tile) ** 2)
-        worst = 0.0
-        for lo in range(0, len(self.dpi), step):
-            block = self.dpi[lo:lo + step]
-            sq = np.zeros(len(block))
-            for r in corners:
-                for c in corners[r // tile:]:
-                    gap = block[:, r:r + tile, c:c + tile].conj()  # conj of dpi + dpi^*
-                    gap += block[:, c:c + tile, r:r + tile].swapaxes(1, 2)
-                    flat = gap.view(float).reshape(len(gap), -1)
-                    sq += (1 if r == c else 2) * np.add.reduce(flat * flat, axis=1)
-            worst = max(worst, float(sq.max()))
-        return math.sqrt(worst)
+        return float(np.max([np.linalg.norm(m + m.conj().T) for m in self.dpi], initial=0.0))
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
@@ -350,7 +336,8 @@ def irrep(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
         dimension formula, or the generators are not anti-Hermitian (guards
         against construction bugs).  The second guard reads dpi + dpi^* on
         the cells the construction wrote and their transposes, where all of
-        it lies, rather than on all dim_g d^2 entries.
+        it lies, rather than on all dim_g d^2 entries; a NaN there, as from
+        a negative product under Molev's square root, fails it.
     """
     if g.kind not in ("u", "su"):
         raise DimensionMismatch("irreducible construction implemented for u(n)/su(n)")
@@ -383,7 +370,7 @@ def irrep(g: MatrixLieAlgebra, lam: Sequence[int]) -> Representation:
     dpi[b[at], cell[owner], part[at]] = coef[b[at], entry[at], part[at]] * value[owner]
     dpi = dpi.view(complex).reshape(g.dim, d, d)
     touched = (coef != 0).any(axis=2).reshape(g.dim, n, n)
-    if _written_gap(dpi, touched, pair, tgt, src) > 1e-9 * max(1, sum(abs(x) for x in lam)):
+    if not _written_gap(dpi, touched, pair, tgt, src) <= 1e-9 * max(1, sum(abs(x) for x in lam)):
         raise DimensionOracleMismatch("constructed generators are not anti-Hermitian")
     return Representation(g, dpi, label=lam)
 

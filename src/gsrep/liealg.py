@@ -104,46 +104,54 @@ def _memoized(g: MatrixLieAlgebra, what: str, d: np.ndarray, tols: tuple, build)
     return value
 
 
+def _brackets(basis: np.ndarray) -> np.ndarray:
+    """[x_i, x_j] for every pair of the (m, n, n) basis, flattened to an (m, m, n * n) array."""
+    prod = basis[:, None] @ basis
+    return (prod - prod.swapaxes(0, 1)).reshape(len(basis), len(basis), -1)
+
+
+def _span_coordinates(brackets: np.ndarray, span: np.ndarray, tol: float) -> np.ndarray:
+    """Coordinates c with c @ span = brackets, for (m, m, N) brackets and (k, N) rows ``span``.
+
+    One pseudo-inverse solves every pair.  A pair whose residual is not at
+    most ``tol * max(1, |bracket|)``, NaN included, leaves the span and raises.
+    """
+    c = brackets @ np.linalg.pinv(span)
+    resid = np.linalg.norm(c @ span - brackets, axis=2)
+    leaving = np.argwhere(~(resid <= tol * np.maximum(1.0, np.linalg.norm(brackets, axis=2))))
+    if leaving.size:
+        i, j = leaving[0]
+        raise ValueError(f"bracket [x_{i}, x_{j}] leaves the span (residual {resid[i, j]:.2e})")
+    return c
+
+
 def structure_constants(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Structure tensor from a matrix basis; raises if brackets leave the span.
 
-    A constant within ``tol`` of an integer is that integer, so the solver's
-    roundoff leaves no entry where the tensor has a zero: it would couple
-    eigenspaces of ad d that the tensor keeps apart.
+    All m^2 brackets are formed in one batched product and solved at once
+    (:func:`_span_coordinates`).  A constant within ``tol`` of an integer is
+    that integer, so the solver's roundoff leaves no entry where the tensor
+    has a zero: it would couple eigenspaces of ad d that the tensor keeps
+    apart.
     """
-    m = basis.shape[0]
-    flat = basis.reshape(m, -1).T
-    pinv = np.linalg.pinv(flat)
-    c = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            br = basis[i] @ basis[j] - basis[j] @ basis[i]
-            sol = pinv @ vec(br)
-            resid = np.linalg.norm(flat @ sol - vec(br))
-            if resid > tol * max(1.0, np.linalg.norm(br)):
-                raise ValueError(f"bracket [x_{i}, x_{j}] leaves the span (residual {resid:.2e})")
-            if np.linalg.norm(sol.imag) > 1e-8:
-                raise ValueError("structure constants are not real; basis is not a real basis")
-            c[i, j] = sol.real
-            c[j, i] = -sol.real
+    c = _span_coordinates(_brackets(basis), basis.reshape(len(basis), -1), tol)
+    if (np.linalg.norm(c.imag, axis=2) > 1e-8).any():
+        raise ValueError("structure constants are not real; basis is not a real basis")
+    c = c.real
     return np.where(np.abs(c - np.round(c)) <= tol, np.round(c) + 0.0, c)
 
 
 def bracket_closure_residual(g: MatrixLieAlgebra) -> float:
-    """Max deviation between matrix brackets and the structure tensor."""
-    worst = 0.0
-    for i in range(g.dim):
-        for j in range(g.dim):
-            br = g.basis[i] @ g.basis[j] - g.basis[j] @ g.basis[i]
-            rec = np.einsum("k,kab->ab", g.structure[i, j].astype(complex), g.basis)
-            worst = max(worst, float(np.linalg.norm(br - rec)))
-    return worst
+    """Largest Frobenius norm of [x_i, x_j] - sum_k c[i,j,k] x_k over all pairs; NaN if any entry is NaN."""
+    rec = g.structure @ g.basis.reshape(g.dim, -1)
+    return float(np.linalg.norm(_brackets(g.basis) - rec, axis=2).max())
 
 
 def jacobi_residual(g: MatrixLieAlgebra) -> float:
-    """Largest entry of the cyclic sum of c[i,j,m] c[m,k,l] over (i, j, k).
+    """Largest entry of the cyclic sum of c[i,j,m] c[m,k,l] over (i, j, k); NaN if any entry is NaN.
 
-    Formed one i-slice at a time, so temporaries hold dim^3 entries.
+    Formed one i-slice at a time, so temporaries hold dim^3 entries; the
+    running maximum is ``np.maximum``, which keeps a NaN.
     """
     c = g.structure
     m = c.shape[0]
@@ -154,8 +162,8 @@ def jacobi_residual(g: MatrixLieAlgebra) -> float:
         t = (c[i] @ c.reshape(m, m * m)).reshape(m, m, m)
         t += (flat @ c[:, i, :]).reshape(m, m, m)
         t += (c[:, i, :] @ c.reshape(m, m * m)).reshape(m, m, m).transpose(1, 0, 2)
-        worst = max(worst, float(np.abs(t).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(t).max())
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +228,8 @@ def build_algebra(kind: str, n: int, tol: float = 1e-10) -> MatrixLieAlgebra:
     else:
         raise UnsupportedKind(f"unknown algebra kind {kind!r}")
     g = MatrixLieAlgebra(f"{kind}({n})", kind, size, basis, structure_constants(basis, tol), cartan)
-    if max(bracket_closure_residual(g), jacobi_residual(g)) > tol * 10:
-        raise ValueError("structure constant verification failed")  # pragma: no cover
+    if not (bracket_closure_residual(g) <= tol * 10 and jacobi_residual(g) <= tol * 10):
+        raise ValueError("structure constant verification failed")
     return g
 
 
@@ -230,13 +238,7 @@ def subalgebra(g: MatrixLieAlgebra, coeff_rows: np.ndarray, name: str = "sub") -
     rows = np.asarray(coeff_rows, dtype=float)
     mats = np.einsum("ri,ijk->rjk", rows.astype(complex), g.basis)
     brackets = np.einsum("ai,bik->abk", rows, np.einsum("bj,ijk->bik", rows, g.structure))
-    c = brackets @ np.linalg.pinv(rows)
-    resid = np.linalg.norm(c @ rows - brackets, axis=2)
-    leaving = np.argwhere(resid > 1e-10 * np.maximum(1.0, np.linalg.norm(brackets, axis=2)))
-    if leaving.size:
-        i, j = leaving[0]
-        raise ValueError(f"bracket [x_{i}, x_{j}] leaves the span (residual {resid[i, j]:.2e})")
-    return MatrixLieAlgebra(name, "custom", g.n, mats, c, None)
+    return MatrixLieAlgebra(name, "custom", g.n, mats, _span_coordinates(brackets, rows, 1e-10), None)
 
 
 def diagonal_element(g: MatrixLieAlgebra, entries: Sequence[float]) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""One whole pass of each in-process benchmark workload agrees with the benchmark's oracle.
+"""One whole pass of each benchmark workload agrees with the benchmark's oracle.
 
 ``benchmark/run.py`` checks every result against ``benchmark/oracle.py``;
 at ``--seconds 0`` a run makes exactly one pass.  A change to ``src/`` that
-breaks an oracle check fails here.  The run writes no bytecode, so the
-benchmark directory is only read.
+breaks an oracle check fails here.  The runs write no bytecode.  The
+in-process workloads only read the benchmark directory; the ``cli-jobs``
+pass, one fresh ``gsrep.cli`` interpreter per job, also drives
+``--cache-dir``: it writes its irrep cache under ``benchmark/out/``, which
+is gitignored, and removes it at the end of the pass.
 """
 
 import json
@@ -17,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["analyze-irreducible", "analyze-reducible", "irrep-build"])
+@pytest.mark.parametrize("workload", ["analyze-irreducible", "analyze-reducible", "irrep-build", "cli-jobs"])
 def test_one_benchmark_pass_is_correct(workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed", "1",

@@ -429,16 +429,27 @@ def test_input_outside_the_domain_is_schema_error(capsys, argv):
     ["classify", "--n", "2", "--d", "2,1", "--box", "99999999999999999999"],
     ["sweep", "--suite", "cone-coroot", "--box", "99999999999999999999"],
     ["sweep", "--suite", "classification", "--box", "99999999999999999999"],
+    # C(80, 40)^2 complex entries; enumerating the states alone runs out of memory
+    ["fock", "--modes", "40", "--cutoff", "40"],
+    ["fock", "--modes", "1", "--cutoffs", "10,1000000000"],
 ])
 def test_oversized_integers_are_schema_errors_before_allocation(capsys, monkeypatch, argv):
-    # the irreducible and the box are where the arrays would be allocated;
-    # reaching either one turns the schema error into an exit-1 error
+    # the irreducible, the box and the truncation are where the arrays would
+    # be allocated; reaching one turns the schema error into an exit-1 error
     def no_allocation(*args, **kwargs):
         raise AssertionError("an array was requested for an oversized input")
 
     monkeypatch.setattr(cli.irreps, "irrep", no_allocation)
-    monkeypatch.setattr(cli.np, "meshgrid", no_allocation)
+    monkeypatch.setattr(cli.itertools, "product", no_allocation)
+    monkeypatch.setattr(cli.heisenfock, "FockTruncation", no_allocation)
     assert_schema_error(capsys, argv)
+
+
+def test_integer_box_keeps_the_meshgrid_order():
+    for n, box in [(1, 0), (2, 2), (3, 1)]:
+        grids = np.meshgrid(*[np.arange(-box, box + 1)] * n, indexing="ij")
+        want = [tuple(int(x) for x in row) for row in np.stack([g.reshape(-1) for g in grids], axis=1)]
+        assert cli._integer_box(n, box) == want
 
 
 def test_largest_int64_weight_of_dimension_one_still_runs(capsys):
@@ -543,7 +554,11 @@ def _not_anti_hermitian(record):
     record["dpi"][0]["data"][0] = [1.0, 0.0]
 
 
-@pytest.mark.parametrize("spoil", [_untagged, _wrong_dim, _not_anti_hermitian])
+def _nan_entry(record):
+    record["dpi"][0]["data"][0] = [float("nan"), 0.0]
+
+
+@pytest.mark.parametrize("spoil", [_untagged, _wrong_dim, _not_anti_hermitian, _nan_entry])
 def test_unusable_cache_record_is_a_miss(tmp_path, spoil):
     cache = cli.IrrepCache(str(tmp_path))
     g = liealg.build_algebra("u", 2)
@@ -557,6 +572,20 @@ def test_unusable_cache_record_is_a_miss(tmp_path, spoil):
     rebuilt = cache.get_or_build(g, (2, 0))
     assert np.array_equal(rebuilt.dpi, fresh.dpi)
     assert json.loads(path.read_text())["basis"] == cli.CACHE_BASIS
+
+
+def test_nan_cache_record_is_rebuilt_with_the_cold_report(tmp_path, capsys):
+    argv = ["--cache-dir", str(tmp_path), "analyze", "--n", "2", "--d", "1,0", "--weight", "1,0"]
+    code, cold = run_main(capsys, argv)
+    assert code == 0
+    record = tmp_path / "u2_lam_1_0.json"
+    spoiled = json.loads(record.read_text())
+    _nan_entry(spoiled)
+    record.write_text(json.dumps(spoiled))
+    assert "NaN" in record.read_text()
+    code, again = run_main(capsys, argv)
+    assert code == 0 and again == cold
+    assert "NaN" not in record.read_text()
 
 
 def test_cli_import_loads_no_scipy():

@@ -326,6 +326,9 @@ def test_kernel_dimension_rejects_sector_coupling_and_wrong_shape():
     op[0, 1] = op[1, 0] = 0.5  # vacuum to a one-particle state
     with pytest.raises(NotDiagonal):
         hf.kernel_dimension(ft, op)
+    op[0, 1] = op[1, 0] = np.nan
+    with pytest.raises(NotDiagonal):
+        hf.kernel_dimension(ft, op)
     with pytest.raises(DimensionMismatch):
         hf.kernel_dimension(ft, op[1:, 1:])
 

@@ -567,6 +567,21 @@ def test_irrep_guards_raise_on_corrupted_construction(monkeypatch):
         irreps.irrep(bad, (2, 1, 0))
 
 
+def test_irrep_guard_raises_on_a_sign_dropped_molev_product(monkeypatch):
+    # -|A B| under the square root: every off-diagonal entry is NaN
+    exact_ratio = irreps._exact_ratio
+    monkeypatch.setattr(irreps, "_exact_ratio", lambda num, den: np.abs(exact_ratio(num, den)))
+    with np.errstate(invalid="ignore"), pytest.raises(DimensionOracleMismatch, match="anti-Hermitian"):
+        irreps.irrep(algebra("u", 3), (2, 1, 0))
+
+
+@pytest.mark.parametrize("residual", ["anti_hermitian_residual", "homomorphism_residual"])
+def test_representation_residuals_are_nan_on_one_nan_entry(residual):
+    dpi = cached_irrep("u", 3, (2, 1, 0)).dpi.copy()
+    dpi[4, 2, 5] = np.nan
+    assert math.isnan(getattr(Representation(algebra("u", 3), dpi), residual)())
+
+
 @pytest.mark.parametrize("kind,lam", [
     ("u", (3, -1)), ("u", (0, 0)), ("u", (2, 0, -2)), ("u", (4, 1, 0)), ("u", (2, 1, -1, -3)),
     ("u", (1, 0, 0, 0)), ("u", (2, 1, 1, 0, -1)), ("su", (2, 1, 0)), ("su", (4, 1, 0)),

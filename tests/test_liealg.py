@@ -50,6 +50,27 @@ def test_sliced_jacobi_residual_matches_full_tensor(kind, n):
     assert liealg.jacobi_residual(g) == pytest.approx(_full_tensor_jacobi(g.structure), rel=1e-12)
 
 
+@pytest.mark.parametrize("residual", [liealg.bracket_closure_residual, liealg.jacobi_residual])
+def test_structure_residuals_are_nan_on_one_nan_constant(residual):
+    g = algebra("u", 3)
+    c = g.structure.copy()
+    c[3, 4, 0] = np.nan
+    assert np.isnan(residual(liealg.MatrixLieAlgebra(g.name, g.kind, g.n, g.basis, c, g.cartan_indices)))
+
+
+def test_build_algebra_refuses_a_nan_structure_constant(monkeypatch):
+    structure_constants = liealg.structure_constants
+
+    def one_nan(basis, tol):
+        c = structure_constants(basis, tol)
+        c[1, 2, 0] = np.nan
+        return c
+
+    monkeypatch.setattr(liealg, "structure_constants", one_nan)
+    with pytest.raises(ValueError, match="verification failed"):
+        liealg.build_algebra("u", 2)
+
+
 def test_compact_bases_are_anti_hermitian():
     for kind, n in (("u", 3), ("su", 3)):
         for b in algebra(kind, n).basis:
