@@ -13,6 +13,7 @@ under --cache-dir or $GSREP_CACHE_DIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -174,20 +175,9 @@ def run(job: dict) -> dict:
         "checks": [],
         "provenance": {"package": "gsrep", "version": __version__, "seed": seed},
     }
-    if command == "analyze":
-        _run_analyze(job, report, tol)
-    elif command == "classify":
-        _run_classify(job, report, tol)
-    elif command == "cone-check":
-        _run_cone_check(job, report, tol, seed)
-    elif command == "fock":
-        _run_fock(job, report, tol, seed)
-    elif command == "dirlim":
-        _run_dirlim(job, report, tol)
-    elif command == "sweep":
-        _run_sweep(job, report, tol, seed)
-    else:
+    if not isinstance(command, str) or command not in _HANDLERS:
         raise SchemaError(f"unknown command {command!r}")
+    _HANDLERS[command](job, report, tol, seed)
     return report
 
 
@@ -235,7 +225,7 @@ def _addressable(entries: int, itemsize: int, what: str) -> None:
                           "more than one array can address")
 
 
-def _run_analyze(job: dict, report: dict, tol: float) -> None:
+def _run_analyze(job: dict, report: dict, tol: float, seed: int) -> None:
     g, d = _algebra_and_d(job)
     lam = tuple(_require(job, "weight"))
     if len(lam) != g.n:
@@ -272,7 +262,7 @@ def _run_analyze(job: dict, report: dict, tol: float) -> None:
     _check(report, "strictness", out.strict, tol, window=out.window)
 
 
-def _run_classify(job: dict, report: dict, tol: float) -> None:
+def _run_classify(job: dict, report: dict, tol: float, seed: int) -> None:
     g, d = _algebra_and_d(job)
     if g.kind != "u":
         raise SchemaError("classification sweep targets u(n)")
@@ -395,7 +385,7 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
         _check(report, "kernel-count", kernel_ok, 0.0, arithmetic="integer")
 
 
-def _run_dirlim(job: dict, report: dict, tol: float) -> None:
+def _run_dirlim(job: dict, report: dict, tol: float, seed: int) -> None:
     lam = [int(x) for x in _require(job, "lam")]
     d = [float(x) for x in _finite(_require(job, "d"), "d")]
     if not lam or len(lam) != len(d):
@@ -480,6 +470,10 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
     _check(report, f"sweep-{suite}", len(failures) == 0, tol, cases=total)
 
 
+_HANDLERS = {"analyze": _run_analyze, "classify": _run_classify, "cone-check": _run_cone_check,
+             "fock": _run_fock, "dirlim": _run_dirlim, "sweep": _run_sweep}
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -492,6 +486,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is its job key, and its type parses the value the job holds."""
+    ints = functools.partial(_parse_numbers, want_int=True)
     parser = _Parser(prog="gsrep", description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
@@ -502,32 +498,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="minimal-energy analysis of an irreducible")
     p.add_argument("--group", choices=["u", "su"], default="u")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", required=True, help="diagonal entries of the generator, comma separated")
-    p.add_argument("--weight", required=True, help="highest weight, comma separated integers")
+    p.add_argument("--d", type=_parse_numbers, required=True,
+                   help="diagonal entries of the generator, comma separated")
+    p.add_argument("--weight", type=ints, required=True, help="highest weight, comma separated integers")
 
     p = sub.add_parser("classify", help="antidominant characters vs. lowest weights")
     p.add_argument("--group", choices=["u"], default="u")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", required=True)
+    p.add_argument("--d", type=_parse_numbers, required=True)
     p.add_argument("--box", type=int, default=3)
 
     p = sub.add_parser("cone-check", help="cone positivity of a torus character")
-    p.add_argument("--su12", action="store_true", help="use the rank-two integer predicates")
+    p.add_argument("--su12", action="store_true", default=None, help="use the rank-two integer predicates")
     p.add_argument("--group", choices=["u", "su"], default="u")
     p.add_argument("--n", type=int)
-    p.add_argument("--d")
-    p.add_argument("--weight", required=True)
+    p.add_argument("--d", type=_parse_numbers)
+    p.add_argument("--weight", type=ints, required=True)
 
     p = sub.add_parser("fock", help="truncated Weyl/second-quantization residual tables")
     p.add_argument("--modes", type=int, default=1)
     p.add_argument("--cutoff", type=int, default=40)
-    p.add_argument("--cutoffs", default=None, help="comma separated list of cutoffs")
+    p.add_argument("--cutoffs", type=ints, default=None, help="comma separated list of cutoffs")
     p.add_argument("--sector", type=int, default=None)
     p.add_argument("--zero-modes", type=int, default=0)
 
     p = sub.add_parser("dirlim", help="weight-cone membership at a finite level")
-    p.add_argument("--lam", required=True)
-    p.add_argument("--d", required=True)
+    p.add_argument("--lam", type=ints, required=True)
+    p.add_argument("--d", type=_parse_numbers, required=True)
 
     p = sub.add_parser("sweep", help="run a property suite")
     p.add_argument("--suite", required=True,
@@ -539,32 +536,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args: argparse.Namespace) -> dict:
-    job = {"command": args.command, "tol": args.tol, "seed": args.seed}
-    if args.cache_dir:
-        job["cache_dir"] = args.cache_dir
-    if args.command == "analyze":
-        job.update(group=args.group, n=args.n, d=_parse_numbers(args.d),
-                   weight=_parse_numbers(args.weight, want_int=True))
-    elif args.command == "classify":
-        job.update(group=args.group, n=args.n, d=_parse_numbers(args.d), box=args.box)
-    elif args.command == "cone-check":
-        job.update(weight=_parse_numbers(args.weight, want_int=True))
-        if args.su12:
-            job["su12"] = True
-        else:
-            if args.n is None or args.d is None:
-                raise SchemaError("cone-check needs --n and --d unless --su12 is set")
-            job.update(group=args.group, n=args.n, d=_parse_numbers(args.d))
-    elif args.command == "fock":
-        job.update(modes=args.modes, cutoff=args.cutoff, zero_modes=args.zero_modes)
-        if args.cutoffs:
-            job["cutoffs"] = _parse_numbers(args.cutoffs, want_int=True)
-        if args.sector is not None:
-            job["sector"] = args.sector
-    elif args.command == "dirlim":
-        job.update(lam=_parse_numbers(args.lam, want_int=True), d=_parse_numbers(args.d))
-    elif args.command == "sweep":
-        job.update(suite=args.suite, box=args.box, cases=args.cases)
+    """The parsed options less unset ones, --output, and an empty --cache-dir or --cutoffs."""
+    job = {key: value for key, value in vars(args).items() if value is not None and key != "output"
+           and (value or key not in ("cache_dir", "cutoffs"))}
+    if job.get("su12"):
+        return {key: value for key, value in job.items() if key not in ("group", "n", "d")}
+    if job["command"] == "cone-check" and ("n" not in job or "d" not in job):
+        raise SchemaError("cone-check needs --n and --d unless --su12 is set")
     return job
 
 

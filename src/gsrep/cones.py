@@ -97,9 +97,11 @@ def _first_outside_psd(rep0: Representation, xs: np.ndarray, outside: np.ndarray
 
     ``xs, outside`` are as :func:`_local_rows` gives them.  In row order, the
     first row outside the subalgebra raises ValueError and the first
-    non-Hermitian operator NotHermitian.  An empty stack returns None.  The
-    lowest eigenvalues of an exactly diagonal stack (every stack on a line)
-    are read off its real diagonal, of any other from one ``eigvalsh``.
+    non-Hermitian operator NotHermitian, on either path for a NaN or
+    infinite input.  An empty stack returns None.  The lowest eigenvalues
+    of an exactly diagonal stack (every stack on a line) are read off its
+    real diagonal, of any other from one ``eigvalsh``, which sees zero in
+    place of a non-Hermitian operator.
     """
     if xs.shape[1:] != (rep0.algebra.dim,):
         raise DimensionMismatch(f"expected {rep0.algebra.dim} coefficients")
@@ -108,23 +110,29 @@ def _first_outside_psd(rep0: Representation, xs: np.ndarray, outside: np.ndarray
     ops = -1j * np.einsum("gi,ijk->gjk", xs, rep0.dpi)
     adj = ops.conj().transpose(0, 2, 1)
     norms = _frobenius(ops)
+    # -1j * inf has a NaN part, so a non-finite input leaves NaN in ops, and
+    # these NaN-safe tests fail a NaN deviation or eigenvalue
+    hermitian = _frobenius(ops - adj) <= 1e-7 * np.maximum(norms, 1.0)
     diag = np.diagonal(ops, axis1=1, axis2=2)
     try:
         if np.count_nonzero(ops) == np.count_nonzero(diag):
             lowest = diag.real.min(axis=1)
         else:
-            lowest = np.linalg.eigvalsh((ops + adj) / 2.0)[:, 0]
+            herm = (ops + adj) / 2.0
+            if not hermitian.all():
+                herm[~hermitian] = 0.0
+            lowest = np.linalg.eigvalsh(herm)[:, 0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
-    nonherm = _frobenius(ops - adj) > 1e-7 * np.maximum(norms, 1.0)
-    failing = np.flatnonzero(outside | nonherm | (lowest < -tol * (1.0 + norms)))
+    failing = np.flatnonzero(outside | ~(hermitian & (lowest >= -tol * (1.0 + norms))))
     if failing.size == 0:
         return None
     k = int(failing[0])
     if outside[k]:
         raise ValueError("element does not lie in the represented subalgebra")
-    if nonherm[k]:
-        raise NotHermitian(f"deviation {np.linalg.norm(ops[k] - adj[k]):.3e} exceeds tolerance")
+    if not hermitian[k]:
+        raise NotHermitian(f"deviation {np.linalg.norm(ops[k] - adj[k]):.3e} of an operator of norm "
+                           f"{norms[k]:.3e} exceeds tolerance")
     return k
 
 

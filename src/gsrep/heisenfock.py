@@ -24,6 +24,7 @@ frequency w >= 0 is w * [[0, 1], [-1, 0]], which makes sigma(Dv, v) >= 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,20 +129,19 @@ class FockTruncation:
 
 
 def _occupation_table(k: int, n: int) -> np.ndarray:
+    """Occupations of k modes with total at most n, by total and then lexicographically.
+
+    Those of total s are the stars-and-bars compositions: k - 1 bars among
+    s + k - 1 slots, whose combinations come in lexicographic order.
+    """
     if k == 0:
         return np.zeros((1, 0), dtype=int)
-    rows: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 0:
-            rows.append(prefix)
-            return
-        for c in range(remaining + 1):
-            rec(prefix + (c,), remaining - c, slots - 1)
-
-    rec((), n, k)
-    rows.sort(key=lambda t: (sum(t), t))
-    return np.array(rows, dtype=int)
+    blocks = []
+    for s in range(n + 1):
+        bars = itertools.chain.from_iterable(itertools.combinations(range(s + k - 1), k - 1))
+        bars = np.fromiter(bars, dtype=int).reshape(math.comb(s + k - 1, k - 1), k - 1)
+        blocks.append(np.diff(bars, axis=1, prepend=-1, append=s + k - 1) - 1)
+    return np.concatenate(blocks)
 
 
 def _check_sector(ft: FockTruncation, sector: int) -> None:

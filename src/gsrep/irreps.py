@@ -23,7 +23,7 @@ from .errors import (
     NotDominant,
     NotIrreducible,
 )
-from .liealg import (MatrixLieAlgebra, RootDatum, _root_vector_coeffs, build_algebra,
+from .liealg import (MatrixLieAlgebra, RootDatum, _root_vector_coeffs, _span_coordinates, build_algebra,
                      diagonal_element, root_datum, subalgebra)
 from .matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _null_rows, cluster_values, commutant_basis,
                       isotypic_split)
@@ -561,6 +561,12 @@ def centralizer_blocks(rd: RootDatum) -> list[list[int]]:
     return blocks
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of matching matrices of two stacks of square matrices, a stack of one broadcast."""
+    p, q = a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, p * q, p * q)
+
+
 def centralizer_irrep(g: MatrixLieAlgebra, dvec: Sequence[float],
                       block_weights: Sequence[Sequence[int]]) -> Representation:
     """Irreducible representation of the block centralizer of a diagonal element.
@@ -577,28 +583,19 @@ def centralizer_irrep(g: MatrixLieAlgebra, dvec: Sequence[float],
     blocks = centralizer_blocks(root_datum(g, diagonal_element(g, dvec)))
     if len(block_weights) != len(blocks):
         raise DimensionMismatch(f"expected {len(blocks)} block weights")
-    block_reps = []
-    embed_rows = []
-    for block, bw in zip(blocks, block_weights):
-        nb = len(block)
-        gb = build_algebra("u", nb)
-        block_reps.append(irrep(gb, bw))
-        # embed each u(nb) basis element into g's coefficient coordinates
-        for local in np.eye(gb.dim):
-            mat_local = gb.matrix(local)
-            mat = np.zeros((g.n, g.n), dtype=complex)
-            mat[np.ix_(block, block)] = mat_local
-            embed_rows.append(np.real_if_close(g.coeffs_of(mat)))
-    dpi_rows = []
-    for b, rep_b in enumerate(block_reps):
-        for i in range(rep_b.algebra.dim):
-            op = np.eye(1, dtype=complex)
-            for c, rep_c in enumerate(block_reps):
-                factor = rep_c.dpi[i] if c == b else np.eye(rep_c.dim, dtype=complex)
-                op = np.kron(op, factor)
-            dpi_rows.append(op)
-    embed = np.stack(embed_rows).astype(float)
+    block_reps = [irrep(build_algebra("u", len(block)), bw) for block, bw in zip(blocks, block_weights)]
+    # each u(n_b) basis element in g's coefficient coordinates, all from one solve
+    mats = np.zeros((sum(rep.algebra.dim for rep in block_reps), g.n, g.n), dtype=complex)
+    start = 0
+    for block, rep in zip(blocks, block_reps):
+        mats[start:start + rep.algebra.dim, np.asarray(block)[:, None], block] = rep.algebra.basis
+        start += rep.algebra.dim
+    embed = _span_coordinates(mats.reshape(len(mats), -1), g.basis.reshape(g.dim, -1), 1e-8).real
+    # block b's generators act as I ⊗ dpi_b ⊗ I on the outer tensor product
+    dims = [rep.dim for rep in block_reps]
+    dpi = np.concatenate([_kron(_kron(np.eye(math.prod(dims[:b]), dtype=complex)[None], rep.dpi),
+                                np.eye(math.prod(dims[b + 1:]), dtype=complex)[None])
+                          for b, rep in enumerate(block_reps)])
     sub_alg = subalgebra(g, embed, name=f"z_{g.name}")
-    dpi = np.stack(dpi_rows)
     label = tuple(tuple(int(x) for x in bw) for bw in block_weights)
     return Representation(sub_alg, dpi, label=label, ambient_coeffs=embed)

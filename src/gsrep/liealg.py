@@ -26,7 +26,7 @@ from .errors import (
     NotDiagonal,
     UnsupportedKind,
 )
-from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, eig_hermitian, vec
+from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, eig_hermitian
 
 Interval = tuple[float, float]
 
@@ -62,15 +62,6 @@ class MatrixLieAlgebra:
         if coeffs.shape != (self.dim,):
             raise DimensionMismatch(f"coefficient vector must have length {self.dim}")
         return np.einsum("i,ijk->jk", coeffs.astype(complex), self.basis)
-
-    def coeffs_of(self, mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        """Coefficients of a matrix lying in the (complex) span of the basis."""
-        flat = self.basis.reshape(self.dim, -1).T  # (n*n, dim)
-        sol, *_ = np.linalg.lstsq(flat, vec(mat), rcond=None)
-        resid = np.linalg.norm(flat @ sol - vec(mat))
-        if resid > tol * max(1.0, np.linalg.norm(mat)):
-            raise ValueError("matrix does not lie in the span of the algebra basis")
-        return sol
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """[u, v] in coefficients (complex-bilinear over the real structure)."""
@@ -110,18 +101,19 @@ def _brackets(basis: np.ndarray) -> np.ndarray:
     return (prod - prod.swapaxes(0, 1)).reshape(len(basis), len(basis), -1)
 
 
-def _span_coordinates(brackets: np.ndarray, span: np.ndarray, tol: float) -> np.ndarray:
-    """Coordinates c with c @ span = brackets, for (m, m, N) brackets and (k, N) rows ``span``.
+def _span_coordinates(targets: np.ndarray, span: np.ndarray, tol: float) -> np.ndarray:
+    """Coordinates c with c @ span = targets, for (..., N) targets and (k, N) rows ``span``.
 
-    One pseudo-inverse solves every pair.  A pair whose residual is not at
-    most ``tol * max(1, |bracket|)``, NaN included, leaves the span and raises.
+    One pseudo-inverse solves every target: the (m, m, N) brackets of a
+    basis, or rows of matrices to embed.  A target whose residual is not at
+    most ``tol * max(1, |target|)``, NaN included, leaves the span and raises.
     """
-    c = brackets @ np.linalg.pinv(span)
-    resid = np.linalg.norm(c @ span - brackets, axis=2)
-    leaving = np.argwhere(~(resid <= tol * np.maximum(1.0, np.linalg.norm(brackets, axis=2))))
+    c = targets @ np.linalg.pinv(span)
+    resid = np.linalg.norm(c @ span - targets, axis=-1)
+    leaving = np.argwhere(~(resid <= tol * np.maximum(1.0, np.linalg.norm(targets, axis=-1))))
     if leaving.size:
-        i, j = leaving[0]
-        raise ValueError(f"bracket [x_{i}, x_{j}] leaves the span (residual {resid[i, j]:.2e})")
+        at = tuple(int(x) for x in leaving[0])
+        raise ValueError(f"the target at index {at} leaves the span (residual {resid[at]:.2e})")
     return c
 
 

@@ -25,6 +25,7 @@ the constraints small.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -129,7 +130,8 @@ def eig_frame(H: np.ndarray, tol: float = DEFAULT_TOL):
 
     Raises
     ------
-    NotHermitian : if the input fails the Hermiticity precondition.
+    NotHermitian : if the input fails the Hermiticity precondition or is
+        not finite, on either path.
     ConvergenceFailure : if the underlying solver does not converge.
     """
     H = np.asarray(H, dtype=complex)
@@ -137,12 +139,17 @@ def eig_frame(H: np.ndarray, tol: float = DEFAULT_TOL):
     diag = H.diagonal()
     diagonal = np.count_nonzero(H) == np.count_nonzero(diag)
     dev = 2.0 * np.linalg.norm(diag.imag) if diagonal else np.linalg.norm(H - H.conj().T)
-    # dev > tol * max(||H||, 1), with the norm taken only past tol
-    if dev > tol and dev > tol * np.linalg.norm(diag if diagonal else H):
+    # dev <= tol * max(||H||, 1), with the norm taken only past tol.  A NaN or
+    # infinite H makes dev NaN or infinite, which fails, save a diagonal H
+    # with a non-finite real part: that sorts to one end of w.
+    if not (dev <= tol or (math.isfinite(dev) and dev <= tol * np.linalg.norm(diag if diagonal else H))):
         raise NotHermitian(f"deviation {dev:.3e} exceeds tolerance")
     if diagonal:
         order = np.argsort(diag.real, kind="stable")
-        return diag.real[order], np.eye(len(order), dtype=complex).take(order, axis=1), order
+        w = diag.real[order]
+        if len(w) and not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+            raise NotHermitian("a diagonal entry is not finite")
+        return w, np.eye(len(order), dtype=complex).take(order, axis=1), order
     try:
         w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

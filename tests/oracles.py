@@ -8,6 +8,9 @@
 ``dirlim``) and ``total_number`` and ``rotation_generator`` (from
 ``heisenfock``) are kept here verbatim, methods as functions of their
 object; ``pattern_weights`` moved here verbatim from tests/test_irreps.py.
+``occupation_table`` is the recursive enumeration of Fock occupations that
+``heisenfock._occupation_table`` replaced, kept as the reference order, and
+``centralizer_reference`` the per-row construction of ``centralizer_irrep``.
 ``analyze`` decides strictness as an equality of commutant dimensions;
 ``is_strict`` compares the compressed algebra with the one the
 fixed-point action generates, and so checks that decision independently.
@@ -203,6 +206,47 @@ def level_cone_generators(spec: DirectLimitSpec) -> ConeDescription:
 
 def total_number(ft: FockTruncation) -> np.ndarray:
     return np.diag(ft.occupations.sum(axis=1).astype(float)).astype(complex)
+
+
+def occupation_table(k: int, n: int) -> np.ndarray:
+    """The recursive enumeration that ``heisenfock._occupation_table`` replaced, one call per mode."""
+    if k == 0:
+        return np.zeros((1, 0), dtype=int)
+    rows: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
+        if slots == 0:
+            rows.append(prefix)
+            return
+        for c in range(remaining + 1):
+            rec(prefix + (c,), remaining - c, slots - 1)
+
+    rec((), n, k)
+    rows.sort(key=lambda t: (sum(t), t))
+    return np.array(rows, dtype=int)
+
+
+def centralizer_reference(g: MatrixLieAlgebra, blocks, block_reps) -> tuple[np.ndarray, np.ndarray]:
+    """The embedding rows and dpi ``irreps.centralizer_irrep`` built before its batched form.
+
+    One ``lstsq`` solve per block basis element (the former
+    ``MatrixLieAlgebra.coeffs_of``), and each generator by chained ``np.kron``.
+    """
+    flat = g.basis.reshape(g.dim, -1).T
+    embed_rows = []
+    for block, rep_b in zip(blocks, block_reps):
+        for mat_local in rep_b.algebra.basis:
+            mat = np.zeros((g.n, g.n), dtype=complex)
+            mat[np.ix_(block, block)] = mat_local
+            embed_rows.append(np.linalg.lstsq(flat, mat.reshape(-1), rcond=None)[0].real)
+    dpi_rows = []
+    for b, rep_b in enumerate(block_reps):
+        for i in range(rep_b.algebra.dim):
+            op = np.eye(1, dtype=complex)
+            for c, rep_c in enumerate(block_reps):
+                op = np.kron(op, rep_c.dpi[i] if c == b else np.eye(rep_c.dim, dtype=complex))
+            dpi_rows.append(op)
+    return np.stack(embed_rows), np.stack(dpi_rows)
 
 
 def rotation_generator(setup: SymplecticSetup) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,11 @@ def test_schema_error_is_one_line_json(capsys):
     # global options go before the subcommand
     (["analyze", "--n", "2", "--d", "1,0", "--weight", "1,0", "--tol", "0"],
      "gsrep: unrecognized arguments: --tol 0"),
+    # a list is parsed as argparse reads it: the first malformed one in argv
+    # order is named, and before a missing option
+    (["analyze", "--n", "2", "--weight", "y", "--d", "x"], "could not parse number list 'y'"),
+    (["analyze", "--n", "2", "--d", "x", "--weight", "y"], "could not parse number list 'x'"),
+    (["analyze", "--n", "2", "--d", "x"], "could not parse number list 'x'"),
 ])
 def test_argument_errors_are_one_line_json_schema_errors(capsys, argv, message):
     assert message in assert_schema_error(capsys, argv)
@@ -596,3 +602,83 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+TMP = "<tmp>"  # replaced by the test's own directory
+BASE = {"tol": 1e-8, "seed": 0}
+
+
+@pytest.mark.parametrize("argv,env,job", [
+    (["analyze", "--n", "3", "--d", "1,0,0", "--weight", "2,1,0"], None,
+     {"command": "analyze", "group": "u", "n": 3, "d": [1.0, 0.0, 0.0], "weight": [2, 1, 0]}),
+    (["--tol", "1e-6", "classify", "--n", "2", "--d", "2,1", "--box", "2"], None,
+     {"command": "classify", "tol": 1e-6, "group": "u", "n": 2, "d": [2.0, 1.0], "box": 2}),
+    (["--seed", "3", "cone-check", "--group", "su", "--n", "3", "--d", "1,0,-1", "--weight", "1,0"], None,
+     {"command": "cone-check", "seed": 3, "group": "su", "n": 3, "d": [1.0, 0.0, -1.0], "weight": [1, 0]}),
+    (["cone-check", "--su12", "--weight", "0,1,0"], None,
+     {"command": "cone-check", "su12": True, "weight": [0, 1, 0]}),
+    (["cone-check", "--su12", "--group", "su", "--n", "3", "--d", "2,1,0", "--weight", "0,1,0"], None,
+     {"command": "cone-check", "su12": True, "weight": [0, 1, 0]}),
+    (["fock", "--modes", "2", "--cutoff", "6", "--zero-modes", "1"], None,
+     {"command": "fock", "modes": 2, "cutoff": 6, "zero_modes": 1}),
+    (["fock", "--cutoffs", "4,8"], None,
+     {"command": "fock", "modes": 1, "cutoff": 40, "cutoffs": [4, 8], "zero_modes": 0}),
+    (["fock", "--cutoff", "12", "--cutoffs", ""], None,
+     {"command": "fock", "modes": 1, "cutoff": 12, "zero_modes": 0}),
+    (["fock", "--cutoff", "12", "--sector", "3"], None,
+     {"command": "fock", "modes": 1, "cutoff": 12, "sector": 3, "zero_modes": 0}),
+    (["dirlim", "--lam", "[0, 1, 2]", "--d", "3,2,1"], None,
+     {"command": "dirlim", "lam": [0, 1, 2], "d": [3.0, 2.0, 1.0]}),
+    (["sweep", "--suite", "level-consistency", "--cases", "20"], None,
+     {"command": "sweep", "suite": "level-consistency", "box": 2, "cases": 20}),
+    (["--cache-dir", TMP, "analyze", "--n", "2", "--d", "1,0", "--weight", "1,0"], None,
+     {"command": "analyze", "cache_dir": TMP, "group": "u", "n": 2, "d": [1.0, 0.0], "weight": [1, 0]}),
+    (["analyze", "--n", "2", "--d", "1,0", "--weight", "1,0"], TMP,
+     {"command": "analyze", "cache_dir": TMP, "group": "u", "n": 2, "d": [1.0, 0.0], "weight": [1, 0]}),
+    (["--cache-dir", "", "analyze", "--n", "2", "--d", "1,0", "--weight", "1,0"], TMP,
+     {"command": "analyze", "group": "u", "n": 2, "d": [1.0, 0.0], "weight": [1, 0]}),
+    (["--output", f"{TMP}/report.json", "dirlim", "--lam", "1,1", "--d", "1,0"], None,
+     {"command": "dirlim", "lam": [1, 1], "d": [1.0, 0.0]}),
+], ids=["analyze", "classify", "cone-check", "su12", "su12-n-d", "fock", "fock-cutoffs", "fock-empty-cutoffs",
+        "fock-sector", "dirlim", "sweep", "cache-dir", "cache-env", "empty-cache-dir", "output"])
+def test_argv_parses_into_the_job_dict_that_run_takes(tmp_path, capsys, monkeypatch, argv, env, job):
+    def fill(value):
+        return value.replace(TMP, str(tmp_path)) if isinstance(value, str) else value
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    if env is not None:
+        monkeypatch.setenv(cli.CACHE_ENV, fill(env))
+    want = cli.render_report(cli.run({**BASE, **{key: fill(value) for key, value in job.items()}}))
+    assert cli.main([fill(arg) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    if "--output" in argv:
+        assert not out
+        out = (tmp_path / "report.json").read_text()
+    assert out == want
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("gsrep ")]
+
+
+def test_readme_lists_the_command_line_examples():
+    assert len(readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_exits_0_with_strict_json(capsys, monkeypatch, argv):
+    def reject(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    json.loads(out, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["bogus", ["analyze"], None])
+def test_run_refuses_a_command_with_no_handler(command):
+    with pytest.raises(SchemaError, match="unknown command|missing required field"):
+        cli.run({"command": command})

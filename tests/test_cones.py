@@ -519,3 +519,47 @@ def test_su12_unitarizable_implies_cone():
     for lam in itertools.product(range(-3, 4), repeat=3):
         if cones.su12_hw_unitarizable(lam):
             assert cones.su12_cone_condition(lam)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # arithmetic on an infinity
+@pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_pi0_raises_not_hermitian_on_both_paths(lapack_calls, cells, value):
+    # pi0 of u(3) (2,1,0) at d = (1, 1, 0): a NaN in each image used to read as PSD
+    g, d, dd = split("u", 3, [1, 1, 0])
+    pi0 = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), d).pi0
+    assert cones.check_cone_positivity(g, dd, pi0).verdict
+    dpi = pi0.dpi.copy()
+    for cell in cells:
+        dpi[(slice(None), *cell)] = value
+    bad = irreps.Representation(pi0.algebra, dpi, ambient_coeffs=pi0.ambient_coeffs)
+    lapack_calls.update(eigvalsh=0)
+    with pytest.raises(NotHermitian):
+        cones.check_cone_positivity(g, dd, bad)
+    assert lapack_calls["eigvalsh"] == 1  # the stack is not diagonal
+    if all(i == j for i, j in cells):
+        # the diagonal read: a torus image of pi0 alone
+        rows = liealg.diagonal_element(g, [0, 0, 1])[None]
+        lapack_calls.update(eigvalsh=0)
+        with pytest.raises(NotHermitian):
+            cones._first_outside_psd(bad, *cones._local_rows(bad, rows), cones.PSD_TOL)
+        assert lapack_calls["eigvalsh"] == 0
+
+
+def test_a_non_finite_operator_never_reaches_eigvalsh(monkeypatch):
+    # rows are still decided in order, and LAPACK sees zero in place of a NaN operator
+    real = np.linalg.eigvalsh
+
+    def finite_only(a):
+        assert np.isfinite(a).all(), "eigvalsh was given a non-finite operator"
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    rep = cached_irrep("u", 2, (1, 0))
+    # -i dpi of the basis rows 0, 1, 2 and 3 is E_00, E_11 and two indefinite operators
+    xs = np.eye(4, dtype=complex)
+    nan_row = np.full(4, np.nan, dtype=complex)
+    inside = np.zeros(3, dtype=bool)
+    with pytest.raises(NotHermitian):
+        cones._first_outside_psd(rep, np.stack([xs[0], nan_row, xs[2]]), inside, cones.PSD_TOL)
+    assert cones._first_outside_psd(rep, np.stack([xs[0], xs[2], nan_row]), inside, cones.PSD_TOL) == 1

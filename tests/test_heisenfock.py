@@ -10,7 +10,7 @@ from gsrep.errors import (ConvergenceFailure, DimensionMismatch, NotDiagonal, No
                           SectorOutOfRange, SplitInvalid)
 
 from conftest import algebra, rng
-from oracles import rotation_generator, total_number
+from oracles import occupation_table, rotation_generator, total_number
 
 
 def character_pair_rep(a=(0.3, -0.5), b=(1.0, 0.25)):
@@ -28,6 +28,20 @@ def test_truncation_dimension_and_index():
     for i, occ in enumerate(ft.occupations):
         assert ft.index[tuple(occ)] == i
     assert ft.occupations.sum(axis=1).max() == 4
+
+
+def test_occupation_table_keeps_the_order_of_the_recursive_enumeration():
+    for k in range(7):
+        for n in range(9):
+            got = hf._occupation_table(k, n)
+            assert got.dtype == occupation_table(k, n).dtype
+            assert np.array_equal(got, occupation_table(k, n)), (k, n)
+
+
+def test_occupation_table_of_many_modes_needs_no_recursion():
+    # the recursive enumeration passed Python's recursion limit near 1,000 modes
+    got = hf._occupation_table(1100, 1)
+    assert np.array_equal(got, np.vstack([np.zeros((1, 1100), dtype=int), np.eye(1100, dtype=int)[::-1]]))
 
 
 def test_zero_mode_truncation():

@@ -11,7 +11,7 @@ from gsrep.irreps import Representation
 from gsrep.matcore import numerical_rank
 
 from conftest import algebra, cached_irrep, dominant_box, rng, su_dominant_box
-from oracles import is_star_closed, pattern_weights, tensor_product
+from oracles import centralizer_reference, is_star_closed, pattern_weights, tensor_product
 from test_groundstate import heis_commuting_family
 
 
@@ -298,6 +298,22 @@ def test_centralizer_irrep_matches_compression():
     assert not outside
     op = pi0.operator(local)
     assert np.allclose(sorted(np.linalg.eigvalsh(-1j * op)), [-1, 1])
+
+
+@pytest.mark.parametrize("n,dvec,block_weights", [
+    (3, [1, 0, 0], [(0,), (1, 0)]), (3, [1, 0, 0], [(1,), (0, 0)]), (3, [1, 1, 0], [(1, 0), (2,)]),
+    (3, [2, 1, 0], [(1,), (0,), (-1,)]), (4, [2, 1, 1, 0], [(1,), (1, 0), (0,)]),
+    (4, [1, 1, 0, -1], [(2, 0), (1,), (0,)]), (4, [3, 2, 1, 0], [(1,), (0,), (-2,), (0,)]),
+])
+def test_centralizer_irrep_matches_the_per_row_construction(n, dvec, block_weights):
+    # dpi bit for bit, signed zeros included; the embedding to the solvers' roundoff
+    g = algebra("u", n)
+    rep = irreps.centralizer_irrep(g, dvec, block_weights)
+    blocks = irreps.centralizer_blocks(liealg.root_datum(g, liealg.diagonal_element(g, dvec)))
+    block_reps = [irreps.irrep(algebra("u", len(b)), bw) for b, bw in zip(blocks, block_weights)]
+    embed, dpi = centralizer_reference(g, blocks, block_reps)
+    assert rep.dpi.shape == dpi.shape and rep.dpi.tobytes() == dpi.tobytes()
+    assert np.abs(rep.ambient_coeffs - embed).max() <= 1e-14
 
 
 def _equivalent(a: Representation, b: Representation, tol: float) -> bool:

@@ -343,3 +343,18 @@ def test_numerical_rank_threshold_is_relative_above_one():
     assert matcore.numerical_rank(np.array([]), 1e-9) == 0
     assert matcore.numerical_rank(np.array([1e3, 2e-6, 5e-7]), 1e-9) == 2
     assert matcore.numerical_rank(np.array([0.5, 2e-9, 5e-10]), 1e-9) == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf on the eigh path
+@pytest.mark.parametrize("cell,value", [((0, 0), np.nan), ((0, 0), 1j * np.nan), ((1, 1), np.inf),
+                                        ((2, 2), -np.inf), ((1, 1), complex(2.0, np.inf)),
+                                        ((0, 1), np.nan), ((0, 2), np.inf)])
+def test_eig_frame_of_a_non_finite_matrix_raises_not_hermitian_on_both_paths(lapack_calls, cell, value):
+    # a NaN fails no `>` test: it must not pass the Hermiticity test, sort into w, or reach LAPACK
+    for off_diagonal in (0.0, 0.5):  # the diagonal read, then the eigh path
+        H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        H[1, 2] = H[2, 1] = off_diagonal
+        H[cell] = value
+        with pytest.raises(NotHermitian):
+            matcore.eig_frame(H, 1e-8)
+    assert lapack_calls["eigh"] == 0
