@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import re
 import sys
@@ -135,16 +136,40 @@ class IrrepCache:
 # job execution
 
 
+# job keys that hold an integer, and those that hold a list of integers
+_INTEGER_KEYS = ("n", "box", "modes", "cutoff", "sector", "zero_modes", "cases", "seed")
+_INTEGER_LIST_KEYS = ("weight", "lam", "cutoffs")
+
+
+def _is_number(x, want_int: bool = False) -> bool:
+    """Is ``x`` a number (an integer if ``want_int``) and not a bool?"""
+    return isinstance(x, numbers.Integral if want_int else numbers.Real) and not isinstance(x, bool)
+
+
 def _parse_numbers(text: str, want_int: bool = False):
-    """Accept both comma-separated values and JSON arrays."""
+    """Accept both comma-separated values and JSON arrays of JSON numbers, integers if ``want_int``."""
     try:
         if text.strip().startswith("["):
             values = json.loads(text)
+            if not (isinstance(values, list) and all(_is_number(x, want_int) for x in values)):
+                raise ValueError
         else:
             values = [p for p in text.replace(" ", "").split(",") if p]
         return [int(p) if want_int else float(p) for p in values]
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"could not parse number list {text!r}") from exc
+
+
+def _check_integer_keys(job: dict) -> None:
+    """Hold every integer job key to integers, never bools, so that argv and job dicts agree."""
+    for key in _INTEGER_KEYS + _INTEGER_LIST_KEYS:
+        value = job.get(key)
+        if key in _INTEGER_KEYS:
+            ok = _is_number(value, want_int=True)
+        else:
+            ok = isinstance(value, (list, tuple)) and all(_is_number(x, want_int=True) for x in value)
+        if value is not None and not ok:
+            raise SchemaError(f"{key} must be {'an integer' if key in _INTEGER_KEYS else 'a list of integers'}")
 
 
 def _require(job: dict, key: str):
@@ -165,7 +190,8 @@ def run(job: dict) -> dict:
     tol = float(job.get("tol", 1e-8))
     if not (math.isfinite(tol) and tol > 0):
         raise SchemaError("tolerance must be positive and finite")
-    seed = int(job.get("seed", 0))
+    _check_integer_keys(job)
+    seed = job.get("seed", 0)
     if seed < 0:
         raise SchemaError(f"seed must be a non-negative integer, got {seed}")
     report = {
@@ -182,10 +208,9 @@ def run(job: dict) -> dict:
 
 
 def _finite(values, key: str) -> np.ndarray:
-    try:
-        out = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{key} must be a list of numbers") from exc
+    if not (isinstance(values, (list, tuple)) and all(_is_number(x) for x in values)):
+        raise SchemaError(f"{key} must be a list of numbers")
+    out = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(out)):
         raise SchemaError(f"{key} must be finite")
     return out
@@ -195,7 +220,7 @@ def _algebra_and_d(job: dict):
     kind = job.get("group", "u")
     if kind not in ("u", "su"):
         raise SchemaError("group must be 'u' or 'su'")
-    n = int(_require(job, "n"))
+    n = _require(job, "n")
     least = 1 if kind == "u" else 2
     if n < least:
         raise SchemaError(f"{kind}(n) requires n >= {least}")
@@ -266,7 +291,7 @@ def _run_classify(job: dict, report: dict, tol: float, seed: int) -> None:
     g, d = _algebra_and_d(job)
     if g.kind != "u":
         raise SchemaError("classification sweep targets u(n)")
-    box = int(job.get("box", 3))
+    box = job.get("box", 3)
     if box < 0:
         raise SchemaError("box must be non-negative")
     rd = liealg.root_datum(g, d)
@@ -324,18 +349,18 @@ def _run_cone_check(job: dict, report: dict, tol: float, seed: int) -> None:
 
 
 def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
-    modes = int(job.get("modes", 1))
-    cutoffs = job.get("cutoffs") or [int(job.get("cutoff", 40))]
-    zero_modes = int(job.get("zero_modes", 0))
+    modes = job.get("modes", 1)
+    cutoffs = job.get("cutoffs") or [job.get("cutoff", 40)]
+    zero_modes = job.get("zero_modes", 0)
     if modes < 1:
         raise SchemaError("modes must be at least 1")
-    if min(int(c) for c in cutoffs) < 0:
+    if min(cutoffs) < 0:
         raise SchemaError("cutoffs must be non-negative")
     if not 0 <= zero_modes <= modes:
         raise SchemaError(f"zero modes must lie in [0, {modes}]")
     # the truncation at the top cutoff has C(top + modes, modes) states; that
     # count is at least 2^min(top, modes), so past 64 it is not formed in full
-    top = max(int(c) for c in cutoffs)
+    top = max(cutoffs)
     states = math.comb(top + modes, min(top, modes, 64))
     _addressable(states * states, 16, f"a dense operator of {modes} modes at cutoff {top}")
     rng = np.random.default_rng(seed)
@@ -347,9 +372,9 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
     pairs = [(v / max(1.0, np.linalg.norm(v)), w / max(1.0, np.linalg.norm(w))) for v, w in pairs]
     residuals = {}
     vacuum_err = {}
-    for cutoff in sorted(int(c) for c in cutoffs):
+    for cutoff in sorted(cutoffs):
         ft = heisenfock.FockTruncation(modes, cutoff)
-        sector = int(job.get("sector", cutoff // 2))
+        sector = job.get("sector", cutoff // 2)
         if not 0 <= sector <= cutoff:
             raise SchemaError(f"sector {sector} is outside [0, {cutoff}]")
         worst = 0.0
@@ -386,7 +411,7 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
 
 
 def _run_dirlim(job: dict, report: dict, tol: float, seed: int) -> None:
-    lam = [int(x) for x in _require(job, "lam")]
+    lam = list(_require(job, "lam"))
     d = [float(x) for x in _finite(_require(job, "d"), "d")]
     if not lam or len(lam) != len(d):
         raise SchemaError(f"lam and d must have the same positive length, got {len(lam)} and {len(d)}")
@@ -411,12 +436,12 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
     total = 0
     if suite == "classification":
         sub = run({"command": "classify", "group": "u", "n": 2, "d": [2.0, 1.0],
-                   "box": int(job.get("box", 2)), "tol": tol})
+                   "box": job.get("box", 2), "tol": tol})
         total = 1
         if not sub["verdicts"]["match"]:
             failures.append({"case": "u2-classification"})
     elif suite == "cone-coroot":
-        box = int(job.get("box", 2))
+        box = job.get("box", 2)
         if box < 0:
             raise SchemaError("box must be non-negative")
         g = liealg.build_algebra("u", 2)
@@ -438,7 +463,7 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
         if not sub["verdicts"]["monotone"]:
             failures.append({"case": "fock-monotonicity", "tables": sub["tables"]})
     elif suite == "level-consistency":
-        cases = int(job.get("cases", 1000))
+        cases = job.get("cases", 1000)
         if cases < 1:
             raise SchemaError("cases must be at least 1")
         rng = np.random.default_rng(seed)

@@ -75,18 +75,17 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.n
     """Blockwise minimal eigenspaces: the kernel of the minimally shifted H.
 
     ``w, v`` is the eigendecomposition of H on the whole space, which serves
-    a single block or none; several blocks take one eigendecomposition
-    each.  An eigenvalue within ``window`` of its block's minimum joins the
-    space.  Columns from distinct blocks are orthogonal, since the blocks
-    are.  Returns the columns, the block minima and the
-    number of columns each block gives.
+    a single block or none; several blocks take one :func:`matcore.eig_frame`
+    each, which reads a diagonal block with no solver.  An eigenvalue within
+    ``window`` of its block's minimum joins the space.  Columns from distinct
+    blocks are orthogonal, since the blocks are.  Returns the columns, the
+    block minima and the number of columns each block gives.
     """
     spectra = [(w, v)]
     if len(blocks) > 1:
         spectra = []
         for Q in blocks:
-            Hb = Q.conj().T @ H @ Q
-            wb, vb = np.linalg.eigh((Hb + Hb.conj().T) / 2.0)
+            wb, vb, _ = eig_frame(Q.conj().T @ H @ Q, 1e-8)
             spectra.append((wb, Q @ vb))
     cols, shifts = [], []
     for wb, vb in spectra:
@@ -194,7 +193,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         # pi0 is pi in the basis h0; at central d, Schur puts dpi(d) in Z(pi(G)'') so H0 = H
         rank_pi0 = comm_full.rank
     else:
-        rank_pi0 = _commutant_coefficients(pi0.dpi, dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows).rank
+        rank_pi0 = _commutant_coefficients(pi0.dpi, tol=tol, seed_rows=fix.torus_rows).rank
     return GroundStateReport(
         m=m,
         h0_basis=h0,

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (ConvergenceFailure, DimensionMismatch, NotDiagonal, NotPSD,
                      SectorOutOfRange, SplitInvalid)
 from .irreps import Representation
-from .matcore import CLUSTER_TOL, eig_hermitian, numerical_rank
+from .matcore import CLUSTER_TOL, eig_frame, numerical_rank
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def _exp_anti_hermitian(A: np.ndarray) -> np.ndarray:
 
     Raises NotHermitian when A is not anti-Hermitian.
     """
-    w, v = eig_hermitian(1j * A)
+    w, v, _ = eig_frame(1j * A)
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 

@@ -23,10 +23,10 @@ from .errors import (
     NotDominant,
     NotIrreducible,
 )
-from .liealg import (MatrixLieAlgebra, RootDatum, _root_vector_coeffs, _span_coordinates, build_algebra,
+from .liealg import (MatrixLieAlgebra, RootDatum, _span_coordinates, build_algebra,
                      diagonal_element, root_datum, subalgebra)
 from .matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _null_rows, cluster_values, commutant_basis,
-                      isotypic_split)
+                      eig_frame, isotypic_split)
 
 Weight = tuple[int, ...]
 
@@ -408,7 +408,9 @@ def weight_spaces(rep: Representation, cartan: Optional[np.ndarray] = None,
 
     ``cartan`` is a (r, dim_g) array of coefficient rows; defaults to the
     algebra's diagonal Cartan.  Returns (eigenvalue tuple, column basis)
-    pairs with the sum of multiplicities equal to the dimension.
+    pairs with the sum of multiplicities equal to the dimension.  Each
+    refinement is one :func:`matcore.eig_frame`, which reads an exactly
+    diagonal compression, as on a Gelfand-Tsetlin basis, with no solver.
     """
     g = rep.algebra
     if cartan is None:
@@ -426,8 +428,7 @@ def weight_spaces(rep: Representation, cartan: Optional[np.ndarray] = None,
     for op in ops:
         refined = []
         for vals, basis in blocks:
-            comp = basis.conj().T @ op @ basis
-            w, v = np.linalg.eigh((comp + comp.conj().T) / 2.0)
+            w, v, _ = eig_frame(basis.conj().T @ op @ basis, 1e-8)
             for grp in cluster_values(w, tol * max(1.0, scale)):
                 lam = float(np.mean(w[grp]))
                 refined.append((vals + (lam,), basis @ v[:, grp]))
@@ -458,12 +459,9 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
     if direction not in ("lowest", "highest"):
         raise ValueError("direction must be 'lowest' or 'highest'")
     g = rep.algebra
-    rows = [np.zeros((0, rep.dim), dtype=complex)]
-    for idx in rd.delta_plus:
-        i, j = rd.pairs[idx]
-        pair = (j, i) if direction == "lowest" else (i, j)
-        rows.append(rep.operator(_root_vector_coeffs(g, *pair)))
-    kernel = _null_rows(np.vstack(rows), tol).T
+    roots = [rd.pairs.index(rd.pairs[k][::-1]) if direction == "lowest" else k for k in rd.delta_plus]
+    ops = np.einsum("rb,bij->rij", rd.root_vectors[roots], rep.dpi)
+    kernel = _null_rows(ops.reshape(-1, rep.dim), tol).T
     if kernel.shape[1] != 1:
         raise NotIrreducible(
             f"extremal filter left a {kernel.shape[1]}-dimensional space; expected a line"
@@ -503,7 +501,7 @@ def commutant(rep: Representation, tol: float = DEFAULT_TOL
     entry = rep._memo.get(key)
     if entry is None:
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-        comm = commutant_basis(rep.dpi, dim=rep.dim, tol=tol, seed_rows=torus)
+        comm = commutant_basis(rep.dpi, tol=tol, seed_rows=torus)
         blocks, mults = [], (1,)
         if comm.rank > 1:
             classes = isotypic_split(comm, tol)

@@ -26,7 +26,7 @@ from .errors import (
     NotDiagonal,
     UnsupportedKind,
 )
-from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, eig_hermitian
+from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, eig_frame
 
 Interval = tuple[float, float]
 
@@ -447,10 +447,10 @@ def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedP
 class RootDatum:
     """Roots e_i - e_j of u(n)/su(n) with the d-dependent positive split.
 
-    ``roots`` are integer length-n vectors; ``root_vectors`` are complex
-    coefficient vectors of E_ij over the algebra basis; ``coroots`` are real
-    coefficient vectors of the element i(E_ii - E_jj), so the Hermitian
-    coroot operator of a representation is ``-i dpi(coroot)``.
+    ``pairs`` lists the roots as index pairs (i, j); ``root_vectors`` are
+    complex coefficient vectors of E_ij over the algebra basis; ``coroots``
+    are real coefficient vectors of the element i(E_ii - E_jj), so the
+    Hermitian coroot operator of a representation is ``-i dpi(coroot)``.
     ``delta_zero`` and ``delta_plus_plus`` hold the roots whose vector lies
     in a cluster that the split of d reads as zero, or in a positive one.
     ``delta_plus`` is a positive system containing ``delta_plus_plus``,
@@ -458,10 +458,7 @@ class RootDatum:
     """
 
     algebra: MatrixLieAlgebra
-    d: np.ndarray
-    dvec: np.ndarray  # real diagonal of -i * matrix(d)
     pairs: list[tuple[int, int]]
-    roots: np.ndarray  # (R, n) int
     root_vectors: np.ndarray  # (R, dim) complex
     coroots: np.ndarray  # (R, dim) float
     delta_plus_plus: tuple[int, ...]
@@ -507,14 +504,11 @@ def root_datum(g: MatrixLieAlgebra, d) -> RootDatum:
     off = mat - np.diag(np.diag(mat))
     if np.linalg.norm(off) > 1e-8 * max(1.0, np.linalg.norm(mat)):
         raise NotDiagonal("d must lie in the diagonal Cartan subalgebra")
-    dvec = np.diag(-1j * mat).real
     n = g.n
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    roots = np.zeros((len(pairs), n), dtype=int)
     rvecs = np.zeros((len(pairs), g.dim), dtype=complex)
     corts = np.zeros((len(pairs), g.dim))
     for idx, (i, j) in enumerate(pairs):
-        roots[idx, i], roots[idx, j] = 1, -1
         rvecs[idx] = _root_vector_coeffs(g, i, j)
         corts[idx] = _coroot_coeffs(g, i, j)
     dd = spectral_split(g, d)
@@ -523,7 +517,7 @@ def root_datum(g: MatrixLieAlgebra, d) -> RootDatum:
     dpp = tuple(idx for idx, k in enumerate(held) if k in positive)
     dzero = tuple(idx for idx, k in enumerate(held) if k in dd.null)
     dplus = dpp + tuple(idx for idx in dzero if pairs[idx][0] < pairs[idx][1])
-    return RootDatum(g, d, dvec, pairs, roots, rvecs, corts, dpp, dzero, dplus)
+    return RootDatum(g, pairs, rvecs, corts, dpp, dzero, dplus)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +560,7 @@ def spectral_subspace(A, E, tol: float = CLUSTER_TOL) -> np.ndarray:
                   if intervals_contain(intervals, lam.real, tol)]
         dim = A.algebra.dim
         return np.hstack(spaces) if spaces else np.zeros((dim, 0), dtype=complex)
-    w, v = eig_hermitian(np.asarray(A, dtype=complex), 1e-8)
+    w, v, _ = eig_frame(A, 1e-8)
     keep = [k for k in range(len(w)) if intervals_contain(intervals, float(w[k]), tol)]
     if not keep:
         return np.zeros((v.shape[0], 0), dtype=complex)

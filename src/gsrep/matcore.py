@@ -1,11 +1,13 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream reduces to three primitives: Hermitian
-eigendecomposition, commutants, and compression of operator subspaces to
-a subspace of the underlying vector space.  Matrices are plain complex ``numpy`` arrays; operator subspaces
-carry an orthonormal basis under the trace inner product
-``<A, B> = tr(A^* B)`` (no ``1/d`` normalization, so Gram matrices stay
-integer-valued on weight bases).
+eigendecomposition (:func:`eig_frame`), commutants, and compression of
+operator subspaces to a subspace of the underlying vector space.  Matrices
+are plain complex ``numpy`` arrays, and a family of k operators on C^d is
+one (k, d, d) array, (0, d, d) when empty; operator subspaces carry an
+orthonormal basis under the trace inner product ``<A, B> = tr(A^* B)`` (no
+``1/d`` normalization, so Gram matrices stay integer-valued on weight
+bases).
 
 Rank decisions (null spaces, independence) go through
 :func:`numerical_rank`: a relative singular-value threshold,
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,22 +56,6 @@ SPLIT_SEED = 7
 SPLIT_DRAWS = 8
 
 
-def _check_square_same_dim(ops: Sequence[np.ndarray]) -> int:
-    dims = set()
-    for op in ops:
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {op.shape}")
-        dims.add(op.shape[0])
-    if len(dims) > 1:
-        raise DimensionMismatch(f"operators act on different spaces: dims {sorted(dims)}")
-    return dims.pop() if dims else 0
-
-
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Row-major flattening; the trace inner product becomes the plain dot."""
-    return np.asarray(mat, dtype=complex).reshape(-1)
-
-
 def numerical_rank(s: np.ndarray, tol: float) -> int:
     """Number of singular values ``s`` (descending) above ``tol * max(s[0], 1)``."""
     if s.size == 0:
@@ -77,14 +63,19 @@ def numerical_rank(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * max(s[0], 1.0)))
 
 
-def span_basis(mats: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (r, d, d) of the span of ``mats`` under the trace form."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
-        raise ValueError("empty matrix list has no ambient dimension")
-    d = _check_square_same_dim(mats)
-    stacked = np.stack([vec(m) for m in mats])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+def _square_stack(ops: np.ndarray) -> np.ndarray:
+    """``ops`` as a C-contiguous complex (k, d, d) array; DimensionMismatch for any other shape."""
+    stack = np.ascontiguousarray(ops, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected a (k, d, d) stack of square matrices, got shape {stack.shape}")
+    return stack
+
+
+def span_basis(mats: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (r, d, d) of the span of a (k, d, d) stack under the trace form."""
+    mats = _square_stack(mats)
+    k, d = mats.shape[:2]
+    _, s, vh = np.linalg.svd(mats.reshape(k, d * d), full_matrices=False)
     rank = numerical_rank(s, tol)
     return vh[:rank].reshape(rank, d, d)
 
@@ -99,11 +90,6 @@ class OperatorSubspace:
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
-
-
-def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_TOL):
-    """The eigenvalues and eigenvectors that :func:`eig_frame` returns."""
-    return eig_frame(H, tol)[:2]
 
 
 def eig_frame(H: np.ndarray, tol: float = DEFAULT_TOL):
@@ -135,7 +121,8 @@ def eig_frame(H: np.ndarray, tol: float = DEFAULT_TOL):
     ConvergenceFailure : if the underlying solver does not converge.
     """
     H = np.asarray(H, dtype=complex)
-    _check_square_same_dim([H])
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
     diag = H.diagonal()
     diagonal = np.count_nonzero(H) == np.count_nonzero(diag)
     dev = 2.0 * np.linalg.norm(diag.imag) if diagonal else np.linalg.norm(H - H.conj().T)
@@ -204,18 +191,19 @@ def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
     inputs.  For a normal X, returns the eigenvectors ``u`` of one Hermitian
     H whose eigenspaces are X's, and the size of each eigenvalue cluster of
     H (contiguous, since eigenvalues come sorted): Y commutes with X iff
-    ``u^* Y u`` is block diagonal over the clusters.  An exactly diagonal X,
-    such as a torus element on a weight basis, is normal, and its H is read
-    by :func:`eig_frame`: ``u`` is then identity columns, whose index order
-    is returned, and None for a frame from ``eigh``.  A non-normal X gives
-    the identity frame as one cluster, so the inputs impose everything.
+    ``u^* Y u`` is block diagonal over the clusters.  H goes through
+    :func:`eig_frame`; an exactly diagonal X, such as a torus element on a
+    weight basis, is normal with a diagonal H, so ``u`` is identity columns,
+    whose index order is returned, and the order is None otherwise.  A
+    non-normal X gives the identity frame as one cluster, so the inputs
+    impose everything.
     """
     k, d = mats.shape[0], mats.shape[1]
     coeffs = _draws(k) if seed_rows is None else _draws(seed_rows.shape[0]) @ seed_rows
     X = np.einsum("k,kij->ij", coeffs.astype(complex), mats)
     x = X.diagonal()
     if np.count_nonzero(X) == np.count_nonzero(x):  # H below, in the same floating-point operations
-        w, u, order = eig_frame(np.diag(x.real + np.sqrt(2.0) * x.imag))
+        H = np.diag(x.real + np.sqrt(2.0) * x.imag)
     else:
         Xh = X.conj().T
         scale = max(np.linalg.norm(X), 1.0)
@@ -224,7 +212,7 @@ def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
         # the Hermitian parts of a normal X commute; a generic real mix of them
         # separates their joint eigenspaces, which are X's
         H = (X + Xh) / 2.0 - 1j * np.sqrt(0.5) * (X - Xh)
-        (w, u), order = np.linalg.eigh(H), None
+    w, u, order = eig_frame(H)
     window = SEED_CLUSTER_TOL * max(1.0, -w[0], w[-1])
     bounds = np.concatenate(([0], np.flatnonzero(w[1:] - w[:-1] > window) + 1, [d]))
     return u, tuple(np.diff(bounds).tolist()), order
@@ -313,31 +301,6 @@ def _constraints(frame: _FrameTables, frames: np.ndarray, entries: np.ndarray) -
     return C[:, :-1]
 
 
-def _as_stack(ops, dim: Optional[int]) -> np.ndarray:
-    """The inputs as one C-contiguous (k, d, d) complex stack.
-
-    An array, or the basis of an OperatorSubspace, gives d by its shape,
-    also when it holds no matrix; an empty list takes d from ``dim``.
-    """
-    if isinstance(ops, OperatorSubspace):
-        ops = ops.basis
-    if isinstance(ops, np.ndarray):
-        stack = np.ascontiguousarray(ops, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatch(f"expected a stack of square matrices, got shape {stack.shape}")
-    else:
-        mats = [np.asarray(op, dtype=complex) for op in ops]
-        if not mats:
-            if dim is None:
-                raise DimensionMismatch("empty operator list requires an explicit dimension")
-            return np.zeros((0, dim, dim), dtype=complex)
-        _check_square_same_dim(mats)
-        stack = np.stack(mats)
-    if dim is not None and dim != stack.shape[1]:
-        raise DimensionMismatch(f"operators have dim {stack.shape[1]}, expected {dim}")
-    return stack
-
-
 class _CommutantCoefficients(NamedTuple):
     """The commutant as coefficient rows ``q`` over the block coordinates of the seed frame ``u``.
 
@@ -355,14 +318,14 @@ class _CommutantCoefficients(NamedTuple):
         return self.frame.ncoords if self.q is None else self.q.shape[0]
 
 
-def _commutant_coefficients(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
+def _commutant_coefficients(ops: np.ndarray, tol: float = DEFAULT_TOL,
                             seed_rows=None) -> _CommutantCoefficients:
     """The commutant of :func:`commutant_basis` (same arguments) before its basis is built.
 
     No input, or 1 x 1 inputs, which are all scalar, give the identity
     frame as one cluster with every coordinate free.
     """
-    stack = _as_stack(ops, dim)
+    stack = _square_stack(ops)
     k, d = stack.shape[0], stack.shape[1]
     if seed_rows is not None and k:
         seed_rows = np.asarray(seed_rows, dtype=float)
@@ -396,18 +359,14 @@ def _commutant_coefficients(ops, dim: Optional[int] = None, tol: float = DEFAULT
     return _CommutantCoefficients(u, frame, q)
 
 
-def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
-                    seed_rows=None) -> OperatorSubspace:
+def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -> OperatorSubspace:
     """Orthonormal basis of {X : [X, A_i] = 0 for all i}.
 
     Parameters
     ----------
-    ops : a (k, d, d) array, a list of d x d matrices, or an OperatorSubspace
-        (its basis is the input stack).  An array or a subspace fixes d by
-        its shape even when it is empty.
-    dim : ambient dimension, required when ``ops`` is an empty list.
+    ops : a (k, d, d) array of the inputs A_i; no input is a (0, d, d) array.
     tol : relative singular-value threshold for the null-space rank decision.
-    seed_rows : real (s, len(ops)) coefficient rows over the inputs; a
+    seed_rows : real (s, k) coefficient rows over the inputs; a
         generic combination of them is the seed element.  None means all
         inputs.  Any rows give the exact commutant, since the seed lies in
         the span of the inputs; rows whose elements are simultaneously
@@ -439,7 +398,7 @@ def commutant_basis(ops, dim: Optional[int] = None, tol: float = DEFAULT_TOL,
     The result is always an algebra, and it is star-closed whenever the
     input set is star-closed up to sign.
     """
-    u, frame, q = _commutant_coefficients(ops, dim, tol, seed_rows)
+    u, frame, q = _commutant_coefficients(ops, tol, seed_rows)
     rows, cols = frame.coord_rows, frame.coord_cols
     if q is None:
         basis = u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
@@ -464,11 +423,7 @@ def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> Op
         raise DimensionMismatch(f"subspace lives in dim {d}, operators act on dim {S.dim}")
     if np.linalg.norm(P.conj().T @ P - np.eye(r)) > 1e-8 * max(1, r):
         raise ValueError("subspace basis columns are not orthonormal")
-    if S.rank == 0:
-        return OperatorSubspace(r, np.zeros((0, r, r), dtype=complex))
-    comp = P.conj().T @ S.basis @ P
-    basis = span_basis(list(comp), tol) if comp.shape[0] else np.zeros((0, r, r), complex)
-    return OperatorSubspace(r, basis)
+    return OperatorSubspace(r, span_basis(P.conj().T @ S.basis @ P, tol))
 
 
 def _intertwined(comm: OperatorSubspace, P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
@@ -501,7 +456,7 @@ def isotypic_split(comm: OperatorSubspace, tol: float) -> list[list[np.ndarray]]
     for _ in range(SPLIT_DRAWS):
         coeff = rng.normal(size=comm.rank)
         X = np.einsum("k,kij->ij", coeff.astype(complex), comm.basis)
-        w, v = np.linalg.eigh((X + X.conj().T) / 2.0)
+        w, v, _ = eig_frame((X + X.conj().T) / 2.0)
         pieces = [v[:, grp] for grp in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))]
         if all(compress(P, comm, tol).rank == 1 for P in pieces):
             break

@@ -31,8 +31,8 @@ from gsrep.groundstate import GroundStateReport, analyze
 from gsrep.heisenfock import ROT, FockTruncation, SymplecticSetup
 from gsrep.irreps import Representation, direct_sum
 from gsrep.liealg import MatrixLieAlgebra, _derivation_matrix, build_algebra, spectral_split
-from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _check_square_same_dim,
-                           _null_rows, compress, numerical_rank, span_basis, vec)
+from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _null_rows, compress, numerical_rank,
+                           span_basis)
 
 
 def rows(space: OperatorSubspace) -> np.ndarray:
@@ -48,7 +48,7 @@ def full_operator_space(dim: int) -> OperatorSubspace:
 
 
 def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> OperatorSubspace:
-    """Smallest subspace containing ``ops`` closed under the matrix product.
+    """Smallest subspace containing ``ops``, a (k, d, d) stack or a subspace, closed under the matrix product.
 
     Grows degree by degree: new words are products of the previous frontier
     with the generators on either side, orthonormalized against the span so
@@ -57,15 +57,9 @@ def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL
     """
     if isinstance(ops, OperatorSubspace):
         ops = ops.basis
-    mats = [np.asarray(op, dtype=complex) for op in ops]
-    if not mats:
-        raise DimensionMismatch("algebra closure needs at least one generator or the identity")
-    d = _check_square_same_dim(mats)
-    gens = span_basis(mats, tol)
-    seed = list(gens)
-    if include_identity:
-        seed.append(np.eye(d, dtype=complex))
-    basis = span_basis(seed, tol)
+    gens = span_basis(ops, tol)
+    d = gens.shape[1]
+    basis = span_basis(np.concatenate([gens, np.eye(d)[None]]) if include_identity else gens, tol)
     q = basis.reshape(basis.shape[0], -1)
     frontier = basis
     while frontier.shape[0] > 0 and q.shape[0] < d * d:
@@ -129,7 +123,7 @@ def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSub
 
 
 def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    v = vec(mat)
+    v = np.asarray(mat, dtype=complex).reshape(-1)
     scale = max(np.linalg.norm(v), 1.0)
     q = rows(space)
     resid = v - (q.conj() @ v) @ q

@@ -611,6 +611,8 @@ BASE = {"tol": 1e-8, "seed": 0}
 @pytest.mark.parametrize("argv,env,job", [
     (["analyze", "--n", "3", "--d", "1,0,0", "--weight", "2,1,0"], None,
      {"command": "analyze", "group": "u", "n": 3, "d": [1.0, 0.0, 0.0], "weight": [2, 1, 0]}),
+    (["analyze", "--n", "3", "--d", "[1, 0, 0.0]", "--weight", "[2, 1, 0]"], None,
+     {"command": "analyze", "group": "u", "n": 3, "d": [1.0, 0.0, 0.0], "weight": [2, 1, 0]}),
     (["--tol", "1e-6", "classify", "--n", "2", "--d", "2,1", "--box", "2"], None,
      {"command": "classify", "tol": 1e-6, "group": "u", "n": 2, "d": [2.0, 1.0], "box": 2}),
     (["--seed", "3", "cone-check", "--group", "su", "--n", "3", "--d", "1,0,-1", "--weight", "1,0"], None,
@@ -622,6 +624,8 @@ BASE = {"tol": 1e-8, "seed": 0}
     (["fock", "--modes", "2", "--cutoff", "6", "--zero-modes", "1"], None,
      {"command": "fock", "modes": 2, "cutoff": 6, "zero_modes": 1}),
     (["fock", "--cutoffs", "4,8"], None,
+     {"command": "fock", "modes": 1, "cutoff": 40, "cutoffs": [4, 8], "zero_modes": 0}),
+    (["fock", "--cutoffs", "[4, 8]"], None,
      {"command": "fock", "modes": 1, "cutoff": 40, "cutoffs": [4, 8], "zero_modes": 0}),
     (["fock", "--cutoff", "12", "--cutoffs", ""], None,
      {"command": "fock", "modes": 1, "cutoff": 12, "zero_modes": 0}),
@@ -639,8 +643,9 @@ BASE = {"tol": 1e-8, "seed": 0}
      {"command": "analyze", "group": "u", "n": 2, "d": [1.0, 0.0], "weight": [1, 0]}),
     (["--output", f"{TMP}/report.json", "dirlim", "--lam", "1,1", "--d", "1,0"], None,
      {"command": "dirlim", "lam": [1, 1], "d": [1.0, 0.0]}),
-], ids=["analyze", "classify", "cone-check", "su12", "su12-n-d", "fock", "fock-cutoffs", "fock-empty-cutoffs",
-        "fock-sector", "dirlim", "sweep", "cache-dir", "cache-env", "empty-cache-dir", "output"])
+], ids=["analyze", "analyze-json", "classify", "cone-check", "su12", "su12-n-d", "fock", "fock-cutoffs",
+        "fock-cutoffs-json", "fock-empty-cutoffs", "fock-sector", "dirlim", "sweep", "cache-dir", "cache-env",
+        "empty-cache-dir", "output"])
 def test_argv_parses_into_the_job_dict_that_run_takes(tmp_path, capsys, monkeypatch, argv, env, job):
     def fill(value):
         return value.replace(TMP, str(tmp_path)) if isinstance(value, str) else value
@@ -682,3 +687,40 @@ def test_readme_example_exits_0_with_strict_json(capsys, monkeypatch, argv):
 def test_run_refuses_a_command_with_no_handler(command):
     with pytest.raises(SchemaError, match="unknown command|missing required field"):
         cli.run({"command": command})
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "[1.5,0]"],
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "[true,0]"],
+    ["analyze", "--n", "2", "--d", "1,0", "--weight", "[1.0,0]"],
+    ["analyze", "--n", "2", "--d", '["1",0]', "--weight", "1,0"],
+    ["analyze", "--n", "2", "--d", "[null,0]", "--weight", "1,0"],
+    ["analyze", "--n", "2", "--d", "[[1],0]", "--weight", "1,0"],
+    ["dirlim", "--lam", "[0.9,1]", "--d", "2,1"],
+    ["fock", "--modes", "1", "--cutoffs", "[2.5]"],
+])
+def test_a_json_list_holds_json_numbers_and_integer_options_json_integers(capsys, argv):
+    assert "could not parse number list" in assert_schema_error(capsys, argv)
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "analyze", "n": 2, "d": [1.0, 0.0], "weight": [1.5, 0]},
+    {"command": "analyze", "n": 2, "d": [1.0, 0.0], "weight": [True, 0]},
+    {"command": "analyze", "n": 2, "d": ["1", 0], "weight": [1, 0]},
+    {"command": "analyze", "n": 2.0, "d": [1.0, 0.0], "weight": [1, 0]},
+    {"command": "dirlim", "lam": [0.9, 1], "d": [2, 1]},
+    {"command": "dirlim", "lam": 1, "d": [2.0]},
+    {"command": "cone-check", "n": 2, "d": [2.0, 1.0], "weight": [0.5, 0]},
+    {"command": "cone-check", "su12": True, "weight": [0, 1.0, 0]},
+    {"command": "classify", "n": 2, "d": [2.0, 1.0], "box": True},
+    {"command": "fock", "cutoffs": [2.5]},
+    {"command": "fock", "modes": 1, "cutoff": 4, "sector": 1.5},
+    {"command": "fock", "zero_modes": False},
+    {"command": "sweep", "suite": "level-consistency", "cases": 2.0},
+    {"command": "dirlim", "lam": [1], "d": [1.0], "seed": True},
+], ids=lambda job: ",".join(f"{k}={v}" for k, v in job.items() if k != "command"))
+def test_a_job_dict_holds_its_integer_keys_to_integers(capsys, monkeypatch, job):
+    with pytest.raises(SchemaError, match="must be"):
+        cli.run(dict(job))
+    monkeypatch.setattr(cli, "_job_from_args", lambda args: dict(job))
+    assert "must be" in assert_schema_error(capsys, ["dirlim", "--lam", "1", "--d", "1"])

@@ -2,8 +2,9 @@
 
 ``reference_commutant`` is the generic-seed commutant with dense imposition
 that ``matcore.commutant_basis`` computed before the eigenframe, kept here
-verbatim as the reference.  ``analyze`` run with it in place of
-``commutant_basis`` must give the same verdicts as ``analyze`` itself.
+as the reference, on the kernel's (k, d, d) input.  ``analyze`` run with it
+in place of ``commutant_basis`` must give the same verdicts as ``analyze``
+itself.
 """
 
 import dataclasses
@@ -47,12 +48,12 @@ def _reference_seed(mats, tol):
     return _null_rows(L, tol)
 
 
-def reference_commutant(ops, dim=None, tol=DEFAULT_TOL, seed_rows=None):
-    """The generic seed and one dense imposition per input; ``seed_rows`` is ignored."""
-    mats = [np.asarray(op, dtype=complex) for op in ops]
-    if not mats:
-        return full_operator_space(dim)
-    d = mats[0].shape[0]
+def reference_commutant(ops, tol=DEFAULT_TOL, seed_rows=None):
+    """The generic seed and one dense imposition per input of a (k, d, d) stack; ``seed_rows`` is ignored."""
+    mats = np.asarray(ops, dtype=complex)
+    d = mats.shape[-1]
+    if not len(mats):
+        return full_operator_space(d)
     q = _reference_seed(mats, tol)
     for A in mats:
         if q.shape[0] == 0:
@@ -265,7 +266,7 @@ def test_dimension_one_commutant_is_the_scalars_without_a_seed(monkeypatch):
 
     monkeypatch.setattr(matcore, "_seed_frame", no_seed)
     for ops, rows in (([1j * np.ones((1, 1))], None), ([np.zeros((1, 1))] * 3, np.eye(3)[:2])):
-        comm = matcore.commutant_basis(ops, dim=1, seed_rows=rows)
+        comm = matcore.commutant_basis(ops, seed_rows=rows)
         assert np.array_equal(comm.basis, np.ones((1, 1, 1), dtype=complex))
         assert algebra_closure(comm).rank == comm.rank and is_star_closed(comm)
 

@@ -207,14 +207,14 @@ def ambient_operator(rep0, x):
 
 def loop_in_positive_cone(rep0, x, tol=cones.PSD_TOL):
     op = -1j * ambient_operator(rep0, x)
-    w, _ = matcore.eig_hermitian(op, 1e-7)
+    w = matcore.eig_frame(op, 1e-7)[0]
     return bool(w[0] >= -tol * (1.0 + float(np.linalg.norm(op))))
 
 
 def loop_coroot_condition(rep0, rd, tol=cones.PSD_TOL):
     for idx in rd.delta_plus_plus:
         op = -1j * ambient_operator(rep0, rd.coroots[idx])
-        w, _ = matcore.eig_hermitian(op, 1e-7)
+        w = matcore.eig_frame(op, 1e-7)[0]
         if w[-1] > tol * (1.0 + float(np.linalg.norm(op))):
             return False
     return True

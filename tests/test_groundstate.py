@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsrep import cones, groundstate, irreps, liealg
+from gsrep import cones, groundstate, irreps, liealg, matcore
+from gsrep.matcore import DEFAULT_TOL
 
 from conftest import D_LISTS, algebra, cached_irrep, dominant_box, fresh, su_dominant_box
 from oracles import direct_sum_law, gt_sum_analysis, is_strict, splitting_condition
+from test_commutant_frame import REDUCIBLE_D, reducible_cases
 
 
 def heis_commuting_family():
@@ -192,12 +194,12 @@ def test_commutant_restriction_is_bijective():
         for entries in D_LISTS[("u", 2)]:
             out = groundstate.analyze(rep, liealg.diagonal_element(g, entries))
             assert out.ground_state
-            comm = matcore.commutant_basis(list(rep.dpi), dim=rep.dim)
+            comm = matcore.commutant_basis(rep.dpi)
             compressed = matcore.compress(out.h0_basis, comm)
             assert compressed.rank == comm.rank
             # and (corner)'' = corner: its dimension is reported in the slot
             corner_comm = matcore.commutant_basis(
-                list(compressed.basis), dim=out.h0_dim
+                compressed.basis
             )
             assert corner_comm.rank == out.commutant_dims[2]
 
@@ -295,6 +297,53 @@ def test_analyze_at_a_cartan_d_runs_no_eigh_on_h(monkeypatch, kind, lam, entries
     assert out.m == want.m and out.window == want.window
     assert out.h0_basis.tobytes() == want.h0_basis.tobytes()
     assert set(np.unique(out.h0_basis)) <= {0.0, 1.0}  # identity columns
+
+
+def _dense_eigh(H, tol=None):
+    """One LAPACK solve of the Hermitian part, as the per-block spectra and the split took it before eig_frame."""
+    w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
+    return w, v, None
+
+
+def _projector(Q):
+    return Q @ Q.conj().T
+
+
+def test_per_block_spectra_and_the_split_decide_as_a_dense_eigh(monkeypatch):
+    for rep, d in reducible_cases():
+        out = groundstate.analyze(rep, d)
+        comm, blocks, mults = irreps.commutant(rep)
+        fix = liealg.fixed_point_data(rep.algebra, d, DEFAULT_TOL)
+        H = -1j * rep.operator(d if fix.central is None else fix.central)
+        w, v, _ = matcore.eig_frame(H, 1e-8)
+        h0, shifts, counts = groundstate._ground_space(H, w, v, blocks, out.window)
+        with monkeypatch.context() as patch:
+            patch.setattr(matcore, "eig_frame", _dense_eigh)
+            patch.setattr(groundstate, "eig_frame", _dense_eigh)
+            classes = matcore.isotypic_split(comm, DEFAULT_TOL) if comm.rank > 1 else []
+            want_blocks = [np.hstack(c) for c in classes]
+            want_h0, want_shifts, want_counts = groundstate._ground_space(H, w, v, want_blocks, out.window)
+        assert mults == (tuple(len(c) for c in classes) or (1,))
+        assert len(blocks) == len(want_blocks)
+        for Q, P in zip(blocks, want_blocks):
+            assert np.allclose(_projector(Q), _projector(P), atol=1e-10)
+        assert counts == want_counts and sum(counts) == out.h0_dim
+        assert tuple(shifts) == out.central_shifts
+        assert np.allclose(shifts, want_shifts, rtol=0, atol=1e-12 * max(1.0, float(np.abs(w).max())))
+        assert np.allclose(_projector(h0), _projector(want_h0), atol=1e-10)
+
+
+@pytest.mark.parametrize("summands", [((2, 0), (1, 0)), ((2, 1), (0, 0), (1, 0))])
+def test_analyze_on_a_sum_with_a_diagonal_commutant_takes_no_eigh(lapack_calls, summands):
+    # inequivalent summands whose blocks the torus separates: every element of pi(G)' is diagonal,
+    # so the split's element and each block's H are read by eig_frame with no solver
+    g = algebra("u", 2)
+    rep = irreps.direct_sum([cached_irrep("u", 2, lam) for lam in summands])
+    lapack_calls["eigh"] = 0
+    for entries in REDUCIBLE_D[2]:
+        out = groundstate.analyze(fresh(rep), liealg.diagonal_element(g, entries))
+        assert out.commutant_dims[0] == len(summands)
+    assert lapack_calls["eigh"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gsrep import cli, groundstate, irreps, liealg, matcore
-from gsrep.errors import DimensionOracleMismatch, NotDominant, NotIrreducible
+from gsrep.errors import DimensionOracleMismatch, NotDominant, NotHermitian, NotIrreducible
 from gsrep.irreps import Representation
 from gsrep.matcore import numerical_rank
 
@@ -99,7 +99,7 @@ def test_irreducibility_certificate():
 
     for lam in [(1, 0, 0), (1, 1, 0), (2, 1, 0)]:
         rep = cached_irrep("u", 3, lam)
-        assert matcore.commutant_basis(list(rep.dpi), dim=rep.dim).rank == 1
+        assert matcore.commutant_basis(rep.dpi).rank == 1
 
 
 def test_weights_weyl_group_invariant():
@@ -118,6 +118,10 @@ def test_su2_adjoint_weights():
     assert irreps.weights_of(rep) == [(-2,), (0,), (2,)]
 
 
+# the weights that the benchmark's irrep-build workload constructs
+IRREP_BUILD_WEIGHTS = [(5, 2, 0), (5, 3, 0), (6, 2, 0), (6, 3, 0), (3, 1, 0, 0), (3, 2, 1, 0), (2, 1, 1, 0, 0)]
+
+
 def test_extremal_weights():
     g = algebra("u", 2)
     rd = liealg.root_datum(g, liealg.diagonal_element(g, [1, 0]))
@@ -127,6 +131,32 @@ def test_extremal_weights():
     g3 = algebra("u", 3)
     rd3 = liealg.root_datum(g3, liealg.diagonal_element(g3, [2, 1, 0]))
     assert irreps.extremal_weight(cached_irrep("u", 3, (1, 1, 0)), rd3, "lowest") == (0, 1, 1)
+    for lam in IRREP_BUILD_WEIGHTS:
+        g = algebra("u", len(lam))
+        rd = liealg.root_datum(g, np.zeros(g.dim))
+        assert irreps.extremal_weight(cached_irrep("u", len(lam), lam), rd, "highest") == lam
+
+
+def test_weights_of_a_gelfand_tsetlin_basis_take_no_eigh(lapack_calls):
+    # every Cartan image is diagonal on the Gelfand-Tsetlin basis, so eig_frame reads each refinement
+    reps = [(cached_irrep("u", len(lam), lam), [lam]) for lam in IRREP_BUILD_WEIGHTS]
+    summands = [(2, 1, 0), (1, 0, 0), (2, 1, 0)]
+    reps.append((irreps.direct_sum([cached_irrep("u", 3, lam) for lam in summands]), summands))
+    lapack_calls["eigh"] = 0
+    for rep, parts in reps:
+        want = sorted(mu for lam in parts for mu in pattern_weights(lam))
+        assert irreps.weights_of(rep) == want
+    assert lapack_calls["eigh"] == 0
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 1), (2, 2)])
+@pytest.mark.parametrize("value", [np.nan, 1j * np.nan, np.inf])
+def test_a_non_finite_cartan_image_makes_weights_of_raise_not_hermitian(cell, value):
+    rep = cached_irrep("u", 3, (2, 1, 0))
+    dpi = rep.dpi.copy()
+    dpi[(rep.algebra.cartan_indices[1], *cell)] = value
+    with pytest.raises(NotHermitian):
+        irreps.weights_of(Representation(rep.algebra, dpi))
 
 
 def test_extremal_weight_rejects_reducible():
@@ -204,7 +234,7 @@ def test_decompose_without_a_cartan():
     parts = irreps.decompose(irreps.direct_sum([line, point, line]))
     assert sorted((c.dim, m) for c, m in parts) == [(1, 1), (2, 2)]
     for c, _ in parts:
-        assert matcore.commutant_basis(list(c.dpi), dim=c.dim).rank == 1
+        assert matcore.commutant_basis(c.dpi).rank == 1
 
 
 def test_weights_reject_non_commuting_family():
@@ -346,11 +376,11 @@ def test_decompose_reads_schur_and_equivalence_from_the_commutant(summands):
     assert len(parts) == len(set(summands))
     assert got == Counter(summands)
 
-    assert all(matcore.commutant_basis(list(c.dpi), dim=c.dim).rank == 1 for c, _ in parts)
-    comm = matcore.commutant_basis(list(rep.dpi), dim=rep.dim)
+    assert all(matcore.commutant_basis(c.dpi).rank == 1 for c, _ in parts)
+    comm = matcore.commutant_basis(rep.dpi)
     pieces = [P for members in matcore.isotypic_split(comm, tol) for P in members]
     assert sum(P.shape[1] for P in pieces) == rep.dim
-    assert all(matcore.commutant_basis(list(irreps.restrict(rep, P).dpi), dim=P.shape[1]).rank == 1
+    assert all(matcore.commutant_basis(irreps.restrict(rep, P).dpi).rank == 1
                for P in pieces)
     assert all(matcore.compress(P, comm).rank == 1 for P in pieces)
     verdicts = Counter()
@@ -396,7 +426,7 @@ def test_gelfand_tsetlin_reaches_dimension_125():
     assert rep.dim == 125
     rd = liealg.root_datum(g, liealg.diagonal_element(g, [2, 1, 0]))
     assert irreps.extremal_weight(rep, rd, "highest") == (8, 4, 0)
-    assert matcore.commutant_basis(list(rep.dpi), dim=rep.dim).rank == 1
+    assert matcore.commutant_basis(rep.dpi).rank == 1
 
 
 @pytest.mark.parametrize("kind,lam", [("u", (2, 0, -2)), ("u", (3, 1, 0, 0)), ("su", (2, 1, 0)),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from gsrep import cones, groundstate, irreps, liealg, matcore
 from gsrep.errors import ConvergenceFailure, NotIrreducible
 from gsrep.irreps import Representation, direct_sum
-from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, cluster_values, commutant_basis, compress, eig_hermitian,
+from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, cluster_values, commutant_basis, compress, eig_frame,
                            numerical_rank)
 
 from conftest import D_LISTS, algebra, cached_irrep, fresh, random_unitary, rng
@@ -105,19 +105,19 @@ def reference_analyze(pi, d, tol=DEFAULT_TOL):
     g = pi.algebra
     d = np.asarray(d, dtype=float)
     H = -1j * pi.operator(d)
-    w, _ = eig_hermitian(H, 1e-8)
+    w = eig_frame(H, 1e-8)[0]
     dpi_ops = list(pi.dpi)
     torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-    comm_full = commutant_basis(dpi_ops, dim=pi.dim, tol=tol, seed_rows=torus)
+    comm_full = commutant_basis(dpi_ops, tol=tol, seed_rows=torus)
     projections = _central_projections(comm_full, tol)
     _, h0, shifts = _ground_space(H, projections, tol)
     fix = liealg.fixed_point_data(g, d, tol)
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
     pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
     ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
-    comm_pi0 = commutant_basis(list(pi0.dpi), dim=pi0.dim, tol=tol, seed_rows=fix.torus_rows)
+    comm_pi0 = commutant_basis(pi0.dpi, tol=tol, seed_rows=fix.torus_rows)
     compressed_comm = compress(h0, comm_full, tol)
-    corner = commutant_basis(list(compressed_comm.basis), dim=pi0.dim, tol=tol)
+    corner = commutant_basis(compressed_comm.basis, tol=tol)
     return {
         "m": float(w[0]),
         "h0_basis": h0,
@@ -257,7 +257,7 @@ def test_hermitian_parts_span_the_compressed_commutant():
         out = reference_analyze(rep, d)
         B = compress(out["h0_basis"], out["comm_full"]).basis
         Bh = B.conj().transpose(0, 2, 1)
-        parts = matcore.span_basis([*(B + Bh), *(1j * (B - Bh))])
+        parts = matcore.span_basis(np.concatenate([B + Bh, 1j * (B - Bh)]))
         assert same_span(OperatorSubspace(B.shape[1], parts), OperatorSubspace(B.shape[1], B))
 
 
@@ -314,9 +314,9 @@ def test_the_last_corner_d_is_read_for_its_central_part():
 def test_corner_count_is_the_rank_of_the_reference_corner_commutant(case):
     rep, d = _corner_case(*case)
     out = groundstate.analyze(rep, d)
-    comm = reference_commutant(list(rep.dpi), dim=rep.dim)
+    comm = reference_commutant(rep.dpi)
     compressed = compress(out.h0_basis, comm)
-    corner = reference_commutant(list(compressed.basis), dim=out.h0_dim)
+    corner = reference_commutant(compressed.basis)
     assert out.commutant_dims[2] == corner.rank
 
 
@@ -361,7 +361,7 @@ def test_twenty_trivial_copies_split_without_forming_the_center():
 @example(("u", ((1, 0), (1, 0), (1, 0), (2, 0), (2, 0)), CORNER_D[2][0], 3))
 def test_isotypic_classes_are_the_summand_multiplicities_and_the_central_blocks(case):
     rep, _ = _corner_case(*case)
-    comm = matcore.commutant_basis(list(rep.dpi), dim=rep.dim)
+    comm = matcore.commutant_basis(rep.dpi)
     classes = matcore.isotypic_split(comm, DEFAULT_TOL)
     sizes = [len(c) for c in classes]
     assert Counter(sizes) == Counter(Counter(case[1]).values())
@@ -532,12 +532,12 @@ def _central_cases():
 
 @pytest.fixture
 def commutant_calls(commutant_swap):
-    """Counts the calls of ``commutant_basis`` that gsrep makes, for pi and for pi0."""
+    """Records the dimension of each call of ``commutant_basis`` that gsrep makes, for pi and for pi0."""
     calls = []
 
-    def counting(*args, _real=matcore.commutant_basis, **kwargs):
-        calls.append(kwargs["dim"])
-        return _real(*args, **kwargs)
+    def counting(ops, *args, _real=matcore.commutant_basis, **kwargs):
+        calls.append(ops.shape[-1])
+        return _real(ops, *args, **kwargs)
 
     with commutant_swap(counting):
         yield calls
