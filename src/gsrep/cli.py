@@ -187,7 +187,10 @@ def _check(report: dict, check_id: str, verdict, tol: float, **extra) -> None:
 def run(job: dict) -> dict:
     """Dispatch a validated job dict; returns the report dict."""
     command = _require(job, "command")
-    tol = float(job.get("tol", 1e-8))
+    tol = job.get("tol", 1e-8)
+    if not _is_number(tol):
+        raise SchemaError("tol must be a number")
+    tol = float(tol)
     if not (math.isfinite(tol) and tol > 0):
         raise SchemaError("tolerance must be positive and finite")
     _check_integer_keys(job)

@@ -17,8 +17,8 @@ PSD decisions are batched: one ``eigvalsh`` over one stack of operators
 ``-i dpi0(x)``, the stored generators and then the samples, decides each at
 ``-PSD_TOL * (1 + ||op||)``, and the stack is scanned in that order, so the
 first failure is the one a loop finds; an exactly diagonal stack needs no
-``eigvalsh``.  The stack depends on (g, d), the
-sample count and the seed alone, so it is memoized on g, and its rows in
+``eigvalsh``.  The stack depends on (g, d) and the seed alone, so it is
+memoized on g, and its rows in
 rep0's coordinates are memoized on rep0's algebra: for the pi0 of
 :func:`groundstate.analyze` that is the g^0 the (g, d) memo keeps.
 """
@@ -35,6 +35,8 @@ from .irreps import Representation
 from .liealg import DerivationData, MatrixLieAlgebra, RootDatum, _frozen, _memoized
 
 PSD_TOL = 1e-8
+REAL_TOL = 1e-9  # relative imaginary part up to which a generator i[z^*, z] is real
+CONE_SAMPLES = 32  # seeded samples per positive eigenspace of dimension > 1
 
 
 @dataclass
@@ -68,11 +70,11 @@ class ConeTestResult:
         return self.verdict
 
 
-def _bracket_generators(g: MatrixLieAlgebra, zs: list, tol: float = 1e-9) -> np.ndarray:
-    """i [z^*, z] for every z in ``zs``, as real rows (imaginary parts must cancel)."""
+def _bracket_generators(g: MatrixLieAlgebra, zs: list) -> np.ndarray:
+    """i [z^*, z] for every z in ``zs``, as real rows (imaginary parts must cancel to ``REAL_TOL``)."""
     zs = np.array(zs, dtype=complex).reshape(len(zs), g.dim)
     gens = 1j * np.einsum("ai,aj,ijk->ak", -zs.conj(), zs, g.structure)
-    if np.any(np.linalg.norm(gens.imag, axis=1) > tol * np.maximum(1.0, np.linalg.norm(gens, axis=1))):
+    if np.any(np.linalg.norm(gens.imag, axis=1) > REAL_TOL * np.maximum(1.0, np.linalg.norm(gens, axis=1))):
         raise ValueError("cone generator is not a real element; inconsistent eigendata")
     return gens.real
 
@@ -136,8 +138,7 @@ def _first_outside_psd(rep0: Representation, xs: np.ndarray, outside: np.ndarray
     return k
 
 
-def action_cone_generators(g: MatrixLieAlgebra, dd: DerivationData,
-                           tol: float = 1e-9) -> ConeDescription:
+def action_cone_generators(g: MatrixLieAlgebra, dd: DerivationData) -> ConeDescription:
     """Generators i[z^*, z] over the positive eigenspaces of ``-i D``.
 
     For each eigenspace an orthonormal basis contributes one generator per
@@ -158,17 +159,16 @@ def action_cone_generators(g: MatrixLieAlgebra, dd: DerivationData,
                 for phase in (1.0, 1.0j):
                     zs.append((space[:, a] + phase * space[:, b]) / np.sqrt(2.0))
                     prov.append(("mixed", float(lam.real), a, b, "i" if phase == 1.0j else "1"))
-    return ConeDescription(g, _bracket_generators(g, zs, tol), prov)
+    return ConeDescription(g, _bracket_generators(g, zs), prov)
 
 
-def _cone_stack(g: MatrixLieAlgebra, dd: DerivationData, samples: int,
-                seed: int) -> tuple[np.ndarray, tuple, bool]:
-    """The action cone's generators, then ``samples`` seeded samples per positive eigenspace of dim > 1.
+def _cone_stack(g: MatrixLieAlgebra, dd: DerivationData, seed: int) -> tuple[np.ndarray, tuple, bool]:
+    """The action cone's generators, then ``CONE_SAMPLES`` seeded samples per positive eigenspace of dim > 1.
 
     Returns the read-only rows, their provenance (k of ``("sample", eig, k)``
     counts within its eigenspace) and whether any eigenspace was sampled.
     An inner derivation's entry is memoized on ``g`` under the DerivationData,
-    which it holds; :func:`liealg.spectral_split` returns one per (g, d, tols).
+    which it holds; :func:`liealg.spectral_split` returns one per (g, d, tol).
     """
 
     def build():
@@ -181,34 +181,33 @@ def _cone_stack(g: MatrixLieAlgebra, dd: DerivationData, samples: int,
                 continue
             sampled = True
             # the stream of one real and one imaginary draw per sample
-            raw = rng.normal(size=(samples, 2, r))
+            raw = rng.normal(size=(CONE_SAMPLES, 2, r))
             raw = raw[:, 0] + 1j * raw[:, 1]
             rows.append(_bracket_generators(g, [space @ (u / np.linalg.norm(u)) for u in raw]))
-            prov += [("sample", float(lam.real), k) for k in range(samples)]
+            prov += [("sample", float(lam.real), k) for k in range(CONE_SAMPLES)]
         return dd, _frozen(np.concatenate(rows)), tuple(prov), sampled
 
     if dd.element is None:
         return build()[1:]
-    return _memoized(g, "action cone", dd.element, (id(dd), samples, seed), build)[1:]
+    return _memoized(g, "action cone", dd.element, (id(dd), seed), build)[1:]
 
 
-def in_positive_cone(rep0: Representation, x: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff ``-i dpi0(x)`` is positive semidefinite within tolerance."""
-    return _first_outside_psd(rep0, *_local_rows(rep0, np.asarray(x)[None]), tol) is None
+def in_positive_cone(rep0: Representation, x: np.ndarray) -> bool:
+    """True iff ``-i dpi0(x)`` is positive semidefinite within ``PSD_TOL``."""
+    return _first_outside_psd(rep0, *_local_rows(rep0, np.asarray(x)[None]), PSD_TOL) is None
 
 
 def check_cone_positivity(g: MatrixLieAlgebra, dd: DerivationData, rep0: Representation,
-                          tol: float = PSD_TOL, samples: int = 32,
-                          seed: int = 0) -> ConeTestResult:
+                          tol: float = PSD_TOL, seed: int = 0) -> ConeTestResult:
     """Decide whether the action cone maps into the positive cone of rep0.
 
-    Checks every stored generator, then ``samples`` random unit vectors per
+    Checks every stored generator, then ``CONE_SAMPLES`` random unit vectors per
     positive eigenspace of dimension > 1 (quadratic-form robustness).  On
     failure the first violating generator is returned as a witness.  The
     stack's local rows are memoized on ``rep0.algebra``, keyed on the stack
     and the read-only embedding by identity; the entry holds both.
     """
-    stack, prov, sampled = _cone_stack(g, dd, samples, seed)
+    stack, prov, sampled = _cone_stack(g, dd, seed)
     emb = rep0.ambient_coeffs
     key = ("cone rows", id(stack), id(emb))
     entry = rep0.algebra._memo.get(key)

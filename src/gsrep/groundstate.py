@@ -29,15 +29,10 @@ from .liealg import (
     spectral_split,
     spectral_subspace,
 )
-from .matcore import (
-    DEFAULT_TOL,
-    OperatorSubspace,
-    _commutant_coefficients,
-    eig_frame,
-    numerical_rank,
-)
+from .matcore import DEFAULT_TOL, _commutant_coefficients, eig_frame, numerical_rank
 
 _EPS = float(np.finfo(float).eps)
+TRANSLATION_TOL = 1e-9  # containment residual of spectral_translation_check, relative to max(1, |dpi(z) v|)
 
 
 @dataclass
@@ -94,17 +89,17 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.n
     return cols[0] if len(cols) == 1 else np.hstack(cols), shifts, [c.shape[1] for c in cols]
 
 
-def _separating(comm: OperatorSubspace, h0: np.ndarray, tol: float) -> bool:
-    """Is the range of ``h0`` separating for ``comm``: are the B_k h0 independent?
+def _separating(comm: np.ndarray, h0: np.ndarray, tol: float) -> bool:
+    """Is the range of ``h0`` separating for the (r, d, d) basis ``comm``: are the B_k h0 independent?
 
-    A scalar ``comm`` (rank 1) separates every nonzero subspace and takes
+    A scalar ``comm`` (r = 1) separates every nonzero subspace and takes
     no SVD: its one singular value would be sqrt(r / d) for r columns of
     h0, never below the threshold.
     """
-    if comm.rank == 1:
+    if len(comm) == 1:
         return True
-    cols = (comm.basis @ h0).reshape(comm.rank, -1).T
-    return numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == comm.rank
+    cols = (comm @ h0).reshape(len(comm), -1).T
+    return numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == len(comm)
 
 
 def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> GroundStateReport:
@@ -191,7 +186,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         rank_pi0 = 1
     elif fix.rows.shape[0] == g.dim and r == pi.dim:
         # pi0 is pi in the basis h0; at central d, Schur puts dpi(d) in Z(pi(G)'') so H0 = H
-        rank_pi0 = comm_full.rank
+        rank_pi0 = len(comm_full)
     else:
         rank_pi0 = _commutant_coefficients(pi0.dpi, tol=tol, seed_rows=fix.torus_rows).rank
     return GroundStateReport(
@@ -199,20 +194,21 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         h0_basis=h0,
         pi0=pi0,
         ground_state=ground_state,
-        strict=bool(ground_state and rank_pi0 == comm_full.rank),
-        commutant_dims=(comm_full.rank, rank_pi0, corner),
+        strict=bool(ground_state and rank_pi0 == len(comm_full)),
+        commutant_dims=(len(comm_full), rank_pi0, corner),
         window=window,
         central_shifts=tuple(shifts),
     )
 
 
-def spectral_translation_check(pi: Representation, d: np.ndarray, E, F,
-                               tol: float = 1e-9) -> bool:
+def spectral_translation_check(pi: Representation, d: np.ndarray, E, F) -> bool:
     """dpi of the ad-spectral subspace over E maps H(F) into H(closure(E+F)).
 
     E and F are finite unions of closed intervals (scalars allowed); the
-    spectral subspaces of the Hamiltonian are eigenspace sums.  Verified
-    vector by vector with an absolute containment residual.
+    spectral subspaces of the Hamiltonian are eigenspace sums, and an
+    eigenvalue within ``matcore.CLUSTER_TOL`` of an interval lies in it.  Verified
+    vector by vector: the residual of dpi(z) v off H(E+F) is at most
+    ``TRANSLATION_TOL * max(1, |dpi(z) v|)``.
     """
     E_iv, F_iv = normalize_intervals(E), normalize_intervals(F)
     dd = spectral_split(pi.algebra, np.asarray(d, dtype=float))
@@ -224,6 +220,6 @@ def spectral_translation_check(pi: Representation, d: np.ndarray, E, F,
         for c in range(HF.shape[1]):
             u = op @ HF[:, c]
             resid = u - HEF @ (HEF.conj().T @ u)
-            if np.linalg.norm(resid) > tol * max(1.0, np.linalg.norm(u)):
+            if np.linalg.norm(resid) > TRANSLATION_TOL * max(1.0, np.linalg.norm(u)):
                 return False
     return True

@@ -37,6 +37,9 @@ from .errors import (ConvergenceFailure, DimensionMismatch, NotDiagonal, NotPSD,
 from .irreps import Representation
 from .matcore import CLUSTER_TOL, eig_frame, numerical_rank
 
+ONE_BODY_TOL = 1e-10  # Hermiticity and PSD test of second_quantize, relative to max(1, ||D||)
+VACUUM_SAMPLES, VACUUM_SEED = 6, 0  # the vacuum expectations of factorization_check (c)
+
 
 # ---------------------------------------------------------------------------
 # truncated Fock space
@@ -274,8 +277,8 @@ def weyl_relation_residual(ft: FockTruncation, v, w, sector: Optional[int] = Non
     return float(np.linalg.norm(resid, 2))
 
 
-def second_quantize(ft: FockTruncation, one_body: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """dGamma of a positive-semidefinite Hermitian one-particle operator.
+def second_quantize(ft: FockTruncation, one_body: np.ndarray) -> np.ndarray:
+    """dGamma of a positive-semidefinite Hermitian one-particle operator, within ``ONE_BODY_TOL``.
 
     Acts as sum_{jl} D_{jl} a^+_j a_l; block diagonal across number sectors,
     with spectrum in [0, inf) and kernel equal to the truncated Fock space
@@ -286,9 +289,10 @@ def second_quantize(ft: FockTruncation, one_body: np.ndarray, tol: float = 1e-10
     D = np.asarray(one_body, dtype=complex)
     if D.shape != (ft.modes, ft.modes):
         raise DimensionMismatch(f"one-particle operator must be {ft.modes} x {ft.modes}")
-    if np.linalg.norm(D - D.conj().T) > tol * max(1.0, np.linalg.norm(D)):
+    bound = ONE_BODY_TOL * max(1.0, np.linalg.norm(D))
+    if np.linalg.norm(D - D.conj().T) > bound:
         raise NotPSD("one-particle operator is not Hermitian")
-    if ft.modes and np.linalg.eigvalsh((D + D.conj().T) / 2).min() < -tol * max(1.0, np.linalg.norm(D)):
+    if ft.modes and np.linalg.eigvalsh((D + D.conj().T) / 2).min() < -bound:
         raise NotPSD("one-particle operator has a negative eigenvalue")
     occ = ft.occupations
     out = np.zeros((ft.dim, ft.dim), dtype=complex)
@@ -305,15 +309,15 @@ def second_quantize(ft: FockTruncation, one_body: np.ndarray, tol: float = 1e-10
     return out
 
 
-def kernel_dimension(ft: FockTruncation, op: np.ndarray, tol: float = CLUSTER_TOL) -> int:
+def kernel_dimension(ft: FockTruncation, op: np.ndarray) -> int:
     """Dimension of the numerical kernel of a number-preserving operator on ``ft``.
 
     ``op`` must be block diagonal over the number sectors, as dGamma from
-    ``second_quantize`` is: an entry off the blocks above tol * (1 + max |w|),
-    or NaN, raises.  The Hermitian part is diagonalized one sector at a
-    time, and the kernel is what :func:`matcore.numerical_rank` leaves of
-    the |w| in descending order: the eigenvalues with |w| <= tol * max(1,
-    max |w|).
+    ``second_quantize`` is: an entry off the blocks above
+    ``CLUSTER_TOL * (1 + max |w|)``, or NaN, raises.  The Hermitian part is
+    diagonalized one sector at a time, and the kernel is what
+    :func:`matcore.numerical_rank` leaves of the |w| in descending order:
+    the eigenvalues with |w| <= CLUSTER_TOL * max(1, max |w|).
     """
     if op.shape != (ft.dim, ft.dim):
         raise DimensionMismatch(f"operator must be {ft.dim} x {ft.dim}")
@@ -323,9 +327,9 @@ def kernel_dimension(ft: FockTruncation, op: np.ndarray, tol: float = CLUSTER_TO
         w.append(np.linalg.eigvalsh((block + block.conj().T) / 2))
         leak = np.max([leak, np.abs(op[a:b, b:]).max(initial=0.0), np.abs(op[b:, a:b]).max(initial=0.0)])
     w = np.sort(np.abs(np.concatenate(w)))[::-1]
-    if not leak <= tol * (1.0 + w[0]):
+    if not leak <= CLUSTER_TOL * (1.0 + w[0]):
         raise NotDiagonal("operator couples different number sectors")
-    return len(w) - numerical_rank(w, tol)
+    return len(w) - numerical_rank(w, CLUSTER_TOL)
 
 
 def truncated_kernel_count(cutoff: int, zero_modes: int) -> int:
@@ -435,8 +439,7 @@ def heisenberg_weyl(rep0: Representation, x: np.ndarray) -> np.ndarray:
 
 def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
                         ft: FockTruncation, sector: int, tol: float,
-                        entangler: Optional[np.ndarray] = None,
-                        grid: int = 6, seed: int = 0) -> bool:
+                        entangler: Optional[np.ndarray] = None) -> bool:
     """Verify the tensor factorization of a ground state representation.
 
     Builds the candidate representation on K (x) F for the split V =
@@ -448,7 +451,8 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
     (b) the minimal-energy space of the effective number generator is the
         vacuum line (requires strictly positive effective frequencies);
     (c) vacuum expectation values of effective Weyl operators match
-        exp(-|x|^2 / 4) within tol.
+        exp(-|x|^2 / 4) within tol, at ``VACUUM_SAMPLES`` amplitudes drawn
+        from ``VACUUM_SEED``.
 
     Raises SectorOutOfRange for a sector outside [0, cutoff].
     """
@@ -488,8 +492,8 @@ def factorization_check(setup: SymplecticSetup, rep0: Optional[Representation],
 
     # (c) vacuum expectations of effective Weyl operators
     if ft.modes:
-        rng = np.random.default_rng(seed)
-        for _ in range(grid):
+        rng = np.random.default_rng(VACUUM_SEED)
+        for _ in range(VACUUM_SAMPLES):
             amps = rng.normal(size=ft.modes) + 1j * rng.normal(size=ft.modes)
             amps *= rng.uniform(0.1, 1.0) / np.linalg.norm(amps)
             got = weyl_vacuum_overlap(ft, amps)

@@ -25,8 +25,8 @@ from .errors import (
 )
 from .liealg import (MatrixLieAlgebra, RootDatum, _span_coordinates, build_algebra,
                      diagonal_element, root_datum, subalgebra)
-from .matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _null_rows, cluster_values, commutant_basis,
-                      eig_frame, isotypic_split)
+from .matcore import (CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, commutant_basis, eig_frame,
+                      isotypic_split)
 
 Weight = tuple[int, ...]
 
@@ -402,45 +402,37 @@ def _written_gap(dpi: np.ndarray, touched: np.ndarray, pair: np.ndarray, tgt: np
 # weights
 
 
-def weight_spaces(rep: Representation, cartan: Optional[np.ndarray] = None,
-                  tol: float = CLUSTER_TOL) -> list[tuple[tuple[float, ...], np.ndarray]]:
-    """Joint eigenspaces of -i dpi over a commuting Cartan family.
+def weights_of(rep: Representation) -> list[Weight]:
+    """Weight multiset (integer-rounded, expanded by multiplicity), sorted.
 
-    ``cartan`` is a (r, dim_g) array of coefficient rows; defaults to the
-    algebra's diagonal Cartan.  Returns (eigenvalue tuple, column basis)
-    pairs with the sum of multiplicities equal to the dimension.  Each
-    refinement is one :func:`matcore.eig_frame`, which reads an exactly
-    diagonal compression, as on a Gelfand-Tsetlin basis, with no solver.
+    The weights are the joint eigenvalues of -i dpi over the algebra's
+    diagonal Cartan, refined one Cartan operator at a time: each refinement
+    is one :func:`matcore.eig_frame`, which reads an exactly diagonal
+    compression, as on a Gelfand-Tsetlin basis, with no solver, and its
+    eigenvalues cluster within ``CLUSTER_TOL * max(1, max ||op||)``.
+    Raises NonCommutingCartan for an algebra with no default Cartan,
+    Cartan images that do not commute, or a weight that is not integral.
     """
     g = rep.algebra
-    if cartan is None:
-        if g.cartan_indices is None:
-            raise NonCommutingCartan("algebra has no default Cartan; pass one explicitly")
-        cartan = np.eye(g.dim)[list(g.cartan_indices)]
-    cartan = np.asarray(cartan, dtype=float)
-    ops = [-1j * rep.operator(row) for row in cartan]
+    if g.cartan_indices is None:
+        raise NonCommutingCartan("algebra has no default Cartan")
+    ops = [-1j * rep.operator(row) for row in np.eye(g.dim)[list(g.cartan_indices)]]
     scale = max([1.0] + [float(np.linalg.norm(op)) for op in ops])
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
             if np.linalg.norm(ops[a] @ ops[b] - ops[b] @ ops[a]) > 1e-8 * scale:
-                raise NonCommutingCartan("provided Cartan operators do not commute")
+                raise NonCommutingCartan("Cartan operators do not commute")
     blocks: list[tuple[tuple[float, ...], np.ndarray]] = [((), np.eye(rep.dim, dtype=complex))]
     for op in ops:
         refined = []
         for vals, basis in blocks:
             w, v, _ = eig_frame(basis.conj().T @ op @ basis, 1e-8)
-            for grp in cluster_values(w, tol * max(1.0, scale)):
+            for grp in cluster_values(w, CLUSTER_TOL * max(1.0, scale)):
                 lam = float(np.mean(w[grp]))
                 refined.append((vals + (lam,), basis @ v[:, grp]))
         blocks = refined
-    return blocks
-
-
-def weights_of(rep: Representation, cartan: Optional[np.ndarray] = None,
-               tol: float = CLUSTER_TOL) -> list[Weight]:
-    """Weight multiset (integer-rounded, expanded by multiplicity), sorted."""
     out: list[Weight] = []
-    for vals, basis in weight_spaces(rep, cartan, tol):
+    for vals, basis in blocks:
         rounded = tuple(int(round(v)) for v in vals)
         if any(abs(v - r) > 1e-6 for v, r in zip(vals, rounded)):
             raise NonCommutingCartan(f"non-integral weight {vals}")
@@ -448,20 +440,20 @@ def weights_of(rep: Representation, cartan: Optional[np.ndarray] = None,
     return sorted(out)
 
 
-def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest",
-                    tol: float = DEFAULT_TOL) -> Weight:
+def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest") -> Weight:
     """The unique weight extremal against the positive system of ``rd``.
 
     Verified by the annihilation filter: the joint kernel of all lowering
-    (resp. raising) root operators must be one-dimensional; otherwise the
-    representation is not irreducible.
+    (resp. raising) root operators, at the rank rule of ``DEFAULT_TOL``,
+    must be one-dimensional; otherwise the representation is not
+    irreducible.
     """
     if direction not in ("lowest", "highest"):
         raise ValueError("direction must be 'lowest' or 'highest'")
     g = rep.algebra
     roots = [rd.pairs.index(rd.pairs[k][::-1]) if direction == "lowest" else k for k in rd.delta_plus]
     ops = np.einsum("rb,bij->rij", rd.root_vectors[roots], rep.dpi)
-    kernel = _null_rows(ops.reshape(-1, rep.dim), tol).T
+    kernel = _null_rows(ops.reshape(-1, rep.dim), DEFAULT_TOL).T
     if kernel.shape[1] != 1:
         raise NotIrreducible(
             f"extremal filter left a {kernel.shape[1]}-dimensional space; expected a line"
@@ -484,9 +476,10 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
 
 
 def commutant(rep: Representation, tol: float = DEFAULT_TOL
-              ) -> tuple[OperatorSubspace, list[np.ndarray], tuple[int, ...]]:
+              ) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
     """pi(G)', seeded from the torus, its central blocks and their multiplicities, memoized on ``rep``.
 
+    pi(G)' is the (r, d, d) orthonormal basis of :func:`matcore.commutant_basis`.
     The blocks are the classes of :func:`matcore.isotypic_split`, each the
     columns of its m equivalent irreducible pieces side by side, so its
     first 1/m of the columns are one piece; m is its multiplicity.  A
@@ -503,24 +496,24 @@ def commutant(rep: Representation, tol: float = DEFAULT_TOL
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
         comm = commutant_basis(rep.dpi, tol=tol, seed_rows=torus)
         blocks, mults = [], (1,)
-        if comm.rank > 1:
+        if len(comm) > 1:
             classes = isotypic_split(comm, tol)
             blocks = [np.hstack(c) for c in classes]
             mults = tuple(len(c) for c in classes)
-        for arr in (comm.basis, *blocks):
+        for arr in (comm, *blocks):
             arr.setflags(write=False)
         entry = rep._memo[key] = comm, blocks, mults
     return entry
 
 
-def decompose(rep: Representation, tol: float = DEFAULT_TOL) -> list[tuple[Representation, int]]:
+def decompose(rep: Representation) -> list[tuple[Representation, int]]:
     """Orthogonal decomposition into irreducible components with multiplicity.
 
-    One component per central block of the memoized :func:`commutant`, its
-    first piece, with the block's multiplicity; ``groundstate.analyze``
-    reads the same blocks.
+    One component per central block of the memoized :func:`commutant` at
+    ``DEFAULT_TOL`` (``groundstate.analyze`` reads the same blocks at its
+    ``tol``), its first piece, with the block's multiplicity.
     """
-    _, blocks, mults = commutant(rep, tol)
+    _, blocks, mults = commutant(rep, DEFAULT_TOL)
     if not blocks:
         return [(rep, 1)]
     return [(restrict(rep, Q[:, :Q.shape[1] // m]), m) for Q, m in zip(blocks, mults)]

@@ -30,6 +30,10 @@ from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, eig_f
 
 Interval = tuple[float, float]
 
+# Relative residual of a bracket in the span, and distance of a constant read as an integer
+STRUCTURE_TOL = 1e-10
+BRACKET_BLOCK = 2**16  # entries of one block of brackets (_bracket_blocks)
+
 
 # ---------------------------------------------------------------------------
 # algebra container
@@ -95,10 +99,21 @@ def _memoized(g: MatrixLieAlgebra, what: str, d: np.ndarray, tols: tuple, build)
     return value
 
 
-def _brackets(basis: np.ndarray) -> np.ndarray:
-    """[x_i, x_j] for every pair of the (m, n, n) basis, flattened to an (m, m, n * n) array."""
+def _bracket_blocks(basis: np.ndarray):
+    """Yield (i-slice, [x_i, x_j] for i in it and every j as an (s, m, n * n) array).
+
+    The products x_i x_j are formed once, and their differences about
+    ``BRACKET_BLOCK`` entries at a time.
+    """
+    m = len(basis)
     prod = basis[:, None] @ basis
-    return (prod - prod.swapaxes(0, 1)).reshape(len(basis), len(basis), -1)
+    step = max(1, BRACKET_BLOCK // (m * basis[0].size))
+    for lo in range(0, m, step):
+        at = slice(lo, lo + step)
+        out = prod[at] - prod[:, at].swapaxes(0, 1)
+        if lo + step >= m:
+            del prod  # freed before the caller takes the last block
+        yield at, out.reshape(len(out), m, -1)
 
 
 def _span_coordinates(targets: np.ndarray, span: np.ndarray, tol: float) -> np.ndarray:
@@ -117,26 +132,36 @@ def _span_coordinates(targets: np.ndarray, span: np.ndarray, tol: float) -> np.n
     return c
 
 
-def structure_constants(basis: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def structure_constants(basis: np.ndarray) -> np.ndarray:
     """Structure tensor from a matrix basis; raises if brackets leave the span.
 
-    All m^2 brackets are formed in one batched product and solved at once
-    (:func:`_span_coordinates`).  A constant within ``tol`` of an integer is
-    that integer, so the solver's roundoff leaves no entry where the tensor
-    has a zero: it would couple eigenspaces of ad d that the tensor keeps
-    apart.
+    The brackets are formed and solved one block of i at a time
+    (:func:`_bracket_blocks`, :func:`_span_coordinates`); a target index in
+    the error counts within its block.  A constant within ``STRUCTURE_TOL``
+    of an integer is that integer, so the solver's roundoff leaves no entry
+    where the tensor has a zero: it would couple eigenspaces of ad d that
+    the tensor keeps apart.
     """
-    c = _span_coordinates(_brackets(basis), basis.reshape(len(basis), -1), tol)
-    if (np.linalg.norm(c.imag, axis=2) > 1e-8).any():
-        raise ValueError("structure constants are not real; basis is not a real basis")
-    c = c.real
-    return np.where(np.abs(c - np.round(c)) <= tol, np.round(c) + 0.0, c)
+    span = basis.reshape(len(basis), -1)
+    out = np.empty((len(basis),) * 3)
+    for at, brackets in _bracket_blocks(basis):
+        c = _span_coordinates(brackets, span, STRUCTURE_TOL)
+        if (np.linalg.norm(c.imag, axis=2) > 1e-8).any():
+            raise ValueError("structure constants are not real; basis is not a real basis")
+        c = c.real
+        whole = np.round(c)
+        out[at] = np.where(np.abs(c - whole) <= STRUCTURE_TOL, whole + 0.0, c)
+    return out
 
 
 def bracket_closure_residual(g: MatrixLieAlgebra) -> float:
-    """Largest Frobenius norm of [x_i, x_j] - sum_k c[i,j,k] x_k over all pairs; NaN if any entry is NaN."""
-    rec = g.structure @ g.basis.reshape(g.dim, -1)
-    return float(np.linalg.norm(_brackets(g.basis) - rec, axis=2).max())
+    """Largest Frobenius norm of [x_i, x_j] - sum_k c[i,j,k] x_k over all pairs; NaN if any entry is NaN.
+
+    Formed a block of i at a time (:func:`_bracket_blocks`).
+    """
+    flat = g.basis.reshape(g.dim, -1)
+    return float(np.max([np.linalg.norm(gap - g.structure[at] @ flat, axis=2).max()
+                         for at, gap in _bracket_blocks(g.basis)]))
 
 
 def jacobi_residual(g: MatrixLieAlgebra) -> float:
@@ -197,7 +222,7 @@ def _heis_basis(two_k: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def build_algebra(kind: str, n: int, tol: float = 1e-10) -> MatrixLieAlgebra:
+def build_algebra(kind: str, n: int) -> MatrixLieAlgebra:
     """Construct u(n), su(n) or heis(2k) with verified structure constants.
 
     For ``heis`` the argument is the symplectic dimension 2k (even, >= 2)
@@ -219,8 +244,8 @@ def build_algebra(kind: str, n: int, tol: float = 1e-10) -> MatrixLieAlgebra:
         basis, size, cartan = _heis_basis(n), n // 2 + 2, None
     else:
         raise UnsupportedKind(f"unknown algebra kind {kind!r}")
-    g = MatrixLieAlgebra(f"{kind}({n})", kind, size, basis, structure_constants(basis, tol), cartan)
-    if not (bracket_closure_residual(g) <= tol * 10 and jacobi_residual(g) <= tol * 10):
+    g = MatrixLieAlgebra(f"{kind}({n})", kind, size, basis, structure_constants(basis), cartan)
+    if not (bracket_closure_residual(g) <= STRUCTURE_TOL * 10 and jacobi_residual(g) <= STRUCTURE_TOL * 10):
         raise ValueError("structure constant verification failed")
     return g
 
@@ -230,7 +255,7 @@ def subalgebra(g: MatrixLieAlgebra, coeff_rows: np.ndarray, name: str = "sub") -
     rows = np.asarray(coeff_rows, dtype=float)
     mats = np.einsum("ri,ijk->rjk", rows.astype(complex), g.basis)
     brackets = np.einsum("ai,bik->abk", rows, np.einsum("bj,ijk->bik", rows, g.structure))
-    return MatrixLieAlgebra(name, "custom", g.n, mats, _span_coordinates(brackets, rows, 1e-10), None)
+    return MatrixLieAlgebra(name, "custom", g.n, mats, _span_coordinates(brackets, rows, STRUCTURE_TOL), None)
 
 
 def diagonal_element(g: MatrixLieAlgebra, entries: Sequence[float]) -> np.ndarray:
@@ -309,11 +334,10 @@ def _derivation_matrix(g: MatrixLieAlgebra, d) -> tuple[np.ndarray, Optional[np.
     return np.asarray(d, dtype=float), None
 
 
-def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL,
-                   cluster_tol: float = CLUSTER_TOL) -> DerivationData:
+def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> DerivationData:
     """Full eigendata of ``-i D`` on g_C, where D = ad(d) or an explicit matrix.
 
-    Eigenvalues chained at distance ``window = cluster_tol * max(1, max|D|)``
+    Eigenvalues chained at distance ``window = CLUSTER_TOL * max(1, max|D|)``
     form a cluster; one of k eigenvalues with mean lam takes the k right
     singular vectors of A - lam with the smallest singular values, so no
     rank threshold decides a dimension.  D is diagonalizable when each such
@@ -322,17 +346,15 @@ def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL,
     result is memoized on ``g``, with read-only arrays.
     """
     d = _as_derivation(d)
-    return _memoized(g, "spectral split", d, (tol, cluster_tol),
-                     lambda: _spectral_split(g, d.copy(), tol, cluster_tol))
+    return _memoized(g, "spectral split", d, (tol,), lambda: _spectral_split(g, d.copy(), tol))
 
 
-def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float,
-                    cluster_tol: float) -> DerivationData:
+def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float) -> DerivationData:
     D, element = _derivation_matrix(g, d)
     m = g.dim
     A = -1j * D.astype(complex)
     w = np.linalg.eigvals(A)
-    window = cluster_tol * max(1.0, float(np.abs(A).max()))
+    window = CLUSTER_TOL * max(1.0, float(np.abs(A).max()))
     clusters = cluster_values(w, window)
     means = [complex(np.mean(w[grp])) for grp in clusters]
     order = sorted(range(len(means)), key=lambda i: (means[i].real, means[i].imag))
@@ -530,25 +552,21 @@ def normalize_intervals(E) -> list[Interval]:
         return [(float(E), float(E))]
     E = list(E)
     if len(E) == 2 and all(np.isscalar(x) for x in E):
-        lo, hi = float(E[0]), float(E[1])
-        return [(lo, hi)]
-    out = []
-    for item in E:
-        lo, hi = item
-        out.append((float(lo), float(hi)))
-    return out
+        return [(float(E[0]), float(E[1]))]
+    return [(float(lo), float(hi)) for lo, hi in E]
 
 
-def intervals_contain(E: list[Interval], x: float, tol: float = CLUSTER_TOL) -> bool:
-    return any(lo - tol <= x <= hi + tol for lo, hi in E)
+def intervals_contain(E: list[Interval], x: float) -> bool:
+    """Is x within ``CLUSTER_TOL`` of one of the closed intervals E?"""
+    return any(lo - CLUSTER_TOL <= x <= hi + CLUSTER_TOL for lo, hi in E)
 
 
 def intervals_sum(E: list[Interval], F: list[Interval]) -> list[Interval]:
     return [(le + lf, he + hf) for (le, he) in E for (lf, hf) in F]
 
 
-def spectral_subspace(A, E, tol: float = CLUSTER_TOL) -> np.ndarray:
-    """Span of eigenvectors with eigenvalue in the closed set E.
+def spectral_subspace(A, E) -> np.ndarray:
+    """Span of eigenvectors with eigenvalue in the closed set E, within ``CLUSTER_TOL``.
 
     ``A`` is a Hermitian matrix or a DerivationData; ``E`` is a finite union
     of closed intervals (scalars allowed).  The empty set yields the zero
@@ -557,11 +575,8 @@ def spectral_subspace(A, E, tol: float = CLUSTER_TOL) -> np.ndarray:
     intervals = normalize_intervals(E) if E is not None else []
     if isinstance(A, DerivationData):
         spaces = [sp for lam, sp in zip(A.eigenvalues, A.eigenspaces)
-                  if intervals_contain(intervals, lam.real, tol)]
+                  if intervals_contain(intervals, lam.real)]
         dim = A.algebra.dim
         return np.hstack(spaces) if spaces else np.zeros((dim, 0), dtype=complex)
     w, v, _ = eig_frame(A, 1e-8)
-    keep = [k for k in range(len(w)) if intervals_contain(intervals, float(w[k]), tol)]
-    if not keep:
-        return np.zeros((v.shape[0], 0), dtype=complex)
-    return v[:, keep]
+    return v[:, [k for k in range(len(w)) if intervals_contain(intervals, float(w[k]))]]

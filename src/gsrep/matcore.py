@@ -4,10 +4,10 @@ Everything downstream reduces to three primitives: Hermitian
 eigendecomposition (:func:`eig_frame`), commutants, and compression of
 operator subspaces to a subspace of the underlying vector space.  Matrices
 are plain complex ``numpy`` arrays, and a family of k operators on C^d is
-one (k, d, d) array, (0, d, d) when empty; operator subspaces carry an
-orthonormal basis under the trace inner product ``<A, B> = tr(A^* B)`` (no
-``1/d`` normalization, so Gram matrices stay integer-valued on weight
-bases).
+one (k, d, d) array, (0, d, d) when empty.  An operator subspace is the
+(r, d, d) array of a basis orthonormal under the trace inner product
+``<A, B> = tr(A^* B)`` (no ``1/d`` normalization, so Gram matrices stay
+integer-valued on weight bases): its dimension is ``len(basis)``.
 
 Rank decisions (null spaces, independence) go through
 :func:`numerical_rank`: a relative singular-value threshold,
@@ -28,7 +28,6 @@ the constraints small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -78,18 +77,6 @@ def span_basis(mats: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(mats.reshape(k, d * d), full_matrices=False)
     rank = numerical_rank(s, tol)
     return vh[:rank].reshape(rank, d, d)
-
-
-@dataclass
-class OperatorSubspace:
-    """A subspace of d x d operators with a trace-orthonormal basis."""
-
-    dim: int
-    basis: np.ndarray  # (r, dim, dim), rows orthonormal under tr(A^* B)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[0]
 
 
 def eig_frame(H: np.ndarray, tol: float = DEFAULT_TOL):
@@ -359,8 +346,8 @@ def _commutant_coefficients(ops: np.ndarray, tol: float = DEFAULT_TOL,
     return _CommutantCoefficients(u, frame, q)
 
 
-def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -> OperatorSubspace:
-    """Orthonormal basis of {X : [X, A_i] = 0 for all i}.
+def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -> np.ndarray:
+    """Orthonormal (r, d, d) basis of {X : [X, A_i] = 0 for all i}.
 
     Parameters
     ----------
@@ -401,43 +388,43 @@ def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -
     u, frame, q = _commutant_coefficients(ops, tol, seed_rows)
     rows, cols = frame.coord_rows, frame.coord_cols
     if q is None:
-        basis = u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
-    else:
-        Y = np.zeros((q.shape[0], *u.shape), dtype=complex)
-        Y[:, rows, cols] = q
-        basis = u @ Y @ u.conj().T
-    return OperatorSubspace(u.shape[0], basis)
+        return u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
+    Y = np.zeros((q.shape[0], *u.shape), dtype=complex)
+    Y[:, rows, cols] = q
+    return u @ Y @ u.conj().T
 
 
-def compress(P: np.ndarray, S: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
-    """Span of {P^* A P : A in S} as operators on the column space of P.
+def compress(P: np.ndarray, S: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal (r', r, r) basis of the span of {P^* A P : A in S}, operators on the column space of P.
 
-    ``P`` must have orthonormal columns.  The result need not be an algebra
-    unless S is one and the subspace is suitably invariant.
+    ``S`` is an (k, d, d) stack and ``P`` a (d, r) matrix with orthonormal
+    columns.  The result need not be an algebra unless S is one and the
+    subspace is suitably invariant.
     """
     P = np.asarray(P, dtype=complex)
     if P.ndim != 2:
         raise DimensionMismatch("subspace basis must be a (dim, r) matrix")
     d, r = P.shape
-    if S.dim != d:
-        raise DimensionMismatch(f"subspace lives in dim {d}, operators act on dim {S.dim}")
+    S = _square_stack(S)
+    if S.shape[-1] != d:
+        raise DimensionMismatch(f"subspace lives in dim {d}, operators act on dim {S.shape[-1]}")
     if np.linalg.norm(P.conj().T @ P - np.eye(r)) > 1e-8 * max(1, r):
         raise ValueError("subspace basis columns are not orthonormal")
-    return OperatorSubspace(r, span_basis(P.conj().T @ S.basis @ P, tol))
+    return span_basis(P.conj().T @ S @ P, tol)
 
 
-def _intertwined(comm: OperatorSubspace, P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
+def _intertwined(comm: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
     """Equivalence of the irreducible pieces on ran P and ran Q: the Q^* B_k P
     span Hom_G(ran P, ran Q), so the pieces are equivalent iff one is nonzero."""
-    stack = (Q.conj().T @ comm.basis @ P).reshape(comm.rank, -1)
+    stack = (Q.conj().T @ comm @ P).reshape(len(comm), -1)
     return numerical_rank(np.linalg.svd(stack, compute_uv=False), tol) > 0
 
 
-def isotypic_split(comm: OperatorSubspace, tol: float) -> list[list[np.ndarray]]:
-    """Irreducible pieces of the operators whose commutant is ``comm``, grouped by equivalence class.
+def isotypic_split(comm: np.ndarray, tol: float) -> list[list[np.ndarray]]:
+    """Irreducible pieces of the operators whose commutant has the (r, d, d) basis ``comm``, grouped by class.
 
     The pieces are the eigenspaces of the Hermitian part of a real
-    combination of the basis of ``comm``, with coefficients drawn from
+    combination of the basis ``comm``, with coefficients drawn from
     ``SPLIT_SEED``; eigenvalues within a ``CLUSTER_TOL`` window, relative to
     the largest, share a piece.  A draw is accepted once ``comm`` compresses
     to the scalars on every piece (Schur); one that merges pieces by chance
@@ -454,11 +441,11 @@ def isotypic_split(comm: OperatorSubspace, tol: float) -> list[list[np.ndarray]]
     """
     rng = np.random.default_rng(SPLIT_SEED)
     for _ in range(SPLIT_DRAWS):
-        coeff = rng.normal(size=comm.rank)
-        X = np.einsum("k,kij->ij", coeff.astype(complex), comm.basis)
+        coeff = rng.normal(size=len(comm))
+        X = np.einsum("k,kij->ij", coeff.astype(complex), comm)
         w, v, _ = eig_frame((X + X.conj().T) / 2.0)
         pieces = [v[:, grp] for grp in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))]
-        if all(compress(P, comm, tol).rank == 1 for P in pieces):
+        if all(len(compress(P, comm, tol)) == 1 for P in pieces):
             break
     else:  # pragma: no cover
         raise NotIrreducible(f"no accepted split in {SPLIT_DRAWS} random elements")
@@ -471,6 +458,6 @@ def isotypic_split(comm: OperatorSubspace, tol: float) -> list[list[np.ndarray]]
         else:
             classes.append([piece])
     sizes = [len(c) for c in classes]
-    if sum(k * k for k in sizes) != comm.rank:
-        raise ConvergenceFailure(f"class sizes {sizes} do not account for a commutant of rank {comm.rank}")
+    if sum(k * k for k in sizes) != len(comm):
+        raise ConvergenceFailure(f"class sizes {sizes} do not account for a commutant of rank {len(comm)}")
     return classes

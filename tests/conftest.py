@@ -2,6 +2,7 @@ import itertools
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,11 +36,12 @@ def commutant_swap(monkeypatch):
     """``with commutant_swap(fn):`` puts ``fn`` in place of the commutant kernel in every gsrep module.
 
     ``fn`` takes the arguments of ``matcore.commutant_basis`` and returns an
-    OperatorSubspace.  It replaces ``commutant_basis`` wherever that is
+    (r, d, d) basis.  It replaces ``commutant_basis`` wherever that is
     bound, so it builds the commutant of pi (``irreps.commutant``), and
     ``_commutant_coefficients`` wherever it is bound outside ``matcore``,
     whose ``commutant_basis`` calls it: ``groundstate.analyze`` reads only
-    the ``rank`` of pi0's commutant, which an OperatorSubspace has too.
+    the ``rank`` of pi0's commutant, which there is the length of ``fn``'s
+    basis.
     """
     kernels = {"commutant_basis": matcore.commutant_basis,
                "_commutant_coefficients": matcore._commutant_coefficients}
@@ -52,9 +54,12 @@ def commutant_swap(monkeypatch):
 
     @contextmanager
     def swap(fn):
+        def coefficients(*args, **kwargs):
+            return SimpleNamespace(rank=len(fn(*args, **kwargs)))
+
         with monkeypatch.context() as patch:
             for module, attr in bound:
-                patch.setattr(module, attr, fn)
+                patch.setattr(module, attr, fn if attr == "commutant_basis" else coefficients)
             yield
 
     return swap

@@ -1,7 +1,8 @@
 """Test oracles and test-only helpers kept out of the package.
 
 ``algebra_closure``, ``center_basis``, ``contains``, ``same_span``,
-``is_star_closed``, ``full_operator_space`` and ``rows`` (from ``matcore``),
+``is_star_closed``, ``full_operator_space`` and ``rows`` (from ``matcore``,
+taking and returning the (r, d, d) basis of an operator subspace),
 ``is_strict`` and ``direct_sum_law`` (from ``groundstate``),
 ``tensor_product`` (from ``irreps``), ``is_elliptic`` and
 ``splitting_condition`` (from ``liealg``), ``level_cone_generators`` (from
@@ -31,32 +32,29 @@ from gsrep.groundstate import GroundStateReport, analyze
 from gsrep.heisenfock import ROT, FockTruncation, SymplecticSetup
 from gsrep.irreps import Representation, direct_sum
 from gsrep.liealg import MatrixLieAlgebra, _derivation_matrix, build_algebra, spectral_split
-from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, _null_rows, compress, numerical_rank,
-                           span_basis)
+from gsrep.matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, compress, numerical_rank, span_basis
 
 
-def rows(space: OperatorSubspace) -> np.ndarray:
-    return space.basis.reshape(space.rank, -1)
+def rows(space: np.ndarray) -> np.ndarray:
+    return space.reshape(len(space), -1)
 
 
-def full_operator_space(dim: int) -> OperatorSubspace:
+def full_operator_space(dim: int) -> np.ndarray:
     basis = np.zeros((dim * dim, dim, dim), dtype=complex)
     for a in range(dim):
         for b in range(dim):
             basis[a * dim + b, a, b] = 1.0
-    return OperatorSubspace(dim, basis)
+    return basis
 
 
-def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> OperatorSubspace:
-    """Smallest subspace containing ``ops``, a (k, d, d) stack or a subspace, closed under the matrix product.
+def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Smallest subspace containing the (k, d, d) stack ``ops``, closed under the matrix product.
 
     Grows degree by degree: new words are products of the previous frontier
     with the generators on either side, orthonormalized against the span so
     far; terminates when the dimension stabilizes (bounded by d^2, which
     suffices at finite dimension by Cayley--Hamilton saturation).
     """
-    if isinstance(ops, OperatorSubspace):
-        ops = ops.basis
     gens = span_basis(ops, tol)
     d = gens.shape[1]
     basis = span_basis(np.concatenate([gens, np.eye(d)[None]]) if include_identity else gens, tol)
@@ -73,7 +71,7 @@ def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL
             break
         q = np.vstack([q, new])
         frontier = new.reshape(-1, d, d)
-    return OperatorSubspace(d, q.reshape(-1, d, d))
+    return q.reshape(-1, d, d)
 
 
 def is_strict(pi: Representation, report: GroundStateReport,
@@ -108,21 +106,21 @@ def direct_sum_law(reps: Sequence[Representation], d: np.ndarray,
     return whole == parts
 
 
-def center_basis(alg: OperatorSubspace, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+def center_basis(alg: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Center of an algebra: the elements of ``alg`` commuting with all of it.
 
     One null space of the (r d^2, r) matrix of brackets [B_j, B_k] of the
     basis elements, so it costs no d^2 x d^2 decomposition.
     """
-    B, r, d = alg.basis, alg.rank, alg.dim
+    B, r, d = alg, len(alg), alg.shape[-1]
     prod = np.einsum("jab,kbc->jkac", B, B)
     brackets = prod - prod.transpose(1, 0, 2, 3)  # [B_j, B_k]
     cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
     q = _null_rows(cols, tol) @ rows(alg)
-    return OperatorSubspace(d, q.reshape(-1, d, d))
+    return q.reshape(-1, d, d)
 
 
-def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def contains(space: np.ndarray, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     v = np.asarray(mat, dtype=complex).reshape(-1)
     scale = max(np.linalg.norm(v), 1.0)
     q = rows(space)
@@ -130,18 +128,18 @@ def contains(space: OperatorSubspace, mat: np.ndarray, tol: float = DEFAULT_TOL)
     return bool(np.linalg.norm(resid) <= tol * scale)
 
 
-def same_span(a: OperatorSubspace, b: OperatorSubspace, tol: float = DEFAULT_TOL) -> bool:
-    if a.dim != b.dim or a.rank != b.rank:
+def same_span(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    if a.shape[-1] != b.shape[-1] or len(a) != len(b):
         return False
     q, p = rows(a), rows(b)
     resid = p - (p @ q.conj().T) @ q
-    return bool(np.linalg.norm(resid) <= tol * max(1.0, a.rank))
+    return bool(np.linalg.norm(resid) <= tol * max(1.0, len(a)))
 
 
-def is_star_closed(space: OperatorSubspace, tol: float = 1e-8) -> bool:
+def is_star_closed(space: np.ndarray, tol: float = 1e-8) -> bool:
     """Does every basis adjoint lie in the span, within ``tol``?"""
     q = rows(space)
-    adj = space.basis.conj().transpose(0, 2, 1).reshape(space.rank, -1)
+    adj = space.conj().transpose(0, 2, 1).reshape(len(space), -1)
     resid = adj - (adj @ q.conj().T) @ q
     return bool(np.all(np.linalg.norm(resid, axis=1) <= tol))
 

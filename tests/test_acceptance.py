@@ -177,7 +177,7 @@ def test_criterion_08_spectral_translation():
     ok = True
     for lam in dd.eigenvalues:
         for f in energies:
-            ok &= groundstate.spectral_translation_check(rep, d, float(lam.real), f, tol=1e-9)
+            ok &= groundstate.spectral_translation_check(rep, d, float(lam.real), f)
     # the negative class annihilates the minimal-energy space
     ground = liealg.spectral_subspace(H, 0.0)
     for lam, space in dd.spaces(lambda l: l.real < -1e-8):

@@ -724,3 +724,24 @@ def test_a_job_dict_holds_its_integer_keys_to_integers(capsys, monkeypatch, job)
         cli.run(dict(job))
     monkeypatch.setattr(cli, "_job_from_args", lambda args: dict(job))
     assert "must be" in assert_schema_error(capsys, ["dirlim", "--lam", "1", "--d", "1"])
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "classify", "n": 2, "d": [2.0, 1.0], "box": 1, "tol": True},
+    {"command": "dirlim", "lam": [0, 1], "d": [2.0, 1.0], "tol": "1e-3"},
+    {"command": "dirlim", "lam": [0, 1], "d": [2.0, 1.0], "tol": [1]},
+    {"command": "dirlim", "lam": [0, 1], "d": [2.0, 1.0], "tol": None},
+], ids=lambda job: f"{job['command']},tol={job['tol']!r}")
+def test_a_job_dict_holds_its_tolerance_to_a_number(capsys, monkeypatch, job):
+    # a bool would run at tolerance 1.0, a string would be echoed in the job,
+    # and a list would fail in float() with exit 1
+    with pytest.raises(SchemaError, match="tol must be a number"):
+        cli.run(dict(job))
+    monkeypatch.setattr(cli, "_job_from_args", lambda args: dict(job))
+    assert assert_schema_error(capsys, ["dirlim", "--lam", "1", "--d", "1"]) == "tol must be a number"
+
+
+def test_a_numeric_job_tolerance_is_decided_as_a_float():
+    report = cli.run({"command": "classify", "n": 2, "d": [2.0, 1.0], "box": 1, "tol": 1})
+    assert type(report["checks"][0]["tol"]) is float and report["checks"][0]["tol"] == 1.0
+    assert report["job"]["tol"] == 1

@@ -220,7 +220,7 @@ def loop_coroot_condition(rep0, rd, tol=cones.PSD_TOL):
     return True
 
 
-def loop_cone_positivity(g, dd, rep0, tol=cones.PSD_TOL, samples=32, seed=0):
+def loop_cone_positivity(g, dd, rep0, tol=cones.PSD_TOL, samples=cones.CONE_SAMPLES, seed=0):
     """One generator and one eigendecomposition at a time, in generator order."""
     gens, prov = [], []
     for lam, space in dd.positive():
@@ -315,15 +315,15 @@ def test_batched_cone_matches_loop_when_a_sample_fails_first():
     assert_same_result(cones.check_cone_positivity(g, dd, rep0), want)
 
 
-@pytest.mark.parametrize("samples,seed", [(32, 0), (32, 3), (7, 0), (1, 5), (0, 0), (32, 0)])
+@pytest.mark.parametrize("samples,seed", [(cones.CONE_SAMPLES, 0), (cones.CONE_SAMPLES, 3), (cones.CONE_SAMPLES, 0)])
 def test_memoized_samples_follow_samples_and_seed(samples, seed):
-    # every run shares the memo of one (g, d); a different sample count or
-    # seed must not read another's samples, and a repeat reads its own
+    # every run shares the memo of one (g, d); a different seed must not
+    # read another's samples, and a repeat reads its own
     g, dd, failing = sample_first_fixture()
     passing = groundstate.analyze(cached_irrep("u", 3, (2, 1, 0)), dd.element).pi0
     for rep0 in (failing, passing):
         want = loop_cone_positivity(g, dd, rep0, samples=samples, seed=seed)
-        assert_same_result(cones.check_cone_positivity(g, dd, rep0, samples=samples, seed=seed), want)
+        assert_same_result(cones.check_cone_positivity(g, dd, rep0, seed=seed), want)
         assert want.sampled
 
 

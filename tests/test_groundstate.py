@@ -196,12 +196,12 @@ def test_commutant_restriction_is_bijective():
             assert out.ground_state
             comm = matcore.commutant_basis(rep.dpi)
             compressed = matcore.compress(out.h0_basis, comm)
-            assert compressed.rank == comm.rank
+            assert len(compressed) == len(comm)
             # and (corner)'' = corner: its dimension is reported in the slot
             corner_comm = matcore.commutant_basis(
-                compressed.basis
+                compressed
             )
-            assert corner_comm.rank == out.commutant_dims[2]
+            assert len(corner_comm) == out.commutant_dims[2]
 
 
 def test_pi0_irreducible_for_irreducible_pi():
@@ -320,7 +320,7 @@ def test_per_block_spectra_and_the_split_decide_as_a_dense_eigh(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(matcore, "eig_frame", _dense_eigh)
             patch.setattr(groundstate, "eig_frame", _dense_eigh)
-            classes = matcore.isotypic_split(comm, DEFAULT_TOL) if comm.rank > 1 else []
+            classes = matcore.isotypic_split(comm, DEFAULT_TOL) if len(comm) > 1 else []
             want_blocks = [np.hstack(c) for c in classes]
             want_h0, want_shifts, want_counts = groundstate._ground_space(H, w, v, want_blocks, out.window)
         assert mults == (tuple(len(c) for c in classes) or (1,))

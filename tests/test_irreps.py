@@ -99,7 +99,7 @@ def test_irreducibility_certificate():
 
     for lam in [(1, 0, 0), (1, 1, 0), (2, 1, 0)]:
         rep = cached_irrep("u", 3, lam)
-        assert matcore.commutant_basis(rep.dpi).rank == 1
+        assert len(matcore.commutant_basis(rep.dpi)) == 1
 
 
 def test_weights_weyl_group_invariant():
@@ -234,18 +234,17 @@ def test_decompose_without_a_cartan():
     parts = irreps.decompose(irreps.direct_sum([line, point, line]))
     assert sorted((c.dim, m) for c, m in parts) == [(1, 1), (2, 2)]
     for c, _ in parts:
-        assert matcore.commutant_basis(c.dpi).rank == 1
+        assert len(matcore.commutant_basis(c.dpi)) == 1
 
 
 def test_weights_reject_non_commuting_family():
     from gsrep.errors import NonCommutingCartan
 
     rep = cached_irrep("u", 2, (1, 0))
-    bad = np.zeros((2, rep.algebra.dim))
-    bad[0, 0] = 1.0  # i E_11
-    bad[1, 2] = 1.0  # E_12 - E_21: does not commute with the first
+    dpi = rep.dpi.copy()
+    dpi[1] = rep.dpi[2]  # the image of E_12 - E_21 for that of i E_22: it does not commute with i E_11's
     with pytest.raises(NonCommutingCartan):
-        irreps.weights_of(rep, bad)
+        irreps.weights_of(Representation(rep.algebra, dpi))
 
 
 def test_torus_character_operator():
@@ -376,13 +375,13 @@ def test_decompose_reads_schur_and_equivalence_from_the_commutant(summands):
     assert len(parts) == len(set(summands))
     assert got == Counter(summands)
 
-    assert all(matcore.commutant_basis(c.dpi).rank == 1 for c, _ in parts)
+    assert all(len(matcore.commutant_basis(c.dpi)) == 1 for c, _ in parts)
     comm = matcore.commutant_basis(rep.dpi)
     pieces = [P for members in matcore.isotypic_split(comm, tol) for P in members]
     assert sum(P.shape[1] for P in pieces) == rep.dim
-    assert all(matcore.commutant_basis(irreps.restrict(rep, P).dpi).rank == 1
+    assert all(len(matcore.commutant_basis(irreps.restrict(rep, P).dpi)) == 1
                for P in pieces)
-    assert all(matcore.compress(P, comm).rank == 1 for P in pieces)
+    assert all(len(matcore.compress(P, comm)) == 1 for P in pieces)
     verdicts = Counter()
     for P, Q in itertools.combinations(pieces, 2):
         want = _equivalent(irreps.restrict(rep, Q), irreps.restrict(rep, P), tol)
@@ -401,7 +400,7 @@ def test_commutant_rank_is_sum_of_squared_multiplicities():
     parts = irreps.decompose(rep)
     assert sorted(m for _, m in parts) == [1, 2, 3]
     comm = matcore.commutant_basis(list(rep.dpi))
-    assert comm.rank == sum(m * m for _, m in parts) == 14
+    assert len(comm) == sum(m * m for _, m in parts) == 14
     assert is_star_closed(comm)
 
 
@@ -426,7 +425,7 @@ def test_gelfand_tsetlin_reaches_dimension_125():
     assert rep.dim == 125
     rd = liealg.root_datum(g, liealg.diagonal_element(g, [2, 1, 0]))
     assert irreps.extremal_weight(rep, rd, "highest") == (8, 4, 0)
-    assert matcore.commutant_basis(rep.dpi).rank == 1
+    assert len(matcore.commutant_basis(rep.dpi)) == 1
 
 
 @pytest.mark.parametrize("kind,lam", [("u", (2, 0, -2)), ("u", (3, 1, 0, 0)), ("su", (2, 1, 0)),

@@ -50,6 +50,20 @@ def test_sliced_jacobi_residual_matches_full_tensor(kind, n):
     assert liealg.jacobi_residual(g) == pytest.approx(_full_tensor_jacobi(g.structure), rel=1e-12)
 
 
+@pytest.mark.parametrize("kind,n", [("u", 1), ("u", 3), ("u", 5), ("su", 4), ("heis", 6)])
+def test_brackets_taken_one_row_at_a_time_give_the_same_tensor(monkeypatch, kind, n):
+    # one block of brackets at the default size; a block per basis element at size 1
+    whole = liealg.build_algebra(kind, n)
+    monkeypatch.setattr(liealg, "BRACKET_BLOCK", 1)
+    sliced = liealg.build_algebra(kind, n)
+    assert sliced.structure.tobytes() == whole.structure.tobytes()
+    assert liealg.bracket_closure_residual(sliced) == liealg.bracket_closure_residual(whole)
+    c = whole.structure.copy()
+    c[-1, 0, 0] = np.nan  # in the last block
+    broken = liealg.MatrixLieAlgebra(whole.name, whole.kind, whole.n, whole.basis, c, whole.cartan_indices)
+    assert np.isnan(liealg.bracket_closure_residual(broken))
+
+
 @pytest.mark.parametrize("residual", [liealg.bracket_closure_residual, liealg.jacobi_residual])
 def test_structure_residuals_are_nan_on_one_nan_constant(residual):
     g = algebra("u", 3)
@@ -61,8 +75,8 @@ def test_structure_residuals_are_nan_on_one_nan_constant(residual):
 def test_build_algebra_refuses_a_nan_structure_constant(monkeypatch):
     structure_constants = liealg.structure_constants
 
-    def one_nan(basis, tol):
-        c = structure_constants(basis, tol)
+    def one_nan(basis):
+        c = structure_constants(basis)
         c[1, 2, 0] = np.nan
         return c
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from gsrep import cones, groundstate, irreps, liealg, matcore
 from gsrep.errors import ConvergenceFailure, NotIrreducible
 from gsrep.irreps import Representation, direct_sum
-from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, OperatorSubspace, cluster_values, commutant_basis, compress, eig_frame,
+from gsrep.matcore import (CLUSTER_TOL, DEFAULT_TOL, cluster_values, commutant_basis, compress, eig_frame,
                            numerical_rank)
 
 from conftest import D_LISTS, algebra, cached_irrep, fresh, random_unitary, rng
@@ -27,7 +27,7 @@ from oracles import center_basis, same_span, splitting_condition
 from test_commutant_frame import reducible_cases, reference_commutant, sweep_cases, verdicts
 
 
-def _central_projections(comm: OperatorSubspace, tol: float,
+def _central_projections(comm: np.ndarray, tol: float,
                          seed: int = 7) -> list[np.ndarray]:
     """Minimal central projections of the algebra generated by the operators.
 
@@ -37,20 +37,20 @@ def _central_projections(comm: OperatorSubspace, tol: float,
     random Hermitian element of it has the minimal central projections as
     its spectral projections (generically, so a couple of retries suffice).
     """
-    dim = comm.dim
-    if comm.rank == 1:
+    dim = comm.shape[-1]
+    if len(comm) == 1:
         return [np.eye(dim, dtype=complex)]
     center = center_basis(comm, tol)
-    if center.rank == 1:
+    if len(center) == 1:
         return [np.eye(dim, dtype=complex)]
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        coeff = rng.normal(size=center.rank)
-        X = np.einsum("k,kij->ij", coeff.astype(complex), center.basis)
+        coeff = rng.normal(size=len(center))
+        X = np.einsum("k,kij->ij", coeff.astype(complex), center)
         X = (X + X.conj().T) / 2.0
         w, v = np.linalg.eigh(X)
         groups = cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))
-        if len(groups) == center.rank:
+        if len(groups) == len(center):
             return [v[:, grp] @ v[:, grp].conj().T for grp in groups]
     raise NotIrreducible("failed to separate central projections")  # pragma: no cover
 
@@ -117,14 +117,14 @@ def reference_analyze(pi, d, tol=DEFAULT_TOL):
     ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
     comm_pi0 = commutant_basis(pi0.dpi, tol=tol, seed_rows=fix.torus_rows)
     compressed_comm = compress(h0, comm_full, tol)
-    corner = commutant_basis(compressed_comm.basis, tol=tol)
+    corner = commutant_basis(compressed_comm, tol=tol)
     return {
         "m": float(w[0]),
         "h0_basis": h0,
         "shifts": shifts,
-        "commutant_dims": (comm_full.rank, comm_pi0.rank, corner.rank),
+        "commutant_dims": (len(comm_full), len(comm_pi0), len(corner)),
         "ground_state": ground_state,
-        "strict": bool(ground_state and comm_pi0.rank == compressed_comm.rank),
+        "strict": bool(ground_state and len(comm_pi0) == len(compressed_comm)),
         "projections": projections,
         "comm_full": comm_full,
     }
@@ -241,11 +241,11 @@ def test_identity_frame_matches_reference_commutant(k, non_normal_seeds):
     got = matcore.commutant_basis(ops)
     assert non_normal_seeds["non_normal"] == 1  # the path under test was taken
     want = reference_commutant(ops)
-    assert got.rank == want.rank
+    assert len(got) == len(want)
     assert same_span(got, want, 1e-8)
-    flat = got.basis.reshape(got.rank, -1)
-    assert np.allclose(flat.conj() @ flat.T, np.eye(got.rank), atol=1e-10)
-    for B in got.basis:
+    flat = got.reshape(len(got), -1)
+    assert np.allclose(flat.conj() @ flat.T, np.eye(len(got)), atol=1e-10)
+    for B in got:
         for A in ops:
             assert np.linalg.norm(B @ A - A @ B) <= 1e-9 * max(1.0, np.linalg.norm(A))
 
@@ -255,10 +255,10 @@ def test_hermitian_parts_span_the_compressed_commutant():
     # their span is the compressed commutant's own, so the corner is unchanged
     for rep, d in reducible_cases():
         out = reference_analyze(rep, d)
-        B = compress(out["h0_basis"], out["comm_full"]).basis
+        B = compress(out["h0_basis"], out["comm_full"])
         Bh = B.conj().transpose(0, 2, 1)
         parts = matcore.span_basis(np.concatenate([B + Bh, 1j * (B - Bh)]))
-        assert same_span(OperatorSubspace(B.shape[1], parts), OperatorSubspace(B.shape[1], B))
+        assert same_span(parts, B)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,8 @@ def test_corner_count_is_the_rank_of_the_reference_corner_commutant(case):
     out = groundstate.analyze(rep, d)
     comm = reference_commutant(rep.dpi)
     compressed = compress(out.h0_basis, comm)
-    corner = reference_commutant(compressed.basis)
-    assert out.commutant_dims[2] == corner.rank
+    corner = reference_commutant(compressed)
+    assert out.commutant_dims[2] == len(corner)
 
 
 @pytest.mark.parametrize("summands,mults", [(((1, 0, 0), (1, 0, 0)), (3,)),
@@ -365,7 +365,7 @@ def test_isotypic_classes_are_the_summand_multiplicities_and_the_central_blocks(
     classes = matcore.isotypic_split(comm, DEFAULT_TOL)
     sizes = [len(c) for c in classes]
     assert Counter(sizes) == Counter(Counter(case[1]).values())
-    assert sum(k * k for k in sizes) == comm.rank
+    assert sum(k * k for k in sizes) == len(comm)
     _pair_by_projector([np.hstack(c) for c in classes], _central_projections(comm, DEFAULT_TOL), 1e-10)
 
 
@@ -552,7 +552,7 @@ def test_pi0_commutant_at_central_d_is_read_from_the_commutant_of_pi(commutant_c
         out = groundstate.analyze(rep, d)
         assert commutant_calls == [rep.dim]  # cold: the commutant of pi alone
         assert out.h0_dim == rep.dim and out.pi0.dim == rep.dim
-        assert out.commutant_dims[1] == reference_commutant(list(out.pi0.dpi)).rank
+        assert out.commutant_dims[1] == len(reference_commutant(list(out.pi0.dpi)))
         want = reference_analyze(rep, d)
         assert out.commutant_dims == want["commutant_dims"]
         assert (out.ground_state, out.strict) == (want["ground_state"], want["strict"])
