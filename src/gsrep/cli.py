@@ -29,10 +29,11 @@ import numpy as np
 
 from . import __version__
 from .errors import GsrepError, SchemaError
-from . import cones, dirlim, groundstate, heisenfock, irreps, liealg
+from . import cones, dirlim, groundstate, heisenfock, irreps, liealg, matcore
 
 CACHE_ENV = "GSREP_CACHE_DIR"
 CACHE_BASIS = "gelfand-tsetlin"
+MONOTONE_SLACK = 1e-12  # a Weyl residual may exceed the one at the cutoff below by this much
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +269,7 @@ def _run_analyze(job: dict, report: dict, tol: float, seed: int) -> None:
     cache = IrrepCache(job.get("cache_dir"))
     rep = cache.get_or_build(g, [x - lam[-1] for x in lam])
     _bounded_norm(rep.operator(d), "dpi(d)")
-    tol = min(tol, 1e-9)
-    out = groundstate.analyze(rep, d, tol=tol)
+    out = groundstate.analyze(rep, d)
     shift = lam[-1] if g.kind == "u" else 0
     energy = shift * float(d[:g.n].sum()) if shift else -0.0  # x + -0.0 is x, -0.0 included
     h0_weights = sorted(irreps.weights_of(irreps.restrict(rep, out.h0_basis)))
@@ -286,8 +286,8 @@ def _run_analyze(job: dict, report: dict, tol: float, seed: int) -> None:
         "h0_weights": [[x + shift for x in w] for w in h0_weights],
         "rep_dim": rep.dim,
     }
-    _check(report, "minimal-energy", out.ground_state, tol, window=out.window)
-    _check(report, "strictness", out.strict, tol, window=out.window)
+    _check(report, "minimal-energy", out.ground_state, matcore.DEFAULT_TOL, window=out.window)
+    _check(report, "strictness", out.strict, matcore.DEFAULT_TOL, window=out.window)
 
 
 def _run_classify(job: dict, report: dict, tol: float, seed: int) -> None:
@@ -399,7 +399,7 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
     vals = [residuals[k]["residual"] for k in sorted(residuals, key=int)]
     monotone = None  # one distinct cutoff compares nothing, so it gives no verdict
     if len(vals) > 1:
-        monotone = all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
+        monotone = all(vals[i + 1] <= vals[i] + MONOTONE_SLACK for i in range(len(vals) - 1))
     report["verdicts"] = {
         "max_vacuum_error": max(vacuum_err.values()),
         "monotone": monotone,
@@ -408,7 +408,7 @@ def _run_fock(job: dict, report: dict, tol: float, seed: int) -> None:
     report["tables"] = {"weyl_residuals": residuals, "vacuum_errors": vacuum_err}
     _check(report, "weyl-vacuum", max(vacuum_err.values()) <= tol, tol)
     if monotone is not None:
-        _check(report, "weyl-relations-monotone", monotone, tol)
+        _check(report, "weyl-relations-monotone", monotone, MONOTONE_SLACK)
     if zero_modes:
         _check(report, "kernel-count", kernel_ok, 0.0, arithmetic="integer")
 
@@ -437,6 +437,7 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
     suite = _require(job, "suite")
     failures = []
     total = 0
+    decided, extra = tol, {}  # the tolerance the suite's verdicts are decided under
     if suite == "classification":
         sub = run({"command": "classify", "group": "u", "n": 2, "d": [2.0, 1.0],
                    "box": job.get("box", 2), "tol": tol})
@@ -462,7 +463,7 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
     elif suite == "fock-convergence":
         sub = run({"command": "fock", "modes": 1, "cutoffs": [10, 20, 40],
                    "zero_modes": 0, "tol": 1e-6, "seed": seed})
-        total = 1
+        total, decided = 1, MONOTONE_SLACK
         if not sub["verdicts"]["monotone"]:
             failures.append({"case": "fock-monotonicity", "tables": sub["tables"]})
     elif suite == "level-consistency":
@@ -470,6 +471,7 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
         if cases < 1:
             raise SchemaError("cases must be at least 1")
         rng = np.random.default_rng(seed)
+        decided, extra = 0.0, {"arithmetic": "integer"}
         for _ in range(cases):
             level = int(rng.integers(2, 6))
             d = tuple(float(x) for x in rng.permutation(level) + rng.uniform(0, 0.5))
@@ -484,18 +486,19 @@ def _run_sweep(job: dict, report: dict, tol: float, seed: int) -> None:
         g = liealg.build_algebra("u", 2)
         weights = [(1, 0), (2, 0), (1, 1), (0, -1), (2, 1)]
         d = liealg.diagonal_element(g, [2.0, 1.0])
+        decided = matcore.DEFAULT_TOL
         for i, a in enumerate(weights):
             for b in weights[i:]:
                 total += 1
                 summands = [irreps.irrep(g, a), irreps.irrep(g, b)]
-                out = groundstate.analyze(irreps.direct_sum(summands), d, tol=tol)
+                out = groundstate.analyze(irreps.direct_sum(summands), d)
                 if not (out.ground_state and out.strict):
                     failures.append({"weights": [list(a), list(b)], "strict": out.strict})
     else:
         raise SchemaError(f"unknown sweep suite {suite!r}")
     report["verdicts"] = {"cases": total, "failures": len(failures)}
     report["tables"] = {"failures": failures}
-    _check(report, f"sweep-{suite}", len(failures) == 0, tol, cases=total)
+    _check(report, f"sweep-{suite}", len(failures) == 0, decided, cases=total, **extra)
 
 
 _HANDLERS = {"analyze": _run_analyze, "classify": _run_classify, "cone-check": _run_cone_check,

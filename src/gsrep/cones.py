@@ -167,8 +167,8 @@ def _cone_stack(g: MatrixLieAlgebra, dd: DerivationData, seed: int) -> tuple[np.
 
     Returns the read-only rows, their provenance (k of ``("sample", eig, k)``
     counts within its eigenspace) and whether any eigenspace was sampled.
-    An inner derivation's entry is memoized on ``g`` under the DerivationData,
-    which it holds; :func:`liealg.spectral_split` returns one per (g, d, tol).
+    An inner derivation's entry is memoized on ``g`` under its element and
+    the seed: :func:`liealg.spectral_split` returns one split per (g, d).
     """
 
     def build():
@@ -185,11 +185,11 @@ def _cone_stack(g: MatrixLieAlgebra, dd: DerivationData, seed: int) -> tuple[np.
             raw = raw[:, 0] + 1j * raw[:, 1]
             rows.append(_bracket_generators(g, [space @ (u / np.linalg.norm(u)) for u in raw]))
             prov += [("sample", float(lam.real), k) for k in range(CONE_SAMPLES)]
-        return dd, _frozen(np.concatenate(rows)), tuple(prov), sampled
+        return _frozen(np.concatenate(rows)), tuple(prov), sampled
 
     if dd.element is None:
-        return build()[1:]
-    return _memoized(g, "action cone", dd.element, (id(dd), seed), build)[1:]
+        return build()
+    return _memoized(g, ("action cone", seed), dd.element, build)
 
 
 def in_positive_cone(rep0: Representation, x: np.ndarray) -> bool:

@@ -89,7 +89,7 @@ def _ground_space(H: np.ndarray, w: np.ndarray, v: np.ndarray, blocks: list[np.n
     return cols[0] if len(cols) == 1 else np.hstack(cols), shifts, [c.shape[1] for c in cols]
 
 
-def _separating(comm: np.ndarray, h0: np.ndarray, tol: float) -> bool:
+def _separating(comm: np.ndarray, h0: np.ndarray) -> bool:
     """Is the range of ``h0`` separating for the (r, d, d) basis ``comm``: are the B_k h0 independent?
 
     A scalar ``comm`` (r = 1) separates every nonzero subspace and takes
@@ -99,17 +99,18 @@ def _separating(comm: np.ndarray, h0: np.ndarray, tol: float) -> bool:
     if len(comm) == 1:
         return True
     cols = (comm @ h0).reshape(len(comm), -1).T
-    return numerical_rank(np.linalg.svd(cols, compute_uv=False), tol) == len(comm)
+    return numerical_rank(np.linalg.svd(cols, compute_uv=False), DEFAULT_TOL) == len(comm)
 
 
-def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> GroundStateReport:
+def analyze(pi: Representation, d: np.ndarray) -> GroundStateReport:
     """Full minimal-energy analysis of (pi, d).
 
     Parameters
     ----------
     pi : representation of a matrix Lie algebra.
     d : real coefficient vector of the generating element.
-    tol : rank threshold shared by all subspace decisions.
+
+    Every subspace decision is a rank decision at ``matcore.DEFAULT_TOL``.
 
     The commutant M' of the whole action, with orthonormal basis B_k, its
     central blocks and their multiplicities do not depend on d, so they are
@@ -161,8 +162,8 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
     H = -1j * pi.operator(d)
     w, v, order = eig_frame(H, 1e-8)
     m = float(w[0])
-    comm_full, blocks, mults = commutant(pi, tol)
-    fix = fixed_point_data(g, d, tol)
+    comm_full, blocks, mults = commutant(pi)
+    fix = fixed_point_data(g, d)
     if fix.central is not None:
         H = -1j * pi.operator(fix.central)
         w, v, order = eig_frame(H, 1e-8)
@@ -172,7 +173,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         raise ConvergenceFailure(f"ground space columns {counts} of the central blocks are not "
                                  f"multiples of their multiplicities {list(mults)}")
     corner = sum((c // k) ** 2 for c, k in zip(counts, mults))
-    ground_state = _separating(comm_full, h0, tol)
+    ground_state = _separating(comm_full, h0)
 
     r = h0.shape[1]
     idx = None if order is None or len(blocks) > 1 else order[:r]  # h0 is the identity columns idx
@@ -188,7 +189,7 @@ def analyze(pi: Representation, d: np.ndarray, tol: float = DEFAULT_TOL) -> Grou
         # pi0 is pi in the basis h0; at central d, Schur puts dpi(d) in Z(pi(G)'') so H0 = H
         rank_pi0 = len(comm_full)
     else:
-        rank_pi0 = _commutant_coefficients(pi0.dpi, tol=tol, seed_rows=fix.torus_rows).rank
+        rank_pi0 = _commutant_coefficients(pi0.dpi, seed_rows=fix.torus_rows).rank
     return GroundStateReport(
         m=m,
         h0_basis=h0,

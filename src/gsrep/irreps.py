@@ -25,8 +25,7 @@ from .errors import (
 )
 from .liealg import (MatrixLieAlgebra, RootDatum, _span_coordinates, build_algebra,
                      diagonal_element, root_datum, subalgebra)
-from .matcore import (CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, commutant_basis, eig_frame,
-                      isotypic_split)
+from .matcore import CLUSTER_TOL, _null_rows, cluster_values, commutant_basis, eig_frame, isotypic_split
 
 Weight = tuple[int, ...]
 
@@ -444,16 +443,16 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
     """The unique weight extremal against the positive system of ``rd``.
 
     Verified by the annihilation filter: the joint kernel of all lowering
-    (resp. raising) root operators, at the rank rule of ``DEFAULT_TOL``,
-    must be one-dimensional; otherwise the representation is not
-    irreducible.
+    (resp. raising) root operators, at the rank rule of
+    ``matcore.DEFAULT_TOL``, must be one-dimensional; otherwise the
+    representation is not irreducible.
     """
     if direction not in ("lowest", "highest"):
         raise ValueError("direction must be 'lowest' or 'highest'")
     g = rep.algebra
     roots = [rd.pairs.index(rd.pairs[k][::-1]) if direction == "lowest" else k for k in rd.delta_plus]
     ops = np.einsum("rb,bij->rij", rd.root_vectors[roots], rep.dpi)
-    kernel = _null_rows(ops.reshape(-1, rep.dim), DEFAULT_TOL).T
+    kernel = _null_rows(ops.reshape(-1, rep.dim)).T
     if kernel.shape[1] != 1:
         raise NotIrreducible(
             f"extremal filter left a {kernel.shape[1]}-dimensional space; expected a line"
@@ -475,8 +474,7 @@ def extremal_weight(rep: Representation, rd: RootDatum, direction: str = "lowest
 # the commutant pi(G)' and the decomposition into irreducibles
 
 
-def commutant(rep: Representation, tol: float = DEFAULT_TOL
-              ) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
+def commutant(rep: Representation) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
     """pi(G)', seeded from the torus, its central blocks and their multiplicities, memoized on ``rep``.
 
     pi(G)' is the (r, d, d) orthonormal basis of :func:`matcore.commutant_basis`.
@@ -484,20 +482,20 @@ def commutant(rep: Representation, tol: float = DEFAULT_TOL
     columns of its m equivalent irreducible pieces side by side, so its
     first 1/m of the columns are one piece; m is its multiplicity.  A
     scalar pi(G)' is not split: it gives no block and the multiplicities
-    (1,).  All three depend on dpi, the Cartan indices and ``tol`` alone,
-    and dpi never changes (:class:`Representation`), so the entry is keyed
-    on the last two: ``rep`` holds one entry per tolerance.  The stored
-    arrays are read-only.
+    (1,).  All three depend on dpi and the Cartan indices alone, every rank
+    decided at ``matcore.DEFAULT_TOL``, and dpi never changes
+    (:class:`Representation`), so the entry is keyed on the Cartan indices:
+    ``rep`` holds one entry.  The stored arrays are read-only.
     """
     g = rep.algebra
-    key = ("commutant", g.cartan_indices, tol)
+    key = ("commutant", g.cartan_indices)
     entry = rep._memo.get(key)
     if entry is None:
         torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-        comm = commutant_basis(rep.dpi, tol=tol, seed_rows=torus)
+        comm = commutant_basis(rep.dpi, seed_rows=torus)
         blocks, mults = [], (1,)
         if len(comm) > 1:
-            classes = isotypic_split(comm, tol)
+            classes = isotypic_split(comm)
             blocks = [np.hstack(c) for c in classes]
             mults = tuple(len(c) for c in classes)
         for arr in (comm, *blocks):
@@ -509,11 +507,11 @@ def commutant(rep: Representation, tol: float = DEFAULT_TOL
 def decompose(rep: Representation) -> list[tuple[Representation, int]]:
     """Orthogonal decomposition into irreducible components with multiplicity.
 
-    One component per central block of the memoized :func:`commutant` at
-    ``DEFAULT_TOL`` (``groundstate.analyze`` reads the same blocks at its
-    ``tol``), its first piece, with the block's multiplicity.
+    One component per central block of the memoized :func:`commutant`
+    (``groundstate.analyze`` reads the same blocks), its first piece, with
+    the block's multiplicity.
     """
-    _, blocks, mults = commutant(rep, DEFAULT_TOL)
+    _, blocks, mults = commutant(rep)
     if not blocks:
         return [(rep, 1)]
     return [(restrict(rep, Q[:, :Q.shape[1] // m]), m) for Q, m in zip(blocks, mults)]

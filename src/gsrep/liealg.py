@@ -21,12 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotDiagonal,
-    UnsupportedKind,
-)
-from .matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, cluster_values, eig_frame
+from .errors import DimensionMismatch, NotDiagonal, UnsupportedKind
+from .matcore import CLUSTER_TOL, _null_rows, cluster_values, eig_frame
 
 Interval = tuple[float, float]
 
@@ -86,13 +82,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _memoized(g: MatrixLieAlgebra, what: str, d: np.ndarray, tols: tuple, build):
-    """``build()``, stored on ``g`` under what it is, d's dtype, shape and bytes, and the tolerances.
+def _memoized(g: MatrixLieAlgebra, what, d: np.ndarray, build):
+    """``build()``, stored on ``g`` under the hashable label ``what`` and d's dtype, shape and bytes.
 
     Stored arrays are read-only.  Concurrent callers may both build an
     entry; they store identical values, and the last one is kept.
     """
-    key = (what, d.dtype.str, d.shape, d.tobytes(), tols)
+    key = (what, d.dtype.str, d.shape, d.tobytes())
     value = g._memo.get(key)
     if value is None:
         value = g._memo[key] = build()
@@ -334,7 +330,7 @@ def _derivation_matrix(g: MatrixLieAlgebra, d) -> tuple[np.ndarray, Optional[np.
     return np.asarray(d, dtype=float), None
 
 
-def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> DerivationData:
+def spectral_split(g: MatrixLieAlgebra, d) -> DerivationData:
     """Full eigendata of ``-i D`` on g_C, where D = ad(d) or an explicit matrix.
 
     Eigenvalues chained at distance ``window = CLUSTER_TOL * max(1, max|D|)``
@@ -343,13 +339,13 @@ def spectral_split(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> Derivati
     rank threshold decides a dimension.  D is diagonalizable when each such
     block has residual at most ``window * max(1, k)``; otherwise the spaces
     are generalized eigenspaces, null((A - lam)^dim) at the rank rule.  The
-    result is memoized on ``g``, with read-only arrays.
+    result is memoized on ``g``, one per (g, d), with read-only arrays.
     """
     d = _as_derivation(d)
-    return _memoized(g, "spectral split", d, (tol,), lambda: _spectral_split(g, d.copy(), tol))
+    return _memoized(g, "spectral split", d, lambda: _spectral_split(g, d.copy()))
 
 
-def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float) -> DerivationData:
+def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray) -> DerivationData:
     D, element = _derivation_matrix(g, d)
     m = g.dim
     A = -1j * D.astype(complex)
@@ -359,11 +355,11 @@ def _spectral_split(g: MatrixLieAlgebra, d: np.ndarray, tol: float) -> Derivatio
     means = [complex(np.mean(w[grp])) for grp in clusters]
     order = sorted(range(len(means)), key=lambda i: (means[i].real, means[i].imag))
     clusters, eigvals = [clusters[i] for i in order], [means[i] for i in order]
-    spaces = [_null_rows(A - lam * np.eye(m), tol, len(grp)).T for lam, grp in zip(eigvals, clusters)]
+    spaces = [_null_rows(A - lam * np.eye(m), len(grp)).T for lam, grp in zip(eigvals, clusters)]
     diag = all(np.linalg.norm(A @ sp - lam * sp) <= window * max(1, sp.shape[1])
                for lam, sp in zip(eigvals, spaces))
     if not diag:
-        spaces = [_null_rows(np.linalg.matrix_power(A - lam * np.eye(m), m), tol).T for lam in eigvals]
+        spaces = [_null_rows(np.linalg.matrix_power(A - lam * np.eye(m), m)).T for lam in eigvals]
     null, reach = _null_clusters(w, clusters, window)
     return DerivationData(
         algebra=g,
@@ -400,16 +396,16 @@ def _null_clusters(w: np.ndarray, clusters: list, window: float) -> tuple[tuple[
     return tuple(sorted(null)), reach
 
 
-def centralizer_basis(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> np.ndarray:
+def centralizer_basis(g: MatrixLieAlgebra, d) -> np.ndarray:
     """Real orthonormal coefficient rows spanning ker(ad d) (or ker of a matrix D).
 
     Its dimension is that of the clusters :func:`spectral_split` reads as
     zero, or for a non-diagonalizable D the rank rule's.
     """
     D, _ = _derivation_matrix(g, d)
-    dd = spectral_split(g, d, tol)
+    dd = spectral_split(g, d)
     nullity = sum(dd.eigenspaces[k].shape[1] for k in dd.null) if dd.diagonalizable else None
-    rows = _null_rows(D, tol, nullity)
+    rows = _null_rows(D, nullity)
     if np.linalg.norm(rows.imag) > 1e-10:
         raise ValueError("kernel of a real derivation should have a real basis")
     return rows.real
@@ -439,26 +435,26 @@ class FixedPointData:
     window: float
 
 
-def fixed_point_data(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> FixedPointData:
+def fixed_point_data(g: MatrixLieAlgebra, d) -> FixedPointData:
     """Fixed-point data of an element d of g, memoized on ``g`` with read-only arrays."""
     d = _as_derivation(d)
 
     def build() -> FixedPointData:
-        rows = _frozen(centralizer_basis(g, d, tol))
+        rows = _frozen(centralizer_basis(g, d))
         sub = subalgebra(g, rows, name=f"fix({g.name})")
         _frozen(sub.basis)
         _frozen(sub.structure)
         torus = None if g.cartan_indices is None else _frozen(rows[:, list(g.cartan_indices)].T.copy())
-        dd = spectral_split(g, d, tol)
+        dd = spectral_split(g, d)
         central = None
         if dd.reach > g.dim * np.finfo(float).eps * np.abs(dd.derivation).max():
             k = len(rows)
-            z = _null_rows(sub.structure.transpose(1, 2, 0).reshape(k * k, k), tol).real @ rows
+            z = _null_rows(sub.structure.transpose(1, 2, 0).reshape(k * k, k)).real @ rows
             zg = z @ np.einsum("iab,jab->ij", g.basis.conj(), g.basis).real
             central = _frozen(z.T @ np.linalg.solve(zg @ z.T, zg @ d))
         return FixedPointData(rows, sub, torus, central, _frozen(rows.astype(complex)), dd.window)
 
-    return _memoized(g, "fixed point", d, (tol,), build)
+    return _memoized(g, "fixed point", d, build)
 
 
 # ---------------------------------------------------------------------------

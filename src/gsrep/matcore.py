@@ -10,9 +10,9 @@ one (k, d, d) array, (0, d, d) when empty.  An operator subspace is the
 integer-valued on weight bases): its dimension is ``len(basis)``.
 
 Rank decisions (null spaces, independence) go through
-:func:`numerical_rank`: a relative singular-value threshold,
-``DEFAULT_TOL = 1e-9`` unless overridden per call.  All downstream
-verdicts reduce to these rank decisions and share this knob.
+:func:`numerical_rank` at one relative singular-value threshold,
+``DEFAULT_TOL = 1e-9``; no caller sets another.  All downstream verdicts
+reduce to these rank decisions.
 
 Commutants are seeded with the commutant of one generic element
 ``X = sum_i c_i A_i`` of the span of the inputs, with real coefficients
@@ -70,12 +70,12 @@ def _square_stack(ops: np.ndarray) -> np.ndarray:
     return stack
 
 
-def span_basis(mats: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def span_basis(mats: np.ndarray) -> np.ndarray:
     """Orthonormal basis (r, d, d) of the span of a (k, d, d) stack under the trace form."""
     mats = _square_stack(mats)
     k, d = mats.shape[:2]
     _, s, vh = np.linalg.svd(mats.reshape(k, d * d), full_matrices=False)
-    rank = numerical_rank(s, tol)
+    rank = numerical_rank(s, DEFAULT_TOL)
     return vh[:rank].reshape(rank, d, d)
 
 
@@ -148,18 +148,19 @@ def cluster_values(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndar
     return [np.array(g, dtype=int) for g in groups]
 
 
-def _null_rows(mat: np.ndarray, tol: float, nullity: Optional[int] = None) -> np.ndarray:
+def _null_rows(mat: np.ndarray, nullity: Optional[int] = None) -> np.ndarray:
     """Orthonormal rows spanning the (right) null space of ``mat``.
 
-    They are the right singular vectors past the numerical rank, or the
-    ``nullity`` given with the smallest singular values.  A thin SVD
-    suffices unless ``mat`` is wide, which needs the full right factor.
+    They are the right singular vectors past the numerical rank at
+    ``DEFAULT_TOL``, or the ``nullity`` given with the smallest singular
+    values.  A thin SVD suffices unless ``mat`` is wide, which needs the
+    full right factor.
     """
     m, n = mat.shape
     if m == 0:
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=m < n)
-    return vh[numerical_rank(s, tol) if nullity is None else n - nullity:].conj()
+    return vh[numerical_rank(s, DEFAULT_TOL) if nullity is None else n - nullity:].conj()
 
 
 @lru_cache(maxsize=64)
@@ -170,7 +171,7 @@ def _draws(n: int) -> np.ndarray:
     return coeffs
 
 
-def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
+def _seed_frame(mats: np.ndarray, seed_rows):
     """Eigenframe, cluster sizes and index order of the seed element X, a generic element of the input span.
 
     X is ``c @ seed_rows`` applied to the inputs, with ``c`` drawn from
@@ -194,7 +195,7 @@ def _seed_frame(mats: np.ndarray, seed_rows, tol: float):
     else:
         Xh = X.conj().T
         scale = max(np.linalg.norm(X), 1.0)
-        if np.linalg.norm(X @ Xh - Xh @ X) > tol * scale * scale:
+        if np.linalg.norm(X @ Xh - Xh @ X) > DEFAULT_TOL * scale * scale:
             return np.eye(d, dtype=complex), (d,), np.arange(d)
         # the Hermitian parts of a normal X commute; a generic real mix of them
         # separates their joint eigenspaces, which are X's
@@ -305,8 +306,7 @@ class _CommutantCoefficients(NamedTuple):
         return self.frame.ncoords if self.q is None else self.q.shape[0]
 
 
-def _commutant_coefficients(ops: np.ndarray, tol: float = DEFAULT_TOL,
-                            seed_rows=None) -> _CommutantCoefficients:
+def _commutant_coefficients(ops: np.ndarray, seed_rows=None) -> _CommutantCoefficients:
     """The commutant of :func:`commutant_basis` (same arguments) before its basis is built.
 
     No input, or 1 x 1 inputs, which are all scalar, give the identity
@@ -320,7 +320,7 @@ def _commutant_coefficients(ops: np.ndarray, tol: float = DEFAULT_TOL,
             raise DimensionMismatch(f"seed rows must have shape (s, {k}), got {seed_rows.shape}")
     if k == 0 or d == 1:
         return _CommutantCoefficients(np.eye(d, dtype=complex), _frame_tables((d,)), None)
-    u, sizes, order = _seed_frame(stack, seed_rows, tol)
+    u, sizes, order = _seed_frame(stack, seed_rows)
     frame = _frame_tables(sizes)
     # u^* A u, read by index where u is identity columns
     frames = u.conj().T @ stack @ u if order is None else stack[:, order[:, None], order]
@@ -338,21 +338,20 @@ def _commutant_coefficients(ops: np.ndarray, tol: float = DEFAULT_TOL,
         comms = _constraints(frame, frames, entries[lo:hi])  # (entries, coordinates)
         if q is not None:
             comms = comms @ q.T
-        if np.linalg.norm(comms) <= tol:
+        if np.linalg.norm(comms) <= DEFAULT_TOL:
             continue  # every singular value is below the rank threshold
         # coefficient combinations of the current basis that commute with the batch
-        null = _null_rows(comms, tol)
+        null = _null_rows(comms)
         q = null if q is None else null @ q
     return _CommutantCoefficients(u, frame, q)
 
 
-def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -> np.ndarray:
+def commutant_basis(ops: np.ndarray, seed_rows=None) -> np.ndarray:
     """Orthonormal (r, d, d) basis of {X : [X, A_i] = 0 for all i}.
 
     Parameters
     ----------
     ops : a (k, d, d) array of the inputs A_i; no input is a (0, d, d) array.
-    tol : relative singular-value threshold for the null-space rank decision.
     seed_rows : real (s, k) coefficient rows over the inputs; a
         generic combination of them is the seed element.  None means all
         inputs.  Any rows give the exact commutant, since the seed lies in
@@ -371,12 +370,12 @@ def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -
     so by Weyl's inequality they move every singular value of the
     constraint by at most ``2 d LIVE_TOL * max(1, ||A||)``: below
     ``1e-9 * max(1, ||A||)`` for d up to 5000, against the rank threshold
-    ``tol * max(s[0], 1)``.  An input with no live block, or whose
-    constraint is below ``tol``, is skipped.  Consecutive inputs whose first
-    constraint rows fall in one window of ``CONSTRAINT_BATCH // coordinates``
-    rows share one null space; an input with more rows than that is imposed
-    alone.  A non-normal seed
-    element leaves the identity frame as one cluster, where the inputs are
+    ``DEFAULT_TOL * max(s[0], 1)``.  An input with no live block, or
+    whose constraint is below ``DEFAULT_TOL``, is skipped.  Consecutive
+    inputs whose first constraint rows fall in one window of
+    ``CONSTRAINT_BATCH // coordinates`` rows share one null space; an input
+    with more rows than that is imposed alone.  A non-normal seed element
+    leaves the identity frame as one cluster, where the inputs are
     imposed the same way.  :func:`_commutant_coefficients` stops there, so a
     caller that needs only the dimension reads its ``rank``; the basis
     u Y u^* is built here, from outer products of eigenvectors when nothing
@@ -385,7 +384,7 @@ def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -
     The result is always an algebra, and it is star-closed whenever the
     input set is star-closed up to sign.
     """
-    u, frame, q = _commutant_coefficients(ops, tol, seed_rows)
+    u, frame, q = _commutant_coefficients(ops, seed_rows)
     rows, cols = frame.coord_rows, frame.coord_cols
     if q is None:
         return u.T[rows][:, :, None] * u.conj().T[cols][:, None, :]
@@ -394,7 +393,7 @@ def commutant_basis(ops: np.ndarray, tol: float = DEFAULT_TOL, seed_rows=None) -
     return u @ Y @ u.conj().T
 
 
-def compress(P: np.ndarray, S: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def compress(P: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Orthonormal (r', r, r) basis of the span of {P^* A P : A in S}, operators on the column space of P.
 
     ``S`` is an (k, d, d) stack and ``P`` a (d, r) matrix with orthonormal
@@ -410,17 +409,17 @@ def compress(P: np.ndarray, S: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarr
         raise DimensionMismatch(f"subspace lives in dim {d}, operators act on dim {S.shape[-1]}")
     if np.linalg.norm(P.conj().T @ P - np.eye(r)) > 1e-8 * max(1, r):
         raise ValueError("subspace basis columns are not orthonormal")
-    return span_basis(P.conj().T @ S @ P, tol)
+    return span_basis(P.conj().T @ S @ P)
 
 
-def _intertwined(comm: np.ndarray, P: np.ndarray, Q: np.ndarray, tol: float) -> bool:
+def _intertwined(comm: np.ndarray, P: np.ndarray, Q: np.ndarray) -> bool:
     """Equivalence of the irreducible pieces on ran P and ran Q: the Q^* B_k P
     span Hom_G(ran P, ran Q), so the pieces are equivalent iff one is nonzero."""
     stack = (Q.conj().T @ comm @ P).reshape(len(comm), -1)
-    return numerical_rank(np.linalg.svd(stack, compute_uv=False), tol) > 0
+    return numerical_rank(np.linalg.svd(stack, compute_uv=False), DEFAULT_TOL) > 0
 
 
-def isotypic_split(comm: np.ndarray, tol: float) -> list[list[np.ndarray]]:
+def isotypic_split(comm: np.ndarray) -> list[list[np.ndarray]]:
     """Irreducible pieces of the operators whose commutant has the (r, d, d) basis ``comm``, grouped by class.
 
     The pieces are the eigenspaces of the Hermitian part of a real
@@ -445,14 +444,14 @@ def isotypic_split(comm: np.ndarray, tol: float) -> list[list[np.ndarray]]:
         X = np.einsum("k,kij->ij", coeff.astype(complex), comm)
         w, v, _ = eig_frame((X + X.conj().T) / 2.0)
         pieces = [v[:, grp] for grp in cluster_values(w, CLUSTER_TOL * max(1.0, float(np.abs(w).max())))]
-        if all(len(compress(P, comm, tol)) == 1 for P in pieces):
+        if all(len(compress(P, comm)) == 1 for P in pieces):
             break
     else:  # pragma: no cover
         raise NotIrreducible(f"no accepted split in {SPLIT_DRAWS} random elements")
     classes: list[list[np.ndarray]] = []
     for piece in pieces:
         for members in classes:
-            if _intertwined(comm, members[0], piece, tol):
+            if _intertwined(comm, members[0], piece):
                 members.append(piece)
                 break
         else:

@@ -16,7 +16,9 @@ object; ``pattern_weights`` moved here verbatim from tests/test_irreps.py.
 ``is_strict`` compares the compressed algebra with the one the
 fixed-point action generates, and so checks that decision independently.
 ``gt_sum_analysis`` states every field of ``analyze`` on a sum of u(n)
-Gelfand-Tsetlin irreducibles in closed form, from pattern weights alone.
+Gelfand-Tsetlin irreducibles in closed form, from pattern weights alone,
+and ``heis_sum_analysis`` on a sum of characters of a Heisenberg algebra.
+The references decide ranks at their own ``tol``, through ``rank_rows``.
 """
 
 import itertools
@@ -32,11 +34,23 @@ from gsrep.groundstate import GroundStateReport, analyze
 from gsrep.heisenfock import ROT, FockTruncation, SymplecticSetup
 from gsrep.irreps import Representation, direct_sum
 from gsrep.liealg import MatrixLieAlgebra, _derivation_matrix, build_algebra, spectral_split
-from gsrep.matcore import CLUSTER_TOL, DEFAULT_TOL, _null_rows, compress, numerical_rank, span_basis
+from gsrep.matcore import CLUSTER_TOL, DEFAULT_TOL, numerical_rank
 
 
 def rows(space: np.ndarray) -> np.ndarray:
     return space.reshape(len(space), -1)
+
+
+def rank_rows(mat: np.ndarray, tol: float, null: bool = False) -> np.ndarray:
+    """Orthonormal rows spanning the row space of ``mat``, or with ``null`` its right null space.
+
+    One ``numpy.linalg.svd`` and ``numerical_rank(s, tol)``, so a reference
+    decides its ranks at its own ``tol`` and not through the kernels it checks.
+    """
+    m, n = mat.shape
+    _, s, vh = np.linalg.svd(mat, full_matrices=null and m < n)
+    rank = numerical_rank(s, tol)
+    return vh[rank:].conj() if null else vh[:rank]
 
 
 def full_operator_space(dim: int) -> np.ndarray:
@@ -55,18 +69,17 @@ def algebra_closure(ops, include_identity: bool = True, tol: float = DEFAULT_TOL
     far; terminates when the dimension stabilizes (bounded by d^2, which
     suffices at finite dimension by Cayley--Hamilton saturation).
     """
-    gens = span_basis(ops, tol)
-    d = gens.shape[1]
-    basis = span_basis(np.concatenate([gens, np.eye(d)[None]]) if include_identity else gens, tol)
-    q = basis.reshape(basis.shape[0], -1)
-    frontier = basis
+    ops = np.asarray(ops, dtype=complex)
+    d = ops.shape[-1]
+    gens = rank_rows(rows(ops), tol).reshape(-1, d, d)
+    q = rank_rows(rows(np.concatenate([gens, np.eye(d)[None]]) if include_identity else gens), tol)
+    frontier = q.reshape(-1, d, d)
     while frontier.shape[0] > 0 and q.shape[0] < d * d:
         left = np.einsum("fij,gjk->fgik", frontier, gens).reshape(-1, d, d)
         right = np.einsum("gij,fjk->gfik", gens, frontier).reshape(-1, d, d)
         cand = np.concatenate([left, right]).reshape(-1, d * d)
         cand = cand - (cand @ q.conj().T) @ q
-        _, s, vh = np.linalg.svd(cand, full_matrices=False)
-        new = vh[: numerical_rank(s, tol)]
+        new = rank_rows(cand, tol)
         if new.shape[0] == 0:
             break
         q = np.vstack([q, new])
@@ -85,14 +98,14 @@ def is_strict(pi: Representation, report: GroundStateReport,
     commutant-dimension comparison instead, and this is its test oracle.
     """
     A = algebra_closure(list(pi.dpi), include_identity=True, tol=tol)
-    B = compress(report.h0_basis, A, tol)
+    h0, r = report.h0_basis, report.h0_dim
+    B = rank_rows(rows(h0.conj().T @ A @ h0), tol).reshape(-1, r, r)
     ops0 = list(report.pi0.dpi) + [np.eye(report.h0_dim, dtype=complex)]
     C = algebra_closure(ops0, include_identity=True, tol=tol)
     return same_span(B, C, max(tol, 1e-8))
 
 
-def direct_sum_law(reps: Sequence[Representation], d: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> bool:
+def direct_sum_law(reps: Sequence[Representation], d: np.ndarray) -> bool:
     """Ground-state property of a direct sum vs. its summands.
 
     Must always return True; a False return signals an implementation bug
@@ -101,8 +114,8 @@ def direct_sum_law(reps: Sequence[Representation], d: np.ndarray,
     reps = list(reps)
     if not reps:
         return True
-    whole = analyze(direct_sum(reps), d, tol).ground_state
-    parts = all(analyze(r, d, tol).ground_state for r in reps)
+    whole = analyze(direct_sum(reps), d).ground_state
+    parts = all(analyze(r, d).ground_state for r in reps)
     return whole == parts
 
 
@@ -116,7 +129,7 @@ def center_basis(alg: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     prod = np.einsum("jab,kbc->jkac", B, B)
     brackets = prod - prod.transpose(1, 0, 2, 3)  # [B_j, B_k]
     cols = brackets.transpose(1, 2, 3, 0).reshape(r * d * d, r)
-    q = _null_rows(cols, tol) @ rows(alg)
+    q = rank_rows(cols, tol, null=True) @ rows(alg)
     return q.reshape(-1, d, d)
 
 
@@ -170,7 +183,7 @@ def splitting_condition(g: MatrixLieAlgebra, d, tol: float = DEFAULT_TOL) -> boo
     elliptic derivations and fails for nilpotent ones.
     """
     D, _ = _derivation_matrix(g, d)
-    return _null_rows(D, tol).shape[0] == _null_rows(D @ D, tol).shape[0]
+    return rank_rows(D, tol, null=True).shape[0] == rank_rows(D @ D, tol, null=True).shape[0]
 
 
 def level_cone_generators(spec: DirectLimitSpec) -> ConeDescription:
@@ -289,3 +302,39 @@ def gt_sum_analysis(summands: Sequence[Sequence[int]], e: Sequence[float], tol: 
     return {"m": min(shifts), "h0_dim": len(h0_weights), "h0_weights": sorted(h0_weights),
             "central_shifts": sorted(shifts), "commutant_dims": (squares, squares, corner),
             "ground_state": True, "strict": True}
+
+
+def heis_sum_analysis(chars: Sequence[Sequence[float]], mults: Sequence[int], d: Sequence[float]) -> dict:
+    """Every verdict of ``analyze`` on a sum of characters of heis(2k), in closed form.
+
+    Over the basis [Z, X_1..X_k, Y_1..Y_k], [X_i, Y_j] = delta_ij Z, the
+    character lam = (a, b) has dpi(Z) = 0, dpi(X_i) = i a_i, dpi(Y_i) = i b_i,
+    and ``chars`` are distinct, with multiplicities ``mults``.  At
+    d = (z, d_V) the Hamiltonian is lam(d_V) on each character, and each
+    character is a central block of pi(G)'', so H0 is the whole space, m the
+    least lam(d_V), and the corner pi(G)'' itself.  The fixed-point algebra
+    is Z and the kernel of sigma(d_V, .), whose coefficients are (-b, a) for
+    d_V = (a, b); two characters restrict to the same one there exactly
+    when they differ by a multiple of it, so pi0's classes are those of that
+    relation (at d_V = 0, equality) and strictness holds iff no two
+    characters share one.  Exact for dyadic entries, whose parallel test
+    compares 2 x 2 minors without rounding.
+    """
+    chars = [np.asarray(lam, dtype=float) for lam in chars]
+    k = (len(d) - 1) // 2
+    dv = np.asarray(d[1:], dtype=float)
+    sigma = np.concatenate([-dv[k:], dv[:k]])
+    classes: list[list[int]] = []
+    for i, lam in enumerate(chars):
+        for c in classes:
+            u = lam - chars[c[0]]
+            if sigma.any() and np.array_equal(np.outer(u, sigma), np.outer(sigma, u)):
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    squares = sum(m * m for m in mults)
+    pi0 = sum(sum(mults[i] for i in c) ** 2 for c in classes)
+    return {"m": min(float(lam @ dv) for lam in chars), "h0_dim": sum(mults),
+            "commutant_dims": (squares, pi0, len(chars)), "ground_state": True,
+            "strict": len(classes) == len(chars)}

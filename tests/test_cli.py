@@ -11,6 +11,7 @@ import pytest
 import gsrep
 from gsrep import cli, dirlim, liealg
 from gsrep.errors import SchemaError
+from gsrep.matcore import DEFAULT_TOL
 
 
 
@@ -347,6 +348,39 @@ def test_analyze_records_decision_tolerance(capsys):
                                   "--d", "1,0", "--weight", "1,0"])
     assert code == 0
     assert [c["tol"] for c in json.loads(out)["checks"]] == [1e-9, 1e-9]
+
+
+FOCK = ["fock", "--modes", "1", "--cutoffs", "10,20"]
+ANALYZE = ["analyze", "--n", "3", "--d", "1,0,0", "--weight", "3,1,0"]
+CONE = ["cone-check", "--n", "2", "--d", "2,1", "--weight", "0,1"]
+
+
+DECIDED_UNDER = [
+    (FOCK, "weyl-relations-monotone", cli.MONOTONE_SLACK),
+    (["sweep", "--suite", "fock-convergence"], "sweep-fock-convergence", cli.MONOTONE_SLACK),
+    (["sweep", "--suite", "level-consistency", "--cases", "5"], "sweep-level-consistency", 0.0),
+    (["sweep", "--suite", "strict-direct-sums"], "sweep-strict-direct-sums", DEFAULT_TOL),
+    (ANALYZE, "minimal-energy", DEFAULT_TOL),
+    (ANALYZE, "strictness", DEFAULT_TOL),
+    # the checks that --tol decides
+    (FOCK, "weyl-vacuum", None),
+    (CONE, "cone-positivity", None),
+    (CONE, "coroot-criterion", None),
+    (["classify", "--n", "2", "--d", "2,1", "--box", "1"], "classification-bijection", None),
+    (["sweep", "--suite", "classification", "--box", "1"], "sweep-classification", None),
+    (["sweep", "--suite", "cone-coroot", "--box", "1"], "sweep-cone-coroot", None),
+]
+
+
+@pytest.mark.parametrize("argv,check,decided", DECIDED_UNDER, ids=[check for _, check, _ in DECIDED_UNDER])
+def test_each_check_records_the_tolerance_it_was_decided_under(capsys, argv, check, decided):
+    # ``decided`` None: the check is decided at --tol
+    for tol in ("0.5", "1e-12"):
+        code, out = run_main(capsys, ["--tol", tol, *argv])
+        assert code == 0
+        entry, = [c for c in json.loads(out)["checks"] if c["id"] == check]
+        assert type(entry["tol"]) is float and entry["tol"] == (float(tol) if decided is None else decided)
+        assert ("arithmetic" in entry) == (decided == 0.0)
 
 
 def test_su_generator_with_trace_is_schema_error(capsys):

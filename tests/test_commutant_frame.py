@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsrep import cones, groundstate, irreps, liealg, matcore
-from gsrep.matcore import DEFAULT_TOL, GENERIC_SEED, SEED_CLUSTER_TOL, _null_rows, cluster_values
+from gsrep.matcore import DEFAULT_TOL, GENERIC_SEED, SEED_CLUSTER_TOL, cluster_values
 
 from conftest import (D_LISTS, algebra, cached_irrep, dominant_box, fresh, random_unitary, rng,
                       su_dominant_box)
-from oracles import algebra_closure, full_operator_space, is_star_closed, same_span
+from oracles import algebra_closure, full_operator_space, is_star_closed, rank_rows, same_span
 
 
 def _reference_seed(mats, tol):
@@ -45,7 +45,7 @@ def _reference_seed(mats, tol):
         return np.concatenate(rows)
     eye = np.eye(d, dtype=complex)
     L = np.kron(eye, X.T) - np.kron(X, eye)
-    return _null_rows(L, tol)
+    return rank_rows(L, tol, null=True)
 
 
 def reference_commutant(ops, tol=DEFAULT_TOL, seed_rows=None):
@@ -62,7 +62,7 @@ def reference_commutant(ops, tol=DEFAULT_TOL, seed_rows=None):
         comms = (basis @ A - A @ basis).reshape(q.shape[0], -1)
         if np.linalg.norm(comms) <= tol:
             continue
-        q = _null_rows(comms.T, tol) @ q
+        q = rank_rows(comms.T, tol, null=True) @ q
     return q.reshape(-1, d, d)
 
 
@@ -312,27 +312,31 @@ def test_memoized_alpha_data_is_read_only_and_fresh(kind, entries):
     assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
 
 
-def test_memo_keys_on_value_dtype_and_tolerances():
+def test_memo_keeps_one_entry_per_value_and_dtype():
     g = liealg.build_algebra("u", 2)
     d = liealg.diagonal_element(g, [2.0, 1.0])
     dd = liealg.spectral_split(g, d)
+    fix = liealg.fixed_point_data(g, d)
     d[0] = 5.0  # the memo holds its own copy of d
     assert dd.element[0] == 2.0
     assert liealg.spectral_split(g, d) is not dd
     assert liealg.spectral_split(g, [2.0, 1.0, 0.0, 0.0]) is dd  # list input, same bytes as float
-    assert liealg.spectral_split(g, [2.0, 1.0, 0.0, 0.0], tol=1e-7) is not dd
-    assert (liealg.fixed_point_data(g, [2.0, 1.0, 0.0, 0.0])
-            is not liealg.fixed_point_data(g, [2.0, 1.0, 0.0, 0.0], tol=1e-7))
+    assert liealg.fixed_point_data(g, [2, 1, 0, 0]) is fix  # integers are read as floats
+    assert liealg.spectral_split(g, dd.element.astype(complex)) is not dd
+    assert sorted(key[0] for key in g._memo) == ["fixed point"] + ["spectral split"] * 3
 
 
-def test_cone_memo_follows_the_split_it_was_built_from():
+def test_cone_memo_keeps_one_entry_per_element_and_seed():
     g = liealg.build_algebra("u", 3)
     d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
     dd = liealg.spectral_split(g, d)
-    coarse = liealg.spectral_split(g, d, tol=1e-7)
     stack, prov, _ = cones._cone_stack(g, dd, 0)
     assert cones._cone_stack(g, dd, 0)[0] is stack
-    assert cones._cone_stack(g, coarse, 0)[0] is not stack
+    # a split of the same d built apart from the memo reads the same entry; another seed has its own
+    assert cones._cone_stack(g, liealg._spectral_split(g, d.copy()), 0)[0] is stack
+    assert cones._cone_stack(g, dd, 1)[0] is not stack
+    assert sorted(what for what, *_ in g._memo if what[0] == "action cone") == [("action cone", 0),
+                                                                              ("action cone", 1)]
     cone = cones.action_cone_generators(g, dd)
     assert np.array_equal(stack[:cone.size], cone.generators)
     assert prov[:cone.size] == tuple(cone.provenance)
@@ -352,12 +356,12 @@ def test_memo_warm_analyze_is_bit_equal_to_a_cold_one():
 
 @pytest.fixture
 def commutant_builds(commutant_swap):
-    """Counts the commutants of pi that are built: the ``commutant_basis`` calls of ``irreps.commutant``."""
+    """The stacks of the commutants of pi that are built: the ``commutant_basis`` calls of ``irreps.commutant``."""
     calls = []
 
     def counting(*args, _real=matcore.commutant_basis, **kwargs):
         if sys._getframe(1).f_code is irreps.commutant.__code__:
-            calls.append(kwargs["tol"])
+            calls.append(args[0])
         return _real(*args, **kwargs)
 
     with commutant_swap(counting):
@@ -369,10 +373,10 @@ def test_the_commutant_of_pi_is_built_once_across_d(commutant_builds):
     rep = fresh(cached_irrep("u", 3, (2, 1, 0)))
     for entries in D_LISTS[("u", 3)]:
         groundstate.analyze(rep, liealg.diagonal_element(g, entries))
-    assert commutant_builds == [DEFAULT_TOL]
+    assert len(commutant_builds) == 1 and commutant_builds[0] is rep.dpi
 
 
-def test_dpi_is_frozen_and_the_commutant_memo_keeps_one_entry_per_tol(commutant_builds):
+def test_dpi_is_frozen_and_the_commutant_memo_keeps_one_entry(commutant_builds):
     g = algebra("u", 3)
     d = liealg.diagonal_element(g, [2.0, 1.0, 0.0])
     twice = irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0))] * 2)
@@ -386,19 +390,18 @@ def test_dpi_is_frozen_and_the_commutant_memo_keeps_one_entry_per_tol(commutant_
     assert np.array_equal(rep.dpi, twice.dpi)
     assert groundstate.analyze(rep, d).commutant_dims[0] == 4
     assert len(rep._memo) == 1
-    groundstate.analyze(rep, d, tol=1e-10)
-    groundstate.analyze(rep, d)
-    assert commutant_builds == [DEFAULT_TOL, 1e-10]
-    assert len(rep._memo) == 2  # one entry per tol
+    groundstate.analyze(rep, liealg.diagonal_element(g, [1.0, 0.0, 0.0]))
+    assert len(commutant_builds) == 1 and commutant_builds[0] is rep.dpi
+    assert list(rep._memo) == [("commutant", g.cartan_indices)]
 
 
 def test_memoized_commutant_is_read_only():
     g = algebra("u", 3)
     rep = fresh(irreps.direct_sum([cached_irrep("u", 3, (1, 0, 0)), cached_irrep("u", 3, (1, 1, 0))]))
     groundstate.analyze(rep, liealg.diagonal_element(g, [2.0, 1.0, 0.0]))
-    comm, blocks, mults = irreps.commutant(rep, DEFAULT_TOL)
+    comm, blocks, mults = irreps.commutant(rep)
     assert len(comm) == 2 and len(blocks) == 2 and mults == (1, 1)
-    assert irreps.commutant(rep, DEFAULT_TOL)[0] is comm
+    assert irreps.commutant(rep)[0] is comm
     for arr in (comm, *blocks):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -411,7 +414,7 @@ def test_a_cold_irreducible_commutant_takes_no_split(monkeypatch):
 
     monkeypatch.setattr(irreps, "isotypic_split", no_split)
     for kind, n, lam in (("u", 2, (1, 0)), ("u", 3, (2, 1, 0)), ("su", 3, (2, 1, 0))):
-        comm, blocks, mults = irreps.commutant(fresh(cached_irrep(kind, n, lam)), DEFAULT_TOL)
+        comm, blocks, mults = irreps.commutant(fresh(cached_irrep(kind, n, lam)))
         assert len(comm) == 1 and blocks == [] and mults == (1,)
 
 
@@ -448,7 +451,7 @@ def test_diagonal_seed_frame_is_the_eigh_frame_up_to_tie_order(lapack_calls):
     read = 0
     for stack, rows, weight_basis in torus_seeded_inputs():
         before = lapack_calls["eigh"]
-        u, sizes, order = matcore._seed_frame(stack, rows, DEFAULT_TOL)
+        u, sizes, order = matcore._seed_frame(stack, rows)
         assert (lapack_calls["eigh"] == before) == (order is not None)
         if order is None:
             assert not weight_basis  # a torus seed on a weight basis is diagonal

@@ -487,14 +487,22 @@ def test_equal_rows_in_a_distinct_array_do_not_share_an_entry(monkeypatch):
     copy = irreps.Representation(rep0.algebra, rep0.dpi, ambient_coeffs=rep0.ambient_coeffs.copy())
     assert_same_result(cones.check_cone_positivity(g, dd, copy), want)
     assert len(calls) == 1
-    # an equal stack in another array: a second split of d at another tol
-    other = liealg.spectral_split(g, dd.element, 1e-10)
+    # an equal stack in another array: another seed, at a d whose positive eigenspaces are lines
+    g = liealg.build_algebra("u", 3)  # its memos are empty
+    d = liealg.diagonal_element(g, [3, 1, 0])
+    dd = liealg.spectral_split(g, d)
+    rep0 = groundstate.analyze(irreps.irrep(g, (2, 1, 0)), d).pi0
+    want = cones.check_cone_positivity(g, dd, rep0)
+    first, again = cones._cone_stack(g, dd, 0), cones._cone_stack(g, dd, 1)
+    assert not first[2] and again[0] is not first[0] and np.array_equal(again[0], first[0])
+    assert_same_result(cones.check_cone_positivity(g, dd, rep0, seed=1), want)
+    assert len(calls) == 3
+    # a split of the same d built apart from the memo shares the one (g, d, seed) stack and its rows
+    other = liealg._spectral_split(g, d.copy())
     assert other is not dd
-    assert_same_result(cones.check_cone_positivity(g, other, rep0), want)
-    assert len(calls) == 2
-    for r, split_ in ((copy, dd), (rep0, other), (rep0, dd)):
-        assert_same_result(cones.check_cone_positivity(g, split_, r), want)
-    assert len(calls) == 2
+    for split_, seed in ((other, 0), (dd, 0), (other, 1)):
+        assert_same_result(cones.check_cone_positivity(g, split_, rep0, seed=seed), want)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

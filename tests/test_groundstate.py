@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsrep import cones, groundstate, irreps, liealg, matcore
-from gsrep.matcore import DEFAULT_TOL
 
-from conftest import D_LISTS, algebra, cached_irrep, dominant_box, fresh, su_dominant_box
-from oracles import direct_sum_law, gt_sum_analysis, is_strict, splitting_condition
+from conftest import D_LISTS, algebra, cached_irrep, dominant_box, fresh, random_unitary, rng, su_dominant_box
+from oracles import direct_sum_law, gt_sum_analysis, heis_sum_analysis, is_strict, splitting_condition
 from test_commutant_frame import REDUCIBLE_D, reducible_cases
 
 
@@ -313,14 +312,14 @@ def test_per_block_spectra_and_the_split_decide_as_a_dense_eigh(monkeypatch):
     for rep, d in reducible_cases():
         out = groundstate.analyze(rep, d)
         comm, blocks, mults = irreps.commutant(rep)
-        fix = liealg.fixed_point_data(rep.algebra, d, DEFAULT_TOL)
+        fix = liealg.fixed_point_data(rep.algebra, d)
         H = -1j * rep.operator(d if fix.central is None else fix.central)
         w, v, _ = matcore.eig_frame(H, 1e-8)
         h0, shifts, counts = groundstate._ground_space(H, w, v, blocks, out.window)
         with monkeypatch.context() as patch:
             patch.setattr(matcore, "eig_frame", _dense_eigh)
             patch.setattr(groundstate, "eig_frame", _dense_eigh)
-            classes = matcore.isotypic_split(comm, DEFAULT_TOL) if len(comm) > 1 else []
+            classes = matcore.isotypic_split(comm) if len(comm) > 1 else []
             want_blocks = [np.hstack(c) for c in classes]
             want_h0, want_shifts, want_counts = groundstate._ground_space(H, w, v, want_blocks, out.window)
         assert mults == (tuple(len(c) for c in classes) or (1,))
@@ -379,6 +378,50 @@ def gt_sums(draw):
 @given(gt_sums())
 def test_analyze_on_gelfand_tsetlin_sums_is_the_closed_form(case):
     assert_closed_form(*case)
+
+
+@st.composite
+def heis_sums(draw):
+    """1-4 distinct characters of heis(2k), k = 1..3, each once or twice; d = (z, d_V) with
+    integer entries, d_V = 0 in about a fifth of the draws; and a seed for a unitary basis
+    change in half of them, else None.  Character entries are halves in [-2, 2]; past the
+    first, most characters are an earlier one plus a multiple of sigma(d_V, .) that stays in
+    that box, so that sums that are not strict are common."""
+    k = draw(st.integers(1, 3))
+    ints = st.lists(st.integers(-2, 2), min_size=2 * k, max_size=2 * k)
+    dv = np.zeros(2 * k) if draw(st.integers(0, 4)) == 0 else np.array(draw(ints), dtype=float)
+    d = np.concatenate([[draw(st.integers(-2, 2))], dv])
+    sigma = np.concatenate([-dv[k:], dv[:k]])
+    chars = []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = np.array(draw(st.lists(st.integers(-4, 4), min_size=2 * k, max_size=2 * k))) / 2
+        if chars and sigma.any() and draw(st.integers(0, 3)):
+            base = draw(st.sampled_from(chars))
+            steps = [t for t in (-2, -1, -0.5, 0.5, 1, 2) if np.abs(base + t * sigma).max() <= 2]
+            lam = base + draw(st.sampled_from(steps)) * sigma if steps else lam
+        if not any(np.array_equal(lam, c) for c in chars):
+            chars.append(lam)
+    mults = [draw(st.integers(1, 2)) for _ in chars]
+    return chars, mults, d, draw(st.integers(0, 2**16)) if draw(st.booleans()) else None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(heis_sums())
+def test_analyze_on_heisenberg_character_sums_is_the_closed_form(case):
+    chars, mults, d, seed = case
+    k = len(d) // 2
+    values = np.repeat(np.stack(chars), mults, axis=0)  # (dim pi, 2k): the character of each vector
+    at = np.arange(len(values))
+    dpi = np.zeros((2 * k + 1, len(values), len(values)), dtype=complex)
+    dpi[1:, at, at] = 1j * values.T
+    if seed is not None:
+        U = random_unitary(len(values), rng(seed))
+        dpi = U @ dpi @ U.conj().T
+    out = groundstate.analyze(irreps.Representation(algebra("heis", 2 * k), dpi), d)
+    want = heis_sum_analysis(chars, mults, d)
+    assert abs(out.m - want["m"]) <= 1e-9
+    assert (out.h0_dim, out.commutant_dims, out.ground_state, out.strict) == (
+        want["h0_dim"], want["commutant_dims"], want["ground_state"], want["strict"])
 
 
 @pytest.mark.parametrize("lam", [(6, 3, 0), (10, 5, 0)])

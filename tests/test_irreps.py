@@ -377,7 +377,7 @@ def test_decompose_reads_schur_and_equivalence_from_the_commutant(summands):
 
     assert all(len(matcore.commutant_basis(c.dpi)) == 1 for c, _ in parts)
     comm = matcore.commutant_basis(rep.dpi)
-    pieces = [P for members in matcore.isotypic_split(comm, tol) for P in members]
+    pieces = [P for members in matcore.isotypic_split(comm) for P in members]
     assert sum(P.shape[1] for P in pieces) == rep.dim
     assert all(len(matcore.commutant_basis(irreps.restrict(rep, P).dpi)) == 1
                for P in pieces)
@@ -385,7 +385,7 @@ def test_decompose_reads_schur_and_equivalence_from_the_commutant(summands):
     verdicts = Counter()
     for P, Q in itertools.combinations(pieces, 2):
         want = _equivalent(irreps.restrict(rep, Q), irreps.restrict(rep, P), tol)
-        assert matcore._intertwined(comm, P, Q, tol) == want
+        assert matcore._intertwined(comm, P, Q) == want
         verdicts[want] += 1
     assert verdicts[True] == sum(m * (m - 1) // 2 for m in Counter(summands).values())
 

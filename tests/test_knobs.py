@@ -20,24 +20,16 @@ KNOBS = {
     ("cones", "check_cone_positivity"): {"tol": ("src/gsrep/cli.py", "_run_cone_check"),
                                          "seed": ("src/gsrep/cli.py", "_run_cone_check")},
     ("cones", "coroot_condition"): {"tol": ("src/gsrep/cli.py", "_run_classify")},
-    ("groundstate", "analyze"): {"tol": ("src/gsrep/cli.py", "_run_analyze")},
     ("heisenfock", "weyl_relation_residual"): {"sector": ("src/gsrep/cli.py", "_run_fock")},
     # criterion 07's rejected case is the one test that shows the check can fail
     ("heisenfock", "factorization_check"): {"entangler": ("tests/test_acceptance.py",
                                                           "test_criterion_07_factorization")},
     ("irreps", "extremal_weight"): {"direction": ("benchmark/inproc.py", "IrrepBuild._check")},
-    ("irreps", "commutant"): {"tol": ("src/gsrep/groundstate.py", "analyze")},
     ("liealg", "subalgebra"): {"name": ("src/gsrep/liealg.py", "fixed_point_data.build")},
-    ("liealg", "spectral_split"): {"tol": ("src/gsrep/liealg.py", "centralizer_basis")},
-    ("liealg", "centralizer_basis"): {"tol": ("src/gsrep/liealg.py", "fixed_point_data.build")},
-    ("liealg", "fixed_point_data"): {"tol": ("src/gsrep/groundstate.py", "analyze")},
-    ("matcore", "span_basis"): {"tol": ("src/gsrep/matcore.py", "compress")},
     # 1e-8 here, the default 1e-9 in _seed_frame: each guards its own Hermiticity
     ("matcore", "eig_frame"): {"tol": ("src/gsrep/groundstate.py", "analyze")},
     ("matcore", "cluster_values"): {"tol": ("src/gsrep/liealg.py", "_spectral_split")},
-    ("matcore", "commutant_basis"): {"tol": ("src/gsrep/irreps.py", "commutant"),
-                                     "seed_rows": ("src/gsrep/irreps.py", "commutant")},
-    ("matcore", "compress"): {"tol": ("src/gsrep/matcore.py", "isotypic_split")},
+    ("matcore", "commutant_basis"): {"seed_rows": ("src/gsrep/irreps.py", "commutant")},
 }
 
 

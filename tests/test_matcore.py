@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gsrep import matcore
 from gsrep.errors import DimensionMismatch, NotHermitian
-from gsrep.matcore import DEFAULT_TOL
 
 from conftest import algebra, random_hermitian, random_unitary, rng
 from oracles import algebra_closure, center_basis, contains, is_star_closed, same_span
@@ -175,7 +174,7 @@ def test_kernel_takes_stacks_and_lists_alike_and_keeps_its_caches_read_only(case
     want = reference_commutant(list(stack))
     assert len(got) == len(want)
     assert same_span(got, want, 1e-8)
-    _, sizes, _ = matcore._seed_frame(stack, rows, DEFAULT_TOL)
+    _, sizes, _ = matcore._seed_frame(stack, rows)
     cached = [*matcore._frame_tables(sizes), matcore._draws(stack.shape[0])]
     if rows is not None:
         cached.append(matcore._draws(rows.shape[0]))

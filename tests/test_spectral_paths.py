@@ -108,16 +108,16 @@ def reference_analyze(pi, d, tol=DEFAULT_TOL):
     w = eig_frame(H, 1e-8)[0]
     dpi_ops = list(pi.dpi)
     torus = None if g.cartan_indices is None else np.eye(g.dim)[list(g.cartan_indices)]
-    comm_full = commutant_basis(dpi_ops, tol=tol, seed_rows=torus)
+    comm_full = commutant_basis(dpi_ops, seed_rows=torus)
     projections = _central_projections(comm_full, tol)
     _, h0, shifts = _ground_space(H, projections, tol)
-    fix = liealg.fixed_point_data(g, d, tol)
+    fix = liealg.fixed_point_data(g, d)
     dpi0 = np.einsum("ri,ids->rds", fix.rows.astype(complex), pi.dpi)
     pi0 = Representation(fix.algebra, h0.conj().T @ dpi0 @ h0, ambient_coeffs=fix.rows)
     ground_state = _krylov_cyclic(dpi_ops, h0, pi.dim, tol)
-    comm_pi0 = commutant_basis(pi0.dpi, tol=tol, seed_rows=fix.torus_rows)
-    compressed_comm = compress(h0, comm_full, tol)
-    corner = commutant_basis(compressed_comm, tol=tol)
+    comm_pi0 = commutant_basis(pi0.dpi, seed_rows=fix.torus_rows)
+    compressed_comm = compress(h0, comm_full)
+    corner = commutant_basis(compressed_comm)
     return {
         "m": float(w[0]),
         "h0_basis": h0,
@@ -145,7 +145,7 @@ def assert_matches_reference(cases, exact_shifts):
         if exact_shifts:
             assert list(got.central_shifts) == want["shifts"]
         else:
-            blocks = irreps.commutant(rep, DEFAULT_TOL)[1] or [np.eye(rep.dim)]
+            blocks = irreps.commutant(rep)[1] or [np.eye(rep.dim)]
             order = _pair_by_projector(blocks, want["projections"])
             shifts = [want["shifts"][j] for j in order]
             assert np.abs(np.subtract(got.central_shifts, shifts)).max() <= 1e-12
@@ -178,7 +178,7 @@ def test_central_blocks_span_the_reference_projections():
     blocks_seen = set()
     for rep, d in reducible_cases():
         comm = reference_analyze(rep, d)["comm_full"]
-        blocks = [np.hstack(c) for c in matcore.isotypic_split(comm, DEFAULT_TOL)]
+        blocks = [np.hstack(c) for c in matcore.isotypic_split(comm)]
         want = _central_projections(comm, DEFAULT_TOL)
         assert len(blocks) == len(want)
         for Q in blocks:
@@ -205,12 +205,12 @@ def non_normal_seeds(monkeypatch):
     count = {"calls": 0, "non_normal": 0}
     real = matcore._seed_frame
 
-    def counting(mats, seed_rows, tol):
+    def counting(mats, seed_rows):
         X = _seed_element(mats, seed_rows)
         scale = max(np.linalg.norm(X), 1.0)
         count["calls"] += 1
-        count["non_normal"] += bool(np.linalg.norm(X @ X.conj().T - X.conj().T @ X) > tol * scale ** 2)
-        return real(mats, seed_rows, tol)
+        count["non_normal"] += bool(np.linalg.norm(X @ X.conj().T - X.conj().T @ X) > DEFAULT_TOL * scale ** 2)
+        return real(mats, seed_rows)
 
     monkeypatch.setattr(matcore, "_seed_frame", counting)
     return count
@@ -362,7 +362,7 @@ def test_twenty_trivial_copies_split_without_forming_the_center():
 def test_isotypic_classes_are_the_summand_multiplicities_and_the_central_blocks(case):
     rep, _ = _corner_case(*case)
     comm = matcore.commutant_basis(rep.dpi)
-    classes = matcore.isotypic_split(comm, DEFAULT_TOL)
+    classes = matcore.isotypic_split(comm)
     sizes = [len(c) for c in classes]
     assert Counter(sizes) == Counter(Counter(case[1]).values())
     assert sum(k * k for k in sizes) == len(comm)
@@ -401,7 +401,7 @@ def test_separation_matches_krylov_on_random_subspaces():
         comm = out["comm_full"]
         for K in [out["h0_basis"], *_random_subspaces(rep, gen)]:
             want = _krylov_cyclic(list(rep.dpi), K, rep.dim, DEFAULT_TOL)
-            assert groundstate._separating(comm, K, DEFAULT_TOL) == want
+            assert groundstate._separating(comm, K) == want
             tally[want] += 1
     assert tally[False] >= 28 + 9 and tally[True] >= 100
 
@@ -441,7 +441,7 @@ def test_reducible_ground_state_decision_takes_one_thin_svd(monkeypatch):
     g = algebra("u", 3)
     rep = direct_sum([cached_irrep("u", 3, (2, 1, 0)), cached_irrep("u", 3, (1, 0, 0))])
     d = liealg.diagonal_element(g, [1.0, 0.0, 0.0])
-    irreps.commutant(rep, DEFAULT_TOL)  # its isotypic split compresses
+    irreps.commutant(rep)  # its isotypic split compresses
     widths = _groundstate_svd_widths(monkeypatch)
     out = groundstate.analyze(rep, d)
     assert rep.dim == 11 and out.ground_state and out.commutant_dims[0] == 2
